@@ -14,16 +14,20 @@ density profiles; for profiles with x-independent loading the matrix is
 diagonal and the roots coincide with the closed-form band solver.
 
 Root location tracks the inertia (negative-eigenvalue count) of the symmetric
-matrix along a grid partitioned at the loading poles, then bisects each
-inertia change.  Determinant magnitudes are never compared across alpha, so
-basis sizes beyond det overflow are fine.
+matrix along a grid partitioned at the loading poles.  A count that rises by
+one across a grid cell is refined with Brent's method on the eigenvalue that
+crosses zero; larger rises are split by inertia bisection.  Determinant
+magnitudes are never compared across alpha, so basis sizes beyond det
+overflow are fine.
 """
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .beam import BeamMode, beam_modes
 from .kernel import PoleProximityError, band_edge_gammas, shear_kernel
@@ -33,6 +37,8 @@ from .model import (AlternatingProfile, BoundaryCondition, ConfigError,
 from .quadrature import gauss_rule
 
 GAMMA_EXCLUSION = 1e-8   # half-width in gamma of the excluded pole window
+_BRENT_RTOL = 4.0 * np.finfo(float).eps   # the smallest brentq accepts
+_BRENT_XTOL = 1e-300     # leaves the relative tolerance in charge
 
 
 class BasisTooSmall(UserWarning):
@@ -133,10 +139,10 @@ def _constant_potential_diag(alpha: float, geometry: DeviceGeometry,
     return None
 
 
-def _tabulated_panels(alpha: float, profile: TabulatedProfile,
+def _tabulated_panels(alpha: float, profile: TabulatedProfile, length_of,
                       window: float) -> list[tuple[float, float]]:
-    """u panels whose interiors keep gamma(u) clear of the band edges."""
-    length_of, _ = profile.interpolants()
+    """u panels whose interiors keep gamma(u) clear of the band edges;
+    length_of is the profile's length interpolant."""
     L_phys = profile.x[-1]
     g_hi = alpha * max(profile.length)
     k_max = max(1, int(g_hi / np.pi) + 2)
@@ -145,7 +151,6 @@ def _tabulated_panels(alpha: float, profile: TabulatedProfile,
     probe = np.linspace(0.0, 1.0, 257)
     gam = alpha * length_of(probe * L_phys)
     cuts = [0.0, 1.0]
-    from scipy.optimize import brentq
     for edge in edges:
         h = gam - edge
         sign_change = np.nonzero(h[:-1] * h[1:] < 0)[0]
@@ -170,15 +175,20 @@ def _tabulated_panels(alpha: float, profile: TabulatedProfile,
 
 
 def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
-             basis: list[BeamMode], settings: GalerkinSettings | None = None
-             ) -> np.ndarray:
+             basis: list[BeamMode], settings: GalerkinSettings | None = None,
+             cache: dict | None = None) -> np.ndarray:
     """Symmetric Galerkin matrix D(alpha) in the beam eigenbasis.
 
     Diagonal for x-independent loading; discrete combs contribute exact
     point sums; tabulated profiles are integrated by panel-split quadrature
     with pole windows excluded.
+
+    cache holds the alpha-independent parts (basis values at the teeth or
+    quadrature nodes, profile values at the nodes) between calls that share
+    geometry, profile, basis and settings; `solve` passes one per call.
     """
     settings = settings or GalerkinSettings()
+    cache = {} if cache is None else cache
     m_count = len(basis)
     betas = np.array([b.beta for b in basis])
     aL4 = (alpha * geometry.beam_length) ** 4
@@ -189,18 +199,18 @@ def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
         return d - const * np.eye(m_count)
 
     if isinstance(profile, DiscreteProfile):
-        u = np.array(profile.positions) / geometry.beam_length
         gam = alpha * np.array(profile.lengths)
         try:
             t_vals = shear_kernel(gam)
         except PoleProximityError as exc:
-            edges = band_edge_gammas(max(1, int(np.max(gam) / np.pi) + 2))
-            dist = np.min(np.abs(gam[:, None] - edges[None, :]), axis=1)
-            bad = int(np.argmin(dist))
+            bad = int(np.flatnonzero(gam == exc.gamma)[0])  # first offender
             raise PoleProximityError(
                 exc.gamma, exc.k,
                 where=f"cantilever at x={profile.positions[bad]:.6e} m") from exc
-        phi = np.stack([m.eval(u) for m in basis])          # (M, J)
+        if "phi" not in cache:
+            u = np.array(profile.positions) / geometry.beam_length
+            cache["phi"] = np.stack([m.eval(u) for m in basis])  # (M, J)
+        phi = cache["phi"]
         weight = 2.0 * (alpha * geometry.beam_length) ** 3 \
             * (geometry.cantilever_width / geometry.beam_width)
         v = weight * np.einsum("j,mj,nj->mn", t_vals, phi, phi)
@@ -211,25 +221,42 @@ def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
         if abs(profile.x[0]) > 1e-12 * L or abs(profile.x[-1] - L) > 1e-12 * L:
             raise ConfigError("profile.x must span the beam: first sample at "
                               "0, last at beam_length")
-        length_of, density_of = profile.interpolants()
-        L_phys = profile.x[-1]
-        panels = _tabulated_panels(alpha, profile, GAMMA_EXCLUSION)
-        nodes_ref, weights_ref = gauss_rule(settings.quadrature_order)
+        if "interpolants" not in cache:
+            cache["interpolants"] = profile.interpolants()
+        length_of, density_of = cache["interpolants"]
+        panels = tuple(_tabulated_panels(alpha, profile, length_of,
+                                         GAMMA_EXCLUSION))
 
-        def entry_sums(splits_per_panel: int) -> np.ndarray:
-            v = np.zeros((m_count, m_count))
+        def nodes(splits_per_panel: int) -> tuple[np.ndarray, ...]:
+            """Weights, l(u), rho(u) and phi(u) at the quadrature nodes, one
+            row per sub-panel; none of them depends on alpha."""
+            L_phys = profile.x[-1]
+            nodes_ref, weights_ref = gauss_rule(settings.quadrature_order)
+            rows = []
             for a, b in panels:
                 sub = np.linspace(a, b, splits_per_panel + 1)
                 for lo, hi in zip(sub[:-1], sub[1:]):
                     half = 0.5 * (hi - lo)
                     u = 0.5 * (lo + hi) + half * nodes_ref
-                    w = half * weights_ref
-                    gam = alpha * np.asarray(length_of(u * L_phys), dtype=float)
-                    rho = np.asarray(density_of(u * L_phys), dtype=float)
-                    pot = (geometry.cantilever_width / geometry.beam_width) \
-                        * rho * alpha ** 3 * shear_kernel(gam) * L ** 4
-                    phi = np.stack([m.eval(u) for m in basis])
-                    v += np.einsum("j,mj,nj->mn", w * pot, phi, phi)
+                    x = u * L_phys
+                    rows.append((half * weights_ref,
+                                 np.asarray(length_of(x), dtype=float),
+                                 np.asarray(density_of(x), dtype=float),
+                                 np.stack([m.eval(u) for m in basis])))
+            return tuple(np.stack(col) for col in zip(*rows))
+
+        def entry_sums(splits_per_panel: int) -> np.ndarray:
+            v = np.zeros((m_count, m_count))
+            if not panels:  # every node lies in a pole window
+                return v
+            key = (panels, splits_per_panel)
+            if key not in cache:
+                cache[key] = nodes(splits_per_panel)
+            w, lengths, rho, phi = cache[key]
+            pot = (geometry.cantilever_width / geometry.beam_width) \
+                * rho * alpha ** 3 * shear_kernel(alpha * lengths) * L ** 4
+            for wp, ph in zip(w * pot, phi):   # sub-panel by sub-panel
+                v += np.einsum("j,mj,nj->mn", wp, ph, ph)
             return v
 
         v_prev = entry_sums(1)
@@ -255,6 +282,39 @@ def _negcount(mat: np.ndarray) -> int:
     return int(np.sum(np.linalg.eigvalsh(mat) < 0.0))
 
 
+def _refine(lo: float, hi: float, c_lo: int, c_hi: int,
+            matrix: Callable[[float], np.ndarray]) -> list[float]:
+    """Roots of det D(alpha) in a scan cell whose negative count rises from
+    c_lo at lo to c_hi at hi, ascending.
+
+    A single crossing is the sign change of eigvalsh(D)[c_lo], continuous on
+    a pole-free segment, and Brent's method finds it to rtol 4 eps.  Cells
+    holding several crossings are split by inertia bisection down to a
+    relative width of 1e-14.
+    """
+    if c_hi - c_lo == 1:
+        return [brentq(lambda a: float(np.linalg.eigvalsh(matrix(a))[c_lo]),
+                       lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)]
+    brackets = [(lo, hi, c_lo, c_hi)]
+    roots = []
+    while brackets:
+        lo, hi, c_lo, c_hi = brackets.pop()
+        for _ in range(200):
+            if hi - lo <= 1e-14 * max(abs(hi), 1.0):
+                break
+            mid = 0.5 * (lo + hi)
+            c_mid = _negcount(matrix(mid))
+            if c_mid > c_lo and c_hi > c_mid:
+                brackets.append((mid, hi, c_mid, c_hi))
+                hi, c_hi = mid, c_mid
+            elif c_mid > c_lo:
+                hi, c_hi = mid, c_mid
+            else:
+                lo, c_lo = mid, c_mid
+        roots.extend([0.5 * (lo + hi)] * (c_hi - c_lo))
+    return sorted(roots)
+
+
 def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
           alpha_max: float, settings: GalerkinSettings | None = None,
           alpha_min: float = 0.0, scan_points: int = 220,
@@ -262,10 +322,11 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
     """All spectrum levels with alpha in (alpha_min, alpha_max].
 
     Scans the inertia of D(alpha) on a grid that skips the forbidden
-    resonance intervals, bisects every inertia change, and attaches the
-    null-space direction (participation vector) at each root.  Levels are
-    sorted by alpha.  For x-independent profiles a BasisTooSmall warning is
-    emitted if any participation vector is not essentially a coordinate axis.
+    resonance intervals, refines every inertia change (`_refine`), and
+    attaches the null-space direction (participation vector) at each root.
+    Levels are sorted by alpha.  For x-independent profiles a BasisTooSmall
+    warning is emitted if any participation vector is not essentially a
+    coordinate axis.
     """
     settings = settings or GalerkinSettings()
     basis = beam_modes(bc, settings.basis_size)
@@ -288,40 +349,29 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
         segments.append((cursor, alpha_max))
 
     uniformish = isinstance(profile, (UniformProfile, AlternatingProfile))
+    cache: dict = {}                     # alpha-independent assembly parts
+    mats: dict[float, np.ndarray] = {}   # D(alpha) assembled in this segment
+
+    def matrix(a: float) -> np.ndarray:
+        if a not in mats:
+            mats[a] = assemble(a, geometry, profile, basis, settings, cache)
+        return mats[a]
 
     levels: list[GalerkinLevel] = []
     for seg_lo, seg_hi in segments:
+        mats.clear()
         grid = np.linspace(seg_lo, seg_hi, scan_points)
         if grid[0] == 0.0:
             grid[0] = 1e-9 * grid[1]
-        mats = [assemble(a, geometry, profile, basis, settings) for a in grid]
-        counts = [_negcount(m) for m in mats]
+        counts = [_negcount(matrix(a)) for a in grid]
         for i in range(len(grid) - 1):
-            missing = counts[i + 1] - counts[i]
-            if missing <= 0:
+            if counts[i + 1] <= counts[i]:
                 # negative jumps would mean an eigenvalue re-entering from
                 # -inf, impossible on a pole-free segment
                 continue
-            brackets = [(grid[i], grid[i + 1], counts[i], counts[i + 1])]
-            roots_here = []
-            while brackets:
-                lo, hi, c_lo, c_hi = brackets.pop()
-                for _ in range(200):
-                    if hi - lo <= 1e-14 * max(abs(hi), 1.0):
-                        break
-                    mid = 0.5 * (lo + hi)
-                    c_mid = _negcount(assemble(mid, geometry, profile,
-                                               basis, settings))
-                    if c_mid > c_lo and c_hi > c_mid:
-                        brackets.append((mid, hi, c_mid, c_hi))
-                        hi, c_hi = mid, c_mid
-                    elif c_mid > c_lo:
-                        hi, c_hi = mid, c_mid
-                    else:
-                        lo, c_lo = mid, c_mid
-                roots_here.extend([0.5 * (lo + hi)] * (c_hi - c_lo))
-            for root in sorted(roots_here):
-                mat = assemble(root, geometry, profile, basis, settings)
+            for root in _refine(grid[i], grid[i + 1], counts[i],
+                                counts[i + 1], matrix):
+                mat = matrix(root)
                 evals, evecs = np.linalg.eigh(mat)
                 idx = int(np.argmin(np.abs(evals)))
                 norm = np.linalg.norm(mat, 2)

@@ -17,6 +17,7 @@ within POLE_TOL of a pole raise PoleProximityError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -42,19 +43,23 @@ def _edge_residual(gamma):
     return np.cos(gamma) + 1.0 / np.cosh(gamma)
 
 
+@lru_cache(maxsize=None)
+def _band_edge(k: int) -> float:
+    """Root k of 1 + cos(gamma) cosh(gamma) = 0, solved once per k."""
+    lo = (k - 1) * np.pi if k > 1 else 1e-6
+    return brentq(lambda g: float(_edge_residual(g)), lo, k * np.pi,
+                  xtol=_ROOT_XTOL)
+
+
 def band_edge_gammas(k_max: int) -> np.ndarray:
     """First k_max roots of 1 + cos(gamma) cosh(gamma) = 0, ascending.
 
-    Root k lies in ((k-1) pi, k pi) and approaches (k - 1/2) pi.
+    Root k lies in ((k-1) pi, k pi) and approaches (k - 1/2) pi.  Each root
+    is solved once per process; every call returns a fresh array.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    out = np.empty(k_max)
-    f = lambda g: float(_edge_residual(g))
-    for k in range(1, k_max + 1):
-        lo = (k - 1) * np.pi if k > 1 else 1e-6
-        out[k - 1] = brentq(f, lo, k * np.pi, xtol=_ROOT_XTOL)
-    return out
+    return np.array([_band_edge(k) for k in range(1, k_max + 1)])
 
 
 def nearest_band_edge(gamma: float) -> tuple[int, float]:
@@ -66,15 +71,22 @@ def nearest_band_edge(gamma: float) -> tuple[int, float]:
 
 
 def check_pole_distance(gamma, where: str = "gamma") -> None:
-    """Raise PoleProximityError if any entry of gamma sits on a band edge."""
+    """Raise PoleProximityError if any entry of gamma sits on a band edge.
+
+    The error names the first offending entry in input order.
+    """
     arr = np.atleast_1d(np.asarray(gamma, dtype=float))
     finite = arr[np.isfinite(arr) & (arr > 0)]
     if finite.size == 0:
         return
-    for g in finite:
-        k, edge = nearest_band_edge(float(g))
-        if abs(g - edge) < POLE_TOL:
-            raise PoleProximityError(float(g), k, where)
+    k_hi = max(1, int(np.ceil(np.max(finite) / np.pi - 0.5)) + 1)
+    edges = band_edge_gammas(k_hi + 1)
+    dist = np.abs(finite[:, None] - edges[None, :])     # (N, K)
+    hit = np.min(dist, axis=1) < POLE_TOL
+    if hit.any():
+        i = int(np.argmax(hit))
+        raise PoleProximityError(float(finite[i]), int(np.argmin(dist[i])) + 1,
+                                 where)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,17 @@ def test_zero_density_gives_bare_beam_matrix():
     assert np.array_equal(got, np.diag(betas ** 4 - (a * L) ** 4))
 
 
+def test_fully_excluded_profile_gives_bare_beam_matrix():
+    # at a band edge every node of a constant profile sits in a pole window
+    basis = beam_modes(BC, 4)
+    tab = TabulatedProfile(x=(0.0, L), length=(CANT,) * 2,
+                           density=(RHO_UNIFORM,) * 2)
+    a = band_edge_gammas(1)[0] / CANT
+    got = gk.assemble(a, GEO, tab, basis)
+    betas = np.array([b.beta for b in basis])
+    assert np.array_equal(got, np.diag(betas ** 4 - (a * L) ** 4))
+
+
 def test_discrete_comb_converges_to_continuum():
     n_side = 60
     pos = tuple((j - 0.5) * L / n_side for j in range(1, n_side + 1))
@@ -131,6 +142,14 @@ def test_discrete_resonant_tooth_names_its_position():
     alpha = band_edge_gammas(1)[0] / CANT  # both teeth resonate; one named
     with pytest.raises(PoleProximityError, match="cantilever at x="):
         gk.assemble(alpha, GEO, comb, basis)
+    # the named tooth is the one whose gamma is reported, the first in order,
+    # even when a later tooth sits closer to the edge
+    near = DiscreteProfile(positions=(bad_x, 0.6 * L),
+                           lengths=(CANT * (1 + 1e-13), CANT))
+    with pytest.raises(PoleProximityError) as err:
+        gk.assemble(alpha, GEO, near, basis)
+    assert err.value.gamma == alpha * near.lengths[0]
+    assert err.value.where == f"cantilever at x={bad_x:.6e} m"
 
 
 def test_tabulated_profile_must_span_beam():
@@ -146,3 +165,33 @@ def test_low_dominance_warns_for_uniform_loading():
     with pytest.warns(gk.BasisTooSmall):
         gk.solve(GEO, PROF, BC, alpha_max, GalerkinSettings(basis_size=4),
                  scan_points=60, dominance_threshold=1.1)
+
+
+def test_brent_and_bisection_refinements_agree():
+    # a coarse scan puts several levels in one cell, which takes the
+    # bisection branch; the default scan refines single crossings by Brent
+    rng = np.random.default_rng(7)
+    n_side = 40
+    pos = tuple((np.arange(n_side) + 0.5 + rng.uniform(-0.3, 0.3, n_side))
+                * L / n_side)
+    lengths = tuple(CANT * np.where(np.arange(n_side) % 2, 0.97, 1.0))
+    comb = DiscreteProfile(positions=pos, lengths=lengths)
+    geo = DeviceGeometry(**{**GEO.to_dict(), "count_per_side": n_side})
+    alpha_max = 0.9999 * band_edge_gammas(1)[0] / CANT
+    assert not gk.forbidden_alpha_intervals(comb, alpha_max)  # one segment
+    settings = GalerkinSettings(basis_size=6)
+    fine = gk.solve(geo, comb, BC, alpha_max, settings)
+    coarse = gk.solve(geo, comb, BC, alpha_max, settings, scan_points=4)
+
+    grid = np.linspace(0.0, alpha_max, 4)
+    per_cell = np.bincount(np.searchsorted(grid, [lv.alpha for lv in coarse]))
+    assert per_cell.max() >= 2 and 1 in per_cell  # both branches ran
+    assert len(fine) == len(coarse) == 6
+    basis = beam_modes(BC, settings.basis_size)
+    for a, b in zip(fine, coarse):
+        assert b.alpha == pytest.approx(a.alpha, rel=1e-12, abs=0.0)
+        for lv in (a, b):
+            below, above = (gk._negcount(gk.assemble(lv.alpha * f, geo, comb,
+                                                     basis, settings))
+                            for f in (1 - 1e-11, 1 + 1e-11))
+            assert above > below, lv.alpha

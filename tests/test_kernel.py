@@ -1,19 +1,57 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from cantarray.beam import beam_roots
 from cantarray.kernel import (POLE_TOL, CantileverShape, PoleProximityError,
-                              band_edge_gammas, coeffs, shear_kernel)
+                              band_edge_gammas, check_pole_distance, coeffs,
+                              shear_kernel)
 from cantarray.model import BoundaryCondition
 from cantarray.quadrature import adaptive_quad
 
-from oracles import clamped_free_root
+from oracles import clamped_free_root, first_pole_hit
 
 
 def test_band_edges_match_independent_bisection():
     edges = band_edge_gammas(8)
     for k in range(1, 9):
         assert edges[k - 1] == pytest.approx(clamped_free_root(k), abs=1e-11)
+
+
+def test_band_edges_equal_a_fresh_solve_per_k():
+    # the memoized edges are the brentq roots bit for bit; the closed form
+    # (k - 1/2) pi is not: it is 1 ulp off at k = 21, 23, 26, 28, ...
+    fresh = np.array([
+        brentq(lambda g: float(np.cos(g) + 1.0 / np.cosh(g)),
+               (k - 1) * np.pi if k > 1 else 1e-6, k * np.pi, xtol=1e-15)
+        for k in range(1, 61)])
+    first = band_edge_gammas(60)
+    assert np.array_equal(first, fresh)
+    first[:] = 0.0  # callers own the returned array
+    assert np.array_equal(band_edge_gammas(60), fresh)
+
+
+_EDGES = band_edge_gammas(40)
+_OFFSETS = (-1.001, -0.999, -0.5, 0.0, 0.5, 0.999, 1.001)
+_GAMMAS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, -_EDGES[0]]),
+    st.floats(min_value=-10.0, max_value=120.0),
+    st.builds(lambda k, off: float(_EDGES[k] + off * POLE_TOL),
+              st.integers(0, len(_EDGES) - 1), st.sampled_from(_OFFSETS)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_GAMMAS, max_size=12))
+def test_pole_check_matches_scalar_reference(gammas):
+    expected = first_pole_hit(gammas, band_edge_gammas, POLE_TOL)
+    try:
+        check_pole_distance(np.array(gammas, dtype=float), where="g")
+    except PoleProximityError as exc:
+        assert expected == (exc.gamma, exc.k) and exc.where == "g"
+    else:
+        assert expected is None
 
 
 def test_band_edge_literals():
