@@ -96,7 +96,7 @@ def _emit(args, columns, rows, config, caught, t0, payload=None) -> None:
         "config_sha256": _config_hash(config),
         "format": "json" if payload is not None else fmt,
         "rows": len(rows),
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.perf_counter() - t0, 3),
         "warnings": warn_strings,
     }
     if args.output:
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -12,11 +12,12 @@ damping and drive are taken as already scaled onto the slow time, so the
 coefficients below enter the response formulas exactly as given; no
 separate bookkeeping small parameter appears in the API.
 
-Steady states of the coupled pair are roots of per-mode cubics in the
-squared amplitude.  Those cubics are solved in closed form on a rescaled
-variable (the squared peak amplitude sets the scale) and polished with a
-Newton step, which keeps them reliable across the ~40 orders of magnitude
-the physical coefficients span.
+Steady states of the coupled pair come from elimination: mode 1's bracket
+s = D1 fixes both squared amplitudes, so mode 2's condition becomes one
+real polynomial of degree at most nine in s.  Scaling s by mode 1's
+linewidth keeps its coefficients O(1) across the ~40 orders of magnitude
+the physical coefficients span; its real roots come from one companion
+eigensolve and are polished by Newton and checked before they are reported.
 """
 
 from __future__ import annotations
@@ -411,34 +412,6 @@ def _real_cubic_roots(coeffs, scale: float) -> list[float]:
     return out
 
 
-def _mode_cubic_roots(j: int, z_other: float, sigma: float,
-                      params: EffectiveParams) -> list[float]:
-    """Squared amplitudes z of mode j in steady state, other mode fixed.
-
-    z ((C z + C12 z_other)/4 - w sigma M)^2 + w^2 mu^2 z = F^2, a cubic in
-    z with at most three admissible roots; z is clipped to [0, peak^2].
-    """
-    w, m = params.omega(j), params.mass(j)
-    mu, drv = params.damping(j), params.drive(j)
-    cself = params.self_coupling(j)
-    off = 0.25 * params.cross_coupling * z_other - w * sigma * m
-    coeffs = (cself ** 2 / 16.0, 0.5 * cself * off,
-              off ** 2 + (w * mu) ** 2, -drv ** 2)
-    mags = [abs(coeffs[3]) / max(abs(coeffs[0]), 1e-300),
-            abs(coeffs[3]) / max(abs(coeffs[2]), 1e-300),
-            abs(coeffs[1]) / max(abs(coeffs[0]), 1e-300)]
-    scale = max(mags[0] ** (1.0 / 3.0), mags[1], mags[2], 1e-300)
-    zmax = (drv / (mu * w)) ** 2 if mu > 0.0 and drv != 0.0 else math.inf
-    out = []
-    for z in _real_cubic_roots(coeffs, scale):
-        if z < -1e-9 * scale or z > zmax * (1.0 + 1e-9):
-            continue
-        out.append(min(max(z, 0.0), zmax))
-    if drv == 0.0 and not any(z == 0.0 for z in out):
-        out.append(0.0)   # undriven mode always admits rest
-    return sorted(set(out))
-
-
 def steady_residual(z1: float, z2: float, sigma1: float, sigma2: float,
                     params: EffectiveParams) -> float:
     """Largest relative defect of the two steady-state conditions at the
@@ -454,36 +427,6 @@ def steady_residual(z1: float, z2: float, sigma1: float, sigma2: float,
                     drv ** 2, 1e-300)
         worst = max(worst, abs(lhs - drv ** 2) / scale)
     return worst
-
-
-def _phase(j: int, zj: float, zo: float, sigma: float,
-           params: EffectiveParams) -> float:
-    """Drive phase lag from the two steady conditions, quadrant correct."""
-    drv = params.drive(j)
-    if zj <= 0.0 or drv == 0.0:
-        return 0.0
-    a = math.sqrt(zj)
-    w, m = params.omega(j), params.mass(j)
-    cos_part = (0.25 * a * (params.self_coupling(j) * zj
-                            + params.cross_coupling * zo)
-                - w * sigma * m * a) / drv
-    sin_part = w * params.damping(j) * a / drv
-    return math.atan2(sin_part, cos_part)
-
-
-def _branch(j: int, zj: float, zo: float, sigma: float,
-            params: EffectiveParams) -> str:
-    """Which square-root branch of the response curve the point sits on."""
-    w, m = params.omega(j), params.mass(j)
-    center = (params.self_coupling(j) * zj
-              + params.cross_coupling * zo) / (4.0 * m * w)
-    s = sigma - center
-    tol = 1e-9 * max(abs(sigma), abs(center), params.damping(j) / m, 1e-300)
-    if s > tol:
-        return "+"
-    if s < -tol:
-        return "-"
-    return "0"
 
 
 @dataclass(frozen=True)
@@ -528,81 +471,123 @@ def _newton_polish(z1: float, z2: float, sigma1: float, sigma2: float,
     return float(z[0]), float(z[1])
 
 
-def coupled_steady_state(sigma1: float, sigma2: float,
-                         params: EffectiveParams, max_iter: int = 200,
-                         rtol: float = 1e-12,
-                         ) -> list[tuple[ResponsePoint, ResponsePoint]]:
-    """All steady amplitude pairs at the given detunings.
+def _response_curve(j: int, sigma: float, params: EffectiveParams):
+    """(scale, zmax, delta2, p) of mode j along its bracket D_j = scale * t.
 
-    Seeds come from solving each mode's cubic with the other at rest and
-    then at each of those roots, in both orders.  Every seed is refined by
-    alternating the two cubics (tracking the nearest root so a branch is
-    followed, not hopped), finished with Newton on the pair.  Candidates
-    that fail to settle within max_iter alternations are dropped with a
-    warning; converged duplicates are merged.  Up to nine distinct pairs
-    can survive when both modes sit in their multivalued regions.
+    z_j = zmax / u with u = t^2 + delta2, and the cubic
+    p(t) = (t + w sigma M / scale) u - C_j zmax / (4 scale) equals
+    u C12 z_other / (4 scale), highest power first.  The scale is w mu, or
+    for an undamped mode the bracket at which self coupling meets the drive.
     """
-    seeds = []
-    for first, second in ((1, 2), (2, 1)):
-        sig = {1: sigma1, 2: sigma2}
-        for za in _mode_cubic_roots(first, 0.0, sig[first], params):
-            for zb in _mode_cubic_roots(second, za, sig[second], params):
-                pair = {first: za, second: zb}
-                seeds.append((pair[1], pair[2]))
+    w, m = params.omega(j), params.mass(j)
+    d, b = w * params.damping(j), w * sigma * m
+    c, f = params.self_coupling(j), params.drive(j)
+    scale = d or max(abs(b), abs(0.25 * c * f * f) ** (1.0 / 3.0)) or 1.0
+    delta2, zmax, beta = (d / scale) ** 2, (f / scale) ** 2, b / scale
+    p = np.array([1.0, beta, delta2, beta * delta2 - 0.25 * c * zmax / scale])
+    return scale, zmax, delta2, p
 
-    def nearest(roots, ref):
-        return min(roots, key=lambda z: abs(z - ref))
 
-    scale1 = max((z for z, _ in seeds), default=0.0)
-    scale2 = max((z for _, z in seeds), default=0.0)
+def _real_roots(coeffs) -> np.ndarray:
+    """Real roots by one companion eigensolve; LAPACK gives the real
+    eigenvalues of a real matrix an imaginary part of exactly zero."""
+    roots = np.roots(coeffs / np.max(np.abs(coeffs)))
+    return roots.real[roots.imag == 0.0]
+
+
+def _single_mode_states(j: int, sigma: float,
+                        params: EffectiveParams) -> list[float]:
+    """z_j with the other mode not acting on mode j: rest if undriven."""
+    if params.drive(j) == 0.0:
+        return [0.0]
+    _, zmax, delta2, p = _response_curve(j, sigma, params)
+    t = _real_roots(p)
+    return (zmax / (t * t + delta2)).tolist()
+
+
+def _eliminant_states(lead: int, sigma1: float, sigma2: float,
+                      params: EffectiveParams) -> list[tuple[float, float]]:
+    """(z1, z2) at every real root t of the lead mode's degree-9 eliminant.
+
+    With u = t^2 + delta2, z_other = 4 scale p / (C12 u) and the other
+    bracket is r / u, r = C_o scale p / C12 + C12 zmax / 4 - w_o sigma_o M_o u,
+    so its condition reads p (r^2 + (w_o mu_o u)^2) = C12 F_o^2 u^3 / (4 scale).
+    """
+    other = 3 - lead
+    sig = (sigma1, sigma2)
+    scale, zmax, delta2, p = _response_curve(lead, sig[lead - 1], params)
+    c12 = params.cross_coupling
+    w, m = params.omega(other), params.mass(other)
+    u = np.array([1.0, 0.0, delta2])
+    r = params.self_coupling(other) * scale / c12 * p
+    r[1:] -= w * sig[other - 1] * m * u
+    r[3] += 0.25 * c12 * zmax
+    u2 = np.convolve(u, u)
+    q = np.convolve(r, r)
+    q[2:] += (w * params.damping(other)) ** 2 * u2
+    g = np.convolve(p, q)
+    g[3:] -= 0.25 * c12 * params.drive(other) ** 2 / scale * np.convolve(u, u2)
+    t = _real_roots(g)
+    ut = t * t + delta2
+    z = [zmax / ut, 4.0 * scale * np.polyval(p, t) / (c12 * ut)]
+    return list(zip(*(z if lead == 1 else z[::-1])))
+
+
+def _point(j: int, zj: float, zo: float, sigma: float,
+           params: EffectiveParams) -> ResponsePoint:
+    """Mode j's response: drive phase lag from the two steady conditions,
+    quadrant correct, and the square-root branch of its response curve."""
+    w, m, drv = params.omega(j), params.mass(j), params.drive(j)
+    a = math.sqrt(zj)
+    phase = 0.0
+    if zj > 0.0 and drv != 0.0:
+        cos_part = (0.25 * a * (params.self_coupling(j) * zj
+                                + params.cross_coupling * zo)
+                    - w * sigma * m * a) / drv
+        phase = math.atan2(w * params.damping(j) * a / drv, cos_part)
+    center = (params.self_coupling(j) * zj
+              + params.cross_coupling * zo) / (4.0 * m * w)
+    s = sigma - center
+    tol = 1e-9 * max(abs(sigma), abs(center), params.damping(j) / m, 1e-300)
+    branch = "+" if s > tol else "-" if s < -tol else "0"
+    return ResponsePoint(j, sigma, a, phase, branch)
+
+
+def coupled_steady_state(sigma1: float, sigma2: float,
+                         params: EffectiveParams,
+                         ) -> list[tuple[ResponsePoint, ResponsePoint]]:
+    """All steady amplitude pairs at the given detunings, sorted by (z1, z2).
+
+    Mode 1's bracket s = D1 fixes z1 = F1^2/(s^2 + (w1 mu1)^2) and z2, so
+    mode 2's condition is a polynomial of degree <= 9 in s / (w1 mu1): up
+    to nine pairs, all from one companion eigensolve, with no seeds,
+    iteration caps or merging.  Mode 2 leads when only mode 1 is undamped;
+    with C12 = 0 or a zero drive each mode solves its own cubic and an
+    undriven mode rests at exactly zero.  Roots are Newton-polished; those
+    failing steady_residual <= 1e-10 (by rounding alone, as every real root
+    is a state) are dropped and counted in one SteadyStateWarning per call.
+    """
+    if (params.cross_coupling == 0.0 or params.drive1 == 0.0
+            or params.drive2 == 0.0):
+        candidates = [(z1, z2)
+                      for z1 in _single_mode_states(1, sigma1, params)
+                      for z2 in _single_mode_states(2, sigma2, params)]
+    else:
+        lead = 2 if params.damping1 == 0.0 and params.damping2 != 0.0 else 1
+        candidates = _eliminant_states(lead, sigma1, sigma2, params)
+
     found = []
-    for z1, z2 in seeds:
-        ok = False
-        for _ in range(max_iter):
-            r1 = _mode_cubic_roots(1, z2, sigma1, params)
-            if not r1:
-                break
-            n1 = nearest(r1, z1)
-            r2 = _mode_cubic_roots(2, n1, sigma2, params)
-            if not r2:
-                break
-            n2 = nearest(r2, z2)
-            moved = max(abs(n1 - z1) / max(abs(n1), rtol * scale1, 1e-300),
-                        abs(n2 - z2) / max(abs(n2), rtol * scale2, 1e-300))
-            z1, z2 = n1, n2
-            if moved <= rtol:
-                ok = True
-                break
-        if not ok:
-            warnings.warn(
-                f"steady-state candidate near ({z1:.3e}, {z2:.3e}) did not "
-                f"settle in {max_iter} alternations; dropped",
-                SteadyStateWarning, stacklevel=2)
-            continue
+    for z1, z2 in candidates:
         z1, z2 = _newton_polish(z1, z2, sigma1, sigma2, params)
-        if steady_residual(z1, z2, sigma1, sigma2, params) > 1e-10:
-            continue
-        found.append((z1, z2))
-
-    unique = []
-    for z1, z2 in sorted(found):
-        dup = any(abs(z1 - u1) <= 1e-10 * max(abs(z1), abs(u1), 1e-300)
-                  and abs(z2 - u2) <= 1e-10 * max(abs(z2), abs(u2), 1e-300)
-                  for u1, u2 in unique)
-        if not dup:
-            unique.append((z1, z2))
-
-    out = []
-    for z1, z2 in unique:
-        out.append((
-            ResponsePoint(1, sigma1, math.sqrt(max(z1, 0.0)),
-                          _phase(1, z1, z2, sigma1, params),
-                          _branch(1, z1, z2, sigma1, params)),
-            ResponsePoint(2, sigma2, math.sqrt(max(z2, 0.0)),
-                          _phase(2, z2, z1, sigma2, params),
-                          _branch(2, z2, z1, sigma2, params)),
-        ))
-    return out
+        if steady_residual(z1, z2, sigma1, sigma2, params) <= 1e-10:
+            found.append((z1, z2))
+    if len(found) < len(candidates):
+        warnings.warn(f"{len(candidates) - len(found)} of {len(candidates)} "
+                      f"real root(s) at sigma = ({sigma1:.6g}, {sigma2:.6g}) "
+                      "failed the steady-state check; dropped",
+                      SteadyStateWarning, stacklevel=2)
+    return [(_point(1, z1, z2, sigma1, params),
+             _point(2, z2, z1, sigma2, params)) for z1, z2 in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

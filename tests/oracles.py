@@ -53,3 +53,36 @@ def first_pole_hit(gamma, band_edges, tol):
         if abs(g - edges[k]) < tol:
             return g, k + 1
     return None
+
+
+def steady_state_count(sigma1, sigma2, p):
+    """Number of steady states of the two-mode amplitude equations.
+
+    The equations are z_j (D_j^2 + (w_j mu_j)^2) = F_j^2 with brackets
+    D_j = (C_j z_j + C12 z_other)/4 - w_j sigma_j M_j.  Along mode 1's
+    response curve, parameterised by s = D1, z1 = F1^2/(s^2 + (w1 mu1)^2)
+    and z2 = (4 (s + w1 sigma1 M1) - C1 z1)/C12, so the states are the sign
+    changes of mode 2's defect along s.  Every state has z_j at most
+    (F_j / (w_j mu_j))^2, which bounds |s|; where z2 <= 0 the defect is
+    -F2^2 < 0, so no spurious sign change occurs.  p holds the coefficients
+    as attributes (omega1, mass1, damping1, self_coupling1, drive1, ... and
+    cross_coupling); both modes must be damped and driven, C12 nonzero.
+    """
+    d1 = p.omega1 * p.damping1
+    b1 = p.omega1 * sigma1 * p.mass1
+    b2 = p.omega2 * sigma2 * p.mass2
+    c12 = p.cross_coupling
+    z1_top = (p.drive1 / d1) ** 2
+    z2_top = (p.drive2 / (p.omega2 * p.damping2)) ** 2
+    s_top = abs(b1) + 0.25 * (abs(p.self_coupling1) * z1_top
+                              + abs(c12) * z2_top)
+    # sinh spacing: fine near s = 0, where the curve turns, coarse far out
+    u_top = np.arcsinh(1.01 * s_top / d1 + 1.0)
+    s = d1 * np.sinh(np.linspace(-u_top, u_top, 100001))
+    z1 = p.drive1 ** 2 / (s * s + d1 * d1)
+    z2 = (4.0 * (s + b1) - p.self_coupling1 * z1) / c12
+    d2 = 0.25 * (p.self_coupling2 * z2 + c12 * z1) - b2
+    defect = z2 * (d2 * d2 + (p.omega2 * p.damping2) ** 2) - p.drive2 ** 2
+    sign = np.sign(defect)
+    sign = sign[sign != 0.0]
+    return int(np.count_nonzero(sign[1:] != sign[:-1]))

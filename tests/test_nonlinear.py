@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantarray import nonlinear as nl
 from cantarray.beam import BeamMode, beam_roots
 from cantarray.model import (BoundaryCondition, ConfigError,
                              NonlinearSettings, preset_device)
+from oracles import steady_state_count
 
 GEOM, PROF, BC = preset_device("jap1-calibrated")
 
@@ -195,6 +199,94 @@ def test_coupled_states_satisfy_amplitude_equations(sel, ints):
         for p1, p2 in pairs:
             assert nl.steady_residual(p1.amplitude ** 2, p2.amplitude ** 2,
                                       sig1, sig2, par) < 1e-10
+
+
+def assert_states_match_oracle(sig1, sig2, par):
+    pairs = nl.coupled_steady_state(sig1, sig2, par)
+    assert len(pairs) % 2 == 1, (sig1, sig2, len(pairs))
+    assert len(pairs) == steady_state_count(sig1, sig2, par), (sig1, sig2)
+    for p1, p2 in pairs:
+        assert nl.steady_residual(p1.amplitude ** 2, p2.amplitude ** 2,
+                                  sig1, sig2, par) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(f1=st.floats(2e-6, 6e-6), f2=st.floats(1e-5, 1e-4),
+       sig1=st.floats(-3000.0, 1000.0), sig2=st.floats(-5000.0, 12000.0))
+def test_states_match_elimination_oracle(sel, ints, f1, f2, sig1, sig2):
+    # drives and detunings around the bistable window of mode 1, reaching
+    # the multivalued region of mode 2 (one, three or five states)
+    assert_states_match_oracle(sig1, sig2, params_for(sel, ints, f1, f2))
+
+
+def test_fold_grid_matches_oracle(sel, ints):
+    # both modes multivalued: states are born and die in pairs at the
+    # saddle-node edges that cross this grid
+    par = params_for(sel, ints, 3.7e-6, 3.5e-5)
+    for sig1 in np.linspace(-2600.0, 700.0, 41):
+        for sig2 in np.linspace(-1500.0, 10000.0, 5):
+            assert_states_match_oracle(float(sig1), float(sig2), par)
+
+
+def test_eliminant_roots_are_states_before_polish(sel, ints):
+    par = params_for(sel, ints, 3.7e-6, 3.5e-5)
+    for sig1, sig2 in ((-1400.0, -2000.0), (-600.0, 7000.0), (300.0, 0.0)):
+        for lead in (1, 2):
+            states = nl._eliminant_states(lead, sig1, sig2, par)
+            assert states
+            for z1, z2 in states:
+                assert nl.steady_residual(z1, z2, sig1, sig2, par) < 1e-9
+
+
+# steady states at (sigma1, sigma2) = (-1400, -2000) of the bench response
+# preset with one coefficient zeroed, as frozen (a1, a2) regression values
+DEGENERATE = {
+    "damping1": ({"damping1": 0.0}, [
+        (4.5432129915804625e-09, 4.8791679050792754e-11),
+        (1.4431269633415966e-08, 1.517097051046838e-11),
+        (1.909872333222394e-08, 9.337882722204479e-12)]),
+    "damping2": ({"damping2": 0.0}, [
+        (4.3971292538433535e-09, 5.127922743916968e-11),
+        (1.5739044286112364e-08, 1.3163419716609476e-11),
+        (1.806952794809793e-08, 1.0333760677129801e-11)]),
+    "both dampings": ({"damping1": 0.0, "damping2": 0.0}, [
+        (4.531693993539158e-09, 5.070679523493707e-11),
+        (1.4431589556004238e-08, 1.5244564329851522e-11),
+        (1.9098748506817747e-08, 9.355231259346345e-12)]),
+    "drive1": ({"drive1": 0.0}, [(0.0, 5.866883769426962e-11)]),
+    "drive2": ({"drive2": 0.0}, [
+        (4.545761276804612e-09, 0.0),
+        (1.5714499883923424e-08, 0.0),
+        (1.8061970102909448e-08, 0.0)]),
+    "cross_coupling": ({"cross_coupling": 0.0}, [
+        (4.545761276804612e-09, 5.866883769426962e-11),
+        (1.5714499883923424e-08, 5.866883769426962e-11),
+        (1.8061970102909448e-08, 5.866883769426962e-11)]),
+    "both drives": ({"drive1": 0.0, "drive2": 0.0}, [(0.0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_limits(sel, ints, case):
+    changes, expected = DEGENERATE[case]
+    par = dataclasses.replace(params_for(sel, ints, 3.7e-6, 3.5e-5),
+                              **changes)
+    pairs = nl.coupled_steady_state(-1400.0, -2000.0, par)
+    assert len(pairs) == len(expected)
+    for (p1, p2), amps in zip(pairs, expected):
+        for got, want in zip((p1.amplitude, p2.amplitude), amps):
+            if want == 0.0:
+                assert got == 0.0
+            else:
+                assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_failed_roots_are_dropped_loudly(sel, ints, monkeypatch):
+    par = params_for(sel, ints, 3.7e-6, 3.5e-5)
+    monkeypatch.setattr(nl, "_newton_polish",
+                        lambda z1, z2, *rest: (1.01 * z1, z2))
+    with pytest.warns(nl.SteadyStateWarning, match="3 of 3 .* dropped"):
+        assert nl.coupled_steady_state(-1400.0, -2000.0, par) == []
 
 
 def test_shift_monotone_in_second_drive(sel, ints):
