@@ -239,18 +239,11 @@ def _cmd_sweep(args, caught, t0):
     if args.param == "epsilon":
         if not hasattr(profile, "length1"):
             raise ConfigError("sweep epsilon: needs an alternating profile")
-        for value in values:
-            swept = type(profile)(length1=profile.length1,
-                                  length2=float(value) * profile.length1,
-                                  width1=profile.width1,
-                                  width2=profile.width2,
-                                  count1=profile.count1,
-                                  count2=profile.count2)
-            for lv in spectrum.solve_alternating(config.geometry, swept,
-                                                 config.boundary, n_max,
-                                                 k_max):
-                rows.append([args.param, float(value), lv.n, lv.k, lv.gamma,
-                             lv.omega])
+        for value, levels in spectrum.sweep_alternating(
+                config.geometry, profile, config.boundary, values, n_max,
+                k_max):
+            rows.extend([args.param, value, lv.n, lv.k, lv.gamma, lv.omega]
+                        for lv in levels)
         _emit(args, columns, rows, config, caught, t0)
         return
     if not hasattr(profile, "length"):

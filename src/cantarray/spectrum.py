@@ -16,12 +16,18 @@ and nonzero at the band edges with alternating sign, so [edge, edge] is a
 guaranteed single-sign-change bracket for every (n, k).
 
 An interleaved two-family array gives the same structure with both pole sets
-{gamma_k} and {gamma_k / epsilon}; see solve_alternating.
+{gamma_k} and {gamma_k / epsilon}; see solve_alternating.  Its brackets come
+from a sign scan of each band instead.
+
+Every solve is one array bisection (_bisect) over all of its brackets: all
+(n, k) of a spectrum, and in sweep_uniform and sweep_alternating all swept
+values at once.  Each bracket takes the same steps as it would alone, so a
+sweep gives bit for bit the levels of the per-value solves.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +38,14 @@ from .model import (AlternatingProfile, BoundaryCondition, ConfigError,
                     dimensionless)
 
 _BISECT_ITERS = 110
+_SCAN_POINTS = 96
+# Two poles closer than this (relative) merge into one band edge, and the
+# root between them is not reported.  The twin poles gamma_k, gamma_k/eps are
+# |1/eps - 1| gamma_k apart; the scan still resolves the root between them
+# at 1e-11 relative, so merging below 3e-10 leaves a margin of 30.
+_MERGE_RTOL = 3e-10
+# Least step off a merged pole pair, relative, when its members coincide.
+_STEP_RTOL = 1e-12
 
 
 class BlowUpError(ArithmeticError):
@@ -112,6 +126,39 @@ def band_edges(k_max: int, geometry: DeviceGeometry | None = None,
     return out
 
 
+def _bisect(f, lo, hi, f_lo):
+    """Halve every bracket [lo, hi] _BISECT_ITERS times, all at once.
+
+    f maps an array of the brackets' shape to values; f_lo carries the sign
+    of f at lo (only its sign bit is read).  Returns the bracket midpoints.
+    """
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        take = np.signbit(f_mid) == np.signbit(f_lo)
+        lo = np.where(take, mid, lo)
+        f_lo = np.where(take, f_mid, f_lo)
+        hi = np.where(take, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _levels(entries, scale: float, valid_n: int) -> list[SpectrumLevel]:
+    """One SpectrumLevel per (n, k, gamma, band_lower, band_upper) entry."""
+    return [SpectrumLevel(n=n, k=k, gamma=float(g), omega=float(scale * g * g),
+                          band_lower=float(lower), band_upper=float(upper),
+                          valid=bool(n < valid_n))
+            for n, k, g, lower, upper in entries]
+
+
+def _grid_entries(gammas: np.ndarray, edges: np.ndarray):
+    """Level entries of every finite gammas[n-1, k-1], band k between
+    edges[k-2] (0 for k = 1) and edges[k-1]."""
+    lower = np.concatenate(([0.0], edges[:-1]))
+    for (i, j), g in np.ndenumerate(gammas):
+        if np.isfinite(g):
+            yield i + 1, j + 1, g, lower[j], edges[j]
+
+
 def solve_uniform_dimensionless(params: DimensionlessParams, betas: np.ndarray,
                                 k_max: int) -> np.ndarray:
     """Roots gamma[n-1, k-1] for every beam index and band.
@@ -120,40 +167,42 @@ def solve_uniform_dimensionless(params: DimensionlessParams, betas: np.ndarray,
     edges themselves as bracket endpoints (F has opposite signs there).
     nu = 0 collapses to the bare-beam roots gamma = lam*beta_n in band 1.
     """
-    betas = np.asarray(betas, dtype=float)
-    if params.nu == 0.0:
-        out = np.full((betas.size, k_max), np.nan)
-        out[:, 0] = params.lam * betas
-        return out
-    lambeta4 = (params.lam * betas[:, None]) ** 4
-    return _band_bisect(params.nu * params.lam, lambeta4, k_max)
+    return _uniform_gammas(np.array([params.nu], dtype=float),
+                           np.array([params.lam], dtype=float),
+                           np.asarray(betas, dtype=float), k_max)[0]
 
 
-def _band_bisect(nulam: float, lambeta4: np.ndarray, k_max: int) -> np.ndarray:
+def _uniform_gammas(nu: np.ndarray, lam: np.ndarray, betas: np.ndarray,
+                    k_max: int) -> np.ndarray:
+    """gamma[p, n-1, k-1] for every loading (nu[p], lam[p]), one bisection
+    for all of them; rows with nu = 0 hold lam*beta_n in band 1, NaN above."""
+    lambeta = lam[:, None] * betas[None, :]
+    out = np.full(lambeta.shape + (k_max,), np.nan)
+    bare = nu == 0.0
+    out[bare, :, 0] = lambeta[bare]
+    loaded = ~bare
+    if loaded.any():
+        out[loaded] = _band_bisect((nu * lam)[loaded, None, None],
+                                   lambeta[loaded, :, None] ** 4, k_max)
+    return out
+
+
+def _band_bisect(nulam, lambeta4: np.ndarray, k_max: int) -> np.ndarray:
     """Edge-to-edge bisection of the regularized single-family secular form.
 
-    The regularized form vanishes with the kernel denominator exactly at the
-    edges; evaluating there returns rounding noise of either sign.  Its limit
-    sign alternates as (-1)^k at the lower edge of band k (and the k=1
-    interval starts negative), so the bisection is seeded analytically.
+    lambeta4 has shape (..., n, 1) and nulam broadcasts against it; the
+    result has shape (..., n, k_max).  The regularized form vanishes with
+    the kernel denominator exactly at the edges; evaluating there returns
+    rounding noise of either sign.  Its limit sign alternates as (-1)^k at
+    the lower edge of band k (and the k=1 interval starts negative), so the
+    bisection is seeded analytically.
     """
-    n_max = lambeta4.shape[0]
     edges = band_edge_gammas(k_max)
-    lo = np.empty((n_max, k_max))
-    hi = np.empty((n_max, k_max))
-    lo[:, 0] = 0.0
-    lo[:, 1:] = edges[:-1][None, :]
-    hi[:, :] = edges[None, :]
-    f_lo = np.broadcast_to(
-        (-1.0) ** np.arange(1, k_max + 1), (n_max, k_max)).copy()
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        f_mid = _regular_secular(mid, nulam, lambeta4)
-        take = np.signbit(f_mid) == np.signbit(f_lo)
-        lo = np.where(take, mid, lo)
-        f_lo = np.where(take, f_mid, f_lo)
-        hi = np.where(take, hi, mid)
-    return 0.5 * (lo + hi)
+    shape = np.broadcast_shapes(np.shape(nulam), lambeta4.shape)[:-1] + (k_max,)
+    lo = np.broadcast_to(np.concatenate(([0.0], edges[:-1])), shape)
+    f_lo = np.broadcast_to((-1.0) ** np.arange(1, k_max + 1), shape)
+    return _bisect(lambda g: _regular_secular(g, nulam, lambeta4),
+                   lo, np.broadcast_to(edges, shape), f_lo)
 
 
 def _uniform_context(geometry: DeviceGeometry, profile: UniformProfile,
@@ -169,22 +218,9 @@ def solve_uniform(geometry: DeviceGeometry, profile: UniformProfile,
     omega = sqrt(Ec/mu_c) (gamma/l)^2."""
     params, betas = _uniform_context(geometry, profile, bc, n_max)
     gammas = solve_uniform_dimensionless(params, betas, k_max)
-    edges = band_edge_gammas(k_max)
     scale = geometry.cantilever_wave_scale / profile.length ** 2
-    levels = []
-    valid_n = geometry.count_per_side
-    for n in range(1, n_max + 1):
-        for k in range(1, k_max + 1):
-            g = gammas[n - 1, k - 1]
-            if not np.isfinite(g):
-                continue
-            levels.append(SpectrumLevel(
-                n=n, k=k, gamma=float(g), omega=float(scale * g * g),
-                band_lower=0.0 if k == 1 else float(edges[k - 2]),
-                band_upper=float(edges[k - 1]),
-                valid=bool(n < valid_n) if valid_n > 0 else False,
-            ))
-    return levels
+    return _levels(_grid_entries(gammas, band_edge_gammas(k_max)), scale,
+                   geometry.count_per_side)
 
 
 def gamma_to_omega(gamma: float, geometry: DeviceGeometry,
@@ -282,14 +318,11 @@ def _alternating_coeffs(geometry: DeviceGeometry, profile: AlternatingProfile):
 
 
 def secular_alternating(gamma, geometry: DeviceGeometry,
-                        profile: AlternatingProfile, beta: float,
-                        as_printed: bool = False):
+                        profile: AlternatingProfile, beta: float):
     """Two-family secular function in gamma = alpha * l1.
 
-    The physical form carries gamma^3 on both shear terms so that epsilon = 1
-    collapses exactly to the uniform equation.  as_printed=True evaluates the
-    diagnostic variant without that factor (dimensionally inconsistent; kept
-    only for comparison plots).
+    Both shear terms carry gamma^3, so epsilon = 1 collapses exactly to the
+    uniform equation.
     """
     gamma = np.asarray(gamma, dtype=float)
     eps = profile.epsilon
@@ -298,8 +331,7 @@ def secular_alternating(gamma, geometry: DeviceGeometry,
     c1, c2 = _alternating_coeffs(geometry, profile)
     lam1 = profile.length1 / geometry.beam_length
     shear = c1 * shear_kernel(gamma) + c2 * shear_kernel(eps * gamma)
-    power = 0.0 if as_printed else 3.0
-    return gamma ** power * shear + gamma ** 4 - (lam1 * beta) ** 4
+    return gamma ** 3 * shear + gamma ** 4 - (lam1 * beta) ** 4
 
 
 def _regular_alternating(gamma, c1, c2, eps, lambeta4):
@@ -310,129 +342,161 @@ def _regular_alternating(gamma, c1, c2, eps, lambeta4):
             + (gamma ** 4 - lambeta4) * d1 * d2)
 
 
-def alternating_pole_set(profile: AlternatingProfile, gamma_max: float,
-                         merge_tol: float = 1e-9) -> list[tuple[float, int]]:
-    """All band-edge poles (gamma, family) with gamma <= gamma_max, sorted.
-
-    Family 1 poles sit at gamma_k, family 2 at gamma_k / epsilon.  Poles of
-    both families closer than merge_tol are merged (family reported as 0).
-    """
+def _pole_groups(profile: AlternatingProfile,
+                 gamma_max: float) -> list[tuple[float, float, int]]:
+    """alternating_pole_set with the span of each merged group: sorted
+    (first, last, family), first == last for a lone pole."""
     eps = profile.epsilon
-    k1 = int(np.sum(band_edge_gammas(max(1, int(gamma_max / np.pi) + 2)) <= gamma_max))
     poles = []
     if profile.count1 > 0:
-        for g in band_edge_gammas(max(k1, 1))[:k1]:
-            if g <= gamma_max:
-                poles.append((float(g), 1))
+        edges = band_edge_gammas(int(gamma_max / np.pi) + 2)
+        poles += [(float(g), 1) for g in edges if g <= gamma_max]
     if profile.count2 > 0:
-        k2_max = max(1, int(gamma_max * eps / np.pi) + 2)
-        for g in band_edge_gammas(k2_max):
-            ge = g / eps
-            if ge <= gamma_max:
-                poles.append((float(ge), 2))
+        edges = band_edge_gammas(int(gamma_max * eps / np.pi) + 2)
+        poles += [(float(g / eps), 2) for g in edges if g / eps <= gamma_max]
     poles.sort()
-    merged = []
+    groups = []
     for g, fam in poles:
-        if merged and abs(g - merged[-1][0]) < merge_tol:
-            merged[-1] = (merged[-1][0], 0)
+        if groups and g - groups[-1][0] < _MERGE_RTOL * g:
+            groups[-1] = (groups[-1][0], g, 0)
+        else:
+            groups.append((g, g, fam))
+    return groups
+
+
+def alternating_pole_set(profile: AlternatingProfile,
+                         gamma_max: float) -> list[tuple[float, int]]:
+    """All band-edge poles (gamma, family) with gamma <= gamma_max, sorted.
+
+    Family 1 poles sit at gamma_k, family 2 at gamma_k / epsilon.  A pole
+    closer than _MERGE_RTOL (relative) to the one before it merges into it
+    (family reported as 0).
+    """
+    return [(first, fam) for first, _, fam in _pole_groups(profile, gamma_max)]
+
+
+def _scan_bands(profile: AlternatingProfile, k_max: int) -> np.ndarray:
+    """Rows (scan_lo, scan_hi, band_lower, band_upper) of bands 1..k_max.
+
+    Band k lies between merged-pole groups k-1 and k (band 1 from 0).  A
+    merged group zeroes both denominator factors and holds the root between
+    its members, so the scan steps off it by the members' separation (at
+    least _STEP_RTOL relative), from the member on the far side of the band.
+    """
+    gamma_hi = band_edge_gammas(k_max)[-1] + 1.0
+    while True:
+        groups = _pole_groups(profile, gamma_hi)
+        if len(groups) >= k_max:
+            break
+        gamma_hi *= 1.6
+    rows, below = [], (0.0, 0.0)    # band edge, scan start above it
+    for first, last, fam in groups[:k_max]:
+        step = max(last - first, _STEP_RTOL * last) if fam == 0 else 0.0
+        rows.append((below[1], first - step, below[0], first))
+        below = (first, last + step)
+    return np.array(rows)
+
+
+def _single_family(geometry, profile, betas, k_max, c1, c2):
+    """Levels of a layout with one pole set: one family empty, or equal
+    lengths.  gamma' = gamma_scale * gamma obeys the uniform equation."""
+    eps = profile.epsilon
+    lam1 = profile.length1 / geometry.beam_length
+    if c2 == 0.0:
+        nulam, beta_scale, gamma_scale = c1, lam1, 1.0
+    elif c1 == 0.0:
+        nulam, beta_scale, gamma_scale = eps * c2, eps * lam1, eps
+    else:
+        nulam, beta_scale, gamma_scale = c1 + c2, lam1, 1.0
+    lambeta4 = (beta_scale * betas[:, None]) ** 4
+    gammas = _band_bisect(nulam, lambeta4, k_max) / gamma_scale
+    edges = band_edge_gammas(k_max) / gamma_scale
+    return _levels(_grid_entries(gammas, edges),
+                   geometry.cantilever_wave_scale / profile.length1 ** 2,
+                   profile.count1 + profile.count2)
+
+
+def _alternating_solves(geometry: DeviceGeometry, profiles,
+                        bc: BoundaryCondition, n_max: int, k_max: int,
+                        scan_points: int) -> list[list[SpectrumLevel]]:
+    """Levels of every profile; the sign-change brackets of all of them are
+    bisected together."""
+    betas = beam_roots(bc, n_max)
+    out = []
+    scans = []      # per two-family profile: index in out, profile, bands, n, k
+    brackets = []   # per two-family profile: lo, hi, f_lo, c1, c2, eps, lb4
+    for profile in profiles:
+        if profile.count1 == 0 and profile.count2 == 0:
+            raise ConfigError("alternating profile has no cantilevers")
+        c1, c2 = _alternating_coeffs(geometry, profile)  # 0.0 when empty
+        eps = profile.epsilon
+        # one shared pole set would make the two-family regularized form
+        # vanish quadratically at the edges
+        if c1 == 0.0 or c2 == 0.0 or abs(eps - 1.0) < 1e-12:
+            out.append(_single_family(geometry, profile, betas, k_max, c1, c2))
             continue
-        merged.append((g, fam))
-    return merged
+        bands = _scan_bands(profile, k_max)
+        grid = np.linspace(bands[:, 0], bands[:, 1], scan_points, axis=-1)
+        lb4 = (profile.length1 / geometry.beam_length * betas) ** 4
+        vals = _regular_alternating(grid, c1, c2, eps, lb4[:, None, None])
+        sign = np.sign(vals)
+        n_i, k_i, s_i = np.nonzero(sign[..., :-1] * sign[..., 1:] < 0)
+        count = n_i.size
+        brackets.append((grid[k_i, s_i], grid[k_i, s_i + 1], vals[n_i, k_i, s_i],
+                         np.full(count, c1), np.full(count, c2),
+                         np.full(count, eps), lb4[n_i]))
+        scans.append((len(out), profile, bands, n_i, k_i))
+        out.append(None)
+    if not scans:
+        return out
+    lo, hi, f_lo, c1, c2, eps, lb4 = map(np.concatenate, zip(*brackets))
+    gammas = _bisect(lambda g: _regular_alternating(g, c1, c2, eps, lb4),
+                     lo, hi, f_lo)
+    start = 0
+    for index, profile, bands, n_i, k_i in scans:
+        roots = gammas[start:start + n_i.size]
+        start += n_i.size
+        n_list, k_list = (n_i + 1).tolist(), (k_i + 1).tolist()
+        out[index] = _levels(
+            ((n, k, g, bands[k - 1, 2], bands[k - 1, 3])
+             for n, k, g in zip(n_list, k_list, roots)),
+            geometry.cantilever_wave_scale / profile.length1 ** 2,
+            profile.count1 + profile.count2)
+        per_band = np.bincount(n_i * k_max + k_i, minlength=n_max * k_max)
+        for flat in np.nonzero(per_band > 1)[0].tolist():
+            n, k = divmod(flat, k_max)
+            warnings.warn(
+                f"band {k + 1}: {per_band[flat]} roots for beam index {n + 1}; "
+                "labeling by position within the band", stacklevel=3)
+    return out
 
 
 def solve_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,
                       bc: BoundaryCondition, n_max: int, k_max: int,
-                      scan_points: int = 96) -> list[SpectrumLevel]:
+                      scan_points: int = _SCAN_POINTS) -> list[SpectrumLevel]:
     """Levels of the interleaved array; band index counts the merged-pole
     intervals (band 1 is (0, first pole)).
 
-    Degenerate layouts (one family empty, or equal lengths) share a single
-    pole set, which would make the two-family regularized form vanish
-    quadratically at the edges; those reduce exactly to the single-family
-    solver instead.
+    Each band is scanned at scan_points points for sign changes of the
+    regularized form, and every bracket found is bisected; a band with more
+    than one root warns and labels them by position.  Degenerate layouts
+    (one family empty, or equal lengths) share a single pole set and reduce
+    exactly to the single-family solver instead.
     """
-    if profile.count1 == 0 and profile.count2 == 0:
-        raise ConfigError("alternating profile has no cantilevers")
-    betas = beam_roots(bc, n_max)
-    lam1 = profile.length1 / geometry.beam_length
-    c1, c2 = _alternating_coeffs(geometry, profile)
-    eps = profile.epsilon
-    if profile.count1 == 0:
-        c1 = 0.0
-    if profile.count2 == 0:
-        c2 = 0.0
-    scale = geometry.cantilever_wave_scale / profile.length1 ** 2
-    valid_n = profile.count1 + profile.count2
+    return _alternating_solves(geometry, [profile], bc, n_max, k_max,
+                               scan_points)[0]
 
-    def _single_family(nulam, beta_scale, gamma_scale):
-        # gamma' = gamma_scale * gamma obeys the uniform equation; map back
-        lambeta4 = (beta_scale * betas[:, None]) ** 4
-        gam = _band_bisect(nulam, lambeta4, k_max) / gamma_scale
-        edges = band_edge_gammas(k_max) / gamma_scale
-        out = []
-        for n in range(1, n_max + 1):
-            for k in range(1, k_max + 1):
-                g = gam[n - 1, k - 1]
-                out.append(SpectrumLevel(
-                    n=n, k=k, gamma=float(g), omega=float(scale * g * g),
-                    band_lower=0.0 if k == 1 else float(edges[k - 2]),
-                    band_upper=float(edges[k - 1]),
-                    valid=bool(n < valid_n)))
-        return out
 
-    if c2 == 0.0:
-        return _single_family(c1, lam1, 1.0)
-    if c1 == 0.0:
-        return _single_family(eps * c2, eps * lam1, eps)
-    if abs(eps - 1.0) < 1e-12:
-        return _single_family(c1 + c2, lam1, 1.0)
-
-    gamma_hi = band_edge_gammas(k_max)[-1] + 1.0
-    while True:
-        pole_list = alternating_pole_set(profile, gamma_hi)
-        if len(pole_list) >= k_max:
-            break
-        gamma_hi *= 1.6
-    boundaries = [(0.0, -1)] + pole_list[:k_max]
-
-    levels = []
-    for n, beta in enumerate(betas, start=1):
-        lambeta4 = (lam1 * beta) ** 4
-
-        def f(g, _lb4=lambeta4):
-            return _regular_alternating(g, c1, c2, eps, _lb4)
-
-        for k in range(1, len(boundaries)):
-            (lo_edge, _), (hi_edge, hi_fam) = boundaries[k - 1], boundaries[k]
-            # an accidentally merged pole (family 0) zeroes both denominator
-            # factors; step off it so the scan sees a genuine sign
-            lo_scan = lo_edge if boundaries[k - 1][1] != 0 else lo_edge + 1e-10
-            hi_scan = hi_edge if hi_fam != 0 else hi_edge - 1e-10
-            grid = np.linspace(lo_scan, hi_scan, scan_points)
-            vals = f(grid)
-            sign = np.sign(vals)
-            idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-            for i in idx:
-                lo, hi = grid[i], grid[i + 1]
-                flo = vals[i]
-                for _ in range(_BISECT_ITERS):
-                    mid = 0.5 * (lo + hi)
-                    fm = f(mid)
-                    if (fm < 0) == (flo < 0):
-                        lo, flo = mid, fm
-                    else:
-                        hi = mid
-                g = 0.5 * (lo + hi)
-                levels.append(SpectrumLevel(
-                    n=n, k=k, gamma=float(g), omega=float(scale * g * g),
-                    band_lower=float(lo_edge), band_upper=float(hi_edge),
-                    valid=bool(n < valid_n)))
-            if len(idx) > 1:
-                warnings.warn(
-                    f"band {k}: {len(idx)} roots for beam index {n}; "
-                    "labeling by position within the band", stacklevel=2)
-    levels.sort(key=lambda lv: (lv.n, lv.k, lv.gamma))
-    return levels
+def sweep_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,
+                      bc: BoundaryCondition, values, n_max: int, k_max: int):
+    """Spectrum vs epsilon: (value, levels) for each value, where levels are
+    those of solve_alternating with length2 = value * length1, bit for bit;
+    the brackets of all values are bisected at once."""
+    values = [float(v) for v in values]
+    swept = [replace(profile, length2=v * profile.length1)
+             for v in values]
+    return list(zip(values, _alternating_solves(geometry, swept, bc, n_max,
+                                                k_max, _SCAN_POINTS)))
 
 
 def sweep_uniform(geometry: DeviceGeometry, profile: UniformProfile,
@@ -440,11 +504,13 @@ def sweep_uniform(geometry: DeviceGeometry, profile: UniformProfile,
                   n_max: int, k_max: int):
     """Spectrum vs one swept parameter ('lambda', 'nu' or 'N').
 
-    Yields (value, levels) with lam/nu recomputed per point; sweeping lambda
-    rescales the cantilever length at fixed beam length.
+    Yields (value, gammas, scale) with lam/nu recomputed per point and one
+    bisection for all points; sweeping lambda rescales the cantilever length
+    at fixed beam length.
     """
     base = dimensionless(geometry, profile)
     betas = beam_roots(bc, n_max)
+    points, nus, lams = [], [], []
     for value in values:
         if parameter == "lambda":
             params = DimensionlessParams(lam=float(value), nu=base.nu)
@@ -458,6 +524,11 @@ def sweep_uniform(geometry: DeviceGeometry, profile: UniformProfile,
             length = profile.length
         else:
             raise ConfigError(f"sweep: unknown parameter {parameter!r}")
-        gammas = solve_uniform_dimensionless(params, betas, k_max)
         scale = geometry.cantilever_wave_scale / length ** 2
-        yield float(value), gammas, scale
+        points.append((float(value), scale))
+        nus.append(params.nu)
+        lams.append(params.lam)
+    gammas = _uniform_gammas(np.array(nus, dtype=float),
+                             np.array(lams, dtype=float), betas, k_max)
+    for (value, scale), point_gammas in zip(points, gammas):
+        yield value, point_gammas, scale

@@ -86,3 +86,45 @@ def steady_state_count(sigma1, sigma2, p):
     sign = np.sign(defect)
     sign = sign[sign != 0.0]
     return int(np.count_nonzero(sign[1:] != sign[:-1]))
+
+
+def scalar_alternating_levels(lam1, betas, c1, c2, eps, bands,
+                              scan_points=96, iters=110):
+    """Scalar reference for the two-family band solve, one bracket at a time.
+
+    For each beam index n and band k, scans (scan_lo, scan_hi) = bands[k-1]
+    at scan_points points for sign changes of the pole-free form
+    secular * D(g) D(eps g) e^-(1+eps)g and bisects each bracket `iters`
+    times on np.float64 scalars.  Returns (n, k, gamma) sorted by (n, k,
+    gamma).
+    """
+    def scaled_nd(g):
+        e, e2 = np.exp(-g), np.exp(-2.0 * g)
+        ch, sh = 0.5 * (1.0 + e2), 0.5 * (1.0 - e2)
+        c, s = np.cos(g), np.sin(g)
+        return c * sh + s * ch, e + c * ch
+
+    def regular(g, lambeta4):
+        n1, d1 = scaled_nd(g)
+        n2, d2 = scaled_nd(eps * g)
+        return (g ** 3 * (c1 * n1 * d2 + c2 * n2 * d1)
+                + (g ** 4 - lambeta4) * d1 * d2)
+
+    out = []
+    for n, beta in enumerate(betas, start=1):
+        lambeta4 = (lam1 * np.float64(beta)) ** 4
+        for k, (scan_lo, scan_hi) in enumerate(bands, start=1):
+            grid = np.linspace(scan_lo, scan_hi, scan_points)
+            vals = regular(grid, lambeta4)
+            sign = np.sign(vals)
+            for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+                lo, hi, flo = grid[i], grid[i + 1], vals[i]
+                for _ in range(iters):
+                    mid = 0.5 * (lo + hi)
+                    fm = regular(mid, lambeta4)
+                    if (fm < 0) == (flo < 0):
+                        lo, flo = mid, fm
+                    else:
+                        hi = mid
+                out.append((n, k, float(0.5 * (lo + hi))))
+    return sorted(out)

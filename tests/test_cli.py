@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from cantarray import cli
@@ -100,6 +102,48 @@ def test_output_files_are_byte_identical_across_runs(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes().endswith(b"\n")
     assert b"\r" not in a.read_bytes()
+
+
+# SHA-256 of the CSVs of fixed band-structure runs, recorded before the band
+# solvers were batched: the refactor must keep every byte.  The digits depend
+# on how numpy rounds exp, cos, sin and power, which varies with the numpy
+# build and the CPU's SIMD level, so the hashes are checked only where the
+# fingerprint of those functions matches the one taken with them (numpy 2.4,
+# x86-64 with AVX-512).
+GOLDEN_FINGERPRINT = \
+    "563c7e9208ef27c5a9dd44ded440994fc3bdb4db422b8772753e978f66ac6c8d"
+GOLDEN_RUNS = {
+    "spectrum": (["spectrum", "--n-max", "6", "--k-max", "6"],
+                 "9f3cda2962f67b7f97de93a9b992f5ecf000ba3618f8da229a42ddff025d6527"),
+    "sweep-nu": (["sweep", "--param", "nu", "--from", "0", "--to", "90"],
+                 "7aea5e74a7eab38e7e371a04e957d31a96770739dd3ab2e36f2508a851c70826"),
+    "sweep-lambda": (["sweep", "--param", "lambda", "--from", "0.02",
+                      "--to", "0.1"],
+                     "c51c46381af11ce22fd47bf0b8582d06f9b6c8437cead37aa07ebcb8cad1eff0"),
+    "sweep-N": (["sweep", "--param", "N", "--from", "0", "--to", "60"],
+                "802aea4e6f49826103162aa2ad890d5cc2cd59628efe31aa88efb348ca4dd40f"),
+}
+SWEEP_FLAGS = ["--points", "41", "--n-max", "4", "--k-max", "5"]
+
+
+def _float_fingerprint() -> str:
+    x = np.linspace(0.01, 60.0, 4099)
+    parts = [np.exp(-x), np.cos(x), np.sin(x), x ** 3, x ** 4]
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_band_outputs_match_golden_hashes(capsys, tmp_path, name):
+    if _float_fingerprint() != GOLDEN_FINGERPRINT:
+        pytest.skip("numpy rounds exp/cos/sin/power differently here than "
+                    "where the golden hashes were recorded")
+    argv, digest = GOLDEN_RUNS[name]
+    if argv[0] == "sweep":
+        argv = argv + SWEEP_FLAGS
+    out = tmp_path / f"{name}.csv"
+    code, _, _ = run(capsys, *argv, "--preset", PRESET, "--output", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_manifest_sidecar_schema(capsys, tmp_path):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from cantarray import spectrum as sp
@@ -8,6 +12,7 @@ from cantarray.kernel import band_edge_gammas
 from cantarray.model import (AlternatingProfile, BoundaryCondition,
                              ConfigError, DimensionlessParams, UniformProfile,
                              dimensionless, preset_device)
+from oracles import scalar_alternating_levels
 
 CC = BoundaryCondition.CLAMPED_CLAMPED
 
@@ -259,3 +264,115 @@ def test_sweep_uniform_over_count():
                                        beam_roots(bc, 1), 1)[0, 0], abs=1e-14)
     bare = dimensionless(geometry, profile).lam * beam_roots(bc, 1)[0]
     assert out[0][1][0, 0] == pytest.approx(bare, abs=1e-14)
+
+
+def _two_family(length1, eps, count1=10, count2=10, width_ratio=1.0):
+    geometry, _, bc = preset_device("jap1-calibrated")
+    w = geometry.cantilever_width
+    return geometry, bc, AlternatingProfile(
+        length1=length1, length2=eps * length1, width1=w,
+        width2=width_ratio * w, count1=count1, count2=count2)
+
+
+@pytest.mark.parametrize("eps", [1 - 1e-10, 1 - 1e-11, 1 - 1e-12])
+def test_twin_poles_give_one_level_per_band(eps):
+    # the merged twin poles gamma_k, gamma_k/eps must not leak the root that
+    # sits between them into the band above (18 levels instead of 12 once)
+    _, profile, _ = preset_device("jap1-calibrated")
+    geometry, bc, alt = _two_family(profile.length, eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        levels = sp.solve_alternating(geometry, alt, bc, 3, 4)
+    assert [(lv.n, lv.k) for lv in levels] == \
+        [(n, k) for n in range(1, 4) for k in range(1, 5)]
+    # twin poles are 1e-10..1e-12 apart relative: every pair merges, at any k
+    poles = sp.alternating_pole_set(alt, 60.0)
+    assert len(poles) == 19 and all(fam == 0 for _, fam in poles)
+    bounds = [0.0] + [g for g, _ in poles][:4]
+    same = AlternatingProfile(length1=alt.length1, length2=alt.length1,
+                              width1=alt.width1, width2=alt.width2,
+                              count1=10, count2=10)
+    limit = sp.solve_alternating(geometry, same, bc, 3, 4)
+    for lv, ref in zip(levels, limit):
+        assert bounds[lv.k - 1] < lv.gamma < bounds[lv.k]
+        # continuous in epsilon: the equal-length solve is the limit
+        assert lv.gamma == pytest.approx(ref.gamma, rel=1e-8)
+
+
+_PARAMS = {"nu": st.floats(0.0, 200.0), "N": st.floats(0.0, 100.0),
+           "lambda": st.floats(0.005, 0.3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), parameter=st.sampled_from(sorted(_PARAMS)),
+       n_max=st.integers(1, 5), k_max=st.integers(1, 6))
+def test_sweep_uniform_equals_per_value_solves(data, parameter, n_max, k_max):
+    geometry, profile, bc = preset_device("jap1-calibrated")
+    values = data.draw(st.lists(_PARAMS[parameter], min_size=1, max_size=8))
+    if parameter != "lambda":
+        values.append(0.0)
+    base = dimensionless(geometry, profile)
+    betas = beam_roots(bc, n_max)
+    swept = list(sp.sweep_uniform(geometry, profile, bc, parameter, values,
+                                  n_max, k_max))
+    assert [v for v, _, _ in swept] == values
+    for value, gammas, _ in swept:
+        if parameter == "nu":
+            params = DimensionlessParams(lam=base.lam, nu=value)
+        elif parameter == "lambda":
+            params = DimensionlessParams(lam=value, nu=base.nu)
+        else:
+            params = DimensionlessParams(
+                lam=base.lam,
+                nu=2.0 * value * geometry.cantilever_width / geometry.beam_width)
+        alone = sp.solve_uniform_dimensionless(params, betas, k_max)
+        assert gammas.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("merge_rtol, warns", [(sp._MERGE_RTOL, False),
+                                               (0.3, True)])
+def test_sweep_alternating_equals_per_value_solves(monkeypatch, merge_rtol,
+                                                   warns):
+    # merging poles up to 30% apart puts two roots into some bands, so the
+    # per-value "labeling by position" warnings are compared too
+    monkeypatch.setattr(sp, "_MERGE_RTOL", merge_rtol)
+    _, profile, _ = preset_device("jap1-calibrated")
+    geometry, bc, alt = _two_family(profile.length, 0.5, count1=7, count2=13)
+    values = [0.3, 0.45, 0.7, 0.8, 0.93, 1 - 1e-7, 1 - 1e-10, 1 - 1e-13, 1.0]
+    with warnings.catch_warnings(record=True) as caught_sweep:
+        warnings.simplefilter("always")
+        swept = sp.sweep_alternating(geometry, alt, bc, values, 4, 5)
+    with warnings.catch_warnings(record=True) as caught_alone:
+        warnings.simplefilter("always")
+        alone = [sp.solve_alternating(
+            geometry, AlternatingProfile(
+                length1=alt.length1, length2=v * alt.length1,
+                width1=alt.width1, width2=alt.width2, count1=alt.count1,
+                count2=alt.count2), bc, 4, 5) for v in values]
+    assert [v for v, _ in swept] == values
+    assert [levels for _, levels in swept] == alone
+    messages = [str(w.message) for w in caught_sweep]
+    assert messages == [str(w.message) for w in caught_alone]
+    assert bool(messages) == warns
+
+
+@settings(max_examples=25, deadline=None)
+@given(eps=st.floats(0.2, 0.97), count1=st.integers(1, 40),
+       count2=st.integers(1, 40), width_ratio=st.floats(0.3, 3.0),
+       length_ratio=st.floats(0.5, 2.0), n_max=st.integers(1, 4),
+       k_max=st.integers(1, 5))
+def test_alternating_matches_scalar_bisection(eps, count1, count2, width_ratio,
+                                              length_ratio, n_max, k_max):
+    _, profile, _ = preset_device("jap1-calibrated")
+    geometry, bc, alt = _two_family(length_ratio * profile.length, eps,
+                                    count1, count2, width_ratio)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        levels = sp.solve_alternating(geometry, alt, bc, n_max, k_max)
+    c1, c2 = sp._alternating_coeffs(geometry, alt)
+    ref = scalar_alternating_levels(
+        alt.length1 / geometry.beam_length, beam_roots(bc, n_max), c1, c2,
+        alt.epsilon, sp._scan_bands(alt, k_max)[:, :2])
+    assert [(lv.n, lv.k) for lv in levels] == [(n, k) for n, k, _ in ref]
+    for lv, (_, _, g) in zip(levels, ref):
+        assert lv.gamma == pytest.approx(g, rel=1e-15, abs=0.0)
