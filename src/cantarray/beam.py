@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import BoundaryCondition
+from .numerics import brentq
 from .quadrature import fixed_quad
 
 ROOT_XTOL = 1e-15

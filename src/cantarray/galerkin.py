@@ -27,18 +27,19 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .beam import BeamMode, beam_modes
 from .kernel import PoleProximityError, band_edge_gammas, shear_kernel
 from .model import (AlternatingProfile, BoundaryCondition, ConfigError,
                     DeviceGeometry, DiscreteProfile, GalerkinSettings, Profile,
                     TabulatedProfile, UniformProfile)
+from .numerics import brentq
 from .quadrature import gauss_rule
 
 GAMMA_EXCLUSION = 1e-8   # half-width in gamma of the excluded pole window
 _BRENT_RTOL = 4.0 * np.finfo(float).eps   # the smallest brentq accepts
 _BRENT_XTOL = 1e-300     # leaves the relative tolerance in charge
+_PROBE = np.linspace(0.0, 1.0, 257)   # u samples that bracket edge crossings
 
 
 class BasisTooSmall(UserWarning):
@@ -140,25 +141,25 @@ def _constant_potential_diag(alpha: float, geometry: DeviceGeometry,
 
 
 def _tabulated_panels(alpha: float, profile: TabulatedProfile, length_of,
+                      slope_of, probe_lengths: np.ndarray,
                       window: float) -> list[tuple[float, float]]:
     """u panels whose interiors keep gamma(u) clear of the band edges;
-    length_of is the profile's length interpolant."""
+    length_of is the profile's length interpolant, slope_of its derivative
+    and probe_lengths its values at the _PROBE points."""
     L_phys = profile.x[-1]
     g_hi = alpha * max(profile.length)
     k_max = max(1, int(g_hi / np.pi) + 2)
     edges = band_edge_gammas(k_max)
 
-    probe = np.linspace(0.0, 1.0, 257)
-    gam = alpha * length_of(probe * L_phys)
+    gam = alpha * probe_lengths
     cuts = [0.0, 1.0]
     for edge in edges:
         h = gam - edge
         sign_change = np.nonzero(h[:-1] * h[1:] < 0)[0]
         for i in sign_change:
             u_star = brentq(lambda u: alpha * float(length_of(u * L_phys)) - edge,
-                            probe[i], probe[i + 1], xtol=1e-15)
-            slope = abs(alpha * float(length_of.derivative()(u_star * L_phys))
-                        * L_phys)
+                            _PROBE[i], _PROBE[i + 1], xtol=1e-15)
+            slope = abs(alpha * float(slope_of(u_star * L_phys)) * L_phys)
             du = window / max(slope, 1e-30)
             cuts.extend((max(0.0, u_star - du), min(1.0, u_star + du)))
     cuts = sorted(set(cuts))
@@ -184,8 +185,10 @@ def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
     with pole windows excluded.
 
     cache holds the alpha-independent parts (basis values at the teeth or
-    quadrature nodes, profile values at the nodes) between calls that share
-    geometry, profile, basis and settings; `solve` passes one per call.
+    quadrature nodes, profile values at the nodes, the profile interpolants
+    with the length slope and lengths at the _PROBE points) between calls
+    that share geometry, profile, basis and settings; `solve` passes one per
+    call.
     """
     settings = settings or GalerkinSettings()
     cache = {} if cache is None else cache
@@ -222,10 +225,13 @@ def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
             raise ConfigError("profile.x must span the beam: first sample at "
                               "0, last at beam_length")
         if "interpolants" not in cache:
-            cache["interpolants"] = profile.interpolants()
-        length_of, density_of = cache["interpolants"]
-        panels = tuple(_tabulated_panels(alpha, profile, length_of,
-                                         GAMMA_EXCLUSION))
+            length_of, density_of = profile.interpolants()
+            cache["interpolants"] = (length_of, density_of,
+                                     length_of.derivative(),
+                                     length_of(_PROBE * profile.x[-1]))
+        length_of, density_of, slope_of, probe_lengths = cache["interpolants"]
+        panels = tuple(_tabulated_panels(alpha, profile, length_of, slope_of,
+                                         probe_lengths, GAMMA_EXCLUSION))
 
         def nodes(splits_per_panel: int) -> tuple[np.ndarray, ...]:
             """Weights, l(u), rho(u) and phi(u) at the quadrature nodes, one

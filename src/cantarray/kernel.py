@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
+
+from .numerics import brentq
 
 POLE_TOL = 1e-12        # absolute gamma distance treated as "at the pole"
 _ROOT_XTOL = 1e-15

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numerics import Pchip
+
 
 class ConfigError(ValueError):
     """Raised for malformed or physically invalid configuration input."""
@@ -210,10 +212,7 @@ class TabulatedProfile:
             raise ConfigError("profile.density: samples must be >= 0")
 
     def interpolants(self):
-        from scipy.interpolate import PchipInterpolator
-        xs = np.asarray(self.x)
-        return (PchipInterpolator(xs, np.asarray(self.length)),
-                PchipInterpolator(xs, np.asarray(self.density)))
+        return Pchip(self.x, self.length), Pchip(self.x, self.density)
 
     def to_dict(self) -> dict:
         return {"kind": "tabulated", "x": list(self.x),

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cantarray import cli
 from cantarray.kernel import band_edge_gammas
+from cantarray.model import preset_device
 from cantarray.quadrature import QuadratureError
 
 PRESET = "jap1-calibrated"
@@ -310,3 +315,85 @@ def test_kernel_drops_samples_on_band_edges(capsys):
     assert m["rows"] == 2
     assert any("pole window" in w for w in m["warnings"])
     assert "warning:" in err
+
+
+NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None          # any scipy import now raises
+from cantarray import cli, galerkin
+from cantarray.beam import beam_modes
+from cantarray.kernel import band_edge_gammas
+from cantarray.model import load_config
+
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    if code != 0:
+        sys.exit(f"exit {code}: {argv}")
+# the scan skips every alpha at which alpha*l(x) meets a band edge, so the
+# cut-point root and the length slope are reached through assemble itself
+cfg = load_config(sys.argv[2])
+basis = beam_modes(cfg.boundary, 4)
+lengths = cfg.profile.length
+edge = band_edge_gammas(1)[0]
+alpha = 2.0 * edge / (min(lengths) + max(lengths))
+galerkin.assemble(alpha, cfg.geometry, cfg.profile, basis, cfg.galerkin)
+loaded = [m for m, mod in sys.modules.items()
+          if m.split(".")[0] == "scipy" and mod is not None]
+sys.exit(f"scipy loaded: {loaded}" if loaded else 0)
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    geometry = {"preset": PRESET}
+    alternating = {"kind": "alternating", "length1": 5e-7, "length2": 4e-7,
+                   "width1": 2e-7, "width2": 2e-7, "count1": 10,
+                   "count2": 10}
+    x = np.linspace(0.0, preset_device(PRESET)[0].beam_length, 6)
+    configs = {
+        "alternating": {"geometry": geometry, "profile": alternating},
+        "discrete": {"geometry": geometry, "profile": {
+            "kind": "discrete", "positions": [2e-6, 5e-6, 8e-6],
+            "lengths": [5e-7, 4.5e-7, 5.5e-7]}},
+        "tabulated": {"geometry": geometry,
+                      "profile": {"kind": "tabulated", "x": x.tolist(),
+                                  "length": [5e-7, 5.4e-7, 4.7e-7, 5.2e-7,
+                                             4.6e-7, 5e-7],
+                                  "density": [4e6, 3.5e6, 4.2e6, 3.8e6,
+                                              4.1e6, 4e6]},
+                      "galerkin": {"basis_size": 4,
+                                   "quadrature": {"order": 8}}},
+        "response": {"geometry": geometry, "nonlinear": {
+            "c_y": 1e-6, "c_eta": 1e-6, "f1": 1e-9, "f2": 1e-9,
+            "sigma1": {"from": -1e3, "to": 1e3, "points": 3},
+            "sigma2": 0.0}},
+    }
+    paths = {}
+    for name, cfg in configs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(cfg))
+    edge = band_edge_gammas(1)[0]
+    out = str(tmp_path / "out.csv")
+    runs = [
+        ["spectrum", "--preset", PRESET],
+        ["spectrum", "--config", str(paths["alternating"])],
+        ["sweep", "--preset", PRESET, "--param", "nu", "--from", "0",
+         "--to", "40", "--points", "3"],
+        ["sweep", "--config", str(paths["alternating"]), "--param",
+         "epsilon", "--from", "0.6", "--to", "1.0", "--points", "3"],
+        ["galerkin", "--config", str(paths["discrete"]), "--basis-size", "4",
+         "--alpha-max", "1e6"],
+        # past band edge 1 of every cantilever of the profile
+        ["galerkin", "--config", str(paths["tabulated"]), "--alpha-max",
+         repr(float(1.2 * edge / 4.6e-7))],
+        ["nonlinear", "response", "--config", str(paths["response"])],
+    ]
+    for argv in runs:
+        argv += ["--output", out]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", NO_SCIPY, json.dumps(runs),
+         str(paths["tabulated"])],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

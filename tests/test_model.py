@@ -1,12 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
-from cantarray.model import (AlternatingProfile, BoundaryCondition,
-                             ConfigError, DeviceGeometry, DiscreteProfile,
-                             SweepRange, TabulatedProfile, UniformProfile,
-                             config_to_dict, dimensionless, load_config,
-                             preset_device)
+from cantarray.beam import beam_roots
+from cantarray.model import (_JAP1, AlternatingProfile, BoundaryCondition,
+                             ConfigError, DeviceGeometry, DimensionlessParams,
+                             DiscreteProfile, SweepRange, TabulatedProfile,
+                             UniformProfile, config_to_dict, dimensionless,
+                             load_config, preset_device)
+from cantarray.spectrum import solve_uniform_dimensionless
 
 
 def simple_geometry(count=10):
@@ -91,6 +94,31 @@ def test_preset_device():
     assert bc is BoundaryCondition.CLAMPED_CLAMPED
     with pytest.raises(ConfigError):
         preset_device("nope")
+
+
+def test_preset_constants_follow_from_published_inputs():
+    # jap1-calibrated is fitted to four published numbers: the drive overlap
+    # F/f = (L/2) Gamma4 = -4.44e-6 m with Gamma4 = 4 tan(beta1/2)/beta1, the
+    # fundamental 24.7 MHz, the modal mass 1.74e-14 kg and the printed
+    # loading overlap L11 = 1.00012 (M1 = mu_b L (1 + nu lam L11))
+    betas = beam_roots(BoundaryCondition.CLAMPED_CLAMPED, 1)
+    beta1 = betas[0]
+    beam_length = 2.0 * -4.44e-6 / (4 * np.tan(beta1 / 2) / beta1)
+    l, nu = 5e-7, 20.0
+    lam = l / beam_length
+    g11, g12 = solve_uniform_dimensionless(DimensionlessParams(lam, nu),
+                                           betas, 2)[0]
+    wave_scale = 2 * np.pi * 24.7e6 * l ** 2 / g11 ** 2
+    mu_b = 1.74e-14 / (beam_length * (1.0 + nu * lam * 1.00012))
+    assert beam_length == _JAP1["beam_length"]
+    assert mu_b == _JAP1["beam_linear_density"]
+    assert wave_scale == _JAP1["cantilever_wave_scale"]
+    # and the constants reproduce the second published mode (its printed
+    # loading overlap is L22 = 3.89887)
+    f2 = wave_scale * (g12 / l) ** 2 / (2 * np.pi)
+    assert abs(f2 - 2.94e9) / 2.94e9 < 2e-4
+    m2 = mu_b * beam_length * (1.0 + nu * lam * 3.89887)
+    assert abs(m2 - 4.17e-14) / 4.17e-14 < 2e-3
 
 
 def test_load_config_minimal_preset():
