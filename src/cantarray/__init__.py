@@ -2,10 +2,10 @@
 
 from .model import (AlternatingProfile, BoundaryCondition, Config, ConfigError,
                     DeviceGeometry, DimensionlessParams, DiscreteProfile,
-                    ModeIndex, TabulatedProfile, UniformProfile, dimensionless,
+                    TabulatedProfile, UniformProfile, dimensionless,
                     load_config, preset_device)
-from .beam import BeamMode, beam_modes, beam_roots, mode_eval, secular_residual
+from .beam import BeamMode, beam_modes, beam_roots, secular_residual
 from .kernel import (CantileverCoeffs, CantileverShape, PoleProximityError,
-                     band_edge_gammas, coeffs, potential, shear_kernel)
+                     band_edge_gammas, coeffs, shear_kernel)
 
 __version__ = "0.1.0"

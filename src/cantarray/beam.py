@@ -126,7 +126,3 @@ def beam_modes(bc: BoundaryCondition, n_max: int) -> list[BeamMode]:
         modes.append(mode)
     return modes
 
-
-def mode_eval(mode: BeamMode, u, derivative: int = 0):
-    """Functional wrapper around BeamMode.eval."""
-    return mode.eval(u, derivative)

@@ -377,6 +377,20 @@ def _cmd_nonlinear(args, caught, t0):
 # --- argument parsing --------------------------------------------------------
 
 
+def _positive(kind):
+    """argparse type: a finite number of the given kind above zero."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {kind.__name__}, got {text!r}")
+        return value
+    return parse
+
+
 def _add_io_flags(p, config_flags=True):
     if config_flags:
         p.add_argument("--config", help="JSON config file")
@@ -396,16 +410,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--bc", default="clamped-clamped",
                    help="boundary condition when no config is given")
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--samples", type=int,
+    p.add_argument("--n-max", type=_positive(int))
+    p.add_argument("--samples", type=_positive(int),
                    help="emit an (u, phi_1..phi_n) shape table with this "
                         "many points instead of the eigenvalue table")
     p.set_defaults(run=_cmd_modes)
 
     p = sub.add_parser("kernel", help="shear kernel table (dimensionless)")
     _add_io_flags(p, config_flags=False)
-    p.add_argument("--gamma-max", type=float, default=12.0)
-    p.add_argument("--points", type=int, default=481)
+    p.add_argument("--gamma-max", type=_positive(float), default=12.0)
+    p.add_argument("--points", type=_positive(int), default=481)
     p.add_argument("--shape", type=float, metavar="GAMMA",
                    help="emit the cantilever deflection profile chi(v) at "
                         "this frequency instead of the kernel table")
@@ -413,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="band structure of the loaded beam")
     _add_io_flags(p)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--k-max", type=int)
+    p.add_argument("--n-max", type=_positive(int))
+    p.add_argument("--k-max", type=_positive(int))
     p.set_defaults(run=_cmd_spectrum)
 
     p = sub.add_parser("sweep", help="spectrum versus one parameter")
@@ -423,15 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("lambda", "nu", "N", "epsilon"))
     p.add_argument("--from", dest="sweep_from", type=float, required=True)
     p.add_argument("--to", dest="sweep_to", type=float, required=True)
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--k-max", type=int)
+    p.add_argument("--points", type=_positive(int), default=100)
+    p.add_argument("--n-max", type=_positive(int))
+    p.add_argument("--k-max", type=_positive(int))
     p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("galerkin", help="projection solve for any profile")
     _add_io_flags(p)
-    p.add_argument("--basis-size", type=int)
-    p.add_argument("--alpha-max", type=float)
+    p.add_argument("--basis-size", type=_positive(int))
+    p.add_argument("--alpha-max", type=_positive(float))
     p.set_defaults(run=_cmd_galerkin)
 
     p = sub.add_parser("nonlinear", help="two-mode coupling outputs")

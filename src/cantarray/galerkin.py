@@ -13,10 +13,12 @@ potential.  Roots of det D(alpha) give the spectrum for arbitrary length and
 density profiles; for profiles with x-independent loading the matrix is
 diagonal and the roots coincide with the closed-form band solver.
 
-Root location tracks the inertia (negative-eigenvalue count) of the symmetric
-matrix along a grid partitioned at the loading poles.  A count that rises by
-one across a grid cell is refined with Brent's method on the eigenvalue that
-crosses zero; larger rises are split by inertia bisection.  Determinant
+Levels are counted, not scanned for: on a pole-free alpha segment the
+inertia (negative-eigenvalue count) of the symmetric matrix rises by one at
+each root (Wittrick & Williams, Q. J. Mech. Appl. Math. 24, 1971), so the
+counts at the segment ends give the number of levels between them.  Inertia
+bisection splits each segment until every bracket holds one crossing, and
+Brent's method refines it on the eigenvalue that crosses zero.  Determinant
 magnitudes are never compared across alpha, so basis sizes beyond det
 overflow are fine.
 """
@@ -39,6 +41,7 @@ from .quadrature import gauss_rule
 GAMMA_EXCLUSION = 1e-8   # half-width in gamma of the excluded pole window
 _BRENT_RTOL = 4.0 * np.finfo(float).eps   # the smallest brentq accepts
 _BRENT_XTOL = 1e-300     # leaves the relative tolerance in charge
+DOMINANCE_THRESHOLD = 0.9   # least pure-mode participation, uniform loading
 _PROBE = np.linspace(0.0, 1.0, 257)   # u samples that bracket edge crossings
 
 
@@ -57,7 +60,7 @@ class GalerkinLevel:
 @dataclass(frozen=True)
 class ForbiddenInterval:
     """alpha interval where some cantilever length resonates (gamma at a
-    band edge for some x); excluded from scanning."""
+    band edge for some x); no level is sought inside it."""
     lo: float
     hi: float
     k: int
@@ -81,8 +84,8 @@ def _distinct_lengths(profile: Profile) -> list[float] | None:
     raise ConfigError(f"unsupported profile type {type(profile).__name__}")
 
 
-def forbidden_alpha_intervals(profile: Profile, alpha_max: float,
-                              window: float = GAMMA_EXCLUSION) -> list[ForbiddenInterval]:
+def forbidden_alpha_intervals(profile: Profile,
+                              alpha_max: float) -> list[ForbiddenInterval]:
     """alpha ranges where gamma(x) = alpha*l(x) hits a band edge for some x.
 
     Profiles with finitely many lengths produce isolated resonances fattened
@@ -101,12 +104,14 @@ def forbidden_alpha_intervals(profile: Profile, alpha_max: float,
     raw = []
     for k, edge in enumerate(edges, start=1):
         if lengths is None:
-            lo, hi = (edge - window) / l_max, (edge + window) / l_min
+            lo = (edge - GAMMA_EXCLUSION) / l_max
+            hi = (edge + GAMMA_EXCLUSION) / l_min
             if lo <= alpha_max:
                 raw.append((float(lo), float(hi), k))
         else:
             for ln in lengths:
-                lo, hi = (edge - window) / ln, (edge + window) / ln
+                lo = (edge - GAMMA_EXCLUSION) / ln
+                hi = (edge + GAMMA_EXCLUSION) / ln
                 if lo <= alpha_max:
                     raw.append((float(lo), float(hi), k))
     raw.sort()
@@ -288,51 +293,48 @@ def _negcount(mat: np.ndarray) -> int:
     return int(np.sum(np.linalg.eigvalsh(mat) < 0.0))
 
 
-def _refine(lo: float, hi: float, c_lo: int, c_hi: int,
-            matrix: Callable[[float], np.ndarray]) -> list[float]:
-    """Roots of det D(alpha) in a scan cell whose negative count rises from
-    c_lo at lo to c_hi at hi, ascending.
+def _roots(lo: float, hi: float, c_lo: int, c_hi: int,
+           matrix: Callable[[float], np.ndarray]) -> list[float]:
+    """Roots of det D(alpha) in a pole-free bracket whose negative count rises
+    from c_lo at lo to c_hi at hi, ascending.
 
-    A single crossing is the sign change of eigvalsh(D)[c_lo], continuous on
-    a pole-free segment, and Brent's method finds it to rtol 4 eps.  Cells
-    holding several crossings are split by inertia bisection down to a
-    relative width of 1e-14.
+    Inertia bisection splits the bracket until each piece holds one crossing,
+    the sign change of eigvalsh(D)[c_lo], which Brent's method finds to rtol
+    4 eps.  A piece narrower than 1e-14 relative that still holds several
+    crossings yields its midpoint once per crossing.
     """
-    if c_hi - c_lo == 1:
-        return [brentq(lambda a: float(np.linalg.eigvalsh(matrix(a))[c_lo]),
-                       lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)]
-    brackets = [(lo, hi, c_lo, c_hi)]
+    brackets = [(lo, hi, c_lo, c_hi)] if c_hi > c_lo else []
     roots = []
     while brackets:
         lo, hi, c_lo, c_hi = brackets.pop()
-        for _ in range(200):
-            if hi - lo <= 1e-14 * max(abs(hi), 1.0):
-                break
+        if c_hi - c_lo == 1:
+            roots.append(brentq(
+                lambda a: float(np.linalg.eigvalsh(matrix(a))[c_lo]),
+                lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL))
+        elif hi - lo <= 1e-14 * max(abs(hi), 1.0):
+            roots.extend([0.5 * (lo + hi)] * (c_hi - c_lo))
+        else:
             mid = 0.5 * (lo + hi)
             c_mid = _negcount(matrix(mid))
-            if c_mid > c_lo and c_hi > c_mid:
-                brackets.append((mid, hi, c_mid, c_hi))
-                hi, c_hi = mid, c_mid
-            elif c_mid > c_lo:
-                hi, c_hi = mid, c_mid
-            else:
-                lo, c_lo = mid, c_mid
-        roots.extend([0.5 * (lo + hi)] * (c_hi - c_lo))
+            # a count that falls would mean an eigenvalue re-entering from
+            # -inf, impossible on a pole-free segment; such pieces are dropped
+            brackets.extend(b for b in ((lo, mid, c_lo, c_mid),
+                                        (mid, hi, c_mid, c_hi)) if b[3] > b[2])
     return sorted(roots)
 
 
 def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
-          alpha_max: float, settings: GalerkinSettings | None = None,
-          alpha_min: float = 0.0, scan_points: int = 220,
-          dominance_threshold: float = 0.9) -> list[GalerkinLevel]:
-    """All spectrum levels with alpha in (alpha_min, alpha_max].
+          alpha_max: float,
+          settings: GalerkinSettings | None = None) -> list[GalerkinLevel]:
+    """All spectrum levels with alpha in (0, alpha_max].
 
-    Scans the inertia of D(alpha) on a grid that skips the forbidden
-    resonance intervals, refines every inertia change (`_refine`), and
-    attaches the null-space direction (participation vector) at each root.
-    Levels are sorted by alpha.  For x-independent profiles a BasisTooSmall
-    warning is emitted if any participation vector is not essentially a
-    coordinate axis.
+    The forbidden resonance intervals cut (0, alpha_max] into pole-free
+    segments.  The inertia of D(alpha) at each segment's ends counts its
+    levels, and `_roots` locates them; each level carries the null-space
+    direction (participation vector) at its root.  Levels are sorted by
+    alpha.  For x-independent profiles a BasisTooSmall warning is emitted if
+    any participation vector is not essentially a coordinate axis
+    (DOMINANCE_THRESHOLD).
     """
     settings = settings or GalerkinSettings()
     basis = beam_modes(bc, settings.basis_size)
@@ -344,9 +346,9 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
 
     forbidden = forbidden_alpha_intervals(profile, alpha_max)
     segments = []
-    cursor = alpha_min
+    cursor = 0.0
     for itv in forbidden:
-        if itv.hi <= alpha_min or itv.lo >= alpha_max:
+        if itv.lo >= alpha_max:
             continue
         if itv.lo > cursor:
             segments.append((cursor, itv.lo))
@@ -366,37 +368,28 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
     levels: list[GalerkinLevel] = []
     for seg_lo, seg_hi in segments:
         mats.clear()
-        grid = np.linspace(seg_lo, seg_hi, scan_points)
-        if grid[0] == 0.0:
-            grid[0] = 1e-9 * grid[1]
-        counts = [_negcount(matrix(a)) for a in grid]
-        for i in range(len(grid) - 1):
-            if counts[i + 1] <= counts[i]:
-                # negative jumps would mean an eigenvalue re-entering from
-                # -inf, impossible on a pole-free segment
-                continue
-            for root in _refine(grid[i], grid[i + 1], counts[i],
-                                counts[i + 1], matrix):
-                mat = matrix(root)
-                evals, evecs = np.linalg.eigh(mat)
-                idx = int(np.argmin(np.abs(evals)))
-                norm = np.linalg.norm(mat, 2)
-                if abs(evals[idx]) > 1e-8 * norm:
-                    warnings.warn(
-                        f"root at alpha={root:.6e} polished to "
-                        f"|eig|/||D||={abs(evals[idx])/norm:.2e}", stacklevel=2)
-                p = evecs[:, idx]
-                if p[np.argmax(np.abs(p))] < 0:
-                    p = -p
-                dom = int(np.argmax(np.abs(p)))
-                if uniformish and abs(p[dom]) < dominance_threshold:
-                    warnings.warn(
-                        f"participation {abs(p[dom]):.3f} at alpha="
-                        f"{root:.6e}; increase basis_size",
-                        category=BasisTooSmall, stacklevel=2)
-                levels.append(GalerkinLevel(
-                    alpha=float(root),
-                    omega=float(geometry.beam_wave_scale * root ** 2),
-                    dominant_n=dom + 1, participation=p))
+        c_lo, c_hi = _negcount(matrix(seg_lo)), _negcount(matrix(seg_hi))
+        for root in _roots(seg_lo, seg_hi, c_lo, c_hi, matrix):
+            mat = matrix(root)
+            evals, evecs = np.linalg.eigh(mat)
+            idx = int(np.argmin(np.abs(evals)))
+            norm = np.linalg.norm(mat, 2)
+            if abs(evals[idx]) > 1e-8 * norm:
+                warnings.warn(
+                    f"root at alpha={root:.6e} polished to "
+                    f"|eig|/||D||={abs(evals[idx])/norm:.2e}", stacklevel=2)
+            p = evecs[:, idx]
+            if p[np.argmax(np.abs(p))] < 0:
+                p = -p
+            dom = int(np.argmax(np.abs(p)))
+            if uniformish and abs(p[dom]) < DOMINANCE_THRESHOLD:
+                warnings.warn(
+                    f"participation {abs(p[dom]):.3f} at alpha="
+                    f"{root:.6e}; increase basis_size",
+                    category=BasisTooSmall, stacklevel=2)
+            levels.append(GalerkinLevel(
+                alpha=float(root),
+                omega=float(geometry.beam_wave_scale * root ** 2),
+                dominant_n=dom + 1, participation=p))
     levels.sort(key=lambda lv: lv.alpha)
     return levels

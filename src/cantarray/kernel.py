@@ -7,7 +7,9 @@ reduced wavenumber gamma = alpha*l.  Everything here is parametrized by gamma:
     response coefficients  A1+/-, A2+/- (trig/hyperbolic mode mixture)
     shear kernel           T(gamma) = 2*A2+(gamma), the clamp shear per unit
                            base deflection in reduced units
-    distributed potential  V(alpha; x) = (w_c/w_b) * rho(x) * alpha^3 * T(alpha l(x))
+
+The distributed loading V(alpha; x) = (w_c/w_b) rho(x) alpha^3 T(alpha l(x))
+built on T is projected onto the beam basis in galerkin.assemble.
 
 All coefficient formulas are evaluated in a cosh-scaled form (divide through
 by cosh(gamma)) so they stay finite for arbitrarily large gamma.  T has simple
@@ -191,46 +193,3 @@ class CantileverShape:
     def tip_deflection(self) -> float:
         return float(self.eval(1.0))
 
-
-def potential(alpha: float, x, geometry, profile):
-    """Averaged cantilever back-action V(alpha; x) on the beam equation, 1/m^4.
-
-    Positive V stiffens the beam locally, negative V softens it.  Raises
-    PoleProximityError when alpha*l(x) falls on a band edge, and ConfigError
-    for profiles with no pointwise density (discrete combs).
-    """
-    from .model import (AlternatingProfile, ConfigError, DiscreteProfile,
-                        TabulatedProfile, UniformProfile)
-    x = np.asarray(x, dtype=float)
-    L = geometry.beam_length
-    if np.any(x < -1e-12) or np.any(x > L * (1 + 1e-12)):
-        raise ConfigError("potential: x outside the beam span [0, L]")
-    if isinstance(profile, UniformProfile):
-        rho = 2.0 * geometry.count_per_side / L
-        gam = alpha * profile.length
-        check_pole_distance(gam, where="alpha*l")
-        w = geometry.cantilever_width / geometry.beam_width
-        val = w * rho * alpha ** 3 * shear_kernel(gam)
-        return np.broadcast_to(np.asarray(val), x.shape).copy() if x.shape else val
-    if isinstance(profile, AlternatingProfile):
-        out = 0.0
-        for ln, wd, ct in ((profile.length1, profile.width1, profile.count1),
-                           (profile.length2, profile.width2, profile.count2)):
-            if ct == 0:
-                continue
-            gam = alpha * ln
-            check_pole_distance(gam, where="alpha*l")
-            out += (wd / geometry.beam_width) * (2.0 * ct / L) \
-                * alpha ** 3 * shear_kernel(gam)
-        return np.broadcast_to(np.asarray(out), x.shape).copy() if x.shape else out
-    if isinstance(profile, TabulatedProfile):
-        l_of_x, rho_of_x = profile.interpolants()
-        lx = l_of_x(x)
-        gam = alpha * lx
-        check_pole_distance(gam, where="alpha*l(x)")
-        w = geometry.cantilever_width / geometry.beam_width
-        return w * rho_of_x(x) * alpha ** 3 * shear_kernel(gam)
-    if isinstance(profile, DiscreteProfile):
-        raise ConfigError("potential: discrete combs have no pointwise density; "
-                          "use the projection solver instead")
-    raise ConfigError(f"potential: unsupported profile {type(profile).__name__}")

@@ -247,22 +247,6 @@ Profile = UniformProfile | AlternatingProfile | TabulatedProfile | DiscreteProfi
 
 
 @dataclass(frozen=True)
-class ModeIndex:
-    """Beam index n and band index k, both 1-based."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise ConfigError("mode index: n and k must be >= 1")
-
-    def valid_for(self, geometry: DeviceGeometry) -> bool:
-        """Averaged-density modeling needs n well below the pair count."""
-        return self.n < geometry.count_per_side
-
-
-@dataclass(frozen=True)
 class DimensionlessParams:
     lam: float  # l / L
     nu: float   # 2 N w_c / w_b
@@ -394,7 +378,6 @@ class Config:
     nonlinear: NonlinearSettings = field(default_factory=NonlinearSettings)
     output: OutputSettings = field(default_factory=OutputSettings)
     preset_name: str | None = None
-    raw: dict = field(default_factory=dict, compare=False)
 
 
 def _require(mapping: dict, key: str, section: str):
@@ -538,7 +521,7 @@ def load_config(source) -> Config:
 
     return Config(geometry=geometry, boundary=boundary, profile=profile,
                   spectrum=spectrum, galerkin=galerkin, nonlinear=nonlinear,
-                  output=output, preset_name=preset, raw=data)
+                  output=output, preset_name=preset)
 
 
 def config_to_dict(config: Config) -> dict:

@@ -417,8 +417,8 @@ def _single_family(geometry, profile, betas, k_max, c1, c2):
 
 
 def _alternating_solves(geometry: DeviceGeometry, profiles,
-                        bc: BoundaryCondition, n_max: int, k_max: int,
-                        scan_points: int) -> list[list[SpectrumLevel]]:
+                        bc: BoundaryCondition, n_max: int,
+                        k_max: int) -> list[list[SpectrumLevel]]:
     """Levels of every profile; the sign-change brackets of all of them are
     bisected together."""
     betas = beam_roots(bc, n_max)
@@ -436,7 +436,7 @@ def _alternating_solves(geometry: DeviceGeometry, profiles,
             out.append(_single_family(geometry, profile, betas, k_max, c1, c2))
             continue
         bands = _scan_bands(profile, k_max)
-        grid = np.linspace(bands[:, 0], bands[:, 1], scan_points, axis=-1)
+        grid = np.linspace(bands[:, 0], bands[:, 1], _SCAN_POINTS, axis=-1)
         lb4 = (profile.length1 / geometry.beam_length * betas) ** 4
         vals = _regular_alternating(grid, c1, c2, eps, lb4[:, None, None])
         sign = np.sign(vals)
@@ -472,19 +472,18 @@ def _alternating_solves(geometry: DeviceGeometry, profiles,
 
 
 def solve_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,
-                      bc: BoundaryCondition, n_max: int, k_max: int,
-                      scan_points: int = _SCAN_POINTS) -> list[SpectrumLevel]:
+                      bc: BoundaryCondition, n_max: int,
+                      k_max: int) -> list[SpectrumLevel]:
     """Levels of the interleaved array; band index counts the merged-pole
     intervals (band 1 is (0, first pole)).
 
-    Each band is scanned at scan_points points for sign changes of the
+    Each band is scanned at _SCAN_POINTS points for sign changes of the
     regularized form, and every bracket found is bisected; a band with more
     than one root warns and labels them by position.  Degenerate layouts
     (one family empty, or equal lengths) share a single pole set and reduce
     exactly to the single-family solver instead.
     """
-    return _alternating_solves(geometry, [profile], bc, n_max, k_max,
-                               scan_points)[0]
+    return _alternating_solves(geometry, [profile], bc, n_max, k_max)[0]
 
 
 def sweep_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,
@@ -496,7 +495,7 @@ def sweep_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,
     swept = [replace(profile, length2=v * profile.length1)
              for v in values]
     return list(zip(values, _alternating_solves(geometry, swept, bc, n_max,
-                                                k_max, _SCAN_POINTS)))
+                                                k_max)))
 
 
 def sweep_uniform(geometry: DeviceGeometry, profile: UniformProfile,

@@ -67,6 +67,28 @@ def test_config_and_preset_together_rejected(capsys, tmp_path):
     assert "not both" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--preset", PRESET, "--param", "nu", "--from", "0", "--to", "1",
+     "--points", "-3"],
+    ["kernel", "--points", "-2"],
+    ["modes", "--samples", "-1"],
+    ["spectrum", "--preset", PRESET, "--n-max", "-1"],
+    ["spectrum", "--preset", PRESET, "--n-max", "0"],
+    ["spectrum", "--preset", PRESET, "--k-max", "0"],
+    ["galerkin", "--preset", PRESET, "--basis-size", "0"],
+    ["galerkin", "--preset", PRESET, "--alpha-max", "-1"],
+    ["kernel", "--gamma-max", "-1"],
+    ["kernel", "--gamma-max", "nan"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_nonpositive_numeric_flag_is_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: expected a positive" in err
+    assert "Traceback" not in err
+
+
 def test_spectrum_csv_schema_and_normalization(capsys):
     code, out, err = run(capsys, "spectrum", "--preset", PRESET,
                          "--n-max", "2", "--k-max", "2")

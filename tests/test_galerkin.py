@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantarray import galerkin as gk
 from cantarray import spectrum as sp
@@ -7,7 +9,8 @@ from cantarray.beam import beam_modes
 from cantarray.kernel import PoleProximityError, band_edge_gammas
 from cantarray.model import (AlternatingProfile, BoundaryCondition,
                              ConfigError, DeviceGeometry, DiscreteProfile,
-                             GalerkinSettings, TabulatedProfile, preset_device)
+                             GalerkinSettings, TabulatedProfile,
+                             UniformProfile, preset_device)
 
 GEO, PROF, BC = preset_device("jap1-calibrated")
 L = GEO.beam_length
@@ -75,8 +78,7 @@ def test_discrete_comb_converges_to_continuum():
     comb = DiscreteProfile(positions=pos, lengths=(CANT,) * n_side)
     geo = DeviceGeometry(**{**GEO.to_dict(), "count_per_side": n_side})
     alpha_max = band_edge_gammas(1)[0] / CANT * 0.9999
-    levels = gk.solve(geo, comb, BC, alpha_max,
-                      GalerkinSettings(basis_size=6), scan_points=120)
+    levels = gk.solve(geo, comb, BC, alpha_max, GalerkinSettings(basis_size=6))
     exact = [lv for lv in sp.solve_uniform(geo, PROF, BC, 3, 1)]
     for ex in exact:
         a_ref = ex.gamma / CANT
@@ -127,9 +129,9 @@ def test_basis_size_convergence_on_smooth_profile():
     a_max = 1.0e6  # stays below the first resonance of the longest cantilever
     quad = {"quadrature_order": 64, "quadrature_rtol": 1e-10}
     lv8 = gk.solve(GEO, gentle, BC, a_max,
-                   GalerkinSettings(basis_size=8, **quad), scan_points=30)
+                   GalerkinSettings(basis_size=8, **quad))
     lv12 = gk.solve(GEO, gentle, BC, a_max,
-                    GalerkinSettings(basis_size=12, **quad), scan_points=30)
+                    GalerkinSettings(basis_size=12, **quad))
     assert len(lv8) >= 3 and len(lv12) >= 3
     for a, b in zip(lv8[:3], lv12[:3]):
         assert a.alpha == pytest.approx(b.alpha, rel=1e-8)
@@ -160,16 +162,17 @@ def test_tabulated_profile_must_span_beam():
         gk.assemble(1e6, GEO, short, basis)
 
 
-def test_low_dominance_warns_for_uniform_loading():
+def test_low_dominance_warns_for_uniform_loading(monkeypatch):
+    monkeypatch.setattr(gk, "DOMINANCE_THRESHOLD", 1.1)
     alpha_max = band_edge_gammas(1)[0] / CANT * 0.5
     with pytest.warns(gk.BasisTooSmall):
-        gk.solve(GEO, PROF, BC, alpha_max, GalerkinSettings(basis_size=4),
-                 scan_points=60, dominance_threshold=1.1)
+        gk.solve(GEO, PROF, BC, alpha_max, GalerkinSettings(basis_size=4))
 
 
-def test_brent_and_bisection_refinements_agree():
-    # a coarse scan puts several levels in one cell, which takes the
-    # bisection branch; the default scan refines single crossings by Brent
+def test_clustered_levels_are_counted_and_bracketed():
+    # a jittered two-length comb crowds its levels together; the inertia at
+    # the segment ends says how many there are, and each one found must sit
+    # on an inertia jump
     rng = np.random.default_rng(7)
     n_side = 40
     pos = tuple((np.arange(n_side) + 0.5 + rng.uniform(-0.3, 0.3, n_side))
@@ -180,18 +183,44 @@ def test_brent_and_bisection_refinements_agree():
     alpha_max = 0.9999 * band_edge_gammas(1)[0] / CANT
     assert not gk.forbidden_alpha_intervals(comb, alpha_max)  # one segment
     settings = GalerkinSettings(basis_size=6)
-    fine = gk.solve(geo, comb, BC, alpha_max, settings)
-    coarse = gk.solve(geo, comb, BC, alpha_max, settings, scan_points=4)
-
-    grid = np.linspace(0.0, alpha_max, 4)
-    per_cell = np.bincount(np.searchsorted(grid, [lv.alpha for lv in coarse]))
-    assert per_cell.max() >= 2 and 1 in per_cell  # both branches ran
-    assert len(fine) == len(coarse) == 6
     basis = beam_modes(BC, settings.basis_size)
-    for a, b in zip(fine, coarse):
-        assert b.alpha == pytest.approx(a.alpha, rel=1e-12, abs=0.0)
-        for lv in (a, b):
-            below, above = (gk._negcount(gk.assemble(lv.alpha * f, geo, comb,
-                                                     basis, settings))
-                            for f in (1 - 1e-11, 1 + 1e-11))
-            assert above > below, lv.alpha
+
+    def negcount(alpha):
+        return gk._negcount(gk.assemble(alpha, geo, comb, basis, settings))
+
+    levels = gk.solve(geo, comb, BC, alpha_max, settings)
+    assert len(levels) == negcount(alpha_max) == 6
+    alphas = [lv.alpha for lv in levels]
+    assert alphas == sorted(alphas)
+    for a in alphas:
+        assert negcount(a * (1 + 1e-11)) > negcount(a * (1 - 1e-11)), a
+
+
+@settings(max_examples=50, deadline=None)
+@given(lam=st.floats(0.02, 0.2), count=st.integers(10, 200),
+       two_families=st.booleans(), eps=st.floats(0.6, 0.9),
+       basis_size=st.integers(2, 5), frac=st.floats(0.2, 0.95))
+def test_diagonal_loading_matches_closed_forms(lam, count, two_families, eps,
+                                               basis_size, frac):
+    # x-independent loading makes D diagonal: each beam index n contributes
+    # exactly the closed-form levels (n, k), so the counts and roots agree
+    geo = DeviceGeometry(**{**GEO.to_dict(), "count_per_side": count})
+    uni = UniformProfile(length=lam * L)
+    if two_families:
+        width = GEO.cantilever_width
+        profile = AlternatingProfile(length1=uni.length,
+                                     length2=eps * uni.length, width1=width,
+                                     width2=width, count1=count // 2,
+                                     count2=count - count // 2)
+        exact = sp.solve_alternating(geo, profile, BC, basis_size, 3)
+    else:
+        profile = uni
+        exact = sp.solve_uniform(geo, profile, BC, basis_size, 3)
+    alpha_max = frac * band_edge_gammas(2)[1] / uni.length
+    expected = sorted(lv.gamma / uni.length for lv in exact
+                      if lv.gamma / uni.length <= alpha_max)
+    levels = gk.solve(geo, profile, BC, alpha_max,
+                      GalerkinSettings(basis_size=basis_size))
+    got = [lv.alpha for lv in levels]
+    assert len(got) == len(expected)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
