@@ -29,17 +29,17 @@ def main():
     modes = beam_modes(BoundaryCondition.CLAMPED_CLAMPED, n_max)
     u = np.linspace(0.0, 1.0, 20001)
     for m in modes:
-        phi = m.eval(u)
+        phi = m(u)
         norm = np.trapezoid(phi * phi, u)
         print(f"  n={m.n}: integral phi^2 du = {norm:.12f}, "
-              f"phi''(0) = {m.eval(0.0, 2):+.4f}, "
+              f"phi''(0) = {m(0.0, 2):+.4f}, "
               f"interior nodes = {np.sum(np.diff(np.sign(phi[1:-1])) != 0)}")
 
     print("\nCross-mode overlaps vanish (first 4x4 Gram matrix, cc):")
     gram = np.empty((4, 4))
     for i in range(4):
         for j in range(4):
-            gram[i, j] = np.trapezoid(modes[i].eval(u) * modes[j].eval(u), u)
+            gram[i, j] = np.trapezoid(modes[i](u) * modes[j](u), u)
     with np.printoptions(precision=2, suppress=False):
         print(gram)
 

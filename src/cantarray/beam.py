@@ -73,9 +73,6 @@ class BeamMode:
     _norm: float = field(default=1.0, compare=False)
 
     def __call__(self, u, derivative: int = 0):
-        return self.eval(u, derivative)
-
-    def eval(self, u, derivative: int = 0):
         """phi_n and its first two u-derivatives on [0, 1]."""
         if derivative not in (0, 1, 2):
             raise ValueError("derivative order must be 0, 1 or 2")

@@ -3,9 +3,10 @@
 Every run reads one JSON config (or a named preset), dispatches to the
 library, and emits a single CSV or JSON table plus a manifest sidecar that
 records the tool version, a hash of the effective config, wall time and
-every warning raised along the way.  Output files are written atomically
-(temp file, then rename) and floats are printed with 17 significant
-digits, so identical config and version give byte-identical files.
+every warning raised along the way.  A table is a set of named columns, each
+a numpy array of one type; floats are printed with 17 significant digits and
+output files are written atomically (temp file, then rename), so identical
+config and version give byte-identical files.
 
 Exit codes: 0 success, 2 configuration problem, 3 solver failure.
 """
@@ -21,6 +22,7 @@ import sys
 import tempfile
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,49 +30,57 @@ from . import __version__, galerkin, nonlinear, spectrum
 from .beam import beam_modes
 from .kernel import (CantileverShape, PoleProximityError, band_edge_gammas,
                      shear_kernel)
-from .model import (BoundaryCondition, Config, ConfigError, SweepRange,
-                    config_to_dict, load_config)
+from .model import (AlternatingProfile, BoundaryCondition, Config, ConfigError,
+                    SweepRange, UniformProfile, config_to_dict, load_config)
 from .quadrature import QuadratureError
 
 SOLVER_ERRORS = (QuadratureError, PoleProximityError, spectrum.BlowUpError,
                  np.linalg.LinAlgError, FloatingPointError, ArithmeticError)
 
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return "%.17g" % float(x)
-    return str(x)
+# CSV field per dtype kind of a column; bool columns are mapped to text first
+_CSV_FIELD = {"b": "%s", "i": "%d", "f": "%.17g", "U": "%s"}
+_BLOCK_ROWS = 4096   # CSV rows formatted per write
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_json(fh, obj) -> None:
+    fh.writelines(_JSON.iterencode(obj))
+    fh.write("\n")
+
+
+def _write_table(fh, table: dict[str, np.ndarray], fmt: str) -> None:
+    """Write named, equal-length columns to fh as CSV or JSON.
+
+    CSV: a header line, then one line per row from a single %-template
+    (floats %.17g, ints %d, bools true/false, strings as they are), written
+    in blocks of _BLOCK_ROWS rows.  JSON: {"columns": names, "rows": rows}.
+    """
+    cols = list(table.values())
+    if fmt == "json":
+        rows = list(zip(*(c.tolist() for c in cols)))
+        _write_json(fh, {"columns": list(table), "rows": rows})
+        return
+    line = ",".join(_CSV_FIELD[c.dtype.kind] for c in cols) + "\n"
+    cells = [np.where(c, "true", "false") if c.dtype.kind == "b" else c
+             for c in cols]
+    fh.write(",".join(table) + "\n")
+    for start in range(0, len(cols[0]), _BLOCK_ROWS):
+        block = zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in cells))
+        fh.write("".join([line % row for row in block]))
+
+
+def _write_atomic(path: str, write) -> None:
+    """Call write(fh) on a temp file beside path, then rename it to path."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _render(columns: list[str], rows: list[list], fmt: str) -> str:
-    if fmt == "json":
-        payload = {"columns": columns,
-                   "rows": [[x if isinstance(x, str) else
-                             (int(x) if isinstance(x, (int, np.integer))
-                              and not isinstance(x, bool) else
-                              (bool(x) if isinstance(x, bool) else float(x)))
-                             for x in row] for row in rows]}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 def _config_hash(config: Config | None) -> str | None:
@@ -80,48 +90,48 @@ def _config_hash(config: Config | None) -> str | None:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _emit(args, columns, rows, config, caught, t0, payload=None) -> None:
+def _emit(args, table, config, caught, t0, payload=None) -> None:
     """Write the table (or a ready JSON payload) and its manifest."""
-    fmt = args.format
-    if payload is not None:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        text = _render(columns, rows, fmt)
+    def write(fh):
+        if payload is None:
+            _write_table(fh, table, args.format)
+        else:
+            _write_json(fh, payload)
+    rows = len(next(iter(table.values()), ()))
     warn_strings = [str(w.message) for w in caught]
     for msg in warn_strings:
         print(f"warning: {msg}", file=sys.stderr)
+    if args.output:
+        _write_atomic(args.output, write)
+    else:
+        write(sys.stdout)
     manifest = {
         "cantarray_version": __version__,
         "subcommand": args.subcommand,
         "config_sha256": _config_hash(config),
-        "format": "json" if payload is not None else fmt,
-        "rows": len(rows),
+        "format": "json" if payload is not None else args.format,
+        "rows": rows,
         "wall_time_s": round(time.perf_counter() - t0, 3),
         "warnings": warn_strings,
+        "output": os.path.basename(args.output) if args.output else None,
     }
     if args.output:
-        manifest["output"] = os.path.basename(args.output)
-        _write_atomic(args.output, text)
         _write_atomic(args.output + ".manifest.json",
-                      json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        print(f"wrote {args.output} ({len(rows)} rows), manifest alongside",
+                      lambda fh: _write_json(fh, manifest))
+        print(f"wrote {args.output} ({rows} rows), manifest alongside",
               file=sys.stderr)
     else:
-        manifest["output"] = None
-        sys.stdout.write(text)
         print("manifest: " + json.dumps(manifest, sort_keys=True),
               file=sys.stderr)
 
 
 def _load(args) -> Config | None:
-    if getattr(args, "config", None) and getattr(args, "preset", None):
+    if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
-    config = None
-    if getattr(args, "config", None):
-        config = load_config(args.config)
-    elif getattr(args, "preset", None):
-        config = load_config({"geometry": {"preset": args.preset}})
-    if config is not None and config.preset_name:
+    if not (args.config or args.preset):
+        return None
+    config = load_config(args.config or {"geometry": {"preset": args.preset}})
+    if config.preset_name:
         # provenance travels with every artifact built on fitted constants
         warnings.warn(f"preset {config.preset_name!r}: section constants are "
                       "a calibrated reconstruction, not measured dimensions")
@@ -133,6 +143,24 @@ def _require_config(args) -> Config:
     if config is None:
         raise ConfigError(f"{args.subcommand}: needs --config or --preset")
     return config
+
+
+def _by_profile(config: Config, command: str, choices: dict):
+    """choices[type of config.profile], the solver a subcommand uses for that
+    profile kind; any other kind is a ConfigError naming the galerkin one."""
+    kind = type(config.profile)
+    if kind not in choices:
+        name = lambda k: k.__name__.removesuffix("Profile").lower()
+        raise ConfigError(
+            f"{command}: the profile must be "
+            f"{' or '.join(map(name, choices))}, not {name(kind)}; the "
+            "galerkin subcommand takes any profile")
+    return choices[kind]
+
+
+def _column(items, name: str, dtype=float) -> np.ndarray:
+    """Attribute `name` of every item, as one array."""
+    return np.array([getattr(item, name) for item in items], dtype=dtype)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -149,144 +177,115 @@ def _cmd_modes(args, caught, t0):
     modes = beam_modes(bc, n_max)
     if args.samples:
         u = np.linspace(0.0, 1.0, args.samples)
-        shapes = [m.eval(u) for m in modes]
-        columns = ["u"] + [f"phi_{m.n}" for m in modes]
-        rows = [[float(u[i]), *(float(s[i]) for s in shapes)]
-                for i in range(u.size)]
-        _emit(args, columns, rows, config, caught, t0)
-        return
-    columns = ["n", "beta", "omega_rad_s", "freq_hz"]
-    rows = []
-    for m in modes:
-        if config is not None:
-            w = (config.geometry.beam_wave_scale
-                 * (m.beta / config.geometry.beam_length) ** 2)
-        else:
-            w = math.nan
-        rows.append([m.n, m.beta, w, w / (2.0 * math.pi)])
-    _emit(args, columns, rows, config, caught, t0)
+        table = {"u": u, **{f"phi_{m.n}": m(u) for m in modes}}
+    else:
+        geo = config.geometry if config is not None else None
+        w = np.array([geo.beam_wave_scale * (m.beta / geo.beam_length) ** 2
+                      if geo else math.nan for m in modes])
+        table = {"n": _column(modes, "n", int), "beta": _column(modes, "beta"),
+                 "omega_rad_s": w, "freq_hz": w / (2.0 * math.pi)}
+    _emit(args, table, config, caught, t0)
 
 
 def _cmd_kernel(args, caught, t0):
     if args.shape is not None:
         # deflection profile of one cantilever driven at its clamp
-        sh = CantileverShape(args.shape)
         v = np.linspace(0.0, 1.0, args.points)
-        rows = [[float(vv), float(cv)] for vv, cv in zip(v, sh(v))]
-        _emit(args, ["v", "chi"], rows, None, caught, t0)
+        _emit(args, {"v": v, "chi": CantileverShape(args.shape)(v)}, None,
+              caught, t0)
         return
     gmax = args.gamma_max
-    k_count = int(np.sum(band_edge_gammas(max(2, int(gmax / math.pi) + 2)) < gmax))
-    poles = band_edge_gammas(max(k_count, 1))[:k_count] if k_count else []
+    edges = band_edge_gammas(int(gmax / math.pi) + 2)
+    poles = edges[edges < gmax]
     grid = np.linspace(0.0, gmax, args.points)
-    keep = np.ones(grid.size, dtype=bool)
-    for p in poles:
-        keep &= np.abs(grid - p) > 1e-9 * max(p, 1.0)
+    keep = np.all(np.abs(grid[:, None] - poles) > 1e-9 * np.maximum(poles, 1.0),
+                  axis=1)
     dropped = int(np.sum(~keep))
     if dropped:
         warnings.warn(f"{dropped} sample(s) inside a band-edge pole window "
                       "were dropped")
     grid = grid[keep]
-    vals = shear_kernel(grid)
-    rows = [[g, v] for g, v in zip(grid, vals)]
-    _emit(args, ["gamma", "kernel"], rows, None, caught, t0)
-
-
-def _spectrum_rows(levels):
-    base = next((lv.omega for lv in levels if lv.n == 1 and lv.k == 1), None)
-    columns = ["n", "k", "gamma", "omega_rad_s", "freq_hz",
-               "omega_normalized", "band_edge_lower", "band_edge_upper",
-               "valid"]
-    rows = []
-    for lv in levels:
-        rows.append([lv.n, lv.k, lv.gamma, lv.omega,
-                     lv.omega / (2.0 * math.pi),
-                     lv.omega / base if base else math.nan,
-                     lv.band_lower, lv.band_upper, lv.valid])
-    return columns, rows
+    _emit(args, {"gamma": grid, "kernel": shear_kernel(grid)}, None, caught,
+          t0)
 
 
 def _cmd_spectrum(args, caught, t0):
     config = _require_config(args)
-    n_max = args.n_max or config.spectrum.n_max
-    k_max = args.k_max or config.spectrum.k_max
-    profile = config.profile
-    if hasattr(profile, "length1"):
-        levels = spectrum.solve_alternating(config.geometry, profile,
-                                            config.boundary, n_max, k_max)
-    elif hasattr(profile, "length"):
-        levels = spectrum.solve_uniform(config.geometry, profile,
-                                        config.boundary, n_max, k_max)
-    else:
-        raise ConfigError("spectrum: profile must be uniform or alternating; "
-                          "use the galerkin subcommand for tabulated/discrete")
+    solve = _by_profile(config, "spectrum",
+                        {UniformProfile: spectrum.solve_uniform,
+                         AlternatingProfile: spectrum.solve_alternating})
+    levels = solve(config.geometry, config.profile, config.boundary,
+                   args.n_max or config.spectrum.n_max,
+                   args.k_max or config.spectrum.k_max)
     invalid = sum(1 for lv in levels if not lv.valid)
     if invalid:
         warnings.warn(f"{invalid} level(s) have beam index n >= N and fall "
                       "outside the averaged model's validity")
-    columns, rows = _spectrum_rows(levels)
-    _emit(args, columns, rows, config, caught, t0)
+    omega = _column(levels, "omega")
+    base = next((lv.omega for lv in levels if lv.n == 1 and lv.k == 1), None)
+    table = {"n": _column(levels, "n", int), "k": _column(levels, "k", int),
+             "gamma": _column(levels, "gamma"), "omega_rad_s": omega,
+             "freq_hz": omega / (2.0 * math.pi),
+             "omega_normalized": (omega / base if base
+                                  else np.full(omega.size, math.nan)),
+             "band_edge_lower": _column(levels, "band_lower"),
+             "band_edge_upper": _column(levels, "band_upper"),
+             "valid": _column(levels, "valid", bool)}
+    _emit(args, table, config, caught, t0)
 
 
 def _cmd_sweep(args, caught, t0):
     config = _require_config(args)
-    profile = config.profile
     n_max = args.n_max or config.spectrum.n_max
     k_max = args.k_max or config.spectrum.k_max
     values = np.linspace(args.sweep_from, args.sweep_to, args.points)
-    columns = ["param", "value", "n", "k", "gamma", "omega_rad_s"]
-    rows = []
+    command = f"sweep {args.param}"
     if args.param == "epsilon":
-        if not hasattr(profile, "length1"):
-            raise ConfigError("sweep epsilon: needs an alternating profile")
-        for value, levels in spectrum.sweep_alternating(
-                config.geometry, profile, config.boundary, values, n_max,
-                k_max):
-            rows.extend([args.param, value, lv.n, lv.k, lv.gamma, lv.omega]
-                        for lv in levels)
-        _emit(args, columns, rows, config, caught, t0)
-        return
-    if not hasattr(profile, "length"):
-        raise ConfigError("sweep: needs a uniform profile")
-    for value, gammas, scale in spectrum.sweep_uniform(
-            config.geometry, profile, config.boundary, args.param, values,
-            n_max, k_max):
-        for n in range(1, n_max + 1):
-            for k in range(1, k_max + 1):
-                g = gammas[n - 1, k - 1]
-                if not np.isfinite(g):
-                    continue
-                rows.append([args.param, value, n, k, float(g),
-                             float(scale * g * g)])
-    _emit(args, columns, rows, config, caught, t0)
+        sweep = _by_profile(config, command,
+                            {AlternatingProfile: spectrum.sweep_alternating})
+        points = sweep(config.geometry, config.profile, config.boundary,
+                       values, n_max, k_max)
+        value, levels = zip(*points)
+        value = np.repeat(value, [len(lvs) for lvs in levels])
+        levels = [lv for lvs in levels for lv in lvs]
+        n, k = _column(levels, "n", int), _column(levels, "k", int)
+        gamma, omega = _column(levels, "gamma"), _column(levels, "omega")
+    else:
+        sweep = _by_profile(config, command,
+                            {UniformProfile: spectrum.sweep_uniform})
+        points = list(sweep(config.geometry, config.profile, config.boundary,
+                            args.param, values, n_max, k_max))
+        value, gammas, scale = map(np.array, zip(*points))
+        p, n, k = np.nonzero(np.isfinite(gammas))   # in (value, n, k) order
+        gamma = gammas[p, n, k]
+        value, omega, n, k = value[p], scale[p] * gamma * gamma, n + 1, k + 1
+    table = {"param": np.full(value.size, args.param), "value": value,
+             "n": n, "k": k, "gamma": gamma, "omega_rad_s": omega}
+    _emit(args, table, config, caught, t0)
 
 
 def _cmd_galerkin(args, caught, t0):
     config = _require_config(args)
     settings = config.galerkin
     if args.basis_size:
-        settings = type(settings)(basis_size=args.basis_size,
-                                  quadrature_order=settings.quadrature_order,
-                                  quadrature_rtol=settings.quadrature_rtol)
+        settings = replace(settings, basis_size=args.basis_size)
     profile = config.profile
-    if args.alpha_max:
-        alpha_max = args.alpha_max
-    else:
+    alpha_max = args.alpha_max
+    if not alpha_max:
         # span k_max bands of the longest cantilever
         lengths = galerkin._distinct_lengths(profile)
-        if lengths is None:
-            longest = max(profile.length)
-        else:
-            longest = max(lengths)
+        longest = max(profile.length if lengths is None else lengths)
         alpha_max = band_edge_gammas(config.spectrum.k_max)[-1] / longest
     levels = galerkin.solve(config.geometry, profile, config.boundary,
                             alpha_max, settings=settings)
     m = settings.basis_size
-    columns = (["alpha", "omega_rad_s", "dominant_n"]
-               + [f"participation_{i}" for i in range(1, m + 1)])
-    rows = [[lv.alpha, lv.omega, lv.dominant_n, *map(float, lv.participation)]
-            for lv in levels]
-    _emit(args, columns, rows, config, caught, t0)
+    weights = np.reshape([lv.participation for lv in levels], (len(levels), m))
+    table = {"alpha": _column(levels, "alpha"),
+             "omega_rad_s": _column(levels, "omega"),
+             "dominant_n": _column(levels, "dominant_n", int),
+             **{f"participation_{i}": weights[:, i - 1]
+                for i in range(1, m + 1)}}
+    _emit(args, table, config, caught, t0)
 
 
 def _sigma_values(setting) -> np.ndarray:
@@ -297,19 +296,13 @@ def _sigma_values(setting) -> np.ndarray:
 
 def _cmd_nonlinear(args, caught, t0):
     config = _require_config(args)
-    profile = config.profile
-    if not hasattr(profile, "length"):
-        raise ConfigError("nonlinear: needs a uniform profile")
-    ns = config.nonlinear
-    if args.f1 is not None or args.f2 is not None:
-        ns = type(ns)(damping_beam=ns.damping_beam,
-                      damping_cantilever=ns.damping_cantilever,
-                      force1=ns.force1 if args.f1 is None else args.f1,
-                      force2=ns.force2 if args.f2 is None else args.f2,
-                      sigma1=ns.sigma1, sigma2=ns.sigma2)
+    select_modes = _by_profile(config, f"nonlinear {args.what}",
+                               {UniformProfile: nonlinear.select_modes})
+    forces = {"force1": args.f1, "force2": args.f2}
+    ns = replace(config.nonlinear,
+                 **{key: f for key, f in forces.items() if f is not None})
     overlap_rtol = 1e-9
-    selection = nonlinear.select_modes(config.geometry, profile,
-                                       config.boundary)
+    selection = select_modes(config.geometry, config.profile, config.boundary)
     integrals = nonlinear.overlap_integrals(selection, rtol=overlap_rtol)
     params = nonlinear.effective_params(selection, integrals,
                                         config.geometry, ns)
@@ -356,22 +349,27 @@ def _cmd_nonlinear(args, caught, t0):
                 "omega1_rad_s": params.omega1, "omega2_rad_s": params.omega2,
             },
         }
-        _emit(args, [], [], config, caught, t0, payload=payload)
+        _emit(args, {}, config, caught, t0, payload=payload)
         return
 
     # branch concatenates the two per-mode labels, e.g. "+-"; stability is
     # not classified here, so the flag is always "unknown"
-    columns = ["sigma1", "sigma2", "a1", "a2", "theta1", "theta2",
-               "branch", "stable_flag"]
-    rows = []
-    for s1 in _sigma_values(ns.sigma1):
-        for s2 in _sigma_values(ns.sigma2):
-            for p1, p2 in nonlinear.coupled_steady_state(float(s1), float(s2),
-                                                         params):
-                rows.append([float(s1), float(s2), p1.amplitude, p2.amplitude,
-                             p1.phase, p2.phase, p1.branch + p2.branch,
-                             "unknown"])
-    _emit(args, columns, rows, config, caught, t0)
+    grid = np.array([(s1, s2) for s1 in _sigma_values(ns.sigma1)
+                     for s2 in _sigma_values(ns.sigma2)])
+    found = [nonlinear.coupled_steady_state(s1, s2, params)
+             for s1, s2 in grid.tolist()]
+    sigma = np.repeat(grid, [len(states) for states in found], axis=0)
+    mode1 = [p1 for states in found for p1, _ in states]
+    mode2 = [p2 for states in found for _, p2 in states]
+    table = {"sigma1": sigma[:, 0], "sigma2": sigma[:, 1],
+             "a1": _column(mode1, "amplitude"),
+             "a2": _column(mode2, "amplitude"),
+             "theta1": _column(mode1, "phase"),
+             "theta2": _column(mode2, "phase"),
+             "branch": np.array([p1.branch + p2.branch
+                                 for p1, p2 in zip(mode1, mode2)], dtype=str),
+             "stable_flag": np.full(len(mode1), "unknown")}
+    _emit(args, table, config, caught, t0)
 
 
 # --- argument parsing --------------------------------------------------------

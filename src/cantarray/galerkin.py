@@ -42,7 +42,6 @@ GAMMA_EXCLUSION = 1e-8   # half-width in gamma of the excluded pole window
 _BRENT_RTOL = 4.0 * np.finfo(float).eps   # the smallest brentq accepts
 _BRENT_XTOL = 1e-300     # leaves the relative tolerance in charge
 DOMINANCE_THRESHOLD = 0.9   # least pure-mode participation, uniform loading
-_PROBE = np.linspace(0.0, 1.0, 257)   # u samples that bracket edge crossings
 
 
 class BasisTooSmall(UserWarning):
@@ -145,55 +144,22 @@ def _constant_potential_diag(alpha: float, geometry: DeviceGeometry,
     return None
 
 
-def _tabulated_panels(alpha: float, profile: TabulatedProfile, length_of,
-                      slope_of, probe_lengths: np.ndarray,
-                      window: float) -> list[tuple[float, float]]:
-    """u panels whose interiors keep gamma(u) clear of the band edges;
-    length_of is the profile's length interpolant, slope_of its derivative
-    and probe_lengths its values at the _PROBE points."""
-    L_phys = profile.x[-1]
-    g_hi = alpha * max(profile.length)
-    k_max = max(1, int(g_hi / np.pi) + 2)
-    edges = band_edge_gammas(k_max)
-
-    gam = alpha * probe_lengths
-    cuts = [0.0, 1.0]
-    for edge in edges:
-        h = gam - edge
-        sign_change = np.nonzero(h[:-1] * h[1:] < 0)[0]
-        for i in sign_change:
-            u_star = brentq(lambda u: alpha * float(length_of(u * L_phys)) - edge,
-                            _PROBE[i], _PROBE[i + 1], xtol=1e-15)
-            slope = abs(alpha * float(slope_of(u_star * L_phys)) * L_phys)
-            du = window / max(slope, 1e-30)
-            cuts.extend((max(0.0, u_star - du), min(1.0, u_star + du)))
-    cuts = sorted(set(cuts))
-    panels = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a < 1e-15:
-            continue
-        mid = 0.5 * (a + b)
-        g_mid = alpha * float(length_of(mid * L_phys))
-        if min(abs(g_mid - e) for e in edges) < window:
-            continue  # inside an excluded strip
-        panels.append((a, b))
-    return panels
-
-
 def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
              basis: list[BeamMode], settings: GalerkinSettings | None = None,
              cache: dict | None = None) -> np.ndarray:
     """Symmetric Galerkin matrix D(alpha) in the beam eigenbasis.
 
     Diagonal for x-independent loading; discrete combs contribute exact
-    point sums; tabulated profiles are integrated by panel-split quadrature
-    with pole windows excluded.
+    point sums; tabulated profiles are integrated by Gauss quadrature on
+    [0, 1] split into 1, 2, ..., 16 equal sub-panels until two passes agree.
+    There are no pole windows: inside a forbidden interval, where a band edge
+    lies strictly between alpha*l_min and alpha*l_max, a tabulated profile
+    raises PoleProximityError, as any profile does when alpha*l meets an edge.
 
     cache holds the alpha-independent parts (basis values at the teeth or
-    quadrature nodes, profile values at the nodes, the profile interpolants
-    with the length slope and lengths at the _PROBE points) between calls
-    that share geometry, profile, basis and settings; `solve` passes one per
-    call.
+    quadrature nodes, profile values at the nodes and the profile
+    interpolants) between calls that share geometry, profile, basis and
+    settings; `solve` passes one per call.
     """
     settings = settings or GalerkinSettings()
     cache = {} if cache is None else cache
@@ -217,7 +183,7 @@ def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
                 where=f"cantilever at x={profile.positions[bad]:.6e} m") from exc
         if "phi" not in cache:
             u = np.array(profile.positions) / geometry.beam_length
-            cache["phi"] = np.stack([m.eval(u) for m in basis])  # (M, J)
+            cache["phi"] = np.stack([m(u) for m in basis])  # (M, J)
         phi = cache["phi"]
         weight = 2.0 * (alpha * geometry.beam_length) ** 3 \
             * (geometry.cantilever_width / geometry.beam_width)
@@ -229,41 +195,39 @@ def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
         if abs(profile.x[0]) > 1e-12 * L or abs(profile.x[-1] - L) > 1e-12 * L:
             raise ConfigError("profile.x must span the beam: first sample at "
                               "0, last at beam_length")
+        g_lo, g_hi = alpha * min(profile.length), alpha * max(profile.length)
+        edges = band_edge_gammas(int(g_hi / np.pi) + 2)
+        inside = np.flatnonzero((g_lo < edges) & (edges < g_hi))
+        if inside.size:
+            k = int(inside[0])
+            raise PoleProximityError(
+                float(edges[k]), k + 1,
+                where=f"gamma = alpha*l(x), alpha={alpha:.6e}, for some x,")
         if "interpolants" not in cache:
-            length_of, density_of = profile.interpolants()
-            cache["interpolants"] = (length_of, density_of,
-                                     length_of.derivative(),
-                                     length_of(_PROBE * profile.x[-1]))
-        length_of, density_of, slope_of, probe_lengths = cache["interpolants"]
-        panels = tuple(_tabulated_panels(alpha, profile, length_of, slope_of,
-                                         probe_lengths, GAMMA_EXCLUSION))
+            cache["interpolants"] = profile.interpolants()
+        length_of, density_of = cache["interpolants"]
 
-        def nodes(splits_per_panel: int) -> tuple[np.ndarray, ...]:
+        def nodes(splits: int) -> tuple[np.ndarray, ...]:
             """Weights, l(u), rho(u) and phi(u) at the quadrature nodes, one
             row per sub-panel; none of them depends on alpha."""
-            L_phys = profile.x[-1]
             nodes_ref, weights_ref = gauss_rule(settings.quadrature_order)
             rows = []
-            for a, b in panels:
-                sub = np.linspace(a, b, splits_per_panel + 1)
-                for lo, hi in zip(sub[:-1], sub[1:]):
-                    half = 0.5 * (hi - lo)
-                    u = 0.5 * (lo + hi) + half * nodes_ref
-                    x = u * L_phys
-                    rows.append((half * weights_ref,
-                                 np.asarray(length_of(x), dtype=float),
-                                 np.asarray(density_of(x), dtype=float),
-                                 np.stack([m.eval(u) for m in basis])))
+            sub = np.linspace(0.0, 1.0, splits + 1)
+            for lo, hi in zip(sub[:-1], sub[1:]):
+                half = 0.5 * (hi - lo)
+                u = 0.5 * (lo + hi) + half * nodes_ref
+                x = u * profile.x[-1]
+                rows.append((half * weights_ref,
+                             np.asarray(length_of(x), dtype=float),
+                             np.asarray(density_of(x), dtype=float),
+                             np.stack([m(u) for m in basis])))
             return tuple(np.stack(col) for col in zip(*rows))
 
-        def entry_sums(splits_per_panel: int) -> np.ndarray:
+        def entry_sums(splits: int) -> np.ndarray:
             v = np.zeros((m_count, m_count))
-            if not panels:  # every node lies in a pole window
-                return v
-            key = (panels, splits_per_panel)
-            if key not in cache:
-                cache[key] = nodes(splits_per_panel)
-            w, lengths, rho, phi = cache[key]
+            if splits not in cache:
+                cache[splits] = nodes(splits)
+            w, lengths, rho, phi = cache[splits]
             pot = (geometry.cantilever_width / geometry.beam_width) \
                 * rho * alpha ** 3 * shear_kernel(alpha * lengths) * L ** 4
             for wp, ph in zip(w * pot, phi):   # sub-panel by sub-panel

@@ -156,9 +156,6 @@ class CantileverShape:
         self._dhat = 2.0 * np.exp(-g) + c * (1.0 + np.exp(-2.0 * g))
 
     def __call__(self, v, derivative: int = 0):
-        return self.eval(v, derivative)
-
-    def eval(self, v, derivative: int = 0):
         if derivative not in (0, 1, 2, 3):
             raise ValueError("derivative order must be 0..3")
         v = np.asarray(v, dtype=float)
@@ -189,7 +186,4 @@ class CantileverShape:
         if derivative == 2:
             return g * g * (-a1p * cv - a2p * sv + p_even / self._dhat)
         return g ** 3 * (a1p * sv - a2p * cv + p_odd / self._dhat)
-
-    def tip_deflection(self) -> float:
-        return float(self.eval(1.0))
 

@@ -359,16 +359,6 @@ class NonlinearSettings:
 
 
 @dataclass(frozen=True)
-class OutputSettings:
-    format: str = "csv"
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.format not in ("csv", "json"):
-            raise ConfigError("output.format: must be 'csv' or 'json'")
-
-
-@dataclass(frozen=True)
 class Config:
     geometry: DeviceGeometry
     boundary: BoundaryCondition
@@ -376,7 +366,6 @@ class Config:
     spectrum: SpectrumSettings = field(default_factory=SpectrumSettings)
     galerkin: GalerkinSettings = field(default_factory=GalerkinSettings)
     nonlinear: NonlinearSettings = field(default_factory=NonlinearSettings)
-    output: OutputSettings = field(default_factory=OutputSettings)
     preset_name: str | None = None
 
 
@@ -479,8 +468,11 @@ def load_config(source) -> Config:
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be an object")
 
+    if "output" in data:
+        raise ConfigError("config: no 'output' section; the --format and "
+                          "--output flags choose the output")
     known = {"geometry", "boundary", "profile", "spectrum", "galerkin",
-             "nonlinear", "output"}
+             "nonlinear"}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"config: unknown top-level keys {sorted(unknown)}")
@@ -515,13 +507,9 @@ def load_config(source) -> Config:
         sigma2=_parse_sweep(nl.get("sigma2", 0.0), "nonlinear.sigma2"),
     )
 
-    out = data.get("output", {})
-    output = OutputSettings(format=out.get("format", "csv"),
-                            path=out.get("path"))
-
     return Config(geometry=geometry, boundary=boundary, profile=profile,
                   spectrum=spectrum, galerkin=galerkin, nonlinear=nonlinear,
-                  output=output, preset_name=preset)
+                  preset_name=preset)
 
 
 def config_to_dict(config: Config) -> dict:
@@ -535,7 +523,6 @@ def config_to_dict(config: Config) -> dict:
         "galerkin": {"basis_size": config.galerkin.basis_size,
                      "quadrature": {"order": config.galerkin.quadrature_order,
                                     "rtol": config.galerkin.quadrature_rtol}},
-        "output": {"format": config.output.format, "path": config.output.path},
     }
     nl = config.nonlinear
 

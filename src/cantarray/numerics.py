@@ -6,8 +6,8 @@ iterates, tolerances and stopping rule, so its roots equal
 ``scipy.optimize.brentq``'s bit for bit.  Pchip is the monotone piecewise
 cubic Hermite interpolant of Fritsch & Carlson (SIAM J. Numer. Anal. 17,
 1980) with SciPy's ``PchipInterpolator`` derivative and end-point rules,
-stored and evaluated in power form in SciPy's operation order, so values
-and derivatives equal SciPy's bit for bit, extrapolation included.
+stored and evaluated in power form in SciPy's operation order, so its
+values equal SciPy's bit for bit, extrapolation included.
 """
 from __future__ import annotations
 
@@ -129,7 +129,7 @@ class Pchip:
     """Monotone cubic interpolant through (x, y); x strictly increasing.
 
     Calling it evaluates at any points, extrapolating the end cubics outside
-    [x[0], x[-1]]; derivative() returns the first derivative as a Pchip.
+    [x[0], x[-1]].
     """
 
     def __init__(self, x, y):
@@ -155,9 +155,3 @@ class Pchip:
             if p < len(self._c) - 1:
                 z = z * s
         return np.asarray(res)
-
-    def derivative(self) -> Pchip:
-        factor = np.arange(len(self._c) - 1, 0, -1, dtype=float)[:, None]
-        out = object.__new__(Pchip)
-        out.x, out._c = self.x, self._c[:-1] * factor
-        return out

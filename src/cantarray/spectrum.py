@@ -205,18 +205,11 @@ def _band_bisect(nulam, lambeta4: np.ndarray, k_max: int) -> np.ndarray:
                    lo, np.broadcast_to(edges, shape), f_lo)
 
 
-def _uniform_context(geometry: DeviceGeometry, profile: UniformProfile,
-                     bc: BoundaryCondition, n_max: int):
-    params = dimensionless(geometry, profile)
-    betas = beam_roots(bc, n_max)
-    return params, betas
-
-
 def solve_uniform(geometry: DeviceGeometry, profile: UniformProfile,
                   bc: BoundaryCondition, n_max: int, k_max: int) -> list[SpectrumLevel]:
     """Spectrum levels for a uniform array, frequencies from
     omega = sqrt(Ec/mu_c) (gamma/l)^2."""
-    params, betas = _uniform_context(geometry, profile, bc, n_max)
+    params, betas = dimensionless(geometry, profile), beam_roots(bc, n_max)
     gammas = solve_uniform_dimensionless(params, betas, k_max)
     scale = geometry.cantilever_wave_scale / profile.length ** 2
     return _levels(_grid_entries(gammas, band_edge_gammas(k_max)), scale,
@@ -260,7 +253,7 @@ def band_gaps(geometry: DeviceGeometry, profile: UniformProfile,
               bc: BoundaryCondition, k_max: int) -> list[BandGap]:
     """Frequency gaps omega_{1,k+1} - omega_{inf,k} above each band edge,
     with the first-order edge estimate alongside.  Empty for nu = 0."""
-    params, betas = _uniform_context(geometry, profile, bc, 1)
+    params, betas = dimensionless(geometry, profile), beam_roots(bc, 1)
     if params.nu == 0.0:
         return []
     gammas = solve_uniform_dimensionless(params, betas, k_max + 1)[0]

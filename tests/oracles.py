@@ -1,8 +1,11 @@
-"""Independent reference values computed with mpmath bisection.
+"""Independent reference values computed with mpmath bisection, and scalar
+reference versions of batched code.
 
 Nothing here imports the package under test; the characteristic equations
 are restated from scratch so root comparisons are a genuine cross-check.
 """
+
+import json
 
 import mpmath as mp
 import numpy as np
@@ -128,3 +131,29 @@ def scalar_alternating_levels(lam1, betas, c1, c2, eps, bands,
                         hi = mid
                 out.append((n, k, float(0.5 * (lo + hi))))
     return sorted(out)
+
+
+def _fmt(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return "%.17g" % float(x)
+    return str(x)
+
+
+def render_rows(columns: list[str], rows: list[list], fmt: str) -> str:
+    """Reference CLI table text, one cell at a time: CSV with floats as
+    %.17g, bools as true/false; or indented JSON {"columns", "rows"}."""
+    if fmt == "json":
+        payload = {"columns": columns,
+                   "rows": [[x if isinstance(x, str) else
+                             (int(x) if isinstance(x, (int, np.integer))
+                              and not isinstance(x, bool) else
+                              (bool(x) if isinstance(x, bool) else float(x)))
+                             for x in row] for row in rows]}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"

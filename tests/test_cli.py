@@ -1,12 +1,17 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import render_rows
 
 from cantarray import cli
 from cantarray.kernel import band_edge_gammas
@@ -106,8 +111,9 @@ def test_spectrum_csv_schema_and_normalization(capsys):
     assert float(first["gamma"]) == pytest.approx(0.18760324063691297,
                                                   rel=1e-12)
     m = stdout_manifest(err)
-    assert m["config_sha256"] == ("0b087a9e656bce67dfde805f1cb3950a8d"
-                                  "218d397509895560cbcccdc96c6d16")
+    # re-recorded when the config's "output" section was removed
+    assert m["config_sha256"] == ("f54346e837b5f04e0e55656bd8d796adea"
+                                  "381d61e08ab40f03db1a81aa802b76")
 
 
 def test_spectrum_json_format(capsys):
@@ -131,8 +137,9 @@ def test_output_files_are_byte_identical_across_runs(capsys, tmp_path):
     assert b"\r" not in a.read_bytes()
 
 
-# SHA-256 of the CSVs of fixed band-structure runs, recorded before the band
-# solvers were batched: the refactor must keep every byte.  The digits depend
+# SHA-256 of the outputs of fixed band-structure runs, recorded before the
+# band solvers were batched (CSV) and before tables were rendered by column
+# (JSON): both refactors must keep every byte.  The digits depend
 # on how numpy rounds exp, cos, sin and power, which varies with the numpy
 # build and the CPU's SIMD level, so the hashes are checked only where the
 # fingerprint of those functions matches the one taken with them (numpy 2.4,
@@ -149,6 +156,12 @@ GOLDEN_RUNS = {
                      "c51c46381af11ce22fd47bf0b8582d06f9b6c8437cead37aa07ebcb8cad1eff0"),
     "sweep-N": (["sweep", "--param", "N", "--from", "0", "--to", "60"],
                 "802aea4e6f49826103162aa2ad890d5cc2cd59628efe31aa88efb348ca4dd40f"),
+    "spectrum-json": (["spectrum", "--n-max", "6", "--k-max", "6",
+                       "--format", "json"],
+                      "5cfb8e27ce7332a49f6d799366e484bd508b361ccb28cdf725037c4329a0c7f5"),
+    "sweep-nu-json": (["sweep", "--param", "nu", "--from", "0", "--to", "90",
+                       "--format", "json"],
+                      "290e19b00ef7ebacd8703b34ea7629ec2a7a87281c81d1b60f8dbe1b3423daa2"),
 }
 SWEEP_FLAGS = ["--points", "41", "--n-max", "4", "--k-max", "5"]
 
@@ -167,7 +180,7 @@ def test_band_outputs_match_golden_hashes(capsys, tmp_path, name):
     argv, digest = GOLDEN_RUNS[name]
     if argv[0] == "sweep":
         argv = argv + SWEEP_FLAGS
-    out = tmp_path / f"{name}.csv"
+    out = tmp_path / f"{name}.out"
     code, _, _ = run(capsys, *argv, "--preset", PRESET, "--output", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -324,6 +337,83 @@ def test_sweep_epsilon_needs_alternating_profile(capsys):
     assert "alternating" in err
 
 
+CLOSED_FORM_RUNS = {
+    "spectrum": ["spectrum"],
+    "sweep-nu": ["sweep", "--param", "nu", "--from", "0", "--to", "40",
+                 "--points", "3"],
+    "sweep-epsilon": ["sweep", "--param", "epsilon", "--from", "0.5",
+                      "--to", "1.0", "--points", "3"],
+    "nonlinear-response": ["nonlinear", "response"],
+}
+GALERKIN_ONLY_PROFILES = {
+    "tabulated": {"kind": "tabulated", "x": [0.0, 1.0687701562203836e-05],
+                  "length": [5e-7, 5.2e-7], "density": [4e6, 4e6]},
+    "discrete": {"kind": "discrete", "positions": [2e-6, 5e-6],
+                 "lengths": [5e-7, 4.5e-7]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GALERKIN_ONLY_PROFILES))
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_RUNS))
+def test_closed_form_subcommands_send_other_profiles_to_galerkin(
+        capsys, tmp_path, name, kind):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"geometry": {"preset": PRESET},
+                             "profile": GALERKIN_ONLY_PROFILES[kind]}))
+    code, _, err = run(capsys, *CLOSED_FORM_RUNS[name], "--config", str(p))
+    assert code == 2
+    assert f"not {kind}" in err and "galerkin subcommand" in err
+
+
+@pytest.mark.parametrize("output", [{"format": "json", "path": "out.json"},
+                                    {"format": "parquet"}, {}])
+def test_config_output_section_is_exit_2(capsys, tmp_path, output):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"geometry": {"preset": PRESET},
+                             "output": output}))
+    code, out, err = run(capsys, "spectrum", "--config", str(p))
+    assert code == 2 and out == ""
+    assert "--format" in err and "--output" in err
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -2.5e-310,
+                     float("nan"), float("inf"), float("-inf")]))
+_CELLS = {"float": (_FLOATS, float),
+          "int": (st.integers(-2 ** 63, 2 ** 63 - 1), np.int64),
+          "bool": (st.booleans(), bool),
+          # a numpy str array drops trailing NULs, so no column holds one
+          "str": (st.text(st.characters(exclude_characters="\x00"),
+                          max_size=8), str)}
+
+
+@st.composite
+def _tables(draw):
+    """(columns, the same cells as Python rows) for 0 to 50 rows."""
+    count = draw(st.integers(0, 50))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
+                          max_size=6))
+    table, cells = {}, []
+    for j, kind in enumerate(kinds):
+        strategy, dtype = _CELLS[kind]
+        values = draw(st.lists(strategy, min_size=count, max_size=count))
+        table[f"{kind}_{j}"] = np.array(values, dtype=dtype)
+        cells.append(values)
+    return table, [list(row) for row in zip(*cells)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_tables(), fmt=st.sampled_from(["csv", "json"]),
+       block=st.integers(1, 8))
+def test_table_renderer_matches_cell_by_cell_oracle(drawn, fmt, block):
+    table, rows = drawn
+    buf = io.StringIO()
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        cli._write_table(buf, table, fmt)
+    assert buf.getvalue() == render_rows(list(table), rows, fmt)
+
+
 def test_kernel_drops_samples_on_band_edges(capsys):
     edge = band_edge_gammas(1)[0]
     # 3 points over [0, 2*edge] puts the middle sample exactly on the pole
@@ -342,23 +432,12 @@ def test_kernel_drops_samples_on_band_edges(capsys):
 NO_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None          # any scipy import now raises
-from cantarray import cli, galerkin
-from cantarray.beam import beam_modes
-from cantarray.kernel import band_edge_gammas
-from cantarray.model import load_config
+from cantarray import cli
 
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
     if code != 0:
         sys.exit(f"exit {code}: {argv}")
-# the scan skips every alpha at which alpha*l(x) meets a band edge, so the
-# cut-point root and the length slope are reached through assemble itself
-cfg = load_config(sys.argv[2])
-basis = beam_modes(cfg.boundary, 4)
-lengths = cfg.profile.length
-edge = band_edge_gammas(1)[0]
-alpha = 2.0 * edge / (min(lengths) + max(lengths))
-galerkin.assemble(alpha, cfg.geometry, cfg.profile, basis, cfg.galerkin)
 loaded = [m for m, mod in sys.modules.items()
           if m.split(".")[0] == "scipy" and mod is not None]
 sys.exit(f"scipy loaded: {loaded}" if loaded else 0)
@@ -415,7 +494,6 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", NO_SCIPY, json.dumps(runs),
-         str(paths["tabulated"])],
+        [sys.executable, "-W", "ignore", "-c", NO_SCIPY, json.dumps(runs)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

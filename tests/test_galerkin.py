@@ -61,15 +61,28 @@ def test_zero_density_gives_bare_beam_matrix():
     assert np.array_equal(got, np.diag(betas ** 4 - (a * L) ** 4))
 
 
-def test_fully_excluded_profile_gives_bare_beam_matrix():
-    # at a band edge every node of a constant profile sits in a pole window
+@pytest.mark.filterwarnings("ignore:projection quadrature")
+def test_tabulated_assemble_raises_inside_forbidden_interval():
+    # a band edge strictly between alpha*l_min and alpha*l_max: some
+    # cantilever sits on its resonance, and no pole window cuts it out
     basis = beam_modes(BC, 4)
-    tab = TabulatedProfile(x=(0.0, L), length=(CANT,) * 2,
-                           density=(RHO_UNIFORM,) * 2)
-    a = band_edge_gammas(1)[0] / CANT
-    got = gk.assemble(a, GEO, tab, basis)
-    betas = np.array([b.beta for b in basis])
-    assert np.array_equal(got, np.diag(betas ** 4 - (a * L) ** 4))
+    edge = band_edge_gammas(1)[0]
+    graded = TabulatedProfile(x=(0.0, 0.5 * L, L),
+                              length=(0.9 * CANT, 1.1 * CANT, CANT),
+                              density=(RHO_UNIFORM,) * 3)
+    with pytest.raises(PoleProximityError) as exc:
+        gk.assemble(edge / CANT, GEO, graded, basis)
+    assert exc.value.k == 1
+    # a constant profile on the edge meets the kernel pole at every node
+    flat = TabulatedProfile(x=(0.0, L), length=(CANT,) * 2,
+                            density=(RHO_UNIFORM,) * 2)
+    with pytest.raises(PoleProximityError):
+        gk.assemble(edge / CANT, GEO, flat, basis)
+    # the interval's own ends, where solve's segments stop, still assemble
+    (itv,) = gk.forbidden_alpha_intervals(graded, 1.01 * edge / (0.9 * CANT))
+    assert itv.k == 1
+    for a in (itv.lo, itv.hi):
+        assert np.all(np.isfinite(gk.assemble(a, GEO, graded, basis)))
 
 
 def test_discrete_comb_converges_to_continuum():

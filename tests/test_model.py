@@ -157,7 +157,6 @@ def test_load_config_full_roundtrip(tmp_path):
         "nonlinear": {"c_y": 1e-6, "c_eta": 2e-6, "f1": 0.5, "f2": 0.25,
                       "sigma1": {"from": -1.0, "to": 1.0, "points": 5},
                       "sigma2": 0.0},
-        "output": {"format": "json", "path": "out.json"},
     }
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(data))
@@ -167,7 +166,6 @@ def test_load_config_full_roundtrip(tmp_path):
     assert isinstance(cfg.nonlinear.sigma1, SweepRange)
     assert cfg.nonlinear.sigma1.points == 5
     assert cfg.nonlinear.sigma2 == 0.0
-    assert cfg.output.format == "json"
     # round-trip through the canonical dict form parses identically
     again = load_config(config_to_dict(cfg))
     assert again.spectrum == cfg.spectrum
@@ -183,6 +181,8 @@ def test_sweep_range_validation():
 
 
 def test_output_format_validation():
-    with pytest.raises(ConfigError):
-        load_config({"geometry": {"preset": "jap1-calibrated"},
-                     "output": {"format": "parquet"}})
+    # the --format and --output flags choose the output; a config can't
+    for output in ({"format": "parquet"}, {"format": "json"}, {}):
+        with pytest.raises(ConfigError, match="--format and --output"):
+            load_config({"geometry": {"preset": "jap1-calibrated"},
+                         "output": output})

@@ -106,7 +106,6 @@ def test_pchip_equals_scipy(data, t):
     with np.errstate(over="ignore"):   # subnormal secants, in both
         ours, ref = Pchip(x, y), PchipInterpolator(x, y)
     assert _bits(ours(points)) == _bits(ref(points))
-    assert _bits(ours.derivative()(points)) == _bits(ref.derivative()(points))
     # scalar input gives a 0-d result, as SciPy's does
     assert np.shape(ours(points[0])) == ()
     assert _bits(ours(points[0])) == _bits(ref(points[0]))
@@ -114,11 +113,12 @@ def test_pchip_equals_scipy(data, t):
 
 def test_pchip_two_points_is_linear_and_flat_data_stays_flat():
     line = Pchip([0.0, 2.0], [1.0, 5.0])
-    assert float(line(1.0)) == 3.0 and float(line.derivative()(7.0)) == 2.0
+    assert float(line(1.0)) == 3.0 and float(line(7.0)) == 15.0
     flat = Pchip([0.0, 1.0, 3.0], [2.0, 2.0, 2.0])
     assert np.all(flat(np.linspace(-1.0, 4.0, 11)) == 2.0)
-    # a sign-changing secant gives a zero slope at the interior extremum
+    # a sign-changing secant gives a zero slope at the interior extremum,
+    # so the interpolant does not overshoot it
     peak = Pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
-    assert float(peak.derivative()(1.0)) == 0.0
+    assert np.max(peak(np.linspace(0.0, 2.0, 201))) == 1.0
     assert _bits(peak(0.5)) == _bits(PchipInterpolator(
         [0.0, 1.0, 2.0], [0.0, 1.0, 0.0])(0.5))
