@@ -36,7 +36,7 @@ from .model import (AlternatingProfile, BoundaryCondition, ConfigError,
                     DeviceGeometry, DiscreteProfile, GalerkinSettings, Profile,
                     TabulatedProfile, UniformProfile)
 from .numerics import brentq
-from .quadrature import gauss_rule
+from .quadrature import panel_nodes
 
 GAMMA_EXCLUSION = 1e-8   # half-width in gamma of the excluded pole window
 _BRENT_RTOL = 4.0 * np.finfo(float).eps   # the smallest brentq accepts
@@ -151,7 +151,8 @@ def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
 
     Diagonal for x-independent loading; discrete combs contribute exact
     point sums; tabulated profiles are integrated by Gauss quadrature on
-    [0, 1] split into 1, 2, ..., 16 equal sub-panels until two passes agree.
+    their knot panels, each split 1, 2, ..., 16 ways until two passes agree,
+    so every sub-panel holds one cubic piece of the interpolants.
     There are no pole windows: inside a forbidden interval, where a band edge
     lies strictly between alpha*l_min and alpha*l_max, a tabulated profile
     raises PoleProximityError, as any profile does when alpha*l meets an edge.
@@ -207,32 +208,21 @@ def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
             cache["interpolants"] = profile.interpolants()
         length_of, density_of = cache["interpolants"]
 
-        def nodes(splits: int) -> tuple[np.ndarray, ...]:
-            """Weights, l(u), rho(u) and phi(u) at the quadrature nodes, one
-            row per sub-panel; none of them depends on alpha."""
-            nodes_ref, weights_ref = gauss_rule(settings.quadrature_order)
-            rows = []
-            sub = np.linspace(0.0, 1.0, splits + 1)
-            for lo, hi in zip(sub[:-1], sub[1:]):
-                half = 0.5 * (hi - lo)
-                u = 0.5 * (lo + hi) + half * nodes_ref
-                x = u * profile.x[-1]
-                rows.append((half * weights_ref,
-                             np.asarray(length_of(x), dtype=float),
-                             np.asarray(density_of(x), dtype=float),
-                             np.stack([m(u) for m in basis])))
-            return tuple(np.stack(col) for col in zip(*rows))
-
         def entry_sums(splits: int) -> np.ndarray:
-            v = np.zeros((m_count, m_count))
-            if splits not in cache:
-                cache[splits] = nodes(splits)
+            if splits not in cache:   # nodes, weights, l, rho, phi: no alpha
+                knots = np.array(profile.x) / profile.x[-1]
+                knots[0], knots[-1] = 0.0, 1.0
+                t = np.arange(splits) / splits
+                edges = np.append(knots[:-1, None]
+                                  + np.diff(knots)[:, None] * t, 1.0)
+                u, w = panel_nodes(edges, settings.quadrature_order)
+                x = u * profile.x[-1]
+                cache[splits] = (w, length_of(x), density_of(x),
+                                 np.stack([m(u) for m in basis]))
             w, lengths, rho, phi = cache[splits]
             pot = (geometry.cantilever_width / geometry.beam_width) \
                 * rho * alpha ** 3 * shear_kernel(alpha * lengths) * L ** 4
-            for wp, ph in zip(w * pot, phi):   # sub-panel by sub-panel
-                v += np.einsum("j,mj,nj->mn", wp, ph, ph)
-            return v
+            return np.einsum("j,mj,nj->mn", w * pot, phi, phi)
 
         v_prev = entry_sums(1)
         scale = max(np.max(np.abs(v_prev)), np.max(betas ** 4), aL4)

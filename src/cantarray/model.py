@@ -169,6 +169,8 @@ class AlternatingProfile:
             raise ConfigError("profile: widths must be positive")
         if self.count1 < 0 or self.count2 < 0:
             raise ConfigError("profile: counts must be >= 0")
+        if self.count1 == 0 and self.count2 == 0:
+            raise ConfigError("alternating profile has no cantilevers")
 
     @property
     def epsilon(self) -> float:

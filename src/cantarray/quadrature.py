@@ -71,10 +71,8 @@ def _cumulative_on_nodes(f, edges: np.ndarray, order: int) -> tuple[np.ndarray, 
     """
     x, w = gauss_rule(order)
     a = edges[:-1, None]
-    b = edges[1:, None]
-    half = 0.5 * (b - a)
-    nodes = a + half * (x[None, :] + 1.0)          # (P, q)
-    weights = half * w[None, :]                     # (P, q)
+    nodes, weights = (v.reshape(-1, order)          # (P, q)
+                      for v in panel_nodes(edges, order))
     pvals = f(nodes.ravel()).reshape(nodes.shape)
     panel_sums = (weights * pvals).sum(axis=1)
     prefix = np.concatenate(([0.0], np.cumsum(panel_sums)))[:-1]  # (P,)

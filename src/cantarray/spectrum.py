@@ -419,8 +419,6 @@ def _alternating_solves(geometry: DeviceGeometry, profiles,
     scans = []      # per two-family profile: index in out, profile, bands, n, k
     brackets = []   # per two-family profile: lo, hi, f_lo, c1, c2, eps, lb4
     for profile in profiles:
-        if profile.count1 == 0 and profile.count2 == 0:
-            raise ConfigError("alternating profile has no cantilevers")
         c1, c2 = _alternating_coeffs(geometry, profile)  # 0.0 when empty
         eps = profile.epsilon
         # one shared pole set would make the two-family regularized form

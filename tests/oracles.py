@@ -1,5 +1,6 @@
-"""Independent reference values computed with mpmath bisection, and scalar
-reference versions of batched code.
+"""Independent reference values computed with mpmath bisection, scalar
+reference versions of batched code, and a knot-aligned high-order Galerkin
+projection.
 
 Nothing here imports the package under test; the characteristic equations
 are restated from scratch so root comparisons are a genuine cross-check.
@@ -9,6 +10,7 @@ import json
 
 import mpmath as mp
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 
 mp.mp.dps = 40
 
@@ -131,6 +133,40 @@ def scalar_alternating_levels(lam1, betas, c1, c2, eps, bands,
                         hi = mid
                 out.append((n, k, float(0.5 * (lo + hi))))
     return sorted(out)
+
+
+def tabulated_projection(alpha, x, length, density, beam_length, width_ratio,
+                         modes, kernel, order=32, splits=4):
+    """Galerkin matrix D(alpha) of a tabulated profile, restated:
+
+        D_mn = (beta_m^4 - (alpha L)^4) delta_mn
+               - L^4 int_0^1 width_ratio rho(uL) alpha^3 T(alpha l(uL))
+                 phi_m(u) phi_n(u) du,
+
+    with l and rho from SciPy's PCHIP through the samples and the integral
+    by numpy's Gauss-Legendre rule of `order` points on every knot panel
+    split `splits` ways, so each sub-panel holds one cubic piece.  modes
+    are the beam modes (callables on [0, 1] with a `beta`), kernel the
+    shear kernel T(gamma).
+    """
+    x = np.asarray(x, dtype=float)
+    length_of = PchipInterpolator(x, length)
+    density_of = PchipInterpolator(x, density)
+    t, w = np.polynomial.legendre.leggauss(order)
+    u, weights = [], []
+    for lo, hi in zip(x[:-1] / x[-1], x[1:] / x[-1]):
+        for j in range(splits):
+            a = lo + (hi - lo) * j / splits
+            b = lo + (hi - lo) * (j + 1) / splits
+            u.append(0.5 * (a + b) + 0.5 * (b - a) * t)
+            weights.append(0.5 * (b - a) * w)
+    u, weights = np.concatenate(u), np.concatenate(weights)
+    pot = width_ratio * density_of(u * x[-1]) * alpha ** 3 \
+        * kernel(alpha * length_of(u * x[-1])) * beam_length ** 4
+    phi = np.array([m(u) for m in modes])
+    betas = np.array([m.beta for m in modes])
+    return np.diag(betas ** 4 - (alpha * beam_length) ** 4) \
+        - (phi * (weights * pot)) @ phi.T
 
 
 def _fmt(x) -> str:

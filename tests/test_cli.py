@@ -376,6 +376,24 @@ def test_config_output_section_is_exit_2(capsys, tmp_path, output):
     assert "--format" in err and "--output" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["sweep", "--param", "epsilon", "--from", "0.5", "--to", "1.0",
+     "--points", "2"],
+    ["galerkin"],
+    ["galerkin", "--alpha-max", "1e6"]],
+    ids=["spectrum", "sweep-epsilon", "galerkin", "galerkin-alpha-max"])
+def test_alternating_profile_without_cantilevers_is_exit_2(capsys, tmp_path,
+                                                          argv):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"geometry": {"preset": PRESET}, "profile": {
+        "kind": "alternating", "length1": 5e-7, "length2": 4e-7,
+        "width1": 2e-7, "width2": 2e-7, "count1": 0, "count2": 0}}))
+    code, out, err = run(capsys, *argv, "--config", str(p))
+    assert code == 2 and out == ""
+    assert "no cantilevers" in err and "Traceback" not in err
+
+
 _FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -2.5e-310,

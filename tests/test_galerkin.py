@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import tabulated_projection
 
 from cantarray import galerkin as gk
 from cantarray import spectrum as sp
 from cantarray.beam import beam_modes
-from cantarray.kernel import PoleProximityError, band_edge_gammas
+from cantarray.kernel import PoleProximityError, band_edge_gammas, shear_kernel
 from cantarray.model import (AlternatingProfile, BoundaryCondition,
                              ConfigError, DeviceGeometry, DiscreteProfile,
                              GalerkinSettings, TabulatedProfile,
@@ -83,6 +84,47 @@ def test_tabulated_assemble_raises_inside_forbidden_interval():
     assert itv.k == 1
     for a in (itv.lo, itv.hi):
         assert np.all(np.isfinite(gk.assemble(a, GEO, graded, basis)))
+
+
+def _graded(seed):
+    """A 10-40 knot profile of smooth random length and density, drawn as
+    the benchmark's graded workload draws it, and the alpha_max that keeps
+    it below band 1."""
+    rng = np.random.default_rng(seed)
+    knots = int(rng.integers(10, 41))
+    u = np.linspace(0.0, 1.0, knots)
+    m = np.arange(1, 4)[:, None]
+    a = rng.uniform(-1.0, 1.0, 3)
+    a *= rng.uniform(0.08, 0.15) / np.abs(a).sum()
+    b = rng.uniform(-1.0, 1.0, 3)
+    b *= rng.uniform(0.15, 0.3) / np.abs(b).sum()
+    phase_a = rng.uniform(0.0, 2.0 * np.pi, 3)[:, None]
+    phase_b = rng.uniform(0.0, 2.0 * np.pi, 3)[:, None]
+    length = CANT * rng.uniform(0.9, 1.1) * (
+        1.0 + (a[:, None] * np.sin(m * np.pi * u + phase_a)).sum(axis=0))
+    density = RHO_UNIFORM * (
+        1.0 + (b[:, None] * np.cos(m * np.pi * u + phase_b)).sum(axis=0))
+    profile = TabulatedProfile(x=tuple(u * L), length=tuple(length),
+                               density=tuple(density))
+    return profile, 0.8 * band_edge_gammas(1)[0] / length.max()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_tabulated_assemble_matches_knot_aligned_oracle(seed):
+    # PCHIP is one cubic per knot panel, so order-8 Gauss on the knot
+    # panels must reach an order-32 rule on panels split four ways
+    profile, alpha_max = _graded(seed)
+    basis = beam_modes(BC, 8)
+    quad = GalerkinSettings(basis_size=8, quadrature_order=8,
+                            quadrature_rtol=1e-10)
+    cache = {}
+    for alpha in np.linspace(0.1, 1.0, 5) * alpha_max:
+        got = gk.assemble(alpha, GEO, profile, basis, quad, cache)
+        want = tabulated_projection(
+            alpha, profile.x, profile.length, profile.density, L,
+            GEO.cantilever_width / GEO.beam_width, basis, shear_kernel)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_discrete_comb_converges_to_continuum():
