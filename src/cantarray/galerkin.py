@@ -209,7 +209,7 @@ def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
         length_of, density_of = cache["interpolants"]
 
         def entry_sums(splits: int) -> np.ndarray:
-            if splits not in cache:   # nodes, weights, l, rho, phi: no alpha
+            if splits not in cache:   # weight*rho, l, phi at nodes: no alpha
                 knots = np.array(profile.x) / profile.x[-1]
                 knots[0], knots[-1] = 0.0, 1.0
                 t = np.arange(splits) / splits
@@ -217,12 +217,12 @@ def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
                                   + np.diff(knots)[:, None] * t, 1.0)
                 u, w = panel_nodes(edges, settings.quadrature_order)
                 x = u * profile.x[-1]
-                cache[splits] = (w, length_of(x), density_of(x),
+                cache[splits] = (w * density_of(x), length_of(x),
                                  np.stack([m(u) for m in basis]))
-            w, lengths, rho, phi = cache[splits]
-            pot = (geometry.cantilever_width / geometry.beam_width) \
-                * rho * alpha ** 3 * shear_kernel(alpha * lengths) * L ** 4
-            return np.einsum("j,mj,nj->mn", w * pot, phi, phi)
+            w_rho, lengths, phi = cache[splits]
+            wp = w_rho * shear_kernel(alpha * lengths)
+            return (geometry.cantilever_width / geometry.beam_width) \
+                * alpha ** 3 * L ** 4 * ((phi * wp) @ phi.T)
 
         v_prev = entry_sums(1)
         scale = max(np.max(np.abs(v_prev)), np.max(betas ** 4), aL4)

@@ -82,14 +82,15 @@ def check_pole_distance(gamma, where: str = "gamma") -> None:
     finite = arr[np.isfinite(arr) & (arr > 0)]
     if finite.size == 0:
         return
-    k_hi = max(1, int(np.ceil(np.max(finite) / np.pi - 0.5)) + 1)
-    edges = band_edge_gammas(k_hi + 1)
-    dist = np.abs(finite[:, None] - edges[None, :])     # (N, K)
-    hit = np.min(dist, axis=1) < POLE_TOL
+    lo, hi = np.min(finite), np.max(finite)
+    edges = band_edge_gammas(max(1, int(np.ceil(hi / np.pi - 0.5)) + 1) + 1)
+    # rounding is monotone: only edges within POLE_TOL of [lo, hi] can be hit
+    near = edges[(edges - hi < POLE_TOL) & (lo - edges < POLE_TOL)]
+    hit = (np.abs(finite[:, None] - near) < POLE_TOL).any(axis=1)  # (N, few)
     if hit.any():
         i = int(np.argmax(hit))
-        raise PoleProximityError(float(finite[i]), int(np.argmin(dist[i])) + 1,
-                                 where)
+        k = int(np.argmin(np.abs(finite[i] - edges))) + 1
+        raise PoleProximityError(float(finite[i]), k, where)
 
 
 @dataclass(frozen=True)
