@@ -372,46 +372,6 @@ def backbone(j: int, amplitude: float, other_amplitude: float,
     return (center - half, center + half)
 
 
-# ---------------------------------------------------------------------------
-# cubic machinery
-
-_CUBIC_IMAG_TOL = 1e-7
-
-
-def _real_cubic_roots(coeffs, scale: float) -> list[float]:
-    """Real roots of a cubic (or lower degree) with roots of size ~scale.
-
-    The variable is rescaled before the closed-form companion solve so the
-    coefficients stay O(1), then each root gets Newton polish in the scaled
-    variable.  Roots with a relative imaginary part above 1e-7 are dropped.
-    """
-    if scale <= 0.0:
-        scale = 1.0
-    c = np.array([coeffs[0] * scale ** 3, coeffs[1] * scale ** 2,
-                  coeffs[2] * scale, coeffs[3]], dtype=float)
-    top = np.max(np.abs(c))
-    if top == 0.0:
-        return []
-    c /= top
-    roots = np.roots(c)   # trims a vanishing leading coefficient itself
-    out = []
-    dc = np.polyder(c)
-    for r in roots:
-        if abs(r.imag) > _CUBIC_IMAG_TOL * max(abs(r), 1.0):
-            continue
-        y = float(r.real)
-        for _ in range(3):
-            slope = np.polyval(dc, y)
-            if slope == 0.0:
-                break
-            step = np.polyval(c, y) / slope
-            y -= step
-            if abs(step) <= 1e-16 * max(abs(y), 1.0):
-                break
-        out.append(y * scale)
-    return out
-
-
 def steady_residual(z1: float, z2: float, sigma1: float, sigma2: float,
                     params: EffectiveParams) -> float:
     """Largest relative defect of the two steady-state conditions at the
@@ -638,7 +598,9 @@ def shift_of_fundamental(params: EffectiveParams, force1: float | None = None,
     coeffs = (c22 ** 2, 2.0 * c22 * c12 * base,
               (c12 * base) ** 2 + 16.0 * (mu2 * w2) ** 2, -16.0 * f2 ** 2)
     zmax = (f2 / (mu2 * w2)) ** 2
-    roots = _real_cubic_roots(coeffs, zmax)
+    # in units of zmax, so that the coefficients stay O(1)
+    scaled = np.array(coeffs) * zmax ** np.arange(2.0, -2.0, -1.0)
+    roots = (_real_roots(scaled) * zmax).tolist()
     admissible = []
     rejected = []
     for z in roots:

@@ -16,8 +16,8 @@ and nonzero at the band edges with alternating sign, so [edge, edge] is a
 guaranteed single-sign-change bracket for every (n, k).
 
 An interleaved two-family array gives the same structure with both pole sets
-{gamma_k} and {gamma_k / epsilon}; see solve_alternating.  Its brackets come
-from a sign scan of each band instead.
+{gamma_k} and {gamma_k / epsilon}; see solve_alternating.  Its brackets also
+run edge to edge, one per level, except that they step off merged twin poles.
 
 Every solve is one array bisection (_bisect) over all of its brackets: all
 (n, k) of a spectrum, and in sweep_uniform and sweep_alternating all swept
@@ -38,10 +38,9 @@ from .model import (AlternatingProfile, BoundaryCondition, ConfigError,
                     dimensionless)
 
 _BISECT_ITERS = 110
-_SCAN_POINTS = 96
 # Two poles closer than this (relative) merge into one band edge, and the
 # root between them is not reported.  The twin poles gamma_k, gamma_k/eps are
-# |1/eps - 1| gamma_k apart; the scan still resolves the root between them
+# |1/eps - 1| gamma_k apart; bisection still resolves the root between them
 # at 1e-11 relative, so merging below 3e-10 leaves a margin of 30.
 _MERGE_RTOL = 3e-10
 # Least step off a merged pole pair, relative, when its members coincide.
@@ -368,13 +367,14 @@ def alternating_pole_set(profile: AlternatingProfile,
     return [(first, fam) for first, _, fam in _pole_groups(profile, gamma_max)]
 
 
-def _scan_bands(profile: AlternatingProfile, k_max: int) -> np.ndarray:
-    """Rows (scan_lo, scan_hi, band_lower, band_upper) of bands 1..k_max.
+def _band_brackets(profile: AlternatingProfile, k_max: int) -> np.ndarray:
+    """Rows (lo, hi, band_lower, band_upper) of bands 1..k_max.
 
-    Band k lies between merged-pole groups k-1 and k (band 1 from 0).  A
-    merged group zeroes both denominator factors and holds the root between
-    its members, so the scan steps off it by the members' separation (at
-    least _STEP_RTOL relative), from the member on the far side of the band.
+    Band k lies between merged-pole groups k-1 and k (band 1 from 0), and
+    [lo, hi] brackets its one level edge to edge.  A merged group zeroes both
+    denominator factors and holds the root between its members, so the
+    bracket steps off it by the members' separation (at least _STEP_RTOL
+    relative), from the member on the far side of the band.
     """
     gamma_hi = band_edge_gammas(k_max)[-1] + 1.0
     while True:
@@ -382,7 +382,7 @@ def _scan_bands(profile: AlternatingProfile, k_max: int) -> np.ndarray:
         if len(groups) >= k_max:
             break
         gamma_hi *= 1.6
-    rows, below = [], (0.0, 0.0)    # band edge, scan start above it
+    rows, below = [], (0.0, 0.0)    # band edge, bracket start above it
     for first, last, fam in groups[:k_max]:
         step = max(last - first, _STEP_RTOL * last) if fam == 0 else 0.0
         rows.append((below[1], first - step, below[0], first))
@@ -412,12 +412,13 @@ def _single_family(geometry, profile, betas, k_max, c1, c2):
 def _alternating_solves(geometry: DeviceGeometry, profiles,
                         bc: BoundaryCondition, n_max: int,
                         k_max: int) -> list[list[SpectrumLevel]]:
-    """Levels of every profile; the sign-change brackets of all of them are
+    """Levels of every profile; the band brackets of all of them are
     bisected together."""
     betas = beam_roots(bc, n_max)
+    shape = (n_max, k_max)
     out = []
-    scans = []      # per two-family profile: index in out, profile, bands, n, k
-    brackets = []   # per two-family profile: lo, hi, f_lo, c1, c2, eps, lb4
+    solves = []     # per two-family profile: index in out, profile, bands
+    brackets = []   # per two-family profile: the columns unpacked below
     for profile in profiles:
         c1, c2 = _alternating_coeffs(geometry, profile)  # 0.0 when empty
         eps = profile.epsilon
@@ -426,39 +427,42 @@ def _alternating_solves(geometry: DeviceGeometry, profiles,
         if c1 == 0.0 or c2 == 0.0 or abs(eps - 1.0) < 1e-12:
             out.append(_single_family(geometry, profile, betas, k_max, c1, c2))
             continue
-        bands = _scan_bands(profile, k_max)
-        grid = np.linspace(bands[:, 0], bands[:, 1], _SCAN_POINTS, axis=-1)
-        lb4 = (profile.length1 / geometry.beam_length * betas) ** 4
-        vals = _regular_alternating(grid, c1, c2, eps, lb4[:, None, None])
-        sign = np.sign(vals)
-        n_i, k_i, s_i = np.nonzero(sign[..., :-1] * sign[..., 1:] < 0)
-        count = n_i.size
-        brackets.append((grid[k_i, s_i], grid[k_i, s_i + 1], vals[n_i, k_i, s_i],
-                         np.full(count, c1), np.full(count, c2),
-                         np.full(count, eps), lb4[n_i]))
-        scans.append((len(out), profile, bands, n_i, k_i))
+        bands = _band_brackets(profile, k_max)
+        mid = 0.5 * (bands[:, 0] + bands[:, 1])
+        # the secular function rises from -inf in every band, and the
+        # denominators keep one sign inside it
+        f_lo = -_scaled_nd(mid)[1] * _scaled_nd(eps * mid)[1]
+        lb4 = (profile.length1 / geometry.beam_length * betas[:, None]) ** 4
+        brackets.append([np.broadcast_to(a, shape).ravel()
+                         for a in (*bands.T, f_lo, c1, c2, eps, lb4)])
+        solves.append((len(out), profile, bands))
         out.append(None)
-    if not scans:
+    if not solves:
         return out
-    lo, hi, f_lo, c1, c2, eps, lb4 = map(np.concatenate, zip(*brackets))
-    gammas = _bisect(lambda g: _regular_alternating(g, c1, c2, eps, lb4),
-                     lo, hi, f_lo)
-    start = 0
-    for index, profile, bands, n_i, k_i in scans:
-        roots = gammas[start:start + n_i.size]
-        start += n_i.size
-        n_list, k_list = (n_i + 1).tolist(), (k_i + 1).tolist()
-        out[index] = _levels(
-            ((n, k, g, bands[k - 1, 2], bands[k - 1, 3])
-             for n, k, g in zip(n_list, k_list, roots)),
-            geometry.cantilever_wave_scale / profile.length1 ** 2,
-            profile.count1 + profile.count2)
-        per_band = np.bincount(n_i * k_max + k_i, minlength=n_max * k_max)
-        for flat in np.nonzero(per_band > 1)[0].tolist():
-            n, k = divmod(flat, k_max)
+    lo, hi, lower, upper, f_lo, c1, c2, eps, lb4 = map(np.concatenate,
+                                                       zip(*brackets))
+
+    def f(g):
+        return _regular_alternating(g, c1, c2, eps, lb4)
+
+    gammas = _bisect(f, lo, hi, f_lo)
+    # an end stepped off a merged pole group must still have the sign that
+    # the bracket assumes, or the bracket may hold no level at all
+    lo_sign = np.signbit(f_lo)
+    rejected = (((lo != lower) & (np.signbit(f(lo)) != lo_sign))
+                | ((hi != upper) & (np.signbit(f(hi)) == lo_sign)))
+    gammas[rejected] = np.nan
+    counts = rejected.reshape(len(solves), -1).sum(axis=1).tolist()
+    for (index, profile, bands), grid, count in zip(
+            solves, gammas.reshape((len(solves),) + shape), counts):
+        if count:
             warnings.warn(
-                f"band {k + 1}: {per_band[flat]} roots for beam index {n + 1}; "
-                "labeling by position within the band", stacklevel=3)
+                f"epsilon={profile.epsilon!r}: {count} two-family level(s) "
+                "rejected: a bracket end stepped off a merged pole pair has "
+                "the wrong sign", stacklevel=3)
+        scale = geometry.cantilever_wave_scale / profile.length1 ** 2
+        out[index] = _levels(_grid_entries(grid, bands[:, 3]), scale,
+                             profile.count1 + profile.count2)
     return out
 
 
@@ -468,11 +472,14 @@ def solve_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,
     """Levels of the interleaved array; band index counts the merged-pole
     intervals (band 1 is (0, first pole)).
 
-    Each band is scanned at _SCAN_POINTS points for sign changes of the
-    regularized form, and every bracket found is bisected; a band with more
-    than one root warns and labels them by position.  Degenerate layouts
-    (one family empty, or equal lengths) share a single pole set and reduce
-    exactly to the single-family solver instead.
+    Each beam index has exactly one level per band (Wittrick-Williams: the
+    secular function rises from -inf to +inf between consecutive poles), so
+    every (n, k) is one edge-to-edge bracket of the regularized form.  A
+    bracket end stepped off a merged twin-pole group must still show the
+    expected sign; a level whose end fails that check is rejected, counted
+    in one warning and not returned.  Degenerate layouts (one family empty,
+    or equal lengths) share a single pole set and reduce exactly to the
+    single-family solver instead.
     """
     return _alternating_solves(geometry, [profile], bc, n_max, k_max)[0]
 

@@ -299,6 +299,31 @@ def test_twin_poles_give_one_level_per_band(eps):
         assert lv.gamma == pytest.approx(ref.gamma, rel=1e-8)
 
 
+@pytest.mark.parametrize("width_scale, rejected", [(1e-9, 2), (1e-12, 4)])
+def test_twin_pole_band_end_without_sign_change_is_rejected(width_scale,
+                                                            rejected):
+    # with almost no loading, band 3's levels sit within the step off the
+    # merged twin poles gamma_2, gamma_2/eps; the bracket there holds no
+    # sign change and must not yield a level
+    geometry, profile, bc = preset_device("jap1-calibrated")
+    w = width_scale * geometry.cantilever_width
+    alt = AlternatingProfile(length1=profile.length,
+                             length2=(1 - 1e-11) * profile.length,
+                             width1=w, width2=w, count1=1, count2=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        levels = sp.solve_alternating(geometry, alt, bc, 2, 3)
+    assert len(levels) == 6 - rejected
+    assert len(caught) == 1
+    assert f": {rejected} two-family level(s) rejected" in str(caught[0].message)
+    betas = beam_roots(bc, 2)
+    for lv in levels:
+        below, above = (sp.secular_alternating((1 + s * 1e-13) * lv.gamma,
+                                               geometry, alt, betas[lv.n - 1])
+                        for s in (-1, 1))
+        assert below < 0 < above
+
+
 _PARAMS = {"nu": st.floats(0.0, 200.0), "N": st.floats(0.0, 100.0),
            "lambda": st.floats(0.005, 0.3)}
 
@@ -333,8 +358,8 @@ def test_sweep_uniform_equals_per_value_solves(data, parameter, n_max, k_max):
                                                (0.3, True)])
 def test_sweep_alternating_equals_per_value_solves(monkeypatch, merge_rtol,
                                                    warns):
-    # merging poles up to 30% apart puts two roots into some bands, so the
-    # per-value "labeling by position" warnings are compared too
+    # merging poles up to 30% apart steps brackets past their levels, so
+    # the per-value rejection warnings are compared too
     monkeypatch.setattr(sp, "_MERGE_RTOL", merge_rtol)
     _, profile, _ = preset_device("jap1-calibrated")
     geometry, bc, alt = _two_family(profile.length, 0.5, count1=7, count2=13)
@@ -357,7 +382,9 @@ def test_sweep_alternating_equals_per_value_solves(monkeypatch, merge_rtol,
 
 
 @settings(max_examples=25, deadline=None)
-@given(eps=st.floats(0.2, 0.97), count1=st.integers(1, 40),
+@given(eps=st.floats(0.2, 0.97)
+       | st.integers(1, 13).map(lambda j: 1.0 - 10.0 ** -j),
+       count1=st.integers(1, 40),
        count2=st.integers(1, 40), width_ratio=st.floats(0.3, 3.0),
        length_ratio=st.floats(0.5, 2.0), n_max=st.integers(1, 4),
        k_max=st.integers(1, 5))
@@ -367,12 +394,16 @@ def test_alternating_matches_scalar_bisection(eps, count1, count2, width_ratio,
     geometry, bc, alt = _two_family(length_ratio * profile.length, eps,
                                     count1, count2, width_ratio)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         levels = sp.solve_alternating(geometry, alt, bc, n_max, k_max)
     c1, c2 = sp._alternating_coeffs(geometry, alt)
     ref = scalar_alternating_levels(
         alt.length1 / geometry.beam_length, beam_roots(bc, n_max), c1, c2,
-        alt.epsilon, sp._scan_bands(alt, k_max)[:, :2])
-    assert [(lv.n, lv.k) for lv in levels] == [(n, k) for n, k, _ in ref]
+        alt.epsilon, sp._band_brackets(alt, k_max)[:, :2])
+    # one level per (n, k), and the scan finds no other root in any band
+    assert [(lv.n, lv.k) for lv in levels] == [(n, k) for n, k, _ in ref] \
+        == [(n, k) for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
+    # within 1e-12 of equal lengths the solver takes the single-family limit
+    rel = 1e-12 if abs(alt.epsilon - 1.0) < 1e-12 else 1e-15
     for lv, (_, _, g) in zip(levels, ref):
-        assert lv.gamma == pytest.approx(g, rel=1e-15, abs=0.0)
+        assert lv.gamma == pytest.approx(g, rel=rel, abs=0.0)
