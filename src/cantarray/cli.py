@@ -22,7 +22,7 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -91,10 +91,13 @@ def _config_hash(config: Config | None) -> str | None:
 
 
 def _emit(args, table, config, caught, t0, payload=None) -> None:
-    """Write the table (or a ready JSON payload) and its manifest."""
+    """Write the table (or a ready JSON payload) and its manifest; tables
+    are CSV unless --format says otherwise."""
+    fmt = "json" if payload is not None else args.format or "csv"
+
     def write(fh):
         if payload is None:
-            _write_table(fh, table, args.format)
+            _write_table(fh, table, fmt)
         else:
             _write_json(fh, payload)
     rows = len(next(iter(table.values()), ()))
@@ -109,7 +112,7 @@ def _emit(args, table, config, caught, t0, payload=None) -> None:
         "cantarray_version": __version__,
         "subcommand": args.subcommand,
         "config_sha256": _config_hash(config),
-        "format": "json" if payload is not None else args.format,
+        "format": fmt,
         "rows": rows,
         "wall_time_s": round(time.perf_counter() - t0, 3),
         "warnings": warn_strings,
@@ -288,12 +291,6 @@ def _cmd_galerkin(args, caught, t0):
     _emit(args, table, config, caught, t0)
 
 
-def _sigma_values(setting) -> np.ndarray:
-    if isinstance(setting, SweepRange):
-        return setting.values()
-    return np.array([float(setting)])
-
-
 def _cmd_nonlinear(args, caught, t0):
     config = _require_config(args)
     select_modes = _by_profile(config, f"nonlinear {args.what}",
@@ -311,64 +308,40 @@ def _cmd_nonlinear(args, caught, t0):
         if args.format == "csv":
             raise ConfigError("nonlinear coeffs: JSON only, pass "
                               "--format json or drop --format")
-        bb = integrals.beam
+        units = {"mass1": "mass1_kg", "mass2": "mass2_kg",
+                 "drive1": "drive1_N", "drive2": "drive2_N",
+                 "omega1": "omega1_rad_s", "omega2": "omega2_rad_s"}
         payload = {
             "provenance": {
-                "tool_version": __version__,
-                "preset": config.preset_name,
+                "tool_version": __version__, "preset": config.preset_name,
                 "calibrated": bool(config.preset_name),
-                "overlap_quadrature_rtol": overlap_rtol,
-            },
-            "selection": {
-                "beta": selection.beta, "lam": selection.lam,
-                "nu": selection.nu,
-                "gamma1": selection.gamma1, "gamma2": selection.gamma2,
-                "omega1_rad_s": selection.omega1,
-                "omega2_rad_s": selection.omega2,
-            },
-            "beam_integrals": {
-                "stretch_inertia": bb.stretch_inertia,
-                "curvature_quartic": bb.curvature_quartic,
-                "shape_quartic": bb.shape_quartic,
-                "mean_shape": bb.mean_shape,
-            },
+                "overlap_quadrature_rtol": overlap_rtol},
+            "selection": {units.get(name, name): getattr(selection, name)
+                          for name in ("beta", "lam", "nu", "gamma1", "gamma2",
+                                       "omega1", "omega2")},
+            "beam_integrals": asdict(integrals.beam),
             "cantilever_integrals": {
-                "mass_overlap": integrals.mass_overlap.tolist(),
-                "damping_overlap": integrals.damping_overlap.tolist(),
-                "stretch_overlap": integrals.stretch_overlap.tolist(),
-                "curvature_overlap": integrals.curvature_overlap.tolist(),
-            },
-            "effective_params": {
-                "mass1_kg": params.mass1, "mass2_kg": params.mass2,
-                "damping1": params.damping1, "damping2": params.damping2,
-                "self_coupling1": params.self_coupling1,
-                "self_coupling2": params.self_coupling2,
-                "cross_coupling": params.cross_coupling,
-                "drive1_N": params.drive1, "drive2_N": params.drive2,
-                "drive_per_force": params.drive_per_force,
-                "omega1_rad_s": params.omega1, "omega2_rad_s": params.omega2,
-            },
+                name: getattr(integrals, name).tolist()
+                for name in ("mass_overlap", "damping_overlap",
+                             "stretch_overlap", "curvature_overlap")},
+            "effective_params": {units.get(name, name): value
+                                 for name, value in asdict(params).items()},
         }
         _emit(args, {}, config, caught, t0, payload=payload)
         return
 
     # branch concatenates the two per-mode labels, e.g. "+-"; stability is
     # not classified here, so the flag is always "unknown"
-    grid = np.array([(s1, s2) for s1 in _sigma_values(ns.sigma1)
-                     for s2 in _sigma_values(ns.sigma2)])
-    found = [nonlinear.coupled_steady_state(s1, s2, params)
-             for s1, s2 in grid.tolist()]
-    sigma = np.repeat(grid, [len(states) for states in found], axis=0)
-    mode1 = [p1 for states in found for p1, _ in states]
-    mode2 = [p2 for states in found for _, p2 in states]
-    table = {"sigma1": sigma[:, 0], "sigma2": sigma[:, 1],
-             "a1": _column(mode1, "amplitude"),
-             "a2": _column(mode2, "amplitude"),
-             "theta1": _column(mode1, "phase"),
-             "theta2": _column(mode2, "phase"),
-             "branch": np.array([p1.branch + p2.branch
-                                 for p1, p2 in zip(mode1, mode2)], dtype=str),
-             "stable_flag": np.full(len(mode1), "unknown")}
+    axes = [s.values() if isinstance(s, SweepRange) else np.array([float(s)])
+            for s in (ns.sigma1, ns.sigma2)]
+    s1, s2 = (s.ravel() for s in np.meshgrid(*axes, indexing="ij"))
+    states = nonlinear.steady_states(s1, s2, params)
+    point = states["point"]
+    table = {"sigma1": s1[point], "sigma2": s2[point],
+             "a1": np.sqrt(states["z1"]), "a2": np.sqrt(states["z2"]),
+             "theta1": states["phase1"], "theta2": states["phase2"],
+             "branch": np.char.add(states["branch1"], states["branch2"]),
+             "stable_flag": np.full(point.size, "unknown")}
     _emit(args, table, config, caught, t0)
 
 
@@ -394,7 +367,7 @@ def _add_io_flags(p, config_flags=True):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--preset", help="named device preset")
     p.add_argument("--output", help="write table here (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"))
 
 
 def build_parser() -> argparse.ArgumentParser:

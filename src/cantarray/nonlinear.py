@@ -16,8 +16,10 @@ Steady states of the coupled pair come from elimination: mode 1's bracket
 s = D1 fixes both squared amplitudes, so mode 2's condition becomes one
 real polynomial of degree at most nine in s.  Scaling s by mode 1's
 linewidth keeps its coefficients O(1) across the ~40 orders of magnitude
-the physical coefficients span; its real roots come from one companion
-eigensolve and are polished by Newton and checked before they are reported.
+the physical coefficients span.  A grid of detuning pairs is solved in one
+batch: the eliminants of all points form one array, their real roots come
+from one stacked companion eigensolve, and every root is Newton-polished
+(all at once) and checked before it is reported.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beam import BeamMode, beam_modes
-from .kernel import CantileverShape, shear_kernel
+from .kernel import CantileverShape
 from .model import (BoundaryCondition, ConfigError, DeviceGeometry,
                     NonlinearSettings, UniformProfile, dimensionless)
 from .quadrature import adaptive_quad, cumulative_square_quad
@@ -39,9 +41,9 @@ __all__ = [
     "TwoModeSelection", "BeamConstants", "OverlapIntegrals",
     "EffectiveParams", "ResponsePoint", "ShiftRoot", "ResponseField",
     "SteadyStateWarning", "select_modes", "beam_constants",
-    "beam_constants_closed", "overlap_integrals", "carried_shape_mean",
-    "effective_params",
-    "backbone", "peak_amplitude", "coupled_steady_state", "steady_residual",
+    "beam_constants_closed", "overlap_integrals", "effective_params",
+    "backbone", "peak_amplitude", "steady_states", "coupled_steady_state",
+    "steady_residual",
     "shift_of_fundamental", "reconstruct_solution",
 ]
 
@@ -225,16 +227,6 @@ def overlap_integrals(selection: TwoModeSelection,
         stretch_overlap=stretch, curvature_overlap=curv)
 
 
-def carried_shape_mean(selection: TwoModeSelection, i: int) -> float:
-    """Mean of the carried shape, from the shear kernel alone.
-
-    int h_i dv equals T(gamma_i)/gamma_i, so the diagonal damping overlap
-    must equal mass_overlap[i, i] minus this value.  Cross-check only.
-    """
-    g = (selection.gamma1, selection.gamma2)[i]
-    return float(shear_kernel(np.array([g]))[0]) / g
-
-
 # ---------------------------------------------------------------------------
 # effective oscillator parameters
 
@@ -372,10 +364,10 @@ def backbone(j: int, amplitude: float, other_amplitude: float,
     return (center - half, center + half)
 
 
-def steady_residual(z1: float, z2: float, sigma1: float, sigma2: float,
-                    params: EffectiveParams) -> float:
+def steady_residual(z1, z2, sigma1, sigma2, params: EffectiveParams):
     """Largest relative defect of the two steady-state conditions at the
-    squared amplitudes (z1, z2)."""
+    squared amplitudes (z1, z2), elementwise over arrays of them.  The
+    scale is max(|lhs|, F_j^2): |lhs| bounds both of its own terms."""
     worst = 0.0
     for j, zj, zo, sig in ((1, z1, z2, sigma1), (2, z2, z1, sigma2)):
         w, m = params.omega(j), params.mass(j)
@@ -383,9 +375,8 @@ def steady_residual(z1: float, z2: float, sigma1: float, sigma2: float,
         off = 0.25 * (params.self_coupling(j) * zj
                       + params.cross_coupling * zo) - w * sig * m
         lhs = zj * (off ** 2 + (w * mu) ** 2)
-        scale = max(abs(lhs), abs(zj) * off ** 2, abs(zj) * (w * mu) ** 2,
-                    drv ** 2, 1e-300)
-        worst = max(worst, abs(lhs - drv ** 2) / scale)
+        scale = np.maximum(abs(lhs), max(drv ** 2, 1e-300))
+        worst = np.maximum(worst, abs(lhs - drv ** 2) / scale)
     return worst
 
 
@@ -401,38 +392,38 @@ class ResponsePoint:
     branch: str
 
 
-def _newton_polish(z1: float, z2: float, sigma1: float, sigma2: float,
-                   params: EffectiveParams) -> tuple[float, float]:
-    """A few damped Newton steps on the pair of steady-state cubics."""
-    z = np.array([max(z1, 0.0), max(z2, 0.0)])
-    sig = (sigma1, sigma2)
+def _newton_polish(z1, z2, sigma1, sigma2, params: EffectiveParams):
+    """Damped Newton steps on the pair of steady-state cubics, all candidates
+    at once.  Each stops after 12 steps, once both defects are below 1e-15
+    F_j^2, or before a singular, non-finite or negative step."""
+    z = np.maximum(np.stack([z1, z2], axis=1), 0.0)
+    sig = np.stack([sigma1, sigma2], axis=1)
     fscale = np.array([max(params.drive(j) ** 2, 1e-300) for j in (1, 2)])
+    live = np.ones(len(z), dtype=bool)
     for _ in range(12):
-        f = np.empty(2)
-        jac = np.zeros((2, 2))
+        f, diag, cross = np.empty_like(z), np.empty_like(z), np.empty_like(z)
         for i, j in enumerate((1, 2)):
-            w, m = params.omega(j), params.mass(j)
-            mu = params.damping(j)
+            w, m, mu = params.omega(j), params.mass(j), params.damping(j)
             cs, cx = params.self_coupling(j), params.cross_coupling
-            off = 0.25 * (cs * z[i] + cx * z[1 - i]) - w * sig[i] * m
-            f[i] = z[i] * (off ** 2 + (w * mu) ** 2) - params.drive(j) ** 2
-            jac[i, i] = off ** 2 + (w * mu) ** 2 + 0.5 * z[i] * off * cs
-            jac[i, 1 - i] = 0.5 * z[i] * off * cx
-        if np.all(np.abs(f) <= 1e-15 * fscale):
+            off = 0.25 * (cs * z[:, i] + cx * z[:, 1 - i]) - w * sig[:, i] * m
+            f[:, i] = z[:, i] * (off ** 2 + (w * mu) ** 2) - params.drive(j) ** 2
+            diag[:, i] = off ** 2 + (w * mu) ** 2 + 0.5 * z[:, i] * off * cs
+            cross[:, i] = 0.5 * z[:, i] * off * cx     # d f_i / d z_other
+        live &= ~np.all(np.abs(f) <= 1e-15 * fscale, axis=1)
+        if not live.any():
             break
-        try:
-            step = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError:
-            break
-        nxt = z - step
-        if np.any(nxt < 0.0) or not np.all(np.isfinite(nxt)):
-            break
-        z = nxt
-    return float(z[0]), float(z[1])
+        # Cramer's rule on each 2x2 Jacobian; a singular one gives inf/nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = diag[:, 0] * diag[:, 1] - cross[:, 0] * cross[:, 1]
+            nxt = z - (diag[:, ::-1] * f - cross * f[:, ::-1]) / det[:, None]
+        live &= ~np.any(nxt < 0.0, axis=1) & np.all(np.isfinite(nxt), axis=1)
+        z[live] = nxt[live]
+    return z[:, 0], z[:, 1]
 
 
-def _response_curve(j: int, sigma: float, params: EffectiveParams):
-    """(scale, zmax, delta2, p) of mode j along its bracket D_j = scale * t.
+def _response_curve(j: int, sigma: np.ndarray, params: EffectiveParams):
+    """(scale, zmax, delta2, p) of mode j along its bracket D_j = scale * t,
+    one entry (row of p) per detuning in sigma.
 
     z_j = zmax / u with u = t^2 + delta2, and the cubic
     p(t) = (t + w sigma M / scale) u - C_j zmax / (4 scale) equals
@@ -442,112 +433,152 @@ def _response_curve(j: int, sigma: float, params: EffectiveParams):
     w, m = params.omega(j), params.mass(j)
     d, b = w * params.damping(j), w * sigma * m
     c, f = params.self_coupling(j), params.drive(j)
-    scale = d or max(abs(b), abs(0.25 * c * f * f) ** (1.0 / 3.0)) or 1.0
+    scale = np.where(d != 0.0, d, np.maximum(
+        np.abs(b), abs(0.25 * c * f * f) ** (1.0 / 3.0)))
+    scale[scale == 0.0] = 1.0
     delta2, zmax, beta = (d / scale) ** 2, (f / scale) ** 2, b / scale
-    p = np.array([1.0, beta, delta2, beta * delta2 - 0.25 * c * zmax / scale])
+    p = np.stack([np.ones_like(beta), beta, delta2,
+                  beta * delta2 - 0.25 * c * zmax / scale], axis=1)
     return scale, zmax, delta2, p
 
 
-def _real_roots(coeffs) -> np.ndarray:
-    """Real roots by one companion eigensolve; LAPACK gives the real
-    eigenvalues of a real matrix an imaginary part of exactly zero."""
-    roots = np.roots(coeffs / np.max(np.abs(coeffs)))
-    return roots.real[roots.imag == 0.0]
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row products of two stacks of polynomials."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+    for i in range(a.shape[1]):
+        out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
+    return out
 
 
-def _single_mode_states(j: int, sigma: float,
-                        params: EffectiveParams) -> list[float]:
-    """z_j with the other mode not acting on mode j: rest if undriven."""
+def _real_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Real roots of each row of coeffs (highest power first), NaN-padded;
+    per row np.roots of the row over its largest entry, with one stacked
+    companion eigensolve per degree.  LAPACK gives the real eigenvalues of a
+    real matrix an imaginary part of exactly zero."""
+    coeffs = coeffs / np.max(np.abs(coeffs), axis=1, keepdims=True)
+    nonzero, width = coeffs != 0.0, coeffs.shape[1]
+    first = np.argmax(nonzero, axis=1)
+    last = width - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    roots = np.full((len(coeffs), width - 1), np.nan)
+    for lo, hi in set(zip(first.tolist(), last.tolist())):
+        rows, deg = np.flatnonzero((first == lo) & (last == hi)), hi - lo
+        roots[rows, deg:width - 1 - lo] = 0.0
+        companion = np.zeros((rows.size, deg, deg))
+        companion[:, :1] = (-coeffs[rows, None, lo + 1:hi + 1]
+                            / coeffs[rows, None, lo:lo + 1])
+        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        eig = np.linalg.eigvals(companion)
+        roots[rows, :deg] = np.where(eig.imag == 0.0, eig.real, np.nan)
+    return roots
+
+
+def _single_mode_states(j: int, sigma, params: EffectiveParams) -> np.ndarray:
+    """z_j with the other mode not acting on mode j, one row per detuning,
+    NaN-padded; an undriven mode rests."""
     if params.drive(j) == 0.0:
-        return [0.0]
+        return np.zeros((len(sigma), 1))
     _, zmax, delta2, p = _response_curve(j, sigma, params)
     t = _real_roots(p)
-    return (zmax / (t * t + delta2)).tolist()
+    return zmax[:, None] / (t * t + delta2[:, None])
 
 
-def _eliminant_states(lead: int, sigma1: float, sigma2: float,
-                      params: EffectiveParams) -> list[tuple[float, float]]:
-    """(z1, z2) at every real root t of the lead mode's degree-9 eliminant.
+def _eliminant_states(lead: int, sigma1: np.ndarray, sigma2: np.ndarray,
+                      params: EffectiveParams):
+    """(point, z1, z2) at every real root t of the lead mode's degree-9
+    eliminant at each detuning pair (sigma1[point], sigma2[point]).
 
     With u = t^2 + delta2, z_other = 4 scale p / (C12 u) and the other
     bracket is r / u, r = C_o scale p / C12 + C12 zmax / 4 - w_o sigma_o M_o u,
     so its condition reads p (r^2 + (w_o mu_o u)^2) = C12 F_o^2 u^3 / (4 scale).
     """
-    other = 3 - lead
-    sig = (sigma1, sigma2)
+    other, sig = 3 - lead, (sigma1, sigma2)
     scale, zmax, delta2, p = _response_curve(lead, sig[lead - 1], params)
     c12 = params.cross_coupling
     w, m = params.omega(other), params.mass(other)
-    u = np.array([1.0, 0.0, delta2])
-    r = params.self_coupling(other) * scale / c12 * p
-    r[1:] -= w * sig[other - 1] * m * u
-    r[3] += 0.25 * c12 * zmax
-    u2 = np.convolve(u, u)
-    q = np.convolve(r, r)
-    q[2:] += (w * params.damping(other)) ** 2 * u2
-    g = np.convolve(p, q)
-    g[3:] -= 0.25 * c12 * params.drive(other) ** 2 / scale * np.convolve(u, u2)
+    u = np.stack([np.ones_like(delta2), np.zeros_like(delta2), delta2], axis=1)
+    r = (params.self_coupling(other) * scale / c12)[:, None] * p
+    r[:, 1:] -= (w * sig[other - 1] * m)[:, None] * u
+    r[:, 3] += 0.25 * c12 * zmax
+    u2 = _polymul(u, u)
+    q = _polymul(r, r)
+    q[:, 2:] += (w * params.damping(other)) ** 2 * u2
+    g = _polymul(p, q)
+    g[:, 3:] -= ((0.25 * c12 * params.drive(other) ** 2 / scale)[:, None]
+                 * _polymul(u, u2))
     t = _real_roots(g)
-    ut = t * t + delta2
-    z = [zmax / ut, 4.0 * scale * np.polyval(p, t) / (c12 * ut)]
-    return list(zip(*(z if lead == 1 else z[::-1])))
+    point, col = np.nonzero(~np.isnan(t))
+    t, pt = t[point, col], 0.0
+    for coeff in p[point].T:        # Horner, as np.polyval
+        pt = pt * t + coeff
+    ut = t * t + delta2[point]
+    z = [zmax[point] / ut, 4.0 * scale[point] * pt / (c12 * ut)]
+    return (point, *(z if lead == 1 else z[::-1]))
 
 
-def _point(j: int, zj: float, zo: float, sigma: float,
-           params: EffectiveParams) -> ResponsePoint:
-    """Mode j's response: drive phase lag from the two steady conditions,
-    quadrant correct, and the square-root branch of its response curve."""
+def _phase_branch(j: int, zj, zo, sigma, params: EffectiveParams):
+    """Mode j's drive phase lag, quadrant correct from the two steady
+    conditions, and the square-root branch of its response curve."""
     w, m, drv = params.omega(j), params.mass(j), params.drive(j)
-    a = math.sqrt(zj)
-    phase = 0.0
-    if zj > 0.0 and drv != 0.0:
-        cos_part = (0.25 * a * (params.self_coupling(j) * zj
-                                + params.cross_coupling * zo)
-                    - w * sigma * m * a) / drv
-        phase = math.atan2(w * params.damping(j) * a / drv, cos_part)
-    center = (params.self_coupling(j) * zj
-              + params.cross_coupling * zo) / (4.0 * m * w)
-    s = sigma - center
-    tol = 1e-9 * max(abs(sigma), abs(center), params.damping(j) / m, 1e-300)
-    branch = "+" if s > tol else "-" if s < -tol else "0"
-    return ResponsePoint(j, sigma, a, phase, branch)
+    a = np.sqrt(zj)
+    mix = params.self_coupling(j) * zj + params.cross_coupling * zo
+    phase = np.zeros_like(zj)
+    if drv != 0.0:
+        cos_part = (0.25 * a * mix - w * sigma * m * a) / drv
+        phase = np.where(zj > 0.0, np.arctan2(
+            w * params.damping(j) * a / drv, cos_part), 0.0)
+    center = mix / (4.0 * m * w)
+    s, tol = sigma - center, 1e-9 * np.maximum(np.maximum(
+        abs(sigma), abs(center)), max(params.damping(j) / m, 1e-300))
+    return phase, np.where(s > tol, "+", np.where(s < -tol, "-", "0"))
 
 
-def coupled_steady_state(sigma1: float, sigma2: float,
-                         params: EffectiveParams,
-                         ) -> list[tuple[ResponsePoint, ResponsePoint]]:
-    """All steady amplitude pairs at the given detunings, sorted by (z1, z2).
+def steady_states(sigma1, sigma2, params: EffectiveParams
+                  ) -> dict[str, np.ndarray]:
+    """All steady states at the detuning pairs (sigma1[i], sigma2[i]).
 
-    Mode 1's bracket s = D1 fixes z1 = F1^2/(s^2 + (w1 mu1)^2) and z2, so
-    mode 2's condition is a polynomial of degree <= 9 in s / (w1 mu1): up
-    to nine pairs, all from one companion eigensolve, with no seeds,
-    iteration caps or merging.  Mode 2 leads when only mode 1 is undamped;
-    with C12 = 0 or a zero drive each mode solves its own cubic and an
-    undriven mode rests at exactly zero.  Roots are Newton-polished; those
-    failing steady_residual <= 1e-10 (by rounding alone, as every real root
-    is a state) are dropped and counted in one SteadyStateWarning per call.
+    Columns, in this order, one row per state sorted by (point, z1, z2):
+    point (the index i), z1, z2 (squared amplitudes), phase1, phase2 (drive
+    phase lags, rad), branch1, branch2 ('+', '-' or '0').  Mode 2 leads when
+    only mode 1 is undamped; with C12 = 0 or a zero drive each mode solves
+    its own cubic.  Roots failing steady_residual <= 1e-10 after the polish
+    are dropped, with one SteadyStateWarning per point.  Each row depends on
+    its own point alone.
     """
+    sigma1, sigma2 = np.atleast_1d(sigma1, sigma2)
     if (params.cross_coupling == 0.0 or params.drive1 == 0.0
             or params.drive2 == 0.0):
-        candidates = [(z1, z2)
-                      for z1 in _single_mode_states(1, sigma1, params)
-                      for z2 in _single_mode_states(2, sigma2, params)]
+        z1, z2 = np.broadcast_arrays(
+            _single_mode_states(1, sigma1, params)[:, :, None],
+            _single_mode_states(2, sigma2, params)[:, None, :])
+        point, i, k = np.nonzero(~np.isnan(z1) & ~np.isnan(z2))
+        z1, z2 = z1[point, i, k], z2[point, i, k]
     else:
         lead = 2 if params.damping1 == 0.0 and params.damping2 != 0.0 else 1
-        candidates = _eliminant_states(lead, sigma1, sigma2, params)
+        point, z1, z2 = _eliminant_states(lead, sigma1, sigma2, params)
+    s1, s2 = sigma1[point], sigma2[point]
+    z1, z2 = _newton_polish(z1, z2, s1, s2, params)
+    keep = steady_residual(z1, z2, s1, s2, params) <= 1e-10
+    total = np.bincount(point, minlength=sigma1.size)
+    lost = total - np.bincount(point[keep], minlength=sigma1.size)
+    for i in np.flatnonzero(lost):
+        warnings.warn(f"{lost[i]} of {total[i]} real root(s) at sigma = ("
+                      f"{sigma1[i]:.6g}, {sigma2[i]:.6g}) failed the steady-"
+                      "state check; dropped", SteadyStateWarning, stacklevel=2)
+    order = np.flatnonzero(keep)[np.lexsort((z2[keep], z1[keep], point[keep]))]
+    point, z1, z2, s1, s2 = (x[order] for x in (point, z1, z2, s1, s2))
+    phase1, branch1 = _phase_branch(1, z1, z2, s1, params)
+    phase2, branch2 = _phase_branch(2, z2, z1, s2, params)
+    return {"point": point, "z1": z1, "z2": z2, "phase1": phase1,
+            "phase2": phase2, "branch1": branch1, "branch2": branch2}
 
-    found = []
-    for z1, z2 in candidates:
-        z1, z2 = _newton_polish(z1, z2, sigma1, sigma2, params)
-        if steady_residual(z1, z2, sigma1, sigma2, params) <= 1e-10:
-            found.append((z1, z2))
-    if len(found) < len(candidates):
-        warnings.warn(f"{len(candidates) - len(found)} of {len(candidates)} "
-                      f"real root(s) at sigma = ({sigma1:.6g}, {sigma2:.6g}) "
-                      "failed the steady-state check; dropped",
-                      SteadyStateWarning, stacklevel=2)
-    return [(_point(1, z1, z2, sigma1, params),
-             _point(2, z2, z1, sigma2, params)) for z1, z2 in sorted(found)]
+
+def coupled_steady_state(sigma1: float, sigma2: float, params: EffectiveParams
+                         ) -> list[tuple[ResponsePoint, ResponsePoint]]:
+    """steady_states at one detuning pair, one ResponsePoint per mode."""
+    columns = steady_states(sigma1, sigma2, params).values()
+    return [(ResponsePoint(1, sigma1, math.sqrt(z1), th1, b1),
+             ResponsePoint(2, sigma2, math.sqrt(z2), th2, b2)) for
+            _, z1, z2, th1, th2, b1, b2 in zip(*(c.tolist() for c in columns))]
 
 
 # ---------------------------------------------------------------------------
@@ -600,16 +631,11 @@ def shift_of_fundamental(params: EffectiveParams, force1: float | None = None,
     zmax = (f2 / (mu2 * w2)) ** 2
     # in units of zmax, so that the coefficients stay O(1)
     scaled = np.array(coeffs) * zmax ** np.arange(2.0, -2.0, -1.0)
-    roots = (_real_roots(scaled) * zmax).tolist()
-    admissible = []
-    rejected = []
-    for z in roots:
-        if -1e-9 * zmax <= z <= zmax * (1.0 + 1e-9):
-            admissible.append(min(max(z, 0.0), zmax))
-        else:
-            rejected.append(z)
-    if not admissible:
-        near = min(rejected, key=lambda z: abs(z - zmax), default=None)
+    roots = _real_roots(scaled[None])[0] * zmax
+    roots = roots[~np.isnan(roots)]
+    admissible = (-1e-9 * zmax <= roots) & (roots <= zmax * (1.0 + 1e-9))
+    if not admissible.any():
+        near = roots[np.argmin(abs(roots - zmax))] if roots.size else None
         detail = (f"nearest real root {near:.6e} vs admissible max {zmax:.6e}"
                   if near is not None else "no real roots at all")
         warnings.warn("no admissible flexing-mode amplitude: " + detail,
@@ -617,7 +643,7 @@ def shift_of_fundamental(params: EffectiveParams, force1: float | None = None,
         return []
 
     out = []
-    for z in sorted(set(admissible)):
+    for z in np.unique(np.clip(roots[admissible], 0.0, zmax)).tolist():
         bracket = (c22 * z + c12 * base) / (4.0 * m2 * w2)
         tol = 1e-9 * max(abs(bracket), mu2 / m2)
         branch = "0" if abs(bracket) <= tol else ("+" if bracket < 0.0 else "-")

@@ -225,9 +225,19 @@ def test_galerkin_table(capsys):
 
 
 def test_nonlinear_coeffs_rejects_csv(capsys):
-    code, _, err = run(capsys, "nonlinear", "coeffs", "--preset", PRESET)
+    code, _, err = run(capsys, "nonlinear", "coeffs", "--preset", PRESET,
+                       "--format", "csv")
     assert code == 2
     assert "JSON only" in err
+
+
+def test_nonlinear_coeffs_defaults_to_json(capsys):
+    code, out, err = run(capsys, "nonlinear", "coeffs", "--preset", PRESET)
+    assert code == 0
+    assert set(json.loads(out)) == {"provenance", "selection",
+                                    "beam_integrals", "cantilever_integrals",
+                                    "effective_params"}
+    assert stdout_manifest(err)["format"] == "json"
 
 
 def test_nonlinear_coeffs_payload(capsys):

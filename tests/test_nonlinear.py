@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cantarray import nonlinear as nl
 from cantarray.beam import BeamMode, beam_roots
+from cantarray.kernel import shear_kernel
 from cantarray.model import (BoundaryCondition, ConfigError,
                              NonlinearSettings, preset_device)
 from oracles import steady_state_count
@@ -115,9 +116,11 @@ def test_overlap_goldens_and_orderings(sel, ints):
 
 
 def test_damping_overlap_identity(sel, ints):
-    # diagonal damping overlap equals mass overlap minus the carried mean
-    for i in range(2):
-        ident = ints.mass_overlap[i, i] - nl.carried_shape_mean(sel, i)
+    # diagonal damping overlap equals mass overlap minus the carried mean,
+    # int h_i dv = T(gamma_i) / gamma_i from the shear kernel alone
+    for i, g in enumerate((sel.gamma1, sel.gamma2)):
+        mean = float(shear_kernel(np.array([g]))[0]) / g
+        ident = ints.mass_overlap[i, i] - mean
         got = ints.damping_overlap[i, i]
         assert abs(got - ident) <= max(1e-10 * abs(ident), 1e-12)
 
@@ -230,12 +233,13 @@ def test_fold_grid_matches_oracle(sel, ints):
 
 def test_eliminant_roots_are_states_before_polish(sel, ints):
     par = params_for(sel, ints, 3.7e-6, 3.5e-5)
-    for sig1, sig2 in ((-1400.0, -2000.0), (-600.0, 7000.0), (300.0, 0.0)):
-        for lead in (1, 2):
-            states = nl._eliminant_states(lead, sig1, sig2, par)
-            assert states
-            for z1, z2 in states:
-                assert nl.steady_residual(z1, z2, sig1, sig2, par) < 1e-9
+    sig1 = np.array([-1400.0, -600.0, 300.0])
+    sig2 = np.array([-2000.0, 7000.0, 0.0])
+    for lead in (1, 2):
+        point, z1, z2 = nl._eliminant_states(lead, sig1, sig2, par)
+        assert set(point.tolist()) == {0, 1, 2}
+        res = nl.steady_residual(z1, z2, sig1[point], sig2[point], par)
+        assert np.all(res < 1e-9)
 
 
 # steady states at (sigma1, sigma2) = (-1400, -2000) of the bench response
@@ -263,7 +267,19 @@ DEGENERATE = {
         (1.5714499883923424e-08, 5.866883769426962e-11),
         (1.8061970102909448e-08, 5.866883769426962e-11)]),
     "both drives": ({"drive1": 0.0, "drive2": 0.0}, [(0.0, 0.0)]),
+    "self_coupling1": ({"self_coupling1": 0.0}, [
+        (4.135190461583195e-09, 5.036374558674938e-11)]),
+    # the eliminant's two leading coefficients vanish on the whole grid
+    "self_coupling2": ({"self_coupling2": 0.0}, [
+        (4.335991722741621e-09, 6.143303626838769e-11),
+        (1.5739051873932857e-08, 1.3165456630536585e-11),
+        (1.8069521727530308e-08, 1.0329505888460896e-11)]),
 }
+
+
+def columns_equal(got, want):
+    """Bitwise equality of two sets of steady_states columns."""
+    return all(got[k].tobytes() == want[k].tobytes() for k in want)
 
 
 @pytest.mark.parametrize("case", sorted(DEGENERATE))
@@ -279,6 +295,53 @@ def test_degenerate_limits(sel, ints, case):
                 assert got == 0.0
             else:
                 assert got == pytest.approx(want, rel=1e-12)
+    # the same point inside a grid, next to points of other root counts
+    sig1 = np.array([-2600.0, -1400.0, 0.0, -1400.0, 700.0])
+    sig2 = np.array([-1500.0, -2000.0, 0.0, 10000.0, -2000.0])
+    grid = nl.steady_states(sig1, sig2, par)
+    amps = np.sqrt([grid["z1"][grid["point"] == 1],
+                    grid["z2"][grid["point"] == 1]]).T
+    assert amps.tolist() == [[p1.amplitude, p2.amplitude] for p1, p2 in pairs]
+    for i in range(sig1.size):
+        rows = grid["point"] == i
+        one = nl.steady_states(sig1[i], sig2[i], par)
+        assert columns_equal({k: c[rows] for k, c in grid.items()
+                              if k != "point"},
+                             {k: c for k, c in one.items() if k != "point"})
+
+
+def test_real_roots_match_np_roots_row_by_row():
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(40, 10)) * 10.0 ** rng.integers(-30, 30, (40, 1))
+    rows[5:10, :2] = 0.0        # lower degree
+    rows[10:15, -3:] = 0.0      # exact zero roots
+    rows[15:20, :4] = 0.0
+    rows[15:20, -1] = 0.0
+    rows[20, :-1] = 0.0         # a constant: no roots
+    rows[21, :-2] = 0.0         # c t: one exact zero root
+    rows[21, -1] = 0.0
+    roots = nl._real_roots(rows)
+    for row, got in zip(rows, roots):
+        want = np.roots(row / np.max(np.abs(row)))
+        want = np.sort(want.real[want.imag == 0.0])
+        assert np.sort(got[~np.isnan(got)]).tobytes() == want.tobytes()
+
+
+def test_singular_newton_step_stops_that_candidate_only(sel, ints):
+    # undamped and undriven at zero detuning: the Jacobian at z = 0 is zero
+    par = dataclasses.replace(params_for(sel, ints, 3.7e-6, 3.5e-5),
+                              damping1=0.0, damping2=0.0)
+    point, z1, z2 = nl._eliminant_states(1, np.array([-1400.0]),
+                                         np.array([-2000.0]), par)
+    zero = np.zeros(1)
+    sig1 = np.concatenate([zero, np.full(z1.size, -1400.0)])
+    sig2 = np.concatenate([zero, np.full(z1.size, -2000.0)])
+    p1, p2 = nl._newton_polish(np.concatenate([zero, z1]),
+                               np.concatenate([zero, z2]), sig1, sig2, par)
+    assert (p1[0], p2[0]) == (0.0, 0.0)
+    alone = nl._newton_polish(z1, z2, sig1[1:], sig2[1:], par)
+    assert p1[1:].tobytes() == alone[0].tobytes()
+    assert p2[1:].tobytes() == alone[1].tobytes()
 
 
 def test_failed_roots_are_dropped_loudly(sel, ints, monkeypatch):
@@ -287,6 +350,55 @@ def test_failed_roots_are_dropped_loudly(sel, ints, monkeypatch):
                         lambda z1, z2, *rest: (1.01 * z1, z2))
     with pytest.warns(nl.SteadyStateWarning, match="3 of 3 .* dropped"):
         assert nl.coupled_steady_state(-1400.0, -2000.0, par) == []
+
+
+def test_polish_failure_warns_for_its_own_point(sel, ints, monkeypatch):
+    par = params_for(sel, ints, 3.7e-6, 3.5e-5)
+    sig1 = np.array([-1500.0, -1400.0, -1300.0])
+    sig2 = np.full(3, -2000.0)
+    clean = nl.steady_states(sig1, sig2, par)
+    polish = nl._newton_polish
+
+    def broken(z1, z2, s1, s2, params):
+        z1, z2 = polish(z1, z2, s1, s2, params)
+        return np.where(s1 == -1400.0, 1.01 * z1, z1), z2
+
+    monkeypatch.setattr(nl, "_newton_polish", broken)
+    with pytest.warns(nl.SteadyStateWarning) as caught:
+        got = nl.steady_states(sig1, sig2, par)
+    assert [str(w.message) for w in caught] == [
+        "3 of 3 real root(s) at sigma = (-1400, -2000) failed the "
+        "steady-state check; dropped"]
+    assert columns_equal(got, {k: c[clean["point"] != 1]
+                               for k, c in clean.items()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(f1=st.floats(3.7e-6 * 0.97, 3.7e-6 * 1.03),
+       f2=st.floats(3.5e-5 * 0.95, 3.5e-5 * 1.05),
+       grid=st.lists(st.tuples(st.floats(-2600.0, 700.0),
+                               st.floats(-4400.0, 10000.0)),
+                     min_size=2, max_size=12),
+       data=st.data())
+def test_grid_rows_match_one_point_calls(sel, ints, f1, f2, grid, data):
+    # bench-range detunings, the fold window included: a point's states
+    # must not depend on the other points of its grid
+    par = params_for(sel, ints, f1, f2)
+    sig1, sig2 = np.array(grid).T
+    states = nl.steady_states(sig1, sig2, par)
+    for i in range(sig1.size):
+        rows = states["point"] == i
+        one = nl.steady_states(sig1[i], sig2[i], par)
+        assert np.all(one["point"] == 0)
+        assert columns_equal({k: c[rows] for k, c in states.items()
+                              if k != "point"},
+                             {k: c for k, c in one.items() if k != "point"})
+    for i in data.draw(st.sets(st.integers(0, sig1.size - 1), max_size=3)):
+        rows = states["point"] == i
+        assert rows.sum() == steady_state_count(sig1[i], sig2[i], par)
+        assert np.all(nl.steady_residual(states["z1"][rows],
+                                         states["z2"][rows],
+                                         sig1[i], sig2[i], par) <= 1e-10)
 
 
 def test_shift_monotone_in_second_drive(sel, ints):
