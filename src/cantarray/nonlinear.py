@@ -626,8 +626,9 @@ def shift_of_fundamental(params: EffectiveParams, force1: float | None = None,
     if f2 == 0.0:
         return [ShiftRoot(amplitude2=0.0, sigma1=sigma_at(0.0), branch="0")]
 
-    coeffs = (c22 ** 2, 2.0 * c22 * c12 * base,
-              (c12 * base) ** 2 + 16.0 * (mu2 * w2) ** 2, -16.0 * f2 ** 2)
+    k2 = 16.0 * (mu2 * w2) ** 2
+    coeffs = (c22 ** 2, 2.0 * c22 * c12 * base, (c12 * base) ** 2 + k2,
+              -16.0 * f2 ** 2)
     zmax = (f2 / (mu2 * w2)) ** 2
     # in units of zmax, so that the coefficients stay O(1)
     scaled = np.array(coeffs) * zmax ** np.arange(2.0, -2.0, -1.0)
@@ -642,8 +643,21 @@ def shift_of_fundamental(params: EffectiveParams, force1: float | None = None,
                       SteadyStateWarning, stacklevel=2)
         return []
 
+    # Far above the fold force the cubic's small root lies below the
+    # companion solve's rounding of the other two; polish each root by the
+    # fixed point z = 16 f2^2 / ((c22 z + c12 base)^2 + k2) wherever that
+    # map contracts (by at least half) at the iterate.
+    z = np.clip(roots[admissible], 0.0, zmax)
+    for _ in range(50):
+        s = c22 * z + c12 * base
+        den = s * s + k2
+        step = np.where(4.0 * abs(c22 * s) * z < den, 16.0 * f2 ** 2 / den, z)
+        if np.array_equal(step, z):
+            break
+        z = step
+
     out = []
-    for z in np.unique(np.clip(roots[admissible], 0.0, zmax)).tolist():
+    for z in np.unique(z).tolist():
         bracket = (c22 * z + c12 * base) / (4.0 * m2 * w2)
         tol = 1e-9 * max(abs(bracket), mu2 / m2)
         branch = "0" if abs(bracket) <= tol else ("+" if bracket < 0.0 else "-")

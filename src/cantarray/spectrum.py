@@ -21,8 +21,11 @@ run edge to edge, one per level, except that they step off merged twin poles.
 
 Every solve is one array bisection (_bisect) over all of its brackets: all
 (n, k) of a spectrum, and in sweep_uniform and sweep_alternating all swept
-values at once.  Each bracket takes the same steps as it would alone, so a
-sweep gives bit for bit the levels of the per-value solves.
+values at once.  It halves every bracket until none moves, with
+_BISECT_ITERS as the cap.  The sign of f at lo is fixed per bracket, so only
+(lo, hi) is state, and a settled bracket stays settled.  Each bracket takes
+the same steps as it would alone, so a sweep gives bit for bit the levels of
+the per-value solves.
 """
 from __future__ import annotations
 
@@ -126,19 +129,32 @@ def band_edges(k_max: int, geometry: DeviceGeometry | None = None,
 
 
 def _bisect(f, lo, hi, f_lo):
-    """Halve every bracket [lo, hi] _BISECT_ITERS times, all at once.
+    """Halve every bracket [lo, hi], all at once, until none moves.
 
     f maps an array of the brackets' shape to values; f_lo carries the sign
     of f at lo (only its sign bit is read).  Returns the bracket midpoints.
+    A bracket moves lo only where f(mid) has the sign bit of f_lo, so that
+    sign never changes and (lo, hi) is the whole state: once a step leaves
+    every bit of it as it was, later steps would too, and the result equals
+    that of all _BISECT_ITERS steps, which remain the cap.
     """
+    neg = np.signbit(f_lo)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        take = np.signbit(f_mid) == np.signbit(f_lo)
-        lo = np.where(take, mid, lo)
-        f_lo = np.where(take, f_mid, f_lo)
-        hi = np.where(take, hi, mid)
+        take = np.signbit(f(mid)) == neg
+        new_lo = np.where(take, mid, lo)
+        new_hi = np.where(take, hi, mid)
+        if _same_bits(new_lo, lo) and _same_bits(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
+
+
+def _same_bits(a, b) -> bool:
+    """Whether float arrays a and b hold the same bits (so -0.0 differs from
+    0.0 and a NaN may equal itself)."""
+    return np.array_equal(np.asarray(a).view(np.int64),
+                          np.asarray(b).view(np.int64))
 
 
 def _levels(entries, scale: float, valid_n: int) -> list[SpectrumLevel]:

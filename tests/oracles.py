@@ -135,6 +135,20 @@ def scalar_alternating_levels(lam1, betas, c1, c2, eps, bands,
     return sorted(out)
 
 
+def _bisect_fixed(f, lo, hi, f_lo, iters=110):
+    """Array bisection that always takes `iters` halvings: the reference for
+    a bisection that stops once no bracket moves.  f_lo gives the sign of f
+    at lo (sign bit) and follows f(mid) whenever lo moves."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        take = np.signbit(f_mid) == np.signbit(f_lo)
+        lo = np.where(take, mid, lo)
+        f_lo = np.where(take, f_mid, f_lo)
+        hi = np.where(take, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def tabulated_projection(alpha, x, length, density, beam_length, width_ratio,
                          modes, kernel, order=32, splits=4):
     """Galerkin matrix D(alpha) of a tabulated profile, restated:

@@ -438,6 +438,22 @@ def test_shift_roots_back_substitute(sel, ints):
             assert res < 1e-10
 
 
+@pytest.mark.parametrize("f1, f2, z2", [
+    (924.0, 10.0, 1.4190557534692014e-42),
+    (924.0, 5e4, 3.547639383673003e-35),
+    (1e4, 10.0, 1.0343972177208544e-46)])
+def test_shift_keeps_small_root_far_above_fold(sel, ints, f1, f2, z2):
+    # forces in units of the fold force at damping 1e-6, applied at damping
+    # 1e-8; z2 is the one real root of the cubic, from mpmath.polyroots at
+    # 60 digits; a companion solve alone returned 0.0 for the first and last
+    ffold = fold_force(params_for(sel, ints, 1.0, 0.0))
+    par = params_for(sel, ints, ffold, 0.0, damping=1e-8)
+    roots = nl.shift_of_fundamental(par, force1=f1 * ffold,
+                                    force2=f2 * ffold)
+    assert len(roots) == 1
+    assert roots[0].amplitude2 ** 2 == pytest.approx(z2, rel=1e-12, abs=0.0)
+
+
 def test_shift_requires_damping(sel, ints):
     undamped = params_for(sel, ints, 1.0, 1.0, damping=0.0)
     with pytest.raises(ConfigError):

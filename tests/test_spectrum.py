@@ -12,7 +12,7 @@ from cantarray.kernel import band_edge_gammas
 from cantarray.model import (AlternatingProfile, BoundaryCondition,
                              ConfigError, DimensionlessParams, UniformProfile,
                              dimensionless, preset_device)
-from oracles import scalar_alternating_levels
+from oracles import _bisect_fixed, scalar_alternating_levels
 
 CC = BoundaryCondition.CLAMPED_CLAMPED
 
@@ -407,3 +407,69 @@ def test_alternating_matches_scalar_bisection(eps, count1, count2, width_ratio,
     rel = 1e-12 if abs(alt.epsilon - 1.0) < 1e-12 else 1e-15
     for lv, (_, _, g) in zip(levels, ref):
         assert lv.gamma == pytest.approx(g, rel=rel, abs=0.0)
+
+
+@st.composite
+def _brackets(draw):
+    """(lo, hi) arrays: band-edge brackets, random ones, empty ones, lo == hi
+    and adjacent floats."""
+    size = draw(st.integers(0, 10))
+    edges = np.concatenate(([0.0], band_edge_gammas(12)))
+    lo, hi = [], []
+    for _ in range(size):
+        kind = draw(st.sampled_from(["band", "random", "equal", "adjacent"]))
+        if kind == "band":
+            k = draw(st.integers(0, 11))
+            a, b = edges[k], edges[k + 1]
+        else:
+            a = draw(st.floats(0.0, 40.0))
+            b = {"random": draw(st.floats(0.0, 40.0)), "equal": a,
+                 "adjacent": np.nextafter(a, np.inf)}[kind]
+        lo.append(a)
+        hi.append(b)
+    return np.array(lo, dtype=float), np.array(hi, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(brackets=_brackets(), data=st.data(), form=st.sampled_from(
+    ["uniform", "two-family"]))
+def test_bisect_stops_with_the_bits_of_all_halvings(brackets, data, form):
+    # the early stop must return, for any f and sign seed, exactly what all
+    # _BISECT_ITERS halvings return
+    lo, hi = brackets
+    f_lo = np.array(data.draw(st.lists(
+        st.sampled_from([-1.0, -0.0, 0.0, 1.0]) | st.floats(-1e3, 1e3),
+        min_size=lo.size, max_size=lo.size)), dtype=float)
+    lambeta4 = data.draw(st.floats(0.0, 1e4))
+    if form == "uniform":
+        nulam = data.draw(st.floats(1e-3, 10.0))
+
+        def f(g):
+            return sp._regular_secular(g, nulam, lambeta4)
+    else:
+        c1, c2 = (data.draw(st.floats(1e-3, 10.0)) for _ in range(2))
+        eps = data.draw(st.floats(0.2, 1.0))
+
+        def f(g):
+            return sp._regular_alternating(g, c1, c2, eps, lambeta4)
+    got = sp._bisect(f, lo, hi, f_lo)
+    want = _bisect_fixed(f, lo, hi, f_lo, sp._BISECT_ITERS)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_nu_sweep_bisection_stops_early(monkeypatch):
+    # every bracket of the preset's nu sweep settles by the 57th halving;
+    # a bisection that always ran _BISECT_ITERS (110) of them would not
+    regular, calls = sp._regular_secular, []
+
+    def counted(gamma, nulam, lambeta4):
+        calls.append(gamma.shape)
+        return regular(gamma, nulam, lambeta4)
+
+    monkeypatch.setattr(sp, "_regular_secular", counted)
+    geometry, profile, bc = preset_device("jap1-calibrated")
+    swept = list(sp.sweep_uniform(geometry, profile, bc, "nu",
+                                  np.linspace(0.0, 90.0, 50), 8, 8))
+    assert len(swept) == 50
+    assert calls and all(shape == (49, 8, 8) for shape in calls)
+    assert len(calls) <= 64
