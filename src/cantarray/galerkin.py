@@ -18,9 +18,12 @@ inertia (negative-eigenvalue count) of the symmetric matrix rises by one at
 each root (Wittrick & Williams, Q. J. Mech. Appl. Math. 24, 1971), so the
 counts at the segment ends give the number of levels between them.  Inertia
 bisection splits each segment until every bracket holds one crossing, and
-Brent's method refines it on the eigenvalue that crosses zero.  Determinant
-magnitudes are never compared across alpha, so basis sizes beyond det
-overflow are fine.
+Brent's method refines it on the eigenvalue that crosses zero.  The counts
+make every bracket independent, so all brackets of all segments advance in
+lockstep rounds: each round assembles D at every pending abscissa (bisection
+midpoints and Brent iterates) in one batched `assemble` and takes their
+eigenvalues in one stacked eigvalsh.  Determinant magnitudes are never
+compared across alpha, so basis sizes beyond det overflow are fine.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from .kernel import PoleProximityError, band_edge_gammas, shear_kernel
 from .model import (AlternatingProfile, BoundaryCondition, ConfigError,
                     DeviceGeometry, DiscreteProfile, GalerkinSettings, Profile,
                     TabulatedProfile, UniformProfile)
-from .numerics import brentq
+from .numerics import brent
 from .quadrature import panel_nodes
 
 GAMMA_EXCLUSION = 1e-8   # half-width in gamma of the excluded pole window
@@ -125,37 +128,42 @@ def forbidden_alpha_intervals(profile: Profile,
     return merged
 
 
-def _constant_potential_diag(alpha: float, geometry: DeviceGeometry,
-                             profile: Profile) -> float | None:
-    """L^4 V for x-independent loading, or None if the profile varies in x."""
-    aL3 = (alpha * geometry.beam_length) ** 3
+def _constant_potential_diag(alphas: np.ndarray, geometry: DeviceGeometry,
+                             profile: Profile) -> np.ndarray | None:
+    """L^4 V at each alpha for x-independent loading, or None if the profile
+    varies in x."""
+    if not isinstance(profile, (UniformProfile, AlternatingProfile)):
+        return None
+    aL3 = np.array([(a * geometry.beam_length) ** 3 for a in alphas.tolist()])
     if isinstance(profile, UniformProfile):
         nu = 2.0 * geometry.count_per_side * geometry.cantilever_width \
             / geometry.beam_width
-        return nu * aL3 * float(shear_kernel(alpha * profile.length))
-    if isinstance(profile, AlternatingProfile):
-        v = 0.0
-        for ln, w, cnt in ((profile.length1, profile.width1, profile.count1),
-                           (profile.length2, profile.width2, profile.count2)):
-            if cnt > 0:
-                v += (w / geometry.beam_width) * 2.0 * cnt * aL3 \
-                    * float(shear_kernel(alpha * ln))
-        return v
-    return None
+        return nu * aL3 * shear_kernel(alphas * profile.length)
+    v = np.zeros(alphas.size)
+    for ln, w, cnt in ((profile.length1, profile.width1, profile.count1),
+                       (profile.length2, profile.width2, profile.count2)):
+        if cnt > 0:
+            v = v + (w / geometry.beam_width) * 2.0 * cnt * aL3 \
+                * shear_kernel(alphas * ln)
+    return v
 
 
-def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
+def assemble(alpha, geometry: DeviceGeometry, profile: Profile,
              basis: list[BeamMode], settings: GalerkinSettings | None = None,
              cache: dict | None = None) -> np.ndarray:
-    """Symmetric Galerkin matrix D(alpha) in the beam eigenbasis.
+    """Symmetric Galerkin matrix D(alpha) in the beam eigenbasis: (M, M) for
+    a scalar alpha, (A, M, M) for a 1-D array of A alphas, each slice equal
+    bit for bit to the scalar call.
 
     Diagonal for x-independent loading; discrete combs contribute exact
     point sums; tabulated profiles are integrated by Gauss quadrature on
     their knot panels, each split 1, 2, ..., 16 ways until two passes agree,
-    so every sub-panel holds one cubic piece of the interpolants.
+    so every sub-panel holds one cubic piece of the interpolants.  Each alpha
+    refines until it converges, and each one that does not warns once.
     There are no pole windows: inside a forbidden interval, where a band edge
     lies strictly between alpha*l_min and alpha*l_max, a tabulated profile
-    raises PoleProximityError, as any profile does when alpha*l meets an edge.
+    raises PoleProximityError, as any profile does when alpha*l meets an edge;
+    the error names the first offending alpha in input order.
 
     cache holds the alpha-independent parts (basis values at the teeth or
     quadrature nodes, profile values at the nodes and the profile
@@ -164,51 +172,65 @@ def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
     """
     settings = settings or GalerkinSettings()
     cache = {} if cache is None else cache
+    scalar = np.ndim(alpha) == 0
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    alpha_list = alphas.tolist()   # Python floats: scalar arithmetic per alpha
+    L = geometry.beam_length
     m_count = len(basis)
     betas = np.array([b.beta for b in basis])
-    aL4 = (alpha * geometry.beam_length) ** 4
-    d = np.diag(betas ** 4 - aL4)
+    aL4 = np.array([(a * L) ** 4 for a in alpha_list])
+    diag = np.arange(m_count)
+    d = np.zeros((alphas.size, m_count, m_count))
+    d[:, diag, diag] = betas ** 4 - aL4[:, None]
 
-    const = _constant_potential_diag(alpha, geometry, profile)
+    def out(v: np.ndarray) -> np.ndarray:
+        mats = d - v
+        return mats[0] if scalar else mats
+
+    const = _constant_potential_diag(alphas, geometry, profile)
     if const is not None:
-        return d - const * np.eye(m_count)
+        return out(const[:, None, None] * np.eye(m_count))
 
     if isinstance(profile, DiscreteProfile):
-        gam = alpha * np.array(profile.lengths)
+        gam = alphas[:, None] * np.array(profile.lengths)
         try:
             t_vals = shear_kernel(gam)
         except PoleProximityError as exc:
-            bad = int(np.flatnonzero(gam == exc.gamma)[0])  # first offender
+            first = int(np.flatnonzero(gam == exc.gamma)[0])  # input order
+            bad = first % gam.shape[1]
             raise PoleProximityError(
                 exc.gamma, exc.k,
                 where=f"cantilever at x={profile.positions[bad]:.6e} m") from exc
         if "phi" not in cache:
-            u = np.array(profile.positions) / geometry.beam_length
+            u = np.array(profile.positions) / L
             cache["phi"] = np.stack([m(u) for m in basis])  # (M, J)
         phi = cache["phi"]
-        weight = 2.0 * (alpha * geometry.beam_length) ** 3 \
-            * (geometry.cantilever_width / geometry.beam_width)
-        v = weight * np.einsum("j,mj,nj->mn", t_vals, phi, phi)
-        return d - v
+        weight = np.array([2.0 * (a * L) ** 3
+                           * (geometry.cantilever_width / geometry.beam_width)
+                           for a in alpha_list])
+        return out(weight[:, None, None]
+                   * np.einsum("aj,mj,nj->amn", t_vals, phi, phi))
 
     if isinstance(profile, TabulatedProfile):
-        L = geometry.beam_length
         if abs(profile.x[0]) > 1e-12 * L or abs(profile.x[-1] - L) > 1e-12 * L:
             raise ConfigError("profile.x must span the beam: first sample at "
                               "0, last at beam_length")
-        g_lo, g_hi = alpha * min(profile.length), alpha * max(profile.length)
-        edges = band_edge_gammas(int(g_hi / np.pi) + 2)
-        inside = np.flatnonzero((g_lo < edges) & (edges < g_hi))
-        if inside.size:
-            k = int(inside[0])
+        g_lo, g_hi = alphas * min(profile.length), alphas * max(profile.length)
+        edges = band_edge_gammas(int(np.max(g_hi) / np.pi) + 2)
+        inside = (g_lo[:, None] < edges) & (edges < g_hi[:, None])
+        if inside.any():
+            i, k = np.argwhere(inside)[0]
             raise PoleProximityError(
-                float(edges[k]), k + 1,
-                where=f"gamma = alpha*l(x), alpha={alpha:.6e}, for some x,")
+                float(edges[k]), int(k) + 1,
+                where=f"gamma = alpha*l(x), alpha={alpha_list[i]:.6e}, "
+                      "for some x,")
         if "interpolants" not in cache:
             cache["interpolants"] = profile.interpolants()
         length_of, density_of = cache["interpolants"]
+        coef = np.array([(geometry.cantilever_width / geometry.beam_width)
+                         * a ** 3 * L ** 4 for a in alpha_list])
 
-        def entry_sums(splits: int) -> np.ndarray:
+        def entry_sums(splits: int, rows: np.ndarray) -> np.ndarray:
             if splits not in cache:   # weight*rho, l, phi at nodes: no alpha
                 knots = np.array(profile.x) / profile.x[-1]
                 knots[0], knots[-1] = 0.0, 1.0
@@ -220,61 +242,90 @@ def assemble(alpha: float, geometry: DeviceGeometry, profile: Profile,
                 cache[splits] = (w * density_of(x), length_of(x),
                                  np.stack([m(u) for m in basis]))
             w_rho, lengths, phi = cache[splits]
-            wp = w_rho * shear_kernel(alpha * lengths)
-            return (geometry.cantilever_width / geometry.beam_width) \
-                * alpha ** 3 * L ** 4 * ((phi * wp) @ phi.T)
+            wp = w_rho * shear_kernel(alphas[rows, None] * lengths)
+            # one product per alpha: an (A, M, nodes) array would not be small
+            return np.stack([coef[i] * ((phi * w) @ phi.T)
+                             for i, w in zip(rows, wp)])
 
-        v_prev = entry_sums(1)
-        scale = max(np.max(np.abs(v_prev)), np.max(betas ** 4), aL4)
-        converged = False
+        rows = np.arange(alphas.size)
+        v = entry_sums(1, rows)
+        scale = np.maximum(np.max(np.abs(v), axis=(1, 2)),
+                           np.maximum(np.max(betas ** 4), aL4))
         for splits in (2, 4, 8, 16):
-            v_cur = entry_sums(splits)
-            converged = np.max(np.abs(v_cur - v_prev)) \
-                <= settings.quadrature_rtol * scale
-            v_prev = v_cur
-            if converged:
+            v_cur = entry_sums(splits, rows)
+            done = np.max(np.abs(v_cur - v[rows]), axis=(1, 2)) \
+                <= settings.quadrature_rtol * scale[rows]
+            v[rows] = v_cur
+            rows = rows[~done]
+            if not rows.size:
                 break
-        if not converged:
-            warnings.warn(f"projection quadrature at alpha={alpha:.6e} did "
-                          "not reach the requested tolerance", stacklevel=2)
-        v = 0.5 * (v_prev + v_prev.T)  # symmetrize rounding residue
-        return d - v
+        for i in rows:
+            warnings.warn(f"projection quadrature at alpha={alpha_list[i]:.6e}"
+                          " did not reach the requested tolerance",
+                          stacklevel=2)
+        return out(0.5 * (v + v.transpose(0, 2, 1)))  # symmetrize rounding
 
     raise ConfigError(f"unsupported profile type {type(profile).__name__}")
 
 
-def _negcount(mat: np.ndarray) -> int:
-    return int(np.sum(np.linalg.eigvalsh(mat) < 0.0))
+def _roots(segments: list[tuple[float, float]],
+           spectrum: Callable[[np.ndarray], np.ndarray]) -> list[float]:
+    """Roots of det D(alpha) in pole-free segments (lo, hi), ascending.
 
-
-def _roots(lo: float, hi: float, c_lo: int, c_hi: int,
-           matrix: Callable[[float], np.ndarray]) -> list[float]:
-    """Roots of det D(alpha) in a pole-free bracket whose negative count rises
-    from c_lo at lo to c_hi at hi, ascending.
-
-    Inertia bisection splits the bracket until each piece holds one crossing,
-    the sign change of eigvalsh(D)[c_lo], which Brent's method finds to rtol
-    4 eps.  A piece narrower than 1e-14 relative that still holds several
-    crossings yields its midpoint once per crossing.
+    spectrum(alphas) gives the ascending eigenvalues of D at each alpha of a
+    1-D array, shape (A, M).  The negative counts at the segment ends, one
+    batch, say how many levels each holds.  Then every bracket advances in
+    lockstep rounds, each one batch of spectrum: a bracket holding several
+    crossings is split at its midpoint by inertia bisection, and a bracket
+    holding one runs Brent's method (numerics.brent, rtol 4 eps) on the
+    eigenvalue that crosses zero, eigvalsh(D)[c_lo], from the round it
+    appears in.  So each root follows the iterates of a scalar brentq.  A
+    piece narrower than 1e-14 relative that still holds several crossings
+    yields its midpoint once per crossing.
     """
-    brackets = [(lo, hi, c_lo, c_hi)] if c_hi > c_lo else []
+    evals: dict[float, np.ndarray] = {}
+
+    def evaluate(alphas: list[float]) -> None:
+        new = [a for a in dict.fromkeys(alphas) if a not in evals]
+        if new:
+            evals.update(zip(new, spectrum(np.array(new))))
+
+    def count(a: float) -> int:
+        return int(np.sum(evals[a] < 0.0))
+
+    evaluate([a for seg in segments for a in seg])
+    brackets = [(lo, hi, count(lo), count(hi)) for lo, hi in segments]
+    lanes = []   # [Brent generator, eigenvalue index, abscissa it waits on]
     roots = []
-    while brackets:
-        lo, hi, c_lo, c_hi = brackets.pop()
-        if c_hi - c_lo == 1:
-            roots.append(brentq(
-                lambda a: float(np.linalg.eigvalsh(matrix(a))[c_lo]),
-                lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL))
-        elif hi - lo <= 1e-14 * max(abs(hi), 1.0):
-            roots.extend([0.5 * (lo + hi)] * (c_hi - c_lo))
-        else:
-            mid = 0.5 * (lo + hi)
-            c_mid = _negcount(matrix(mid))
-            # a count that falls would mean an eigenvalue re-entering from
-            # -inf, impossible on a pole-free segment; such pieces are dropped
-            brackets.extend(b for b in ((lo, mid, c_lo, c_mid),
-                                        (mid, hi, c_mid, c_hi)) if b[3] > b[2])
-    return sorted(roots)
+    while True:
+        # a count that falls would mean an eigenvalue re-entering from -inf,
+        # impossible on a pole-free segment; such pieces are dropped
+        splits = []
+        for lo, hi, c_lo, c_hi in brackets:
+            if c_hi - c_lo == 1:
+                steps = brent(lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+                lanes.append([steps, c_lo, next(steps)])
+            elif c_hi - c_lo > 1:
+                if hi - lo <= 1e-14 * max(abs(hi), 1.0):
+                    roots.extend([0.5 * (lo + hi)] * (c_hi - c_lo))
+                else:
+                    splits.append((lo, hi, c_lo, c_hi, 0.5 * (lo + hi)))
+        waiting = []
+        for steps, c, x in lanes:
+            try:
+                while x in evals:
+                    x = steps.send(evals[x][c])
+            except StopIteration as stop:
+                roots.append(stop.value)
+                continue
+            waiting.append([steps, c, x])
+        lanes = waiting
+        if not (splits or lanes):
+            return sorted(roots)
+        evaluate([b[4] for b in splits] + [lane[2] for lane in lanes])
+        brackets = [b for lo, hi, c_lo, c_hi, mid in splits
+                    for b in ((lo, mid, c_lo, count(mid)),
+                              (mid, hi, count(mid), c_hi))]
 
 
 def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
@@ -284,8 +335,9 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
 
     The forbidden resonance intervals cut (0, alpha_max] into pole-free
     segments.  The inertia of D(alpha) at each segment's ends counts its
-    levels, and `_roots` locates them; each level carries the null-space
-    direction (participation vector) at its root.  Levels are sorted by
+    levels, and `_roots` locates them, all segments together; each level
+    carries the null-space direction (participation vector) at its root,
+    from one stacked eigh over the roots' matrices.  Levels are sorted by
     alpha.  For x-independent profiles a BasisTooSmall warning is emitted if
     any participation vector is not essentially a coordinate axis
     (DOMINANCE_THRESHOLD).
@@ -312,38 +364,41 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
 
     uniformish = isinstance(profile, (UniformProfile, AlternatingProfile))
     cache: dict = {}                     # alpha-independent assembly parts
-    mats: dict[float, np.ndarray] = {}   # D(alpha) assembled in this segment
+    mats: dict[float, np.ndarray] = {}   # D(alpha) at every alpha assembled
 
-    def matrix(a: float) -> np.ndarray:
-        if a not in mats:
-            mats[a] = assemble(a, geometry, profile, basis, settings, cache)
-        return mats[a]
+    def assemble_all(alphas: list[float]) -> np.ndarray:
+        batch = assemble(np.array(alphas), geometry, profile, basis, settings,
+                         cache)
+        mats.update(zip(alphas, batch))
+        return batch
 
+    roots = _roots(segments,
+                   lambda a: np.linalg.eigvalsh(assemble_all(a.tolist())))
+    if not roots:
+        return []
+    missing = [r for r in dict.fromkeys(roots) if r not in mats]
+    if missing:
+        assemble_all(missing)
+    evals, evecs = np.linalg.eigh(np.stack([mats[r] for r in roots]))
     levels: list[GalerkinLevel] = []
-    for seg_lo, seg_hi in segments:
-        mats.clear()
-        c_lo, c_hi = _negcount(matrix(seg_lo)), _negcount(matrix(seg_hi))
-        for root in _roots(seg_lo, seg_hi, c_lo, c_hi, matrix):
-            mat = matrix(root)
-            evals, evecs = np.linalg.eigh(mat)
-            idx = int(np.argmin(np.abs(evals)))
-            norm = np.linalg.norm(mat, 2)
-            if abs(evals[idx]) > 1e-8 * norm:
-                warnings.warn(
-                    f"root at alpha={root:.6e} polished to "
-                    f"|eig|/||D||={abs(evals[idx])/norm:.2e}", stacklevel=2)
-            p = evecs[:, idx]
-            if p[np.argmax(np.abs(p))] < 0:
-                p = -p
-            dom = int(np.argmax(np.abs(p)))
-            if uniformish and abs(p[dom]) < DOMINANCE_THRESHOLD:
-                warnings.warn(
-                    f"participation {abs(p[dom]):.3f} at alpha="
-                    f"{root:.6e}; increase basis_size",
-                    category=BasisTooSmall, stacklevel=2)
-            levels.append(GalerkinLevel(
-                alpha=float(root),
-                omega=float(geometry.beam_wave_scale * root ** 2),
-                dominant_n=dom + 1, participation=p))
-    levels.sort(key=lambda lv: lv.alpha)
+    for root, ev, vecs in zip(roots, evals, evecs):
+        idx = int(np.argmin(np.abs(ev)))
+        norm = np.max(np.abs(ev))   # the spectral norm of a symmetric D
+        if abs(ev[idx]) > 1e-8 * norm:
+            warnings.warn(
+                f"root at alpha={root:.6e} polished to "
+                f"|eig|/||D||={abs(ev[idx])/norm:.2e}", stacklevel=2)
+        p = vecs[:, idx]
+        if p[np.argmax(np.abs(p))] < 0:
+            p = -p
+        dom = int(np.argmax(np.abs(p)))
+        if uniformish and abs(p[dom]) < DOMINANCE_THRESHOLD:
+            warnings.warn(
+                f"participation {abs(p[dom]):.3f} at alpha="
+                f"{root:.6e}; increase basis_size",
+                category=BasisTooSmall, stacklevel=2)
+        levels.append(GalerkinLevel(
+            alpha=float(root),
+            omega=float(geometry.beam_wave_scale * root ** 2),
+            dominant_n=dom + 1, participation=p))
     return levels

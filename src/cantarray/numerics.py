@@ -1,12 +1,14 @@
 """Bracketed scalar roots and monotone interpolation, on numpy alone.
 
-brentq is Brent's method (Brent, *Algorithms for Minimization without
+brent is Brent's method (Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 4) in the form of SciPy's ``brentq.c``: the same
-iterates, tolerances and stopping rule, so its roots equal
-``scipy.optimize.brentq``'s bit for bit.  Pchip is the monotone piecewise
-cubic Hermite interpolant of Fritsch & Carlson (SIAM J. Numer. Anal. 17,
-1980) with SciPy's ``PchipInterpolator`` derivative and end-point rules,
-stored and evaluated in power form in SciPy's operation order, so its
+iterates, tolerances and stopping rule.  It is a generator that yields each
+abscissa and receives the function value there, so one caller can advance
+many brackets together; brentq drives one of them with a function, and its
+roots equal ``scipy.optimize.brentq``'s bit for bit.  Pchip is the monotone
+piecewise cubic Hermite interpolant of Fritsch & Carlson (SIAM J. Numer.
+Anal. 17, 1980) with SciPy's ``PchipInterpolator`` derivative and end-point
+rules, stored and evaluated in power form in SciPy's operation order, so its
 values equal SciPy's bit for bit, extrapolation included.
 """
 from __future__ import annotations
@@ -31,28 +33,33 @@ def _div(n: float, d: float) -> float:
         return float(np.float64(n) / d)
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12,
-           rtol: float = _BRENT_RTOL_MIN, maxiter: int = 100) -> float:
-    """Root of f in [a, b], where f(a) and f(b) differ in sign.
+def brent(a: float, b: float, xtol: float = 2e-12,
+          rtol: float = _BRENT_RTOL_MIN, maxiter: int = 100):
+    """Brent's method on [a, b] as a generator: it yields each abscissa x
+    where it needs f, takes f(x) back through send(), and returns the root
+    (the value of its StopIteration).
 
     Stops when the bracket is narrower than xtol + rtol*|x|.  Raises
     ValueError for a same-sign bracket, a NaN value of f or an invalid
-    tolerance, and RuntimeError after maxiter iterations.
+    tolerance, and RuntimeError after maxiter iterations.  Lanes driven
+    side by side share no state, so each follows the iterates of its own
+    brentq call.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     if rtol < _BRENT_RTOL_MIN:
         raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL_MIN:g})")
 
-    def value(x: float) -> float:
-        fx = float(f(x))
+    def value(x: float, fx) -> float:
+        fx = float(fx)
         if isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; "
                              "solver cannot continue.")
         return fx
 
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = value(xpre, (yield xpre))
+    fcur = value(xcur, (yield xcur))
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -94,9 +101,22 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = value(xcur, (yield xcur))
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
                        f"value is {xcur!r}")
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12,
+           rtol: float = _BRENT_RTOL_MIN, maxiter: int = 100) -> float:
+    """Root of f in [a, b], where f(a) and f(b) differ in sign: `brent`
+    driven by f."""
+    steps = brent(a, b, xtol, rtol, maxiter)
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(f(x))
+        except StopIteration as stop:
+            return stop.value
 
 
 def _pchip_end_slope(h0, h1, m0, m1) -> float:

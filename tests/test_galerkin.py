@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,7 +243,8 @@ def test_clustered_levels_are_counted_and_bracketed():
     basis = beam_modes(BC, settings.basis_size)
 
     def negcount(alpha):
-        return gk._negcount(gk.assemble(alpha, geo, comb, basis, settings))
+        mat = gk.assemble(alpha, geo, comb, basis, settings)
+        return int(np.sum(np.linalg.eigvalsh(mat) < 0.0))
 
     levels = gk.solve(geo, comb, BC, alpha_max, settings)
     assert len(levels) == negcount(alpha_max) == 6
@@ -279,3 +282,132 @@ def test_diagonal_loading_matches_closed_forms(lam, count, two_families, eps,
     got = [lv.alpha for lv in levels]
     assert len(got) == len(expected)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def _bits(mats) -> bytes:
+    return np.asarray(mats, dtype=float).tobytes()
+
+
+def _profile(kind, rng):
+    """A profile of the given kind with lengths within 10% of CANT."""
+    if kind == "uniform":
+        return PROF
+    if kind == "alternating":
+        return AlternatingProfile(length1=CANT, length2=0.8 * CANT,
+                                  width1=2e-7, width2=1.5e-7, count1=12,
+                                  count2=9)
+    if kind == "discrete":
+        n = 30
+        return DiscreteProfile(
+            positions=tuple((np.arange(n) + rng.uniform(0.1, 0.9, n)) * L / n),
+            lengths=tuple(CANT * rng.uniform(0.9, 1.1, n)))
+    profile, _ = _graded(int(rng.integers(1, 1000)))
+    return profile
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["uniform", "alternating", "discrete",
+                             "tabulated"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       fracs=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=7),
+       order=st.sampled_from([4, 8]), rtol=st.sampled_from([1e-10, 1e-16]))
+def test_batched_assemble_equals_per_alpha_calls(kind, seed, fracs, order,
+                                                 rtol):
+    # every slice of a batch is the scalar call's matrix, bit for bit, and a
+    # tabulated batch warns once per unconverged alpha, in input order (the
+    # rtol of 1e-16 leaves some alphas unconverged after 16 splits)
+    profile = _profile(kind, np.random.default_rng(seed))
+    basis = beam_modes(BC, 6)
+    quad = GalerkinSettings(basis_size=6, quadrature_order=order,
+                            quadrature_rtol=rtol)
+    lengths = gk._distinct_lengths(profile)
+    # below the forbidden interval of a tabulated profile, two bands else
+    top = band_edge_gammas(2)[0 if lengths is None else 1] \
+        / max(profile.length if lengths is None else lengths)
+    alphas = np.array(fracs) * top
+    with warnings.catch_warnings(record=True) as batch_warned:
+        warnings.simplefilter("always")
+        batch = gk.assemble(alphas, GEO, profile, basis, quad, {})
+    with warnings.catch_warnings(record=True) as single_warned:
+        warnings.simplefilter("always")
+        cache = {}
+        singles = [gk.assemble(a, GEO, profile, basis, quad, cache)
+                   for a in alphas]
+    assert batch.shape == (alphas.size, 6, 6)
+    assert _bits(batch) == _bits(singles)
+    assert [str(w.message) for w in batch_warned] \
+        == [str(w.message) for w in single_warned]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["uniform", "discrete", "tabulated"]),
+       safe=st.lists(st.floats(0.05, 0.85), min_size=0, max_size=5),
+       where=st.lists(st.integers(0, 5), min_size=2, max_size=2))
+def test_batched_assemble_names_the_first_pole_in_input_order(kind, safe,
+                                                              where):
+    # two alphas that meet a pole sit among pole-free ones; the error is the
+    # one a loop of scalar calls would raise first
+    basis = beam_modes(BC, 3)
+    edge = band_edge_gammas(1)[0]
+    if kind == "uniform":
+        profile, poles = PROF, [edge / CANT, band_edge_gammas(2)[1] / CANT]
+    elif kind == "discrete":
+        profile = DiscreteProfile(positions=(0.2 * L, 0.7 * L),
+                                  lengths=(CANT, 0.8 * CANT))
+        poles = [edge / CANT, edge / (0.8 * CANT)]
+    else:   # inside the forbidden interval (edge/l_max, edge/l_min)
+        profile = TabulatedProfile(x=(0.0, 0.5 * L, L),
+                                   length=(0.9 * CANT, 1.1 * CANT, CANT),
+                                   density=(RHO_UNIFORM,) * 3)
+        poles = [edge / CANT, 1.05 * edge / CANT]
+    alphas = [f * edge / (1.1 * CANT) for f in safe]
+    for pole, i in zip(poles, where):
+        alphas.insert(min(i, len(alphas)), pole)
+    first = min(alphas.index(p) for p in poles)
+    with pytest.raises(PoleProximityError) as batch_err:
+        gk.assemble(np.array(alphas), GEO, profile, basis)
+    with pytest.raises(PoleProximityError) as single_err:
+        gk.assemble(alphas[first], GEO, profile, basis)
+    assert str(batch_err.value) == str(single_err.value)
+    assert (batch_err.value.gamma, batch_err.value.k) \
+        == (single_err.value.gamma, single_err.value.k)
+
+
+def test_coincident_crossings_yield_the_midpoint_once_each():
+    # two eigenvalues cross zero together at alpha = 1 and one alone at 2:
+    # no bisection separates the pair, so the narrowed piece gives its
+    # midpoint twice, while the lone crossing goes to Brent
+    def spectrum(alphas):
+        return np.sort(np.stack([1.0 - alphas, 1.0 - alphas, 2.0 - alphas],
+                                axis=1), axis=1)
+
+    roots = gk._roots([(0.0, 2.5)], spectrum)
+    assert len(roots) == 3
+    assert roots[0] == roots[1] != 1.0
+    assert abs(roots[0] - 1.0) <= 1e-14
+    assert roots[2] == pytest.approx(2.0, rel=1e-15)
+
+
+def test_comb_solve_assembles_in_lockstep_rounds(monkeypatch):
+    # a 2x200-tooth comb over two bands has 16 levels; one assemble per
+    # round keeps the count near the deepest bisection plus Brent, where
+    # refining level after level took 115-123
+    assemble, calls = gk.assemble, []
+
+    def counted(alpha, *args):
+        calls.append(np.shape(alpha))
+        return assemble(alpha, *args)
+
+    monkeypatch.setattr(gk, "assemble", counted)
+    rng = np.random.default_rng(4)
+    n = 200
+    comb = DiscreteProfile(
+        positions=tuple((np.arange(n) + 0.5 + rng.uniform(-0.35, 0.35, n))
+                        * L / n),
+        lengths=(CANT,) * n)
+    geo = DeviceGeometry(**{**GEO.to_dict(), "count_per_side": n})
+    alpha_max = 0.9999 * band_edge_gammas(2)[1] / CANT
+    levels = gk.solve(geo, comb, BC, alpha_max, GalerkinSettings(basis_size=8))
+    assert len(levels) == 16
+    assert all(len(shape) == 1 for shape in calls)
+    assert len(calls) <= 30

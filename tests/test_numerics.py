@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq as scipy_brentq
 
+from cantarray.galerkin import _roots
 from cantarray.numerics import Pchip, brentq
 
 EPS = np.finfo(float).eps
@@ -51,6 +52,39 @@ def test_brentq_equals_scipy(family, p, a, b, log_xtol, rtol_scale, maxiter):
               maxiter=maxiter)
     assert _outcome(brentq, f, a, b, **kw) \
         == _outcome(scipy_brentq, f, a, b, **kw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lanes=st.lists(st.tuples(st.integers(0, len(FAMILIES) - 1),
+                                st.floats(-2.0, 2.0), st.floats(-4.0, 12.0),
+                                st.floats(-4.0, 12.0)),
+                      min_size=1, max_size=6))
+def test_lockstep_brent_lanes_equal_brentq(lanes):
+    # the Galerkin root finder advances one Brent lane per bracket, all in
+    # the same rounds; each lane must take the iterates of its own brentq.
+    # Lane j is a family on [min(a, b), max(a, b)] shifted by 100 j, signed
+    # to fall through zero there, as the eigenvalue of a 1x1 "matrix".
+    signs = [1.0] * len(lanes)
+
+    def g(x):
+        j = int(round(x / 100.0))
+        family, p, _, _ = lanes[j]
+        return signs[j] * FAMILIES[family](x - 100.0 * j, p)
+
+    segments, want = [], []
+    with np.errstate(all="ignore"):
+        for j, (_, _, a, b) in enumerate(lanes):
+            lo, hi = 100.0 * j + min(a, b), 100.0 * j + max(a, b)
+            if g(lo) < 0.0:
+                signs[j] = -1.0
+            kind, root = _outcome(brentq, g, lo, hi, xtol=1e-300,
+                                  rtol=4 * EPS)
+            if kind == "root" and g(hi) < 0.0:
+                segments.append((lo, hi))
+                want.append(np.frombuffer(root)[0])
+        got = _roots(segments, lambda alphas: np.array(
+            [[g(x)] for x in alphas.tolist()]))
+    assert [_bits(r) for r in got] == [_bits(r) for r in sorted(want)]
 
 
 def test_brentq_errors_match_scipy():
