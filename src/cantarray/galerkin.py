@@ -155,20 +155,26 @@ def assemble(alpha, geometry: DeviceGeometry, profile: Profile,
     a scalar alpha, (A, M, M) for a 1-D array of A alphas, each slice equal
     bit for bit to the scalar call.
 
-    Diagonal for x-independent loading; discrete combs contribute exact
-    point sums; tabulated profiles are integrated by Gauss quadrature on
-    their knot panels, each split 1, 2, ..., 16 ways until two passes agree,
-    so every sub-panel holds one cubic piece of the interpolants.  Each alpha
-    refines until it converges, and each one that does not warns once.
-    There are no pole windows: inside a forbidden interval, where a band edge
-    lies strictly between alpha*l_min and alpha*l_max, a tabulated profile
-    raises PoleProximityError, as any profile does when alpha*l meets an edge;
-    the error names the first offending alpha in input order.
+    Diagonal for x-independent loading.  A discrete comb's teeth fall into
+    length families (one per distinct length, in order of first appearance),
+    and its loading is a sum over families, T(alpha l_f) S_f, where
+    S_f = sum_j phi_m(x_j) phi_n(x_j) over the teeth j of length l_f: the
+    kernel is evaluated once per family and alpha, not once per tooth.  A
+    tooth off the beam is a ConfigError.  Tabulated profiles are integrated
+    by Gauss quadrature on their knot panels, each split 1, 2, ..., 16 ways
+    until two passes agree, so every sub-panel holds one cubic piece of the
+    interpolants.  Each alpha refines until it converges, and each one that
+    does not warns once.  There are no pole windows: inside a forbidden
+    interval, where a band edge lies strictly between alpha*l_min and
+    alpha*l_max, a tabulated profile raises PoleProximityError, as any
+    profile does when alpha*l meets an edge; the error names the first
+    offending alpha in input order and, for a comb, the first tooth of the
+    first offending family, which is the first offending tooth.
 
-    cache holds the alpha-independent parts (basis values at the teeth or
-    quadrature nodes, profile values at the nodes and the profile
-    interpolants) between calls that share geometry, profile, basis and
-    settings; `solve` passes one per call.
+    cache holds the alpha-independent parts (the comb's family lengths and
+    overlap matrices S_f; the basis and profile values at the quadrature
+    nodes and the profile interpolants) between calls that share geometry,
+    profile, basis and settings; `solve` passes one per call.
     """
     settings = settings or GalerkinSettings()
     cache = {} if cache is None else cache
@@ -192,24 +198,40 @@ def assemble(alpha, geometry: DeviceGeometry, profile: Profile,
         return out(const[:, None, None] * np.eye(m_count))
 
     if isinstance(profile, DiscreteProfile):
-        gam = alphas[:, None] * np.array(profile.lengths)
+        if "families" not in cache:
+            off = [x for x in profile.positions
+                   if not -1e-12 * L <= x <= (1.0 + 1e-12) * L]
+            if off:
+                raise ConfigError(f"profile.positions must lie on the beam: "
+                                  f"cantilever at x={off[0]:.6e} m is outside "
+                                  "[0, beam_length]")
+            # one family per distinct length, in order of first appearance
+            families: dict[float, list[int]] = {}
+            for j, ln in enumerate(profile.lengths):
+                families.setdefault(ln, []).append(j)
+            order = [j for teeth in families.values() for j in teeth]
+            u = np.array(profile.positions)[order] / L
+            phi = np.stack([m(u) for m in basis]).T  # (J, M), by family
+            sizes = [len(teeth) for teeth in families.values()]
+            overlap = np.add.reduceat(phi[:, :, None] * phi[:, None, :],
+                                      np.cumsum([0] + sizes[:-1]), axis=0)
+            cache["families"] = (np.array(list(families)), overlap)
+        lengths, overlap = cache["families"]
+        gam = alphas[:, None] * lengths
         try:
             t_vals = shear_kernel(gam)
         except PoleProximityError as exc:
             first = int(np.flatnonzero(gam == exc.gamma)[0])  # input order
-            bad = first % gam.shape[1]
+            # a family's first tooth precedes those of later families
+            bad = profile.lengths.index(float(lengths[first % gam.shape[1]]))
             raise PoleProximityError(
                 exc.gamma, exc.k,
                 where=f"cantilever at x={profile.positions[bad]:.6e} m") from exc
-        if "phi" not in cache:
-            u = np.array(profile.positions) / L
-            cache["phi"] = np.stack([m(u) for m in basis])  # (M, J)
-        phi = cache["phi"]
         weight = np.array([2.0 * (a * L) ** 3
                            * (geometry.cantilever_width / geometry.beam_width)
                            for a in alpha_list])
         return out(weight[:, None, None]
-                   * np.einsum("aj,mj,nj->amn", t_vals, phi, phi))
+                   * np.einsum("af,fmn->amn", t_vals, overlap))
 
     if isinstance(profile, TabulatedProfile):
         if abs(profile.x[0]) > 1e-12 * L or abs(profile.x[-1] - L) > 1e-12 * L:

@@ -131,6 +131,17 @@ class DeviceGeometry:
 
 # --- cantilever distribution profiles -------------------------------------
 
+def _require_finite(name: str, *values) -> None:
+    """ConfigError naming profile field `name` unless every value is a finite
+    number (JSON admits NaN and Infinity, which pass a `<= 0` check)."""
+    try:
+        finite = all(map(math.isfinite, values))
+    except TypeError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"profile.{name}: must be finite numbers")
+
+
 @dataclass(frozen=True)
 class UniformProfile:
     """Identical cantilevers, averaged to a constant line density 2N/L."""
@@ -138,6 +149,7 @@ class UniformProfile:
     length: float  # l (m)
 
     def __post_init__(self):
+        _require_finite("length", self.length)
         if not self.length > 0:
             raise ConfigError("profile.length: must be positive")
 
@@ -160,6 +172,9 @@ class AlternatingProfile:
     count2: int  # per side
 
     def __post_init__(self):
+        for name in ("length1", "length2", "width1", "width2", "count1",
+                     "count2"):
+            _require_finite(name, getattr(self, name))
         if not (self.length1 > 0 and self.length2 > 0):
             raise ConfigError("profile: lengths must be positive")
         if self.length2 > self.length1:
@@ -202,6 +217,9 @@ class TabulatedProfile:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "length", ln)
         object.__setattr__(self, "density", de)
+        _require_finite("x", *x)
+        _require_finite("length", *ln)
+        _require_finite("density", *de)
         if len(x) < 2:
             raise ConfigError("profile.x: need at least two samples")
         if len(ln) != len(x) or len(de) != len(x):
@@ -233,6 +251,8 @@ class DiscreteProfile:
         ln = tuple(float(v) for v in self.lengths)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "lengths", ln)
+        _require_finite("positions", *pos)
+        _require_finite("lengths", *ln)
         if len(pos) != len(ln):
             raise ConfigError("profile: positions and lengths must have equal lengths")
         if len(pos) == 0:

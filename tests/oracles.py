@@ -1,12 +1,13 @@
 """Independent reference values computed with mpmath bisection, scalar
-reference versions of batched code, and a knot-aligned high-order Galerkin
-projection.
+reference versions of batched code, a knot-aligned high-order Galerkin
+projection and an exactly summed comb projection.
 
 Nothing here imports the package under test; the characteristic equations
 are restated from scratch so root comparisons are a genuine cross-check.
 """
 
 import json
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -181,6 +182,32 @@ def tabulated_projection(alpha, x, length, density, beam_length, width_ratio,
     betas = np.array([m.beta for m in modes])
     return np.diag(betas ** 4 - (alpha * beam_length) ** 4) \
         - (phi * (weights * pot)) @ phi.T
+
+
+def comb_projection(betas, alpha_l, weight, t, phi):
+    """Galerkin matrix D(alpha) of a discrete comb, summed exactly:
+
+        D_mn = (beta_m^4 - (alpha L)^4) delta_mn
+               - weight * sum_j t_j phi_m(x_j) phi_n(x_j),
+
+    with betas (M,), alpha_l = alpha*L, weight, the kernel values t (J,)
+    and the basis values phi (M, J) taken as exact rationals of their
+    floats, every entry rounded to float once at the end.
+    """
+    t = [Fraction(v) for v in np.asarray(t, dtype=float).tolist()]
+    phi = [[Fraction(v) for v in row]
+           for row in np.asarray(phi, dtype=float).tolist()]
+    w, al4 = Fraction(weight), Fraction(alpha_l) ** 4
+    m_count = len(phi)
+    d = np.empty((m_count, m_count))
+    for m in range(m_count):
+        for n in range(m, m_count):
+            s = sum(tj * pm * pn for tj, pm, pn in zip(t, phi[m], phi[n]))
+            exact = -w * s
+            if m == n:
+                exact += Fraction(float(betas[m])) ** 4 - al4
+            d[m, n] = d[n, m] = float(exact)
+    return d
 
 
 def _fmt(x) -> str:

@@ -404,6 +404,43 @@ def test_alternating_profile_without_cantilevers_is_exit_2(capsys, tmp_path,
     assert "no cantilevers" in err and "Traceback" not in err
 
 
+FINITE_PROFILES = {
+    "uniform": {"kind": "uniform", "length": 5e-7},
+    "alternating": {"kind": "alternating", "length1": 5e-7, "length2": 4e-7,
+                    "width1": 2e-7, "width2": 2e-7, "count1": 10,
+                    "count2": 10},
+    "tabulated": {"kind": "tabulated",
+                  "x": [0.0, 5e-6, preset_device(PRESET)[0].beam_length],
+                  "length": [5e-7, 5.2e-7, 5e-7], "density": [4e6, 4e6, 4e6]},
+    "discrete": {"kind": "discrete", "positions": [2e-6, 5e-6, 8e-6],
+                 "lengths": [5e-7, 4.5e-7, 5e-7]},
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind, key", [
+    ("uniform", "length"), ("alternating", "length1"),
+    ("alternating", "width2"), ("tabulated", "x"), ("tabulated", "length"),
+    ("tabulated", "density"), ("discrete", "positions"),
+    ("discrete", "lengths")])
+def test_non_finite_profile_numbers_are_exit_2(capsys, tmp_path, kind, key,
+                                               value):
+    # JSON's NaN and Infinity are floats that pass a `<= 0` check
+    profile = json.loads(json.dumps(FINITE_PROFILES[kind]))
+    if isinstance(profile[key], list):
+        profile[key][1] = value
+    else:
+        profile[key] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"geometry": {"preset": PRESET},
+                             "profile": profile}))
+    code, out, err = run(capsys, "galerkin", "--alpha-max", "5e6",
+                         "--config", str(p))
+    assert code == 2 and out == ""
+    assert f"profile.{key}: must be finite" in err
+
+
 _FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -2.5e-310,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import tabulated_projection
+from oracles import comb_projection, tabulated_projection
 
 from cantarray import galerkin as gk
 from cantarray import spectrum as sp
@@ -209,6 +209,22 @@ def test_discrete_resonant_tooth_names_its_position():
         gk.assemble(alpha, GEO, near, basis)
     assert err.value.gamma == alpha * near.lengths[0]
     assert err.value.where == f"cantilever at x={bad_x:.6e} m"
+    # the resonant length's first tooth follows a tooth of another length
+    mixed = DiscreteProfile(positions=(0.1 * L, bad_x, 0.6 * L, 0.8 * L),
+                            lengths=(0.8 * CANT, CANT, 0.8 * CANT, CANT))
+    with pytest.raises(PoleProximityError) as err:
+        gk.assemble(alpha, GEO, mixed, basis)
+    assert err.value.where == f"cantilever at x={bad_x:.6e} m"
+
+
+@pytest.mark.parametrize("positions, named",
+                         [((0.2 * L, 2.0e-5, -3e-6), 2.0e-5),
+                          ((-3e-6, 0.5 * L, 2.0e-5), -3e-6)])
+def test_discrete_teeth_must_lie_on_the_beam(positions, named):
+    basis = beam_modes(BC, 3)
+    comb = DiscreteProfile(positions=positions, lengths=(CANT,) * 3)
+    with pytest.raises(ConfigError, match=f"x={named:.6e} m is outside"):
+        gk.assemble(1e6, GEO, comb, basis)
 
 
 def test_tabulated_profile_must_span_beam():
@@ -411,3 +427,57 @@ def test_comb_solve_assembles_in_lockstep_rounds(monkeypatch):
     assert len(levels) == 16
     assert all(len(shape) == 1 for shape in calls)
     assert len(calls) <= 30
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=st.sampled_from(["one", "interleaved", "out-of-order",
+                               "distinct"]),
+       seed=st.integers(0, 2 ** 32 - 1), teeth=st.integers(4, 24),
+       fracs=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=3))
+def test_comb_assemble_matches_exact_projection(layout, seed, teeth, fracs):
+    # the family sums stay within a few roundings of the exact point sums
+    rng = np.random.default_rng(seed)
+    pool = CANT * rng.uniform(0.7, 1.1, 3)
+    if layout == "distinct":
+        lengths = CANT * rng.uniform(0.7, 1.1, teeth)
+    else:
+        family = {"one": np.zeros(teeth, int),
+                  "interleaved": np.arange(teeth) % 2,
+                  "out-of-order": rng.integers(0, 3, teeth)}[layout]
+        if layout == "out-of-order":   # family 1 first, then 0, then 1 again
+            family[:3] = (1, 0, 1)
+        lengths = pool[family]
+    positions = (np.arange(teeth) + rng.uniform(0.1, 0.9, teeth)) * L / teeth
+    comb = DiscreteProfile(positions=tuple(positions), lengths=tuple(lengths))
+    basis = beam_modes(BC, 6)
+    alphas = np.array(fracs) * band_edge_gammas(2)[1] / lengths.max()
+    mats = gk.assemble(alphas, GEO, comb, basis)
+    phi = np.stack([m(positions / L) for m in basis])
+    for a, mat in zip(alphas.tolist(), mats):
+        weight = 2.0 * (a * L) ** 3 * (GEO.cantilever_width / GEO.beam_width)
+        exact = comb_projection([m.beta for m in basis], a * L, weight,
+                                shear_kernel(a * lengths), phi)
+        assert np.max(np.abs(mat - exact)) <= 2e-15 * np.max(np.abs(mat))
+
+
+def test_comb_assemble_evaluates_the_kernel_once_per_length(monkeypatch):
+    # a 2x200 comb of two interleaved lengths needs T at two gammas per
+    # alpha, however many teeth share them
+    kernel, widths = gk.shear_kernel, []
+
+    def counted(gamma):
+        widths.append(np.shape(gamma)[-1])
+        return kernel(gamma)
+
+    monkeypatch.setattr(gk, "shear_kernel", counted)
+    rng = np.random.default_rng(7)
+    n = 200
+    comb = DiscreteProfile(
+        positions=tuple((np.arange(n) + 0.5 + rng.uniform(-0.35, 0.35, n))
+                        * L / n),
+        lengths=tuple(np.where(np.arange(n) % 2, 0.75 * CANT, CANT)))
+    geo = DeviceGeometry(**{**GEO.to_dict(), "count_per_side": n})
+    alpha_max = 0.9999 * band_edge_gammas(1)[0] / (0.75 * CANT)
+    levels = gk.solve(geo, comb, BC, alpha_max, GalerkinSettings(basis_size=8))
+    assert len(levels) == 16
+    assert widths and set(widths) == {2}
