@@ -246,22 +246,17 @@ def _cmd_sweep(args, caught, t0):
     if args.param == "epsilon":
         sweep = _by_profile(config, command,
                             {AlternatingProfile: spectrum.sweep_alternating})
-        points = sweep(config.geometry, config.profile, config.boundary,
-                       values, n_max, k_max)
-        value, levels = zip(*points)
-        value = np.repeat(value, [len(lvs) for lvs in levels])
-        levels = [lv for lvs in levels for lv in lvs]
-        n, k = _column(levels, "n", int), _column(levels, "k", int)
-        gamma, omega = _column(levels, "gamma"), _column(levels, "omega")
+        parameter = ()
     else:
         sweep = _by_profile(config, command,
                             {UniformProfile: spectrum.sweep_uniform})
-        points = list(sweep(config.geometry, config.profile, config.boundary,
-                            args.param, values, n_max, k_max))
-        value, gammas, scale = map(np.array, zip(*points))
-        p, n, k = np.nonzero(np.isfinite(gammas))   # in (value, n, k) order
-        gamma = gammas[p, n, k]
-        value, omega, n, k = value[p], scale[p] * gamma * gamma, n + 1, k + 1
+        parameter = (args.param,)
+    points = list(sweep(config.geometry, config.profile, config.boundary,
+                        *parameter, values, n_max, k_max))
+    value, gammas, scale = map(np.array, zip(*points))
+    p, n, k = np.nonzero(np.isfinite(gammas))   # in (value, n, k) order
+    gamma = gammas[p, n, k]
+    value, omega, n, k = value[p], scale[p] * gamma * gamma, n + 1, k + 1
     table = {"param": np.full(value.size, args.param), "value": value,
              "n": n, "k": k, "gamma": gamma, "omega_rad_s": omega}
     _emit(args, table, config, caught, t0)

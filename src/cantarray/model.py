@@ -69,8 +69,14 @@ class DeviceGeometry:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)) or value <= 0:
                 raise ConfigError(f"geometry.{name}: must be a positive finite number")
-        if self.count_per_side < 0:
-            raise ConfigError("geometry.count_per_side: must be >= 0")
+        try:
+            count_ok = math.isfinite(self.count_per_side) \
+                and self.count_per_side >= 0
+        except TypeError:
+            count_ok = False
+        if not count_ok:
+            raise ConfigError("geometry.count_per_side: must be a finite "
+                              "number >= 0")
         if self.equal_thickness:
             w = self.cantilever_width / self.beam_width
             r = self.cantilever_rigidity / self.beam_rigidity
@@ -401,6 +407,10 @@ def _parse_geometry(spec: dict) -> tuple[DeviceGeometry, str | None]:
     if not isinstance(spec, dict):
         raise ConfigError("geometry: must be an object")
     if "preset" in spec:
+        ignored = sorted(set(spec) - {"preset"})
+        if ignored:
+            raise ConfigError(f"geometry: a preset takes no other keys, got "
+                              f"{ignored}; give the full geometry instead")
         geometry, _, _ = preset_device(spec["preset"])
         return geometry, spec["preset"]
     if "youngs_modulus" in spec:

@@ -187,13 +187,22 @@ def overlap_integrals(selection: TwoModeSelection,
     The carried shapes are mild (gamma below the second band edge), so a
     handful of panel doublings resolves every entry; the near-zero entries
     (the collective shape barely flexes) converge too because their
-    integrands are non-negative.
+    integrands are non-negative.  Every integral doubles its panels over
+    the same node arrays, so each shape and derivative is evaluated once per
+    node array and reused by the others.
     """
     shapes = (selection.shape1, selection.shape2)
+    evaluated = {}   # node array bytes -> {(shape, derivative): values}
+
+    def chi(i, v, d=0):
+        values = evaluated.setdefault(v.tobytes(), {})
+        if (i, d) not in values:
+            values[i, d] = shapes[i](v, d)
+        return values[i, d]
 
     def h(i, v, d=0):
-        chi = shapes[i](v, d)
-        return chi + 1.0 if d == 0 else chi
+        values = chi(i, v, d)
+        return values + 1.0 if d == 0 else values
 
     def quad(f):
         return adaptive_quad(f, 0.0, 1.0, rtol=rtol)
@@ -208,7 +217,7 @@ def overlap_integrals(selection: TwoModeSelection,
                 lambda v: h(i, v, 1) * h(j, v, 1), 0.0, 1.0, rtol=rtol)
         for j in range(2):
             # depends on which shape sits in the drag factor, not symmetric
-            damp[i, j] = quad(lambda v: h(i, v) * shapes[j](v))
+            damp[i, j] = quad(lambda v: h(i, v) * chi(j, v))
 
     curv = np.empty((2, 2, 2, 2))
     for i in range(2):

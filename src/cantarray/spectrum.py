@@ -21,11 +21,14 @@ run edge to edge, one per level, except that they step off merged twin poles.
 
 Every solve is one array bisection (_bisect) over all of its brackets: all
 (n, k) of a spectrum, and in sweep_uniform and sweep_alternating all swept
-values at once.  It halves every bracket until none moves, with
-_BISECT_ITERS as the cap.  The sign of f at lo is fixed per bracket, so only
-(lo, hi) is state, and a settled bracket stays settled.  Each bracket takes
-the same steps as it would alone, so a sweep gives bit for bit the levels of
-the per-value solves.
+values at once, stacked as (value, n, k) arrays.  It halves every bracket
+until none moves, with _BISECT_ITERS as the cap.  The sign of f at lo is
+fixed per bracket, so only (lo, hi) is state, and a settled bracket stays
+settled.  Each bracket takes the same steps as it would alone, so a sweep
+gives bit for bit the levels of the per-value solves.  Solvers return gamma
+grids (gammas[n-1, k-1], NaN where no level is reported); both sweeps yield
+one grid per value, and only solve_uniform and solve_alternating turn their
+grid into SpectrumLevel rows.
 """
 from __future__ import annotations
 
@@ -151,10 +154,9 @@ def _bisect(f, lo, hi, f_lo):
 
 
 def _same_bits(a, b) -> bool:
-    """Whether float arrays a and b hold the same bits (so -0.0 differs from
-    0.0 and a NaN may equal itself)."""
-    return np.array_equal(np.asarray(a).view(np.int64),
-                          np.asarray(b).view(np.int64))
+    """Whether float arrays a and b of one shape hold the same bytes (so
+    -0.0 differs from 0.0 and a NaN may equal itself)."""
+    return a.tobytes() == b.tobytes()
 
 
 def _levels(entries, scale: float, valid_n: int) -> list[SpectrumLevel]:
@@ -407,8 +409,9 @@ def _band_brackets(profile: AlternatingProfile, k_max: int) -> np.ndarray:
 
 
 def _single_family(geometry, profile, betas, k_max, c1, c2):
-    """Levels of a layout with one pole set: one family empty, or equal
-    lengths.  gamma' = gamma_scale * gamma obeys the uniform equation."""
+    """Level grid and band upper edges of a layout with one pole set: one
+    family empty, or equal lengths.  gamma' = gamma_scale * gamma obeys the
+    uniform equation."""
     eps = profile.epsilon
     lam1 = profile.length1 / geometry.beam_length
     if c2 == 0.0:
@@ -418,68 +421,60 @@ def _single_family(geometry, profile, betas, k_max, c1, c2):
     else:
         nulam, beta_scale, gamma_scale = c1 + c2, lam1, 1.0
     lambeta4 = (beta_scale * betas[:, None]) ** 4
-    gammas = _band_bisect(nulam, lambeta4, k_max) / gamma_scale
-    edges = band_edge_gammas(k_max) / gamma_scale
-    return _levels(_grid_entries(gammas, edges),
-                   geometry.cantilever_wave_scale / profile.length1 ** 2,
-                   profile.count1 + profile.count2)
+    return (_band_bisect(nulam, lambeta4, k_max) / gamma_scale,
+            band_edge_gammas(k_max) / gamma_scale)
 
 
 def _alternating_solves(geometry: DeviceGeometry, profiles,
-                        bc: BoundaryCondition, n_max: int,
-                        k_max: int) -> list[list[SpectrumLevel]]:
-    """Levels of every profile; the band brackets of all of them are
-    bisected together."""
+                        bc: BoundaryCondition, n_max: int, k_max: int):
+    """gammas[p, n-1, k-1] and band upper edges[p, k-1] of every profile,
+    NaN for a rejected level; the band brackets of all two-family profiles
+    are stacked and bisected together."""
     betas = beam_roots(bc, n_max)
-    shape = (n_max, k_max)
-    out = []
-    solves = []     # per two-family profile: index in out, profile, bands
-    brackets = []   # per two-family profile: the columns unpacked below
-    for profile in profiles:
+    gammas = np.empty((len(profiles), n_max, k_max))
+    upper = np.empty((len(profiles), k_max))
+    paired, bands, coeffs = [], [], []
+    for p, profile in enumerate(profiles):
         c1, c2 = _alternating_coeffs(geometry, profile)  # 0.0 when empty
         eps = profile.epsilon
         # one shared pole set would make the two-family regularized form
         # vanish quadratically at the edges
         if c1 == 0.0 or c2 == 0.0 or abs(eps - 1.0) < 1e-12:
-            out.append(_single_family(geometry, profile, betas, k_max, c1, c2))
+            gammas[p], upper[p] = _single_family(geometry, profile, betas,
+                                                 k_max, c1, c2)
             continue
-        bands = _band_brackets(profile, k_max)
-        mid = 0.5 * (bands[:, 0] + bands[:, 1])
-        # the secular function rises from -inf in every band, and the
-        # denominators keep one sign inside it
-        f_lo = -_scaled_nd(mid)[1] * _scaled_nd(eps * mid)[1]
-        lb4 = (profile.length1 / geometry.beam_length * betas[:, None]) ** 4
-        brackets.append([np.broadcast_to(a, shape).ravel()
-                         for a in (*bands.T, f_lo, c1, c2, eps, lb4)])
-        solves.append((len(out), profile, bands))
-        out.append(None)
-    if not solves:
-        return out
-    lo, hi, lower, upper, f_lo, c1, c2, eps, lb4 = map(np.concatenate,
-                                                       zip(*brackets))
+        paired.append(p)
+        bands.append(_band_brackets(profile, k_max))
+        coeffs.append((c1, c2, eps, profile.length1 / geometry.beam_length))
+    if not paired:
+        return gammas, upper
+    bands = np.array(bands)[:, None]                 # (P, 1, k, 4)
+    c1, c2, eps, lam1 = np.array(coeffs).T[:, :, None, None]   # (P, 1, 1)
+    lo, hi = (np.repeat(bands[..., i], n_max, axis=1) for i in (0, 1))
+    mid = 0.5 * (bands[..., 0] + bands[..., 1])
+    # the secular function rises from -inf in every band, and the
+    # denominators keep one sign inside it
+    f_lo = -_scaled_nd(mid)[1] * _scaled_nd(eps * mid)[1]
+    lb4 = (lam1 * betas[:, None]) ** 4
 
     def f(g):
         return _regular_alternating(g, c1, c2, eps, lb4)
 
-    gammas = _bisect(f, lo, hi, f_lo)
+    found = _bisect(f, lo, hi, f_lo)
     # an end stepped off a merged pole group must still have the sign that
     # the bracket assumes, or the bracket may hold no level at all
     lo_sign = np.signbit(f_lo)
-    rejected = (((lo != lower) & (np.signbit(f(lo)) != lo_sign))
-                | ((hi != upper) & (np.signbit(f(hi)) == lo_sign)))
-    gammas[rejected] = np.nan
-    counts = rejected.reshape(len(solves), -1).sum(axis=1).tolist()
-    for (index, profile, bands), grid, count in zip(
-            solves, gammas.reshape((len(solves),) + shape), counts):
+    rejected = (((lo != bands[..., 2]) & (np.signbit(f(lo)) != lo_sign))
+                | ((hi != bands[..., 3]) & (np.signbit(f(hi)) == lo_sign)))
+    found[rejected] = np.nan
+    gammas[paired], upper[paired] = found, bands[:, 0, :, 3]
+    for p, count in zip(paired, rejected.sum(axis=(1, 2)).tolist()):
         if count:
             warnings.warn(
-                f"epsilon={profile.epsilon!r}: {count} two-family level(s) "
-                "rejected: a bracket end stepped off a merged pole pair has "
-                "the wrong sign", stacklevel=3)
-        scale = geometry.cantilever_wave_scale / profile.length1 ** 2
-        out[index] = _levels(_grid_entries(grid, bands[:, 3]), scale,
-                             profile.count1 + profile.count2)
-    return out
+                f"epsilon={profiles[p].epsilon!r}: {count} two-family "
+                "level(s) rejected: a bracket end stepped off a merged pole "
+                "pair has the wrong sign", stacklevel=3)
+    return gammas, upper
 
 
 def solve_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,
@@ -497,19 +492,25 @@ def solve_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,
     or equal lengths) share a single pole set and reduce exactly to the
     single-family solver instead.
     """
-    return _alternating_solves(geometry, [profile], bc, n_max, k_max)[0]
+    gammas, upper = _alternating_solves(geometry, [profile], bc, n_max, k_max)
+    return _levels(_grid_entries(gammas[0], upper[0]),
+                   geometry.cantilever_wave_scale / profile.length1 ** 2,
+                   profile.count1 + profile.count2)
 
 
 def sweep_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,
                       bc: BoundaryCondition, values, n_max: int, k_max: int):
-    """Spectrum vs epsilon: (value, levels) for each value, where levels are
-    those of solve_alternating with length2 = value * length1, bit for bit;
-    the brackets of all values are bisected at once."""
+    """Spectrum vs epsilon, like sweep_uniform: yields (value, gammas,
+    scale) for each value, where gammas[n-1, k-1] are the levels of
+    solve_alternating with length2 = value * length1, bit for bit, NaN for
+    a rejected level, and omega = scale * gamma^2.  The brackets of all
+    values are bisected at once."""
     values = [float(v) for v in values]
-    swept = [replace(profile, length2=v * profile.length1)
-             for v in values]
-    return list(zip(values, _alternating_solves(geometry, swept, bc, n_max,
-                                                k_max)))
+    swept = [replace(profile, length2=v * profile.length1) for v in values]
+    gammas, _ = _alternating_solves(geometry, swept, bc, n_max, k_max)
+    scale = geometry.cantilever_wave_scale / profile.length1 ** 2
+    for value, grid in zip(values, gammas):
+        yield value, grid, scale
 
 
 def sweep_uniform(geometry: DeviceGeometry, profile: UniformProfile,

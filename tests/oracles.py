@@ -234,3 +234,35 @@ def render_rows(columns: list[str], rows: list[list], fmt: str) -> str:
     lines = [",".join(columns)]
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def overlap_arrays(shapes, quad, cumulative_square_quad):
+    """Mass, damping, stretch and curvature overlaps of two carried shapes,
+    every integrand evaluating its shapes itself: shapes[i](v, d) is the
+    relative deflection (or its d-th derivative), h_i = 1 + chi_i, quad(f)
+    integrates f on [0, 1] and cumulative_square_quad(f) integrates the
+    square of its running integral there.
+    """
+    def h(i, v, d=0):
+        chi = shapes[i](v, d)
+        return chi + 1.0 if d == 0 else chi
+
+    mass, damp, stretch = np.empty((2, 2)), np.empty((2, 2)), np.empty((2, 2))
+    for i in range(2):
+        for j in range(i, 2):
+            mass[i, j] = mass[j, i] = quad(lambda v: h(i, v) * h(j, v))
+            stretch[i, j] = stretch[j, i] = cumulative_square_quad(
+                lambda v: h(i, v, 1) * h(j, v, 1))
+        for j in range(2):
+            damp[i, j] = quad(lambda v: h(i, v) * shapes[j](v))
+    curv = np.empty((2, 2, 2, 2))
+    for i in range(2):
+        for j in range(i, 2):
+            for k in range(2):
+                for l in range(k, 2):
+                    val = quad(lambda v: h(i, v, 1) * h(j, v, 1)
+                               * h(k, v, 2) * h(l, v, 2))
+                    for a, b in ((i, j), (j, i)):
+                        for c, d in ((k, l), (l, k)):
+                            curv[a, b, c, d] = val
+    return mass, damp, stretch, curv

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import render_rows
 
-from cantarray import cli
+from cantarray import cli, spectrum
 from cantarray.kernel import band_edge_gammas
 from cantarray.model import preset_device
 from cantarray.quadrature import QuadratureError
@@ -339,6 +339,28 @@ def test_sweep_epsilon(capsys, tmp_path):
     assert len(values) == 3
 
 
+def test_epsilon_sweep_builds_no_spectrum_levels(capsys, tmp_path,
+                                                monkeypatch):
+    # a 200-value sweep hands the table one gamma grid per value, as the
+    # uniform sweeps do, and builds no SpectrumLevel on the way
+    calls = []
+    levels = spectrum._levels
+    monkeypatch.setattr(spectrum, "_levels",
+                        lambda *args: calls.append(args) or levels(*args))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({
+        "geometry": {"preset": PRESET},
+        "profile": {"kind": "alternating", "length1": 5e-7, "length2": 2.5e-7,
+                    "count1": 10, "count2": 10},
+        "spectrum": {"n_max": 3, "k_max": 4}}))
+    code, out, _ = run(capsys, "sweep", "--config", str(p), "--param",
+                       "epsilon", "--from", "0.4", "--to", "0.9999",
+                       "--points", "200")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 200 * 3 * 4
+    assert calls == []
+
+
 def test_sweep_epsilon_needs_alternating_profile(capsys):
     code, _, err = run(capsys, "sweep", "--preset", PRESET,
                        "--param", "epsilon", "--from", "0.5", "--to", "1.0",
@@ -402,6 +424,31 @@ def test_alternating_profile_without_cantilevers_is_exit_2(capsys, tmp_path,
     code, out, err = run(capsys, *argv, "--config", str(p))
     assert code == 2 and out == ""
     assert "no cantilevers" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [
+    {"count_per_side": 2.5}, {"count_per_side": 2},
+    {"count_per_side": float("nan"), "beam_length": 1e-5}])
+def test_preset_geometry_with_other_keys_is_exit_2(capsys, tmp_path, extra):
+    # the preset used to win silently over every other geometry key
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"geometry": {"preset": PRESET, **extra}}))
+    code, out, err = run(capsys, "spectrum", "--config", str(p))
+    assert code == 2 and out == ""
+    assert "preset" in err and str(sorted(extra)) in err
+
+
+@pytest.mark.parametrize("count", [float("nan"), float("inf"), float("-inf"),
+                                   -1, "20"])
+def test_count_per_side_must_be_finite_and_nonnegative(capsys, tmp_path,
+                                                       count):
+    geometry = {**preset_device(PRESET)[0].to_dict(), "count_per_side": count}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"geometry": geometry,
+                             "profile": {"kind": "uniform", "length": 5e-7}}))
+    code, out, err = run(capsys, "spectrum", "--config", str(p))
+    assert code == 2 and out == ""
+    assert "geometry.count_per_side" in err and "Traceback" not in err
 
 
 FINITE_PROFILES = {
@@ -497,7 +544,7 @@ def test_kernel_drops_samples_on_band_edges(capsys):
 NO_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None          # any scipy import now raises
-from cantarray import cli
+from cantarray import cli, spectrum
 
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from cantarray import nonlinear as nl
 from cantarray.beam import BeamMode, beam_roots
-from cantarray.kernel import shear_kernel
+from cantarray.kernel import CantileverShape, shear_kernel
 from cantarray.model import (BoundaryCondition, ConfigError,
-                             NonlinearSettings, preset_device)
-from oracles import steady_state_count
+                             NonlinearSettings, UniformProfile,
+                             preset_device)
+from cantarray.quadrature import adaptive_quad, cumulative_square_quad
+from oracles import overlap_arrays, steady_state_count
 
 GEOM, PROF, BC = preset_device("jap1-calibrated")
 
@@ -113,6 +115,37 @@ def test_overlap_goldens_and_orderings(sel, ints):
     # symmetric blocks really are symmetric
     assert L[0, 1] == L[1, 0]
     assert i_[0, 1] == i_[1, 0]
+
+
+@pytest.mark.parametrize("length_scale", [1.0, 0.6, 1.3])
+def test_overlaps_equal_per_integrand_evaluation(length_scale):
+    # shapes evaluated once per node array and shared by every integrand
+    # give each integral the bits it has when it evaluates them itself
+    sel = nl.select_modes(GEOM, UniformProfile(PROF.length * length_scale),
+                          BC)
+    got = nl.overlap_integrals(sel, rtol=1e-9)
+    want = overlap_arrays(
+        (sel.shape1, sel.shape2),
+        lambda f: adaptive_quad(f, 0.0, 1.0, rtol=1e-9),
+        lambda f: cumulative_square_quad(f, 0.0, 1.0, rtol=1e-9))
+    for name, ref in zip(("mass_overlap", "damping_overlap",
+                          "stretch_overlap", "curvature_overlap"), want):
+        assert getattr(got, name).tobytes() == ref.tobytes(), name
+
+
+def test_overlaps_evaluate_each_shape_once_per_node_array(sel, monkeypatch):
+    calls = []
+    call = CantileverShape.__call__
+
+    def counted(self, v, derivative=0):
+        calls.append((id(self), derivative, np.asarray(v).tobytes()))
+        return call(self, v, derivative)
+
+    monkeypatch.setattr(CantileverShape, "__call__", counted)
+    nl.overlap_integrals(sel, rtol=1e-9)
+    node_arrays = {nodes for _, _, nodes in calls}
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= 2 * 3 * len(node_arrays)
 
 
 def test_damping_overlap_identity(sel, ints):

@@ -354,6 +354,40 @@ def test_sweep_uniform_equals_per_value_solves(data, parameter, n_max, k_max):
         assert gammas.tobytes() == alone.tobytes()
 
 
+def _grid(levels, n_max, k_max):
+    """gammas[n-1, k-1] of the levels, NaN where none is returned."""
+    grid = np.full((n_max, k_max), np.nan)
+    for lv in levels:
+        grid[lv.n - 1, lv.k - 1] = lv.gamma
+    return grid
+
+
+def _sweep_and_solves(geometry, alt, bc, values, n_max, k_max):
+    """sweep_alternating's points and the per-value solve_alternating
+    levels, each with the texts of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught_sweep:
+        warnings.simplefilter("always")
+        swept = list(sp.sweep_alternating(geometry, alt, bc, values, n_max,
+                                          k_max))
+    with warnings.catch_warnings(record=True) as caught_alone:
+        warnings.simplefilter("always")
+        alone = [sp.solve_alternating(
+            geometry, AlternatingProfile(
+                length1=alt.length1, length2=v * alt.length1,
+                width1=alt.width1, width2=alt.width2, count1=alt.count1,
+                count2=alt.count2), bc, n_max, k_max) for v in values]
+    return (swept, [str(w.message) for w in caught_sweep], alone,
+            [str(w.message) for w in caught_alone])
+
+
+def _assert_sweep_equals_levels(swept, alone, values, n_max, k_max):
+    assert [v for v, _, _ in swept] == values
+    for (_, gammas, scale), levels in zip(swept, alone):
+        assert gammas.tobytes() == _grid(levels, n_max, k_max).tobytes()
+        assert [scale * lv.gamma * lv.gamma for lv in levels] == \
+            [lv.omega for lv in levels]
+
+
 @pytest.mark.parametrize("merge_rtol, warns", [(sp._MERGE_RTOL, False),
                                                (0.3, True)])
 def test_sweep_alternating_equals_per_value_solves(monkeypatch, merge_rtol,
@@ -364,21 +398,80 @@ def test_sweep_alternating_equals_per_value_solves(monkeypatch, merge_rtol,
     _, profile, _ = preset_device("jap1-calibrated")
     geometry, bc, alt = _two_family(profile.length, 0.5, count1=7, count2=13)
     values = [0.3, 0.45, 0.7, 0.8, 0.93, 1 - 1e-7, 1 - 1e-10, 1 - 1e-13, 1.0]
-    with warnings.catch_warnings(record=True) as caught_sweep:
-        warnings.simplefilter("always")
-        swept = sp.sweep_alternating(geometry, alt, bc, values, 4, 5)
-    with warnings.catch_warnings(record=True) as caught_alone:
-        warnings.simplefilter("always")
-        alone = [sp.solve_alternating(
-            geometry, AlternatingProfile(
-                length1=alt.length1, length2=v * alt.length1,
-                width1=alt.width1, width2=alt.width2, count1=alt.count1,
-                count2=alt.count2), bc, 4, 5) for v in values]
-    assert [v for v, _ in swept] == values
-    assert [levels for _, levels in swept] == alone
-    messages = [str(w.message) for w in caught_sweep]
-    assert messages == [str(w.message) for w in caught_alone]
+    swept, messages, alone, alone_messages = _sweep_and_solves(
+        geometry, alt, bc, values, 4, 5)
+    _assert_sweep_equals_levels(swept, alone, values, 4, 5)
+    assert messages == alone_messages
     assert bool(messages) == warns
+
+
+@pytest.mark.parametrize("width_scale, rejected", [(1e-9, 2), (1e-12, 4)])
+def test_sweep_alternating_rejects_the_levels_of_per_value_solves(
+        width_scale, rejected):
+    # the twin-pole rejection case of a single layout, inside a sweep: the
+    # rejected levels are NaN in that value's grid, with the same warning
+    geometry, profile, bc = preset_device("jap1-calibrated")
+    w = width_scale * geometry.cantilever_width
+    alt = AlternatingProfile(length1=profile.length,
+                             length2=0.5 * profile.length,
+                             width1=w, width2=w, count1=1, count2=1)
+    values = [0.5, 1 - 1e-11, 1.0, 1 - 1e-11]
+    swept, messages, alone, alone_messages = _sweep_and_solves(
+        geometry, alt, bc, values, 2, 3)
+    _assert_sweep_equals_levels(swept, alone, values, 2, 3)
+    assert messages == alone_messages
+    assert len(messages) == 2
+    assert all(f": {rejected} two-family level(s) rejected" in m
+               for m in messages)
+    assert [int(np.isnan(g).sum()) for _, g, _ in swept] == \
+        [0, rejected, 0, rejected]
+
+
+_EPSILONS = (st.floats(0.2, 0.97)
+             | st.integers(1, 14).map(lambda j: 1.0 - 10.0 ** -j)
+             | st.just(1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(values=st.lists(_EPSILONS, min_size=1, max_size=4),
+       counts=st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(any),
+       width_ratio=st.floats(0.3, 3.0), length_ratio=st.floats(0.5, 2.0),
+       n_max=st.integers(1, 3), k_max=st.integers(1, 4))
+def test_alternating_grids_equal_levels_and_scalar_oracle(
+        values, counts, width_ratio, length_ratio, n_max, k_max):
+    # eps toward 1, exactly 1 and an empty family (single-family grids)
+    # next to two-family ones, all in one sweep
+    _, profile, _ = preset_device("jap1-calibrated")
+    geometry, bc, alt = _two_family(length_ratio * profile.length, 0.5,
+                                    *counts, width_ratio)
+    swept, messages, alone, alone_messages = _sweep_and_solves(
+        geometry, alt, bc, values, n_max, k_max)
+    _assert_sweep_equals_levels(swept, alone, values, n_max, k_max)
+    assert messages == alone_messages == []
+    c1, c2 = sp._alternating_coeffs(geometry, alt)
+    betas = beam_roots(bc, n_max)
+    for eps, gammas, _ in swept:
+        assert np.isfinite(gammas).all()
+        layout = AlternatingProfile(
+            length1=alt.length1, length2=eps * alt.length1, width1=alt.width1,
+            width2=alt.width2, count1=alt.count1, count2=alt.count2)
+        if 0 in counts or abs(eps - 1.0) < 1e-12:
+            # one pole set: the oracle's form has extra zeros, so check that
+            # the raw secular function rises through every level instead
+            for (n, _), g in np.ndenumerate(gammas):
+                below, above = (sp.secular_alternating(
+                    (1 + s * 1e-9) * g, geometry, layout, betas[n])
+                    for s in (-1, 1))
+                assert below < 0 < above
+            continue
+        ref = scalar_alternating_levels(
+            alt.length1 / geometry.beam_length, betas, c1, c2,
+            layout.epsilon, sp._band_brackets(layout, k_max)[:, :2])
+        assert [(n, k) for n, k, _ in ref] == \
+            [(n, k) for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
+        # the oracle bisects a scan sub-bracket: an adjacent float may win
+        np.testing.assert_allclose(gammas.ravel(), [g for _, _, g in ref],
+                                   rtol=1e-15, atol=0.0)
 
 
 @settings(max_examples=25, deadline=None)
