@@ -407,33 +407,32 @@ def _parse_geometry(spec: dict) -> tuple[DeviceGeometry, str | None]:
     if not isinstance(spec, dict):
         raise ConfigError("geometry: must be an object")
     if "preset" in spec:
-        ignored = sorted(set(spec) - {"preset"})
-        if ignored:
-            raise ConfigError(f"geometry: a preset takes no other keys, got "
-                              f"{ignored}; give the full geometry instead")
+        _reject_unknown(spec, ("preset",), "preset")
         geometry, _, _ = preset_device(spec["preset"])
         return geometry, spec["preset"]
     if "youngs_modulus" in spec:
+        keys = ("youngs_modulus", "mass_density", "thickness", "beam_length",
+                "beam_width", "cantilever_width", "count_per_side")
+        _reject_unknown(spec, keys, "material")
         try:
             return DeviceGeometry.from_material(
-                youngs_modulus=_require(spec, "youngs_modulus", "geometry"),
-                mass_density=_require(spec, "mass_density", "geometry"),
-                thickness=_require(spec, "thickness", "geometry"),
-                beam_length=_require(spec, "beam_length", "geometry"),
-                beam_width=_require(spec, "beam_width", "geometry"),
-                cantilever_width=_require(spec, "cantilever_width", "geometry"),
-                count_per_side=_require(spec, "count_per_side", "geometry"),
-            ), None
+                **{key: _require(spec, key, "geometry") for key in keys}), None
         except TypeError as exc:
             raise ConfigError(f"geometry: {exc}") from exc
-    kwargs = {}
-    for key in ("beam_length", "beam_width", "beam_rigidity",
-                "beam_linear_density", "cantilever_width",
-                "cantilever_rigidity", "cantilever_linear_density",
-                "count_per_side"):
-        kwargs[key] = _require(spec, key, "geometry")
+    keys = ("beam_length", "beam_width", "beam_rigidity",
+            "beam_linear_density", "cantilever_width", "cantilever_rigidity",
+            "cantilever_linear_density", "count_per_side")
+    _reject_unknown(spec, keys + ("equal_thickness",), "full")
+    kwargs = {key: _require(spec, key, "geometry") for key in keys}
     kwargs["equal_thickness"] = spec.get("equal_thickness", True)
     return DeviceGeometry(**kwargs), None
+
+
+def _reject_unknown(spec: dict, keys, kind: str) -> None:
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ConfigError(f"geometry: unknown key(s) {unknown} in a {kind} "
+                          f"geometry; it takes {sorted(keys)}")
 
 
 def _parse_profile(spec: dict, geometry: DeviceGeometry, preset: str | None) -> Profile:

@@ -11,21 +11,30 @@ evaluates T near its poles; instead it bisects the pole-free rescaled form
 
     F(gamma) = nu*lam*gamma^3*N(gamma) + (gamma^4 - (lam*beta_n)^4)*D(gamma)
 
-with N = e^-g (cos sinh + sin cosh), D = e^-g (1 + cos cosh).  F is finite
-and nonzero at the band edges with alternating sign, so [edge, edge] is a
-guaranteed single-sign-change bracket for every (n, k).
+with N = e^-g (cos sinh + sin cosh), D = e^-g (1 + cos cosh).  Only D
+vanishes at a band edge gamma_{inf,k}; F there is nu*lam*gamma^3*N, nonzero
+with the sign (-1)^(k+1), and F(0) = -2 (lam*beta_n)^4.  So [edge, edge] is
+a single-sign-change bracket for every (n, k), seeded with the sign at its
+lower end instead of a value taken there.
 
 An interleaved two-family array gives the same structure with both pole sets
 {gamma_k} and {gamma_k / epsilon}; see solve_alternating.  Its brackets also
 run edge to edge, one per level, except that they step off merged twin poles.
 
-Every solve is one array bisection (_bisect) over all of its brackets: all
-(n, k) of a spectrum, and in sweep_uniform and sweep_alternating all swept
-values at once, stacked as (value, n, k) arrays.  It halves every bracket
-until none moves, with _BISECT_ITERS as the cap.  The sign of f at lo is
-fixed per bracket, so only (lo, hi) is state, and a settled bracket stays
-settled.  Each bracket takes the same steps as it would alone, so a sweep
-gives bit for bit the levels of the per-value solves.  Solvers return gamma
+Every solve halves all of its brackets at once: all (n, k) of a spectrum,
+and in sweep_uniform and sweep_alternating all swept values, stacked as
+(value, n, k) arrays.  Halving stops once no bracket moves, with
+_BISECT_ITERS as the cap.  The sign of f at lo is fixed per bracket, so
+only (lo, hi) is state, and a settled bracket stays settled.  Each bracket
+takes the same steps as it would alone, so a sweep gives bit for bit the
+levels of the per-value solves.  Two-family brackets go through _bisect,
+which evaluates f at every midpoint.  Single-family bands go through
+_band_bisect, which takes the same halvings but evaluates F only where its
+sign is in doubt: a safeguarded Newton pass puts an inner bracket (a, b) a
+few rounding-noise widths wide around each root, F(a) and F(b) are checked
+to have the two signs, and a midpoint outside (a, b) takes its known side.
+A lane whose Newton pass or check fails is evaluated at every halving, so
+the levels are _bisect's bit for bit either way.  Solvers return gamma
 grids (gammas[n-1, k-1], NaN where no level is reported); both sweeps yield
 one grid per value, and only solve_uniform and solve_alternating turn their
 grid into SpectrumLevel rows.
@@ -44,6 +53,13 @@ from .model import (AlternatingProfile, BoundaryCondition, ConfigError,
                     dimensionless)
 
 _BISECT_ITERS = 110
+# Lanes per _replay call in _band_bisect; bounds the temporaries of a sweep.
+_CHUNK = 4096
+# Newton steps of _inner_brackets before a lane is evaluated at every halving.
+_NEWTON_ITERS = 30
+# Half-width of an inner bracket, in rounding-noise widths of F.
+_MARGIN = 8.0
+_ROUNDOFF = 2.0 ** -53     # unit roundoff of float64
 # Two poles closer than this (relative) merge into one band edge, and the
 # root between them is not reported.  The twin poles gamma_k, gamma_k/eps are
 # |1/eps - 1| gamma_k apart; bisection still resolves the root between them
@@ -115,6 +131,39 @@ def _regular_secular(gamma, nulam: float, lambeta4):
     """(secular) * D(gamma) * e^-gamma: pole-free, same roots off the edges."""
     n_hat, d_hat = _scaled_nd(gamma)
     return nulam * gamma ** 3 * n_hat + (gamma ** 4 - lambeta4) * d_hat
+
+
+def _scaled_nd_slopes(gamma):
+    """N^ and D^ of _scaled_nd, their slopes, and bounds on their rounding
+    errors in units of roundoff.
+
+    N' = 2 cos cosh and D' = cos sinh - sin cosh, so with ch = e^-g cosh
+    and sh = e^-g sinh, N^' = 2 cos ch - N^ and D^' = cos sh - sin ch - D^.
+    """
+    e = np.exp(-gamma)
+    ch = 0.5 * (1.0 + e * e)
+    sh = 0.5 * (1.0 - e * e)
+    c, s = np.cos(gamma), np.sin(gamma)
+    n_hat, d_hat = c * sh + s * ch, e + c * ch
+    return (n_hat, d_hat, 2.0 * c * ch - n_hat, c * sh - s * ch - d_hat,
+            (np.abs(c) + np.abs(s)) * ch, e + np.abs(c) * ch)
+
+
+def _secular_slope(gamma, nulam, lambeta4, nd):
+    """_regular_secular F (not bit for bit), dF/dgamma, and a bound on the
+    rounding error of _regular_secular in units of roundoff, from
+    nd = _scaled_nd_slopes(gamma)."""
+    n_hat, d_hat, dn_hat, dd_hat, n_err, d_err = nd
+    g2 = gamma * gamma
+    g3 = g2 * gamma
+    g4 = g2 * g2
+    poly = g4 - lambeta4
+    f = nulam * g3 * n_hat + poly * d_hat
+    df = (nulam * g2 * (3.0 * n_hat + gamma * dn_hat) + 4.0 * g3 * d_hat
+          + poly * dd_hat)
+    noise = (nulam * g3 * n_err + np.abs(poly) * d_err
+             + (g4 + lambeta4) * np.abs(d_hat))
+    return f, df, noise
 
 
 def band_edges(k_max: int, geometry: DeviceGeometry | None = None,
@@ -208,18 +257,125 @@ def _band_bisect(nulam, lambeta4: np.ndarray, k_max: int) -> np.ndarray:
     """Edge-to-edge bisection of the regularized single-family secular form.
 
     lambeta4 has shape (..., n, 1) and nulam broadcasts against it; the
-    result has shape (..., n, k_max).  The regularized form vanishes with
-    the kernel denominator exactly at the edges; evaluating there returns
-    rounding noise of either sign.  Its limit sign alternates as (-1)^k at
-    the lower edge of band k (and the k=1 interval starts negative), so the
-    bisection is seeded analytically.
+    result has shape (..., n, k_max), bit for bit what _bisect returns from
+    the band edges.  At an edge only D vanishes, so the regularized form is
+    nu*lam*gamma^3*N there, whose sign alternates as (-1)^k at the lower
+    edge of band k (the k=1 interval starts at F(0) = -2 (lam*beta)^4); the
+    bisection is seeded with that sign.  Lanes (one per level) go through
+    _inner_brackets and _replay in chunks of at most _CHUNK.
     """
-    edges = band_edge_gammas(k_max)
+    bounds = np.concatenate(([0.0], band_edge_gammas(k_max)))
+    nd = _scaled_nd_slopes(bounds)
     shape = np.broadcast_shapes(np.shape(nulam), lambeta4.shape)[:-1] + (k_max,)
-    lo = np.broadcast_to(np.concatenate(([0.0], edges[:-1])), shape)
-    f_lo = np.broadcast_to((-1.0) ** np.arange(1, k_max + 1), shape)
-    return _bisect(lambda g: _regular_secular(g, nulam, lambeta4),
-                   lo, np.broadcast_to(edges, shape), f_lo)
+    flat_nulam = np.broadcast_to(nulam, shape).flat
+    flat_lambeta4 = np.broadcast_to(lambeta4, shape).flat
+    out = np.empty(shape)
+    for start in range(0, out.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        k = np.arange(start, min(start + _CHUNK, out.size)) % k_max
+        lo, hi = bounds[k], bounds[k + 1]
+        neg = k % 2 == 0                  # F < 0 at the lower edge of band k+1
+        c, lb4 = flat_nulam[part], flat_lambeta4[part]
+        x = _newton_start(lo, hi, c, lb4, [t[k] for t in nd],
+                          [t[k + 1] for t in nd])
+        a, b = _inner_brackets(lo, hi, neg, c, lb4, x)
+        out.flat[part] = _replay(lo, hi, neg, c, lb4, a, b)
+    return out
+
+
+def _newton_start(lo, hi, nulam, lambeta4, nd_lo, nd_hi):
+    """Newton start inside each band [lo, hi]: of the Newton steps from its
+    two edges that land inside, the shorter one; the midpoint if none does.
+    nd_lo and nd_hi are _scaled_nd_slopes at the edges."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step_lo = np.divide(*_secular_slope(lo, nulam, lambeta4, nd_lo)[:2])
+        step_hi = np.divide(*_secular_slope(hi, nulam, lambeta4, nd_hi)[:2])
+    x_lo, x_hi = lo - step_lo, hi - step_hi
+    in_lo = (x_lo > lo) & (x_lo < hi)
+    in_hi = (x_hi > lo) & (x_hi < hi)
+    x = np.where(in_hi, x_hi, 0.5 * (lo + hi))
+    return np.where(in_lo & ~(in_hi & (np.abs(step_hi) < np.abs(step_lo))),
+                    x_lo, x)
+
+
+def _replay(lo, hi, neg, nulam, lambeta4, a, b):
+    """_bisect of _regular_secular over [lo, hi], where neg is the sign bit
+    of F at lo, evaluating F only where its sign is in doubt.
+
+    (a, b) is each lane's inner bracket from _inner_brackets, F(a) of the
+    sign at lo and F(b) of the other: a midpoint at or below a takes the lo
+    side, one at or above b the hi side, and only the midpoints strictly
+    inside are evaluated.  The halvings, the settle test and the
+    _BISECT_ITERS cap are those of _bisect, so the levels are too.
+    """
+    n = lo.size
+    bracket = np.concatenate((lo, hi))
+    lo, hi, lane = bracket[:n], bracket[n:], np.arange(n)
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        take = mid <= a
+        doubt = np.flatnonzero(~take & (mid < b))
+        if doubt.size:
+            take[doubt] = np.signbit(_regular_secular(
+                mid[doubt], nulam[doubt], lambeta4[doubt])) == neg[doubt]
+        # mid replaces lo where taken and hi elsewhere; no bracket moves
+        # when those ends hold its bits already
+        end = lane + n * ~take
+        if _same_bits(bracket[end], mid):
+            break
+        bracket[end] = mid
+    return 0.5 * (lo + hi)
+
+
+def _inner_brackets(lo, hi, neg, nulam, lambeta4, start):
+    """Inner bracket (a, b) of each lane's root in [lo, hi], or (-inf, inf)
+    where none is certified.
+
+    A safeguarded Newton pass from start (a bisection step wherever Newton
+    leaves the bracket) estimates the root r, on the active lanes only.
+    The inner bracket is r -+ _MARGIN noise widths (at least one spacing of
+    r), clipped to [lo, hi]; the noise width is the bound on the rounding
+    error of F over |F'|.  It holds only where _regular_secular itself
+    gives F(a) the sign at lo and F(b) the other.  A lane whose Newton pass
+    does not converge, whose slope is zero or not finite, or whose ends
+    fail that check keeps (-inf, inf).
+    """
+    a = np.full(lo.shape, -np.inf)
+    b = np.full(lo.shape, np.inf)
+    live = np.arange(lo.size)
+    x, x_lo, x_hi, x_neg = start, lo, hi, neg
+    c, lb4 = nulam, lambeta4
+    found = [(live[:0], x[:0], x[:0])]    # (lanes, r, width) as they converge
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_ITERS):
+            f, df, noise = _secular_slope(x, c, lb4, _scaled_nd_slopes(x))
+            step = f / df
+            # infinite (zero slope) or NaN where no bracket can be certified
+            width = np.maximum(_MARGIN * _ROUNDOFF * noise / np.abs(df),
+                               np.spacing(x))
+            below = np.signbit(f) == x_neg
+            x_lo = np.where(below, x, x_lo)
+            x_hi = np.where(below, x_hi, x)
+            root = x - step
+            x = np.where((root > x_lo) & (root < x_hi), root,
+                         0.5 * (x_lo + x_hi))
+            done = np.abs(step) <= width
+            if done.any():
+                hit = np.flatnonzero(done & np.isfinite(width))
+                found.append((live[hit], root[hit], width[hit]))
+                keep = np.flatnonzero(~done)
+                live, x, x_lo, x_hi, x_neg, c, lb4 = (
+                    v[keep] for v in (live, x, x_lo, x_hi, x_neg, c, lb4))
+                if not live.size:
+                    break
+    idx, root, width = (np.concatenate(v) for v in zip(*found))
+    ends = np.concatenate((np.maximum(root - width, lo[idx]),
+                           np.minimum(root + width, hi[idx])))
+    f = _regular_secular(ends, np.tile(nulam[idx], 2), np.tile(lambeta4[idx], 2))
+    f_a, f_b = np.signbit(f).reshape(2, -1)
+    ok = (f_a == neg[idx]) & (f_b != neg[idx])
+    a[idx[ok]], b[idx[ok]] = ends.reshape(2, -1)[:, ok]
+    return a, b
 
 
 def solve_uniform(geometry: DeviceGeometry, profile: UniformProfile,

@@ -438,6 +438,43 @@ def test_preset_geometry_with_other_keys_is_exit_2(capsys, tmp_path, extra):
     assert "preset" in err and str(sorted(extra)) in err
 
 
+MATERIAL_GEOMETRY = {"youngs_modulus": 150e9, "mass_density": 2330.0,
+                     "thickness": 2e-7, "beam_length": 1e-5,
+                     "beam_width": 4e-7, "cantilever_width": 2e-7,
+                     "count_per_side": 20}
+FULL_GEOMETRY = preset_device(PRESET)[0].to_dict()
+MISSPELT_GEOMETRY = {k.replace("density", "densty"): v
+                     for k, v in FULL_GEOMETRY.items()}
+
+
+@pytest.mark.parametrize("geometry, stray", [
+    ({**MATERIAL_GEOMETRY, "beam_rigidity": 1.0}, ["beam_rigidity"]),
+    ({**MATERIAL_GEOMETRY, "beam_rigidity": 1.0, "equal_thickness": False},
+     ["beam_rigidity", "equal_thickness"]),
+    ({**FULL_GEOMETRY, "thickness": 2e-7}, ["thickness"]),
+    (MISSPELT_GEOMETRY,
+     ["beam_linear_densty", "cantilever_linear_densty"])],
+    ids=["material-rigidity", "material-two", "full-thickness",
+         "full-misspelt"])
+def test_geometry_with_unknown_keys_is_exit_2(capsys, tmp_path, geometry,
+                                              stray):
+    # material and full geometries used to ignore such keys and exit 0
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"geometry": geometry,
+                             "profile": {"kind": "uniform", "length": 5e-7}}))
+    code, out, err = run(capsys, "spectrum", "--config", str(p))
+    assert code == 2 and out == ""
+    assert str(stray) in err and "Traceback" not in err
+
+
+def test_geometry_without_stray_keys_loads(capsys, tmp_path):
+    for geometry in (MATERIAL_GEOMETRY, FULL_GEOMETRY):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"geometry": geometry, "profile": {
+            "kind": "uniform", "length": 5e-7}}))
+        assert run(capsys, "spectrum", "--config", str(p))[0] == 0
+
+
 @pytest.mark.parametrize("count", [float("nan"), float("inf"), float("-inf"),
                                    -1, "20"])
 def test_count_per_side_must_be_finite_and_nonnegative(capsys, tmp_path,

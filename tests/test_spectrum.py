@@ -550,19 +550,103 @@ def test_bisect_stops_with_the_bits_of_all_halvings(brackets, data, form):
     assert got.tobytes() == want.tobytes()
 
 
-def test_nu_sweep_bisection_stops_early(monkeypatch):
-    # every bracket of the preset's nu sweep settles by the 57th halving;
-    # a bisection that always ran _BISECT_ITERS (110) of them would not
-    regular, calls = sp._regular_secular, []
+def _edge_bisection(nulam, lambeta4, k_max):
+    """_band_bisect's problem for _bisect_fixed: f, lo, hi and f_lo."""
+    edges = band_edge_gammas(k_max)
+    shape = np.broadcast_shapes(np.shape(nulam), lambeta4.shape)[:-1] + (k_max,)
+    lo = np.broadcast_to(np.concatenate(([0.0], edges[:-1])), shape)
+    f_lo = np.broadcast_to((-1.0) ** np.arange(1, k_max + 1), shape)
+    return (lambda g: sp._regular_secular(g, nulam, lambeta4), lo,
+            np.broadcast_to(edges, shape), f_lo)
 
-    def counted(gamma, nulam, lambeta4):
-        calls.append(gamma.shape)
-        return regular(gamma, nulam, lambeta4)
 
-    monkeypatch.setattr(sp, "_regular_secular", counted)
+def _random_loadings(rng, size, bc, n_max):
+    """nulam (size, 1, 1) and lambeta4 (size, n_max, 1): nu log-uniform in
+    [1e-9, 3e3], lam in [1e-3, 1]."""
+    nu = 10.0 ** rng.uniform(-9.0, np.log10(3e3), size)
+    lam = 10.0 ** rng.uniform(-3.0, 0.0, size)
+    lambeta4 = (lam[:, None] * beam_roots(bc, n_max)) ** 4
+    return (nu * lam)[:, None, None], lambeta4[:, :, None]
+
+
+def test_nu_sweep_band_bisection_lane_evaluations(monkeypatch):
+    # halving every bracket of the preset's nu sweep from its edges by value
+    # alone takes 57 lane evaluations per level; the replay needs at most 25.
+    # Lane evaluations are values (_regular_secular) and values with slopes
+    # (_scaled_nd_slopes), counted by gamma.size.
+    evals = []
+    for name in ("_regular_secular", "_scaled_nd_slopes"):
+        def counted(gamma, *args, fn=getattr(sp, name)):
+            evals.append(np.size(gamma))
+            return fn(gamma, *args)
+        monkeypatch.setattr(sp, name, counted)
     geometry, profile, bc = preset_device("jap1-calibrated")
     swept = list(sp.sweep_uniform(geometry, profile, bc, "nu",
                                   np.linspace(0.0, 90.0, 50), 8, 8))
     assert len(swept) == 50
-    assert calls and all(shape == (49, 8, 8) for shape in calls)
-    assert len(calls) <= 64
+    assert sum(evals) <= 25 * 49 * 8 * 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(nulam=st.floats(-12.0, 4.0).map(lambda e: 10.0 ** e),
+       lam=st.floats(1e-3, 1.0), bc=st.sampled_from(list(BoundaryCondition)),
+       n_max=st.integers(1, 12), k_max=st.integers(1, 12))
+def test_band_bisect_equals_all_halvings(nulam, lam, bc, n_max, k_max):
+    lambeta4 = ((lam * beam_roots(bc, n_max)) ** 4)[:, None]
+    got = sp._band_bisect(nulam, lambeta4, k_max)
+    want = _bisect_fixed(*_edge_bisection(nulam, lambeta4, k_max),
+                         sp._BISECT_ITERS)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_band_bisect_equals_bisection_on_seeded_lanes(bc):
+    # 700 loadings x 12 x 12 = 100,800 lanes, more than _CHUNK
+    nulam, lambeta4 = _random_loadings(np.random.default_rng(15), 700, bc, 12)
+    got = sp._band_bisect(nulam, lambeta4, 12)
+    assert got.tobytes() == sp._bisect(*_edge_bisection(nulam, lambeta4,
+                                                        12)).tobytes()
+
+
+def test_band_bisect_falls_back_where_inner_bracket_fails(monkeypatch):
+    # shifting the Newton root of the larger loadings by 1e-6 makes both
+    # ends of their inner brackets fail the sign check: those lanes are then
+    # evaluated at every halving, and every level stays the same
+    nulam, lambeta4 = _random_loadings(np.random.default_rng(16), 40,
+                                       BoundaryCondition.CLAMPED_FREE, 6)
+    cut = np.median(nulam)
+    slope, inner, brackets = sp._secular_slope, sp._inner_brackets, []
+
+    def shifted_slope(gamma, c, lb4, nd):
+        f, df, noise = slope(gamma, c, lb4, nd)
+        return f + (c >= cut) * 1e-6 * df, df, noise
+
+    def recorded(*args):
+        brackets.append(inner(*args))
+        return brackets[-1]
+
+    monkeypatch.setattr(sp, "_secular_slope", shifted_slope)
+    monkeypatch.setattr(sp, "_inner_brackets", recorded)
+    got = sp._band_bisect(nulam, lambeta4, 6)
+    want = _bisect_fixed(*_edge_bisection(nulam, lambeta4, 6),
+                         sp._BISECT_ITERS)
+    assert got.tobytes() == want.tobytes()
+    (a, b), = brackets
+    fallback = np.isinf(a).reshape(got.shape)
+    assert (fallback == (nulam >= cut)).all()
+    assert (np.isinf(a) == np.isinf(b)).all()
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_band_bisect_extremes_raise_no_warning(bc):
+    # no RuntimeWarning of the Newton pass may reach a manifest
+    nu = np.array([1e-9, 1e-6, 1e-3, 1.0, 1e2, 1e4])
+    lam = np.array([1e-3, 1e-2, 0.1, 1.0])
+    nu, lam = (v.ravel() for v in np.meshgrid(nu, lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sp._uniform_gammas(nu, lam, beam_roots(bc, 12), 12)
+    nulam = (nu * lam)[:, None, None]
+    lambeta4 = ((lam[:, None] * beam_roots(bc, 12)) ** 4)[:, :, None]
+    assert got.tobytes() == _bisect_fixed(
+        *_edge_bisection(nulam, lambeta4, 12), sp._BISECT_ITERS).tobytes()
