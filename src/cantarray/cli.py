@@ -4,9 +4,11 @@ Every run reads one JSON config (or a named preset), dispatches to the
 library, and emits a single CSV or JSON table plus a manifest sidecar that
 records the tool version, a hash of the effective config, wall time and
 every warning raised along the way.  A table is a set of named columns, each
-a numpy array of one type; floats are printed with 17 significant digits and
-output files are written atomically (temp file, then rename), so identical
-config and version give byte-identical files.
+a numpy array of one type; floats are printed with 17 significant digits
+(a float column made of runs of equal cells, like a swept value, is
+formatted once per run) and output files are written atomically (temp
+file, then rename), so identical config and version give byte-identical
+files.
 
 Exit codes: 0 success, 2 configuration problem, 3 solver failure.
 """
@@ -37,8 +39,8 @@ from .quadrature import QuadratureError
 SOLVER_ERRORS = (QuadratureError, PoleProximityError, spectrum.BlowUpError,
                  np.linalg.LinAlgError, FloatingPointError, ArithmeticError)
 
-# CSV field per dtype kind of a column; bool columns are mapped to text first
-_CSV_FIELD = {"b": "%s", "i": "%d", "f": "%.17g", "U": "%s"}
+# CSV field per dtype kind of a column's cells (see _csv_cells)
+_CSV_FIELD = {"i": "%d", "f": "%.17g", "U": "%s", "O": "%s"}
 _BLOCK_ROWS = 4096   # CSV rows formatted per write
 _JSON = json.JSONEncoder(sort_keys=True, indent=2)
 
@@ -48,21 +50,39 @@ def _write_json(fh, obj) -> None:
     fh.write("\n")
 
 
+def _csv_cells(column: np.ndarray) -> np.ndarray:
+    """The cells of one CSV column: bools as true/false; a float column
+    with at most one run of equal cells per two cells as the %.17g text of
+    each run, formatted once and repeated over it; any other column as it
+    is.  Runs are compared by bits, so 0.0 and -0.0 stay apart."""
+    if column.dtype.kind == "b":
+        return np.where(column, "true", "false")
+    if column.dtype == np.float64:
+        bits = column.view(np.int64)
+        starts = np.flatnonzero(np.append(True, bits[1:] != bits[:-1]))
+        if 2 * starts.size <= column.size:
+            text = ["%.17g" % x for x in column[starts].tolist()]
+            return np.repeat(np.array(text, dtype=object),
+                             np.diff(starts, append=column.size))
+    return column
+
+
 def _write_table(fh, table: dict[str, np.ndarray], fmt: str) -> None:
     """Write named, equal-length columns to fh as CSV or JSON.
 
     CSV: a header line, then one line per row from a single %-template
     (floats %.17g, ints %d, bools true/false, strings as they are), written
-    in blocks of _BLOCK_ROWS rows.  JSON: {"columns": names, "rows": rows}.
+    in blocks of _BLOCK_ROWS rows.  A float column made of runs of equal
+    cells, such as a swept value repeated over its levels, is formatted
+    once per run (_csv_cells).  JSON: {"columns": names, "rows": rows}.
     """
     cols = list(table.values())
     if fmt == "json":
         rows = list(zip(*(c.tolist() for c in cols)))
         _write_json(fh, {"columns": list(table), "rows": rows})
         return
-    line = ",".join(_CSV_FIELD[c.dtype.kind] for c in cols) + "\n"
-    cells = [np.where(c, "true", "false") if c.dtype.kind == "b" else c
-             for c in cols]
+    cells = [_csv_cells(c) for c in cols]
+    line = ",".join(_CSV_FIELD[c.dtype.kind] for c in cells) + "\n"
     fh.write(",".join(table) + "\n")
     for start in range(0, len(cols[0]), _BLOCK_ROWS):
         block = zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in cells))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -122,17 +122,7 @@ class DeviceGeometry:
         return math.sqrt(self.cantilever_rigidity / self.cantilever_linear_density)
 
     def to_dict(self) -> dict:
-        return {
-            "beam_length": self.beam_length,
-            "beam_width": self.beam_width,
-            "beam_rigidity": self.beam_rigidity,
-            "beam_linear_density": self.beam_linear_density,
-            "cantilever_width": self.cantilever_width,
-            "cantilever_rigidity": self.cantilever_rigidity,
-            "cantilever_linear_density": self.cantilever_linear_density,
-            "count_per_side": self.count_per_side,
-            "equal_thickness": self.equal_thickness,
-        }
+        return asdict(self)
 
 
 # --- cantilever distribution profiles -------------------------------------
@@ -198,10 +188,7 @@ class AlternatingProfile:
         return self.length2 / self.length1
 
     def to_dict(self) -> dict:
-        return {"kind": "alternating", "length1": self.length1,
-                "length2": self.length2, "width1": self.width1,
-                "width2": self.width2, "count1": self.count1,
-                "count2": self.count2}
+        return {"kind": "alternating", **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -280,10 +267,10 @@ class DimensionlessParams:
     nu: float   # 2 N w_c / w_b
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ConfigError("lam must be positive")
-        if self.nu < 0:
-            raise ConfigError("nu must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam > 0):   # NaN, inf too
+            raise ConfigError("lam must be a positive finite number")
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise ConfigError("nu must be a finite number >= 0")
 
 
 def dimensionless(geometry: DeviceGeometry, profile: Profile) -> DimensionlessParams:

@@ -20,24 +20,25 @@ lower end instead of a value taken there.
 An interleaved two-family array gives the same structure with both pole sets
 {gamma_k} and {gamma_k / epsilon}; see solve_alternating.  Its brackets also
 run edge to edge, one per level, except that they step off merged twin poles.
+The brackets of all swept epsilons are built at once, as arrays: family 1's
+poles are shared, family 2's are the edges over each epsilon.
 
 Every solve halves all of its brackets at once: all (n, k) of a spectrum,
 and in sweep_uniform and sweep_alternating all swept values, stacked as
-(value, n, k) arrays.  Halving stops once no bracket moves, with
-_BISECT_ITERS as the cap.  The sign of f at lo is fixed per bracket, so
-only (lo, hi) is state, and a settled bracket stays settled.  Each bracket
-takes the same steps as it would alone, so a sweep gives bit for bit the
-levels of the per-value solves.  Two-family brackets go through _bisect,
-which evaluates f at every midpoint.  Single-family bands go through
-_band_bisect, which takes the same halvings but evaluates F only where its
-sign is in doubt: a safeguarded Newton pass puts an inner bracket (a, b) a
-few rounding-noise widths wide around each root, F(a) and F(b) are checked
-to have the two signs, and a midpoint outside (a, b) takes its known side.
-A lane whose Newton pass or check fails is evaluated at every halving, so
-the levels are _bisect's bit for bit either way.  Solvers return gamma
-grids (gammas[n-1, k-1], NaN where no level is reported); both sweeps yield
-one grid per value, and only solve_uniform and solve_alternating turn their
-grid into SpectrumLevel rows.
+(value, n, k) arrays.  Halving stops once no bracket moves (_BISECT_ITERS is
+the cap).  The sign of f at lo is fixed per bracket, so (lo, hi) is the
+state, and each bracket takes the steps it would take alone: a sweep gives
+bit for bit the levels of the per-value solves.  Two-family brackets go
+through _bisect, which evaluates f at every midpoint.  Single-family bands
+go through _band_bisect, which takes the same halvings but evaluates F only
+where its sign is in doubt: a safeguarded Newton pass puts an inner bracket
+(a, b) a few rounding-noise widths wide around each root, F(a) and F(b) are
+checked to have the two signs, and a midpoint outside (a, b) takes its known
+side.  A lane whose Newton pass or check fails is evaluated at every
+halving, so the levels are _bisect's bit for bit either way.  Solvers return
+gamma grids (gammas[n-1, k-1], NaN where no level is reported); both sweeps
+yield one grid per value, and only solve_uniform and solve_alternating turn
+their grid into SpectrumLevel rows.
 """
 from __future__ import annotations
 
@@ -71,13 +72,6 @@ _STEP_RTOL = 1e-12
 
 class BlowUpError(ArithmeticError):
     """Band-edge expansion denominator is resonant (lam*beta_n ~ gamma_edge)."""
-
-
-@dataclass(frozen=True)
-class BandEdge:
-    k: int
-    gamma: float
-    omega: float | None = None  # rad/s when geometry+length given
 
 
 @dataclass(frozen=True)
@@ -166,20 +160,6 @@ def _secular_slope(gamma, nulam, lambeta4, nd):
     return f, df, noise
 
 
-def band_edges(k_max: int, geometry: DeviceGeometry | None = None,
-               cantilever_length: float | None = None) -> list[BandEdge]:
-    """Band-edge wavenumbers, optionally converted to rad/s via omega =
-    sqrt(Ec/mu_c) (gamma/l)^2."""
-    gammas = band_edge_gammas(k_max)
-    out = []
-    for k, g in enumerate(gammas, start=1):
-        omega = None
-        if geometry is not None and cantilever_length is not None:
-            omega = geometry.cantilever_wave_scale * (g / cantilever_length) ** 2
-        out.append(BandEdge(k=k, gamma=float(g), omega=omega))
-    return out
-
-
 def _bisect(f, lo, hi, f_lo):
     """Halve every bracket [lo, hi], all at once, until none moves.
 
@@ -208,21 +188,17 @@ def _same_bits(a, b) -> bool:
     return a.tobytes() == b.tobytes()
 
 
-def _levels(entries, scale: float, valid_n: int) -> list[SpectrumLevel]:
-    """One SpectrumLevel per (n, k, gamma, band_lower, band_upper) entry."""
-    return [SpectrumLevel(n=n, k=k, gamma=float(g), omega=float(scale * g * g),
-                          band_lower=float(lower), band_upper=float(upper),
-                          valid=bool(n < valid_n))
-            for n, k, g, lower, upper in entries]
-
-
-def _grid_entries(gammas: np.ndarray, edges: np.ndarray):
-    """Level entries of every finite gammas[n-1, k-1], band k between
+def _levels(gammas: np.ndarray, edges: np.ndarray, scale: float,
+            valid_n: int) -> list[SpectrumLevel]:
+    """One SpectrumLevel per finite gammas[n-1, k-1], band k between
     edges[k-2] (0 for k = 1) and edges[k-1]."""
     lower = np.concatenate(([0.0], edges[:-1]))
-    for (i, j), g in np.ndenumerate(gammas):
-        if np.isfinite(g):
-            yield i + 1, j + 1, g, lower[j], edges[j]
+    return [SpectrumLevel(n=i + 1, k=j + 1, gamma=float(g),
+                          omega=float(scale * g * g),
+                          band_lower=float(lower[j]),
+                          band_upper=float(edges[j]),
+                          valid=bool(i + 1 < valid_n))
+            for (i, j), g in np.ndenumerate(gammas) if np.isfinite(g)]
 
 
 def solve_uniform_dimensionless(params: DimensionlessParams, betas: np.ndarray,
@@ -385,7 +361,7 @@ def solve_uniform(geometry: DeviceGeometry, profile: UniformProfile,
     params, betas = dimensionless(geometry, profile), beam_roots(bc, n_max)
     gammas = solve_uniform_dimensionless(params, betas, k_max)
     scale = geometry.cantilever_wave_scale / profile.length ** 2
-    return _levels(_grid_entries(gammas, band_edge_gammas(k_max)), scale,
+    return _levels(gammas, band_edge_gammas(k_max), scale,
                    geometry.count_per_side)
 
 
@@ -508,26 +484,35 @@ def _regular_alternating(gamma, c1, c2, eps, lambeta4):
             + (gamma ** 4 - lambeta4) * d1 * d2)
 
 
-def _pole_groups(profile: AlternatingProfile,
-                 gamma_max: float) -> list[tuple[float, float, int]]:
-    """alternating_pole_set with the span of each merged group: sorted
-    (first, last, family), first == last for a lone pole."""
-    eps = profile.epsilon
-    poles = []
-    if profile.count1 > 0:
-        edges = band_edge_gammas(int(gamma_max / np.pi) + 2)
-        poles += [(float(g), 1) for g in edges if g <= gamma_max]
-    if profile.count2 > 0:
-        edges = band_edge_gammas(int(gamma_max * eps / np.pi) + 2)
-        poles += [(float(g / eps), 2) for g in edges if g / eps <= gamma_max]
-    poles.sort()
-    groups = []
-    for g, fam in poles:
-        if groups and g - groups[-1][0] < _MERGE_RTOL * g:
-            groups[-1] = (groups[-1][0], g, 0)
-        else:
-            groups.append((g, g, fam))
-    return groups
+def _pole_groups(eps, gamma_max, families=(1, 2)):
+    """Merged band-edge poles of layouts eps[p] up to gamma_max[p]: family 1
+    at the edges gamma_k, family 2 at gamma_k / eps[p].  In each sorted row
+    a pole closer than _MERGE_RTOL (relative) to the first member of the
+    group before it joins that group.  Returns (first, last, family) of the
+    groups, each (P, G), family 0 for a merged one, and each row's group
+    count; a row's entries past its count are padding."""
+    edges = band_edge_gammas(int(gamma_max.max() / np.pi) + 2)
+    poles = np.concatenate(
+        [edges / np.where(fam == 1, 1.0, eps)[:, None] for fam in families]
+        + [np.full((eps.size, 1), np.inf)], axis=1)
+    order = np.argsort(poles, axis=1)      # equal poles merge in any order
+    poles = np.take_along_axis(poles, order, axis=1)
+    family = np.append(np.repeat(families, edges.size), 0)[order]
+    poles[poles > gamma_max[:, None]] = np.inf         # padding, one group each
+    start = np.ones(poles.shape, dtype=bool)
+    first = poles[:, 0]
+    with np.errstate(invalid="ignore"):                # inf - inf
+        for j in range(1, poles.shape[1]):
+            join = poles[:, j] - first < _MERGE_RTOL * poles[:, j]
+            start[:, j] = ~join
+            first = np.where(join, first, poles[:, j])
+    count = (start & np.isfinite(poles)).sum(axis=1)
+    # columns of the group starts in order; a group ends before the next one
+    lead = np.argsort(~start, axis=1, kind="stable")[:, :count.max() + 1]
+    lead, end = lead[:, :-1], lead[:, 1:] - 1
+    fam = np.where(end > lead, 0, np.take_along_axis(family, lead, axis=1))
+    return (np.take_along_axis(poles, lead, axis=1),
+            np.take_along_axis(poles, end, axis=1), fam, count)
 
 
 def alternating_pole_set(profile: AlternatingProfile,
@@ -538,37 +523,43 @@ def alternating_pole_set(profile: AlternatingProfile,
     closer than _MERGE_RTOL (relative) to the one before it merges into it
     (family reported as 0).
     """
-    return [(first, fam) for first, _, fam in _pole_groups(profile, gamma_max)]
+    families = tuple(fam for fam, count in ((1, profile.count1),
+                                            (2, profile.count2)) if count > 0)
+    first, _, fam, count = _pole_groups(np.array([profile.epsilon]),
+                                        np.array([float(gamma_max)]), families)
+    return list(zip(first[0, :count[0]].tolist(), fam[0, :count[0]].tolist()))
 
 
-def _band_brackets(profile: AlternatingProfile, k_max: int) -> np.ndarray:
-    """Rows (lo, hi, band_lower, band_upper) of bands 1..k_max.
+def _band_brackets(eps, k_max: int):
+    """Arrays (lo, hi, band_lower, band_upper), each (P, k_max), of bands
+    1..k_max of the two-family layouts eps[p].
 
     Band k lies between merged-pole groups k-1 and k (band 1 from 0), and
     [lo, hi] brackets its one level edge to edge.  A merged group zeroes both
     denominator factors and holds the root between its members, so the
     bracket steps off it by the members' separation (at least _STEP_RTOL
-    relative), from the member on the far side of the band.
+    relative), from the member on the far side of the band.  Poles count up
+    to one past band edge k_max, 1.6-fold more until there are k_max groups.
     """
-    gamma_hi = band_edge_gammas(k_max)[-1] + 1.0
+    gamma_hi = np.full(eps.shape, band_edge_gammas(k_max)[-1] + 1.0)
     while True:
-        groups = _pole_groups(profile, gamma_hi)
-        if len(groups) >= k_max:
+        first, last, fam, count = _pole_groups(eps, gamma_hi)
+        short = count < k_max
+        if not short.any():
             break
-        gamma_hi *= 1.6
-    rows, below = [], (0.0, 0.0)    # band edge, bracket start above it
-    for first, last, fam in groups[:k_max]:
-        step = max(last - first, _STEP_RTOL * last) if fam == 0 else 0.0
-        rows.append((below[1], first - step, below[0], first))
-        below = (first, last + step)
-    return np.array(rows)
+        gamma_hi[short] *= 1.6
+    first, last = first[:, :k_max], last[:, :k_max]
+    step = np.where(fam[:, :k_max] == 0,
+                    np.maximum(last - first, _STEP_RTOL * last), 0.0)
+    zero = np.zeros((eps.size, 1))
+    return (np.concatenate((zero, (last + step)[:, :-1]), axis=1),
+            first - step, np.concatenate((zero, first[:, :-1]), axis=1), first)
 
 
-def _single_family(geometry, profile, betas, k_max, c1, c2):
+def _single_family(geometry, profile, eps, betas, k_max, c1, c2):
     """Level grid and band upper edges of a layout with one pole set: one
-    family empty, or equal lengths.  gamma' = gamma_scale * gamma obeys the
-    uniform equation."""
-    eps = profile.epsilon
+    family empty, or equal lengths (length2 = eps * length1).
+    gamma' = gamma_scale * gamma obeys the uniform equation."""
     lam1 = profile.length1 / geometry.beam_length
     if c2 == 0.0:
         nulam, beta_scale, gamma_scale = c1, lam1, 1.0
@@ -581,53 +572,51 @@ def _single_family(geometry, profile, betas, k_max, c1, c2):
             band_edge_gammas(k_max) / gamma_scale)
 
 
-def _alternating_solves(geometry: DeviceGeometry, profiles,
-                        bc: BoundaryCondition, n_max: int, k_max: int):
-    """gammas[p, n-1, k-1] and band upper edges[p, k-1] of every profile,
-    NaN for a rejected level; the band brackets of all two-family profiles
-    are stacked and bisected together."""
+def _alternating_solves(geometry: DeviceGeometry, profile: AlternatingProfile,
+                        eps: np.ndarray, bc: BoundaryCondition, n_max: int,
+                        k_max: int):
+    """gammas[p, n-1, k-1] and band upper edges[p, k-1] of the layout with
+    length2 = eps[p] * length1, for every p, NaN for a rejected level; the
+    band brackets of all two-family layouts are built and bisected
+    together."""
     betas = beam_roots(bc, n_max)
-    gammas = np.empty((len(profiles), n_max, k_max))
-    upper = np.empty((len(profiles), k_max))
-    paired, bands, coeffs = [], [], []
-    for p, profile in enumerate(profiles):
-        c1, c2 = _alternating_coeffs(geometry, profile)  # 0.0 when empty
-        eps = profile.epsilon
-        # one shared pole set would make the two-family regularized form
-        # vanish quadratically at the edges
-        if c1 == 0.0 or c2 == 0.0 or abs(eps - 1.0) < 1e-12:
-            gammas[p], upper[p] = _single_family(geometry, profile, betas,
-                                                 k_max, c1, c2)
-            continue
-        paired.append(p)
-        bands.append(_band_brackets(profile, k_max))
-        coeffs.append((c1, c2, eps, profile.length1 / geometry.beam_length))
-    if not paired:
+    gammas = np.empty((eps.size, n_max, k_max))
+    upper = np.empty((eps.size, k_max))
+    c1, c2 = _alternating_coeffs(geometry, profile)  # 0.0 when empty
+    # one shared pole set would make the two-family regularized form
+    # vanish quadratically at the edges
+    single = (c1 == 0.0) | (c2 == 0.0) | (np.abs(eps - 1.0) < 1e-12)
+    for p in np.flatnonzero(single):
+        gammas[p], upper[p] = _single_family(geometry, profile, eps[p], betas,
+                                             k_max, c1, c2)
+    paired = np.flatnonzero(~single)
+    if not paired.size:
         return gammas, upper
-    bands = np.array(bands)[:, None]                 # (P, 1, k, 4)
-    c1, c2, eps, lam1 = np.array(coeffs).T[:, :, None, None]   # (P, 1, 1)
-    lo, hi = (np.repeat(bands[..., i], n_max, axis=1) for i in (0, 1))
-    mid = 0.5 * (bands[..., 0] + bands[..., 1])
+    lo, hi, lower, top = (b[:, None] for b in _band_brackets(eps[paired],
+                                                             k_max))
+    e = eps[paired, None, None]                                # (P, 1, 1)
+    mid = 0.5 * (lo + hi)
+    lo, hi = (np.repeat(b, n_max, axis=1) for b in (lo, hi))   # (P, n, k)
     # the secular function rises from -inf in every band, and the
     # denominators keep one sign inside it
-    f_lo = -_scaled_nd(mid)[1] * _scaled_nd(eps * mid)[1]
-    lb4 = (lam1 * betas[:, None]) ** 4
+    f_lo = -_scaled_nd(mid)[1] * _scaled_nd(e * mid)[1]
+    lb4 = (profile.length1 / geometry.beam_length * betas[:, None]) ** 4
 
     def f(g):
-        return _regular_alternating(g, c1, c2, eps, lb4)
+        return _regular_alternating(g, c1, c2, e, lb4)
 
     found = _bisect(f, lo, hi, f_lo)
     # an end stepped off a merged pole group must still have the sign that
     # the bracket assumes, or the bracket may hold no level at all
     lo_sign = np.signbit(f_lo)
-    rejected = (((lo != bands[..., 2]) & (np.signbit(f(lo)) != lo_sign))
-                | ((hi != bands[..., 3]) & (np.signbit(f(hi)) == lo_sign)))
+    rejected = (((lo != lower) & (np.signbit(f(lo)) != lo_sign))
+                | ((hi != top) & (np.signbit(f(hi)) == lo_sign)))
     found[rejected] = np.nan
-    gammas[paired], upper[paired] = found, bands[:, 0, :, 3]
+    gammas[paired], upper[paired] = found, top[:, 0]
     for p, count in zip(paired, rejected.sum(axis=(1, 2)).tolist()):
         if count:
             warnings.warn(
-                f"epsilon={profiles[p].epsilon!r}: {count} two-family "
+                f"epsilon={float(eps[p])!r}: {count} two-family "
                 "level(s) rejected: a bracket end stepped off a merged pole "
                 "pair has the wrong sign", stacklevel=3)
     return gammas, upper
@@ -648,8 +637,9 @@ def solve_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,
     or equal lengths) share a single pole set and reduce exactly to the
     single-family solver instead.
     """
-    gammas, upper = _alternating_solves(geometry, [profile], bc, n_max, k_max)
-    return _levels(_grid_entries(gammas[0], upper[0]),
+    gammas, upper = _alternating_solves(
+        geometry, profile, np.array([profile.epsilon]), bc, n_max, k_max)
+    return _levels(gammas[0], upper[0],
                    geometry.cantilever_wave_scale / profile.length1 ** 2,
                    profile.count1 + profile.count2)
 
@@ -659,13 +649,18 @@ def sweep_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,
     """Spectrum vs epsilon, like sweep_uniform: yields (value, gammas,
     scale) for each value, where gammas[n-1, k-1] are the levels of
     solve_alternating with length2 = value * length1, bit for bit, NaN for
-    a rejected level, and omega = scale * gamma^2.  The brackets of all
-    values are bisected at once."""
-    values = [float(v) for v in values]
-    swept = [replace(profile, length2=v * profile.length1) for v in values]
-    gammas, _ = _alternating_solves(geometry, swept, bc, n_max, k_max)
+    a rejected level, and omega = scale * gamma^2.  The length2 checks,
+    the brackets and the bisection take all values at once."""
+    values = np.asarray(values, dtype=float)
+    length2 = values * profile.length1
+    bad = ~((length2 > 0.0) & (length2 <= profile.length1))   # NaN, inf too
+    if bad.any():
+        # the first such value fails a check of AlternatingProfile
+        replace(profile, length2=float(length2[bad.argmax()]))
+    gammas, _ = _alternating_solves(
+        geometry, profile, length2 / profile.length1, bc, n_max, k_max)
     scale = geometry.cantilever_wave_scale / profile.length1 ** 2
-    for value, grid in zip(values, gammas):
+    for value, grid in zip(values.tolist(), gammas):
         yield value, grid, scale
 
 
@@ -674,31 +669,29 @@ def sweep_uniform(geometry: DeviceGeometry, profile: UniformProfile,
                   n_max: int, k_max: int):
     """Spectrum vs one swept parameter ('lambda', 'nu' or 'N').
 
-    Yields (value, gammas, scale) with lam/nu recomputed per point and one
-    bisection for all points; sweeping lambda rescales the cantilever length
-    at fixed beam length.
+    Yields (value, gammas, scale); lam and nu of all points are computed
+    and checked at once, and one bisection serves them all.  Sweeping
+    lambda rescales the cantilever length at fixed beam length.
     """
+    values = np.asarray(values, dtype=float)
     base = dimensionless(geometry, profile)
-    betas = beam_roots(bc, n_max)
-    points, nus, lams = [], [], []
-    for value in values:
-        if parameter == "lambda":
-            params = DimensionlessParams(lam=float(value), nu=base.nu)
-            length = value * geometry.beam_length
-        elif parameter == "nu":
-            params = DimensionlessParams(lam=base.lam, nu=float(value))
-            length = profile.length
-        elif parameter == "N":
-            nu = 2.0 * float(value) * geometry.cantilever_width / geometry.beam_width
-            params = DimensionlessParams(lam=base.lam, nu=nu)
-            length = profile.length
-        else:
-            raise ConfigError(f"sweep: unknown parameter {parameter!r}")
-        scale = geometry.cantilever_wave_scale / length ** 2
-        points.append((float(value), scale))
-        nus.append(params.nu)
-        lams.append(params.lam)
-    gammas = _uniform_gammas(np.array(nus, dtype=float),
-                             np.array(lams, dtype=float), betas, k_max)
-    for (value, scale), point_gammas in zip(points, gammas):
-        yield value, point_gammas, scale
+    lam, nu = np.full(values.size, base.lam), np.full(values.size, base.nu)
+    lengths = [profile.length] * values.size
+    if parameter == "lambda":
+        lam = values
+        lengths = [v * geometry.beam_length for v in values.tolist()]
+    elif parameter == "nu":
+        nu = values
+    elif parameter == "N":
+        nu = 2.0 * values * geometry.cantilever_width / geometry.beam_width
+    else:
+        raise ConfigError(f"sweep: unknown parameter {parameter!r}")
+    bad = ~(np.isfinite(lam) & (lam > 0.0) & np.isfinite(nu) & (nu >= 0.0))
+    if bad.any():
+        # the first such point fails a check of DimensionlessParams
+        DimensionlessParams(lam=float(lam[bad.argmax()]),
+                            nu=float(nu[bad.argmax()]))
+    gammas = _uniform_gammas(nu, lam, beam_roots(bc, n_max), k_max)
+    for value, length, grid in zip(values.tolist(), lengths, gammas):
+        # a scalar ** 2: an array square can differ from it in the last bit
+        yield value, grid, geometry.cantilever_wave_scale / length ** 2

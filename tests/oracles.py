@@ -1,6 +1,7 @@
 """Independent reference values computed with mpmath bisection, scalar
-reference versions of batched code, a knot-aligned high-order Galerkin
-projection and an exactly summed comb projection.
+reference versions of batched code (band brackets among them), a
+knot-aligned high-order Galerkin projection and an exactly summed comb
+projection.
 
 Nothing here imports the package under test; the characteristic equations
 are restated from scratch so root comparisons are a genuine cross-check.
@@ -134,6 +135,57 @@ def scalar_alternating_levels(lam1, betas, c1, c2, eps, bands,
                         hi = mid
                 out.append((n, k, float(0.5 * (lo + hi))))
     return sorted(out)
+
+
+def pole_groups(eps, count1, count2, gamma_max, band_edges, merge_rtol):
+    """Scalar reference for the two-family pole groups, one pole at a time.
+
+    Family 1 poles sit at the band edges gamma_k (band_edges(k_max) returns
+    the first k_max, ascending), family 2 at gamma_k / eps; a family with no
+    cantilevers has none.  The poles up to gamma_max are sorted by (gamma,
+    family), and each one closer than merge_rtol (relative) to the first
+    member of the group before it joins that group.  Returns (first, last,
+    family) per group, family 0 for a merged group.
+    """
+    poles = []
+    if count1 > 0:
+        edges = band_edges(int(gamma_max / np.pi) + 2)
+        poles += [(float(g), 1) for g in edges if g <= gamma_max]
+    if count2 > 0:
+        edges = band_edges(int(gamma_max * eps / np.pi) + 2)
+        poles += [(float(g / eps), 2) for g in edges if g / eps <= gamma_max]
+    poles.sort()
+    groups = []
+    for g, fam in poles:
+        if groups and g - groups[-1][0] < merge_rtol * g:
+            groups[-1] = (groups[-1][0], g, 0)
+        else:
+            groups.append((g, g, fam))
+    return groups
+
+
+def band_brackets(eps, k_max, band_edges, merge_rtol, step_rtol):
+    """Scalar reference for the two-family band brackets: rows (lo, hi,
+    band_lower, band_upper) of bands 1..k_max.
+
+    The pole groups are taken up to one past band edge k_max, a range grown
+    1.6-fold until it holds k_max groups.  Band k lies between groups k-1
+    and k (band 1 from 0); a bracket steps off a merged group by the span of
+    its members, at least step_rtol relative, from the member on the far
+    side of the band.
+    """
+    gamma_hi = band_edges(k_max)[-1] + 1.0
+    while True:
+        groups = pole_groups(eps, 1, 1, gamma_hi, band_edges, merge_rtol)
+        if len(groups) >= k_max:
+            break
+        gamma_hi *= 1.6
+    rows, below = [], (0.0, 0.0)    # band edge, bracket start above it
+    for first, last, fam in groups[:k_max]:
+        step = max(last - first, step_rtol * last) if fam == 0 else 0.0
+        rows.append((below[1], first - step, below[0], first))
+        below = (first, last + step)
+    return np.array(rows)
 
 
 def _bisect_fixed(f, lo, hi, f_lo, iters=110):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -369,6 +370,46 @@ def test_sweep_epsilon_needs_alternating_profile(capsys):
     assert "alternating" in err
 
 
+@pytest.mark.parametrize("bounds", [("nan", "1"), ("0", "nan"), ("0", "inf"),
+                                    ("-inf", "1"), ("inf", "inf")])
+@pytest.mark.parametrize("param", ["nu", "N", "lambda"])
+def test_sweep_with_non_finite_bounds_is_exit_2(capsys, tmp_path, param,
+                                                bounds):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--preset", PRESET, "--param", param,
+                       f"--from={bounds[0]}", f"--to={bounds[1]}",
+                       "--output", str(out))
+    assert code == 2
+    assert "must be a" in err and "finite number" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (("0.5", "2"), "length2 must not exceed length1"),
+    (("1.5", "nan"), "profile.length2: must be finite numbers"),
+    (("1.5", "2"), "length2 must not exceed length1"),
+    (("0", "1"), "lengths must be positive"),
+    (("-0.5", "1"), "lengths must be positive"),
+    (("nan", "1"), "profile.length2: must be finite numbers"),
+    (("0.5", "inf"), "profile.length2: must be finite numbers"),
+    (("-inf", "1"), "profile.length2: must be finite numbers")])
+def test_epsilon_sweep_out_of_range_bounds_are_exit_2(capsys, tmp_path,
+                                                      bounds, message):
+    # the first swept value out of (0, 1] names the check that it fails
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({
+        "geometry": {"preset": PRESET},
+        "profile": {"kind": "alternating", "length1": 5e-7, "length2": 4e-7,
+                    "count1": 10, "count2": 10}}))
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--config", str(p), "--param",
+                       "epsilon", f"--from={bounds[0]}", f"--to={bounds[1]}",
+                       "--points", "5", "--output", str(out))
+    assert code == 2
+    assert message in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 CLOSED_FORM_RUNS = {
     "spectrum": ["spectrum"],
     "sweep-nu": ["sweep", "--param", "nu", "--from", "0", "--to", "40",
@@ -529,7 +570,24 @@ _FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -2.5e-310,
                      float("nan"), float("inf"), float("-inf")]))
-_CELLS = {"float": (_FLOATS, float),
+# run cells: 0.0 and -0.0 side by side, NaNs of three bit patterns, +-inf
+_RUN_POOL = st.sampled_from([
+    0.0, -0.0, 1.5, float("nan"), -float("nan"), float("inf"), float("-inf"),
+    struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]])
+
+
+@st.composite
+def _runs(draw, count):
+    """count float cells in runs of equal cells, each at most `longest`
+    long: 1 gives a column of single cells, 12 runs longer than any block."""
+    longest = draw(st.integers(1, 12))
+    cells = []
+    while len(cells) < count:
+        cells += [draw(_RUN_POOL)] * draw(st.integers(1, longest))
+    return cells[:count]
+
+
+_CELLS = {"float": (_FLOATS, float), "runs": (_runs, float),
           "int": (st.integers(-2 ** 63, 2 ** 63 - 1), np.int64),
           "bool": (st.booleans(), bool),
           # a numpy str array drops trailing NULs, so no column holds one
@@ -546,7 +604,8 @@ def _tables(draw):
     table, cells = {}, []
     for j, kind in enumerate(kinds):
         strategy, dtype = _CELLS[kind]
-        values = draw(st.lists(strategy, min_size=count, max_size=count))
+        values = draw(strategy(count) if kind == "runs" else
+                      st.lists(strategy, min_size=count, max_size=count))
         table[f"{kind}_{j}"] = np.array(values, dtype=dtype)
         cells.append(values)
     return table, [list(row) for row in zip(*cells)]
@@ -561,6 +620,13 @@ def test_table_renderer_matches_cell_by_cell_oracle(drawn, fmt, block):
     with mock.patch.object(cli, "_BLOCK_ROWS", block):
         cli._write_table(buf, table, fmt)
     assert buf.getvalue() == render_rows(list(table), rows, fmt)
+
+
+def test_csv_keeps_negative_zero_after_zero():
+    # runs of equal cells are told apart by bits, not by ==
+    buf = io.StringIO()
+    cli._write_table(buf, {"x": np.array([0.0, 0.0, -0.0, -0.0])}, "csv")
+    assert buf.getvalue() == "x\n0\n0\n-0\n-0\n"
 
 
 def test_kernel_drops_samples_on_band_edges(capsys):

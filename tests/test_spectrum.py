@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from cantarray.kernel import band_edge_gammas
 from cantarray.model import (AlternatingProfile, BoundaryCondition,
                              ConfigError, DimensionlessParams, UniformProfile,
                              dimensionless, preset_device)
-from oracles import _bisect_fixed, scalar_alternating_levels
+from oracles import (_bisect_fixed, band_brackets, pole_groups,
+                     scalar_alternating_levels)
 
 CC = BoundaryCondition.CLAMPED_CLAMPED
 
@@ -427,6 +429,11 @@ def test_sweep_alternating_rejects_the_levels_of_per_value_solves(
         [0, rejected, 0, rejected]
 
 
+def _scalar_brackets(eps, k_max):
+    return band_brackets(eps, k_max, band_edge_gammas, sp._MERGE_RTOL,
+                         sp._STEP_RTOL)
+
+
 _EPSILONS = (st.floats(0.2, 0.97)
              | st.integers(1, 14).map(lambda j: 1.0 - 10.0 ** -j)
              | st.just(1.0))
@@ -466,7 +473,7 @@ def test_alternating_grids_equal_levels_and_scalar_oracle(
             continue
         ref = scalar_alternating_levels(
             alt.length1 / geometry.beam_length, betas, c1, c2,
-            layout.epsilon, sp._band_brackets(layout, k_max)[:, :2])
+            layout.epsilon, _scalar_brackets(layout.epsilon, k_max)[:, :2])
         assert [(n, k) for n, k, _ in ref] == \
             [(n, k) for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
         # the oracle bisects a scan sub-bracket: an adjacent float may win
@@ -492,7 +499,7 @@ def test_alternating_matches_scalar_bisection(eps, count1, count2, width_ratio,
     c1, c2 = sp._alternating_coeffs(geometry, alt)
     ref = scalar_alternating_levels(
         alt.length1 / geometry.beam_length, beam_roots(bc, n_max), c1, c2,
-        alt.epsilon, sp._band_brackets(alt, k_max)[:, :2])
+        alt.epsilon, _scalar_brackets(alt.epsilon, k_max)[:, :2])
     # one level per (n, k), and the scan finds no other root in any band
     assert [(lv.n, lv.k) for lv in levels] == [(n, k) for n, k, _ in ref] \
         == [(n, k) for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
@@ -500,6 +507,45 @@ def test_alternating_matches_scalar_bisection(eps, count1, count2, width_ratio,
     rel = 1e-12 if abs(alt.epsilon - 1.0) < 1e-12 else 1e-15
     for lv, (_, _, g) in zip(levels, ref):
         assert lv.gamma == pytest.approx(g, rel=rel, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), merge_scale=st.floats(0.1, 10.0),
+       counts=st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any),
+       gamma_max=st.floats(0.5, 60.0), k_max=st.integers(1, 8))
+def test_band_brackets_equal_scalar_reference_bit_for_bit(
+        data, merge_scale, counts, gamma_max, k_max):
+    # the merge distance from 0.1x to 10x, and epsilons on both sides of it
+    # next to 1, exactly 1 and far from 1; an empty family for the pole set
+    merge_rtol = merge_scale * sp._MERGE_RTOL
+    near = st.floats(0.2, 5.0).map(lambda x: 1.0 - x * merge_rtol)
+    values = data.draw(st.lists(st.floats(0.05, 1.0) | near | st.just(1.0),
+                                min_size=1, max_size=6))
+    eps = np.array(values)
+    with mock.patch.object(sp, "_MERGE_RTOL", merge_rtol):
+        rows = np.stack(sp._band_brackets(eps, k_max), axis=-1)
+        pole_sets = [sp.alternating_pole_set(AlternatingProfile(
+            length1=1.0, length2=v, width1=1.0, width2=1.0, count1=counts[0],
+            count2=counts[1]), gamma_max) for v in values]
+    for v, got, poles in zip(values, rows, pole_sets):
+        want = band_brackets(v, k_max, band_edge_gammas, merge_rtol,
+                             sp._STEP_RTOL)
+        assert got.tobytes() == want.tobytes()
+        assert poles == [(first, fam) for first, _, fam in pole_groups(
+            v, *counts, gamma_max, band_edge_gammas, merge_rtol)]
+
+
+@pytest.mark.parametrize("merge_rtol", [0.3, 0.45])
+def test_band_brackets_with_wide_merges_equal_scalar_reference(merge_rtol):
+    # groups of three poles or more, and pole ranges grown 1.6-fold, by
+    # different factors for different epsilons at 0.3
+    eps = np.linspace(0.3, 1.0, 15)
+    with mock.patch.object(sp, "_MERGE_RTOL", merge_rtol):
+        rows = np.stack(sp._band_brackets(eps, 8), axis=-1)
+    for v, got in zip(eps.tolist(), rows):
+        want = band_brackets(v, 8, band_edge_gammas, merge_rtol,
+                             sp._STEP_RTOL)
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite
