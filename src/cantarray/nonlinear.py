@@ -39,12 +39,11 @@ from .spectrum import gamma_to_omega, solve_uniform_dimensionless
 
 __all__ = [
     "TwoModeSelection", "BeamConstants", "OverlapIntegrals",
-    "EffectiveParams", "ResponsePoint", "ShiftRoot", "ResponseField",
+    "EffectiveParams", "ResponsePoint", "ShiftRoot",
     "SteadyStateWarning", "select_modes", "beam_constants",
     "beam_constants_closed", "overlap_integrals", "effective_params",
     "backbone", "peak_amplitude", "steady_states", "coupled_steady_state",
-    "steady_residual",
-    "shift_of_fundamental", "reconstruct_solution",
+    "steady_residual", "shift_of_fundamental",
 ]
 
 
@@ -674,63 +673,3 @@ def shift_of_fundamental(params: EffectiveParams, force1: float | None = None,
                              branch=branch))
     return out
 
-
-# ---------------------------------------------------------------------------
-# physical-space reconstruction
-
-
-@dataclass(frozen=True)
-class ResponseField:
-    """Steady deflection field of the array, sampled in SI coordinates.
-
-    The whole structure moves on the fundamental beam shape; each of the
-    two levels adds its own cantilever flexing profile, amplitude, phase
-    and drive frequency (resonance plus detuning).
-    """
-
-    selection: TwoModeSelection
-    point1: ResponsePoint
-    point2: ResponsePoint
-
-    def _parts(self, t):
-        t = np.asarray(t, dtype=float)
-        out = []
-        for p in (self.point1, self.point2):
-            w = self.selection.omega1 if p.mode == 1 else self.selection.omega2
-            out.append(p.amplitude * np.cos((w + p.sigma) * t - p.phase))
-        return out
-
-    def beam_deflection(self, x, t):
-        """Beam displacement y(x, t); x in [0, beam_length], t in s."""
-        u = np.asarray(x, dtype=float) / self.selection.beam_length
-        c1, c2 = self._parts(t)
-        return self.selection.mode(u) * (c1 + c2)
-
-    def cantilever_relative(self, x, xi, t):
-        """Cantilever deflection relative to its base at station x; xi runs
-        along the cantilever in [0, cantilever_length]."""
-        u = np.asarray(x, dtype=float) / self.selection.beam_length
-        v = np.asarray(xi, dtype=float) / self.selection.cantilever_length
-        c1, c2 = self._parts(t)
-        return self.selection.mode(u) * (self.selection.shape1(v) * c1
-                                         + self.selection.shape2(v) * c2)
-
-    def cantilever_total(self, x, xi, t):
-        """Absolute cantilever displacement, base motion included."""
-        u = np.asarray(x, dtype=float) / self.selection.beam_length
-        v = np.asarray(xi, dtype=float) / self.selection.cantilever_length
-        c1, c2 = self._parts(t)
-        h1 = self.selection.shape1(v) + 1.0
-        h2 = self.selection.shape2(v) + 1.0
-        return self.selection.mode(u) * (h1 * c1 + h2 * c2)
-
-
-def reconstruct_solution(pair: tuple[ResponsePoint, ResponsePoint],
-                         selection: TwoModeSelection) -> ResponseField:
-    """Physical-space sampler for one steady-state pair."""
-    p1, p2 = pair
-    if {p1.mode, p2.mode} != {1, 2}:
-        raise ValueError("pair must hold one point per mode")
-    if p1.mode == 2:
-        p1, p2 = p2, p1
-    return ResponseField(selection=selection, point1=p1, point2=p2)

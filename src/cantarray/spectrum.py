@@ -24,21 +24,22 @@ The brackets of all swept epsilons are built at once, as arrays: family 1's
 poles are shared, family 2's are the edges over each epsilon.
 
 Every solve halves all of its brackets at once: all (n, k) of a spectrum,
-and in sweep_uniform and sweep_alternating all swept values, stacked as
-(value, n, k) arrays.  Halving stops once no bracket moves (_BISECT_ITERS is
-the cap).  The sign of f at lo is fixed per bracket, so (lo, hi) is the
-state, and each bracket takes the steps it would take alone: a sweep gives
-bit for bit the levels of the per-value solves.  Two-family brackets go
-through _bisect, which evaluates f at every midpoint.  Single-family bands
-go through _band_bisect, which takes the same halvings but evaluates F only
-where its sign is in doubt: a safeguarded Newton pass puts an inner bracket
-(a, b) a few rounding-noise widths wide around each root, F(a) and F(b) are
-checked to have the two signs, and a midpoint outside (a, b) takes its known
-side.  A lane whose Newton pass or check fails is evaluated at every
-halving, so the levels are _bisect's bit for bit either way.  Solvers return
-gamma grids (gammas[n-1, k-1], NaN where no level is reported); both sweeps
-yield one grid per value, and only solve_uniform and solve_alternating turn
-their grid into SpectrumLevel rows.
+and in sweep_uniform and sweep_alternating all swept values, flattened into
+lanes, one per level.  _replay is the one halving loop; it stops once no
+bracket moves (_BISECT_ITERS is the cap).  The sign of f at lo is fixed per
+lane, so (lo, hi) is the state, and each lane takes the steps it would take
+alone: a sweep gives bit for bit the levels of the per-value solves.
+_replay takes an optional inner bracket (a, b) per lane and evaluates f
+only at midpoints strictly inside it; a midpoint outside takes its known
+side.  Two-family lanes have none, so f is evaluated at every midpoint.
+Single-family bands go through _band_bisect, where a safeguarded Newton
+pass puts (a, b) a few rounding-noise widths wide around each root and
+F(a) and F(b) are checked to have the two signs; a lane whose Newton pass
+or check fails keeps (-inf, inf), so the levels are plain bisection's bit
+for bit either way.  All single-family layouts of an epsilon sweep share
+one _band_bisect call.  Solvers return gamma grids (gammas[n-1, k-1], NaN
+where no level is reported); both sweeps yield one grid per value, and only
+solve_uniform and solve_alternating turn their grid into SpectrumLevel rows.
 """
 from __future__ import annotations
 
@@ -160,34 +161,6 @@ def _secular_slope(gamma, nulam, lambeta4, nd):
     return f, df, noise
 
 
-def _bisect(f, lo, hi, f_lo):
-    """Halve every bracket [lo, hi], all at once, until none moves.
-
-    f maps an array of the brackets' shape to values; f_lo carries the sign
-    of f at lo (only its sign bit is read).  Returns the bracket midpoints.
-    A bracket moves lo only where f(mid) has the sign bit of f_lo, so that
-    sign never changes and (lo, hi) is the whole state: once a step leaves
-    every bit of it as it was, later steps would too, and the result equals
-    that of all _BISECT_ITERS steps, which remain the cap.
-    """
-    neg = np.signbit(f_lo)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        take = np.signbit(f(mid)) == neg
-        new_lo = np.where(take, mid, lo)
-        new_hi = np.where(take, hi, mid)
-        if _same_bits(new_lo, lo) and _same_bits(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
-
-
-def _same_bits(a, b) -> bool:
-    """Whether float arrays a and b of one shape hold the same bytes (so
-    -0.0 differs from 0.0 and a NaN may equal itself)."""
-    return a.tobytes() == b.tobytes()
-
-
 def _levels(gammas: np.ndarray, edges: np.ndarray, scale: float,
             valid_n: int) -> list[SpectrumLevel]:
     """One SpectrumLevel per finite gammas[n-1, k-1], band k between
@@ -233,12 +206,13 @@ def _band_bisect(nulam, lambeta4: np.ndarray, k_max: int) -> np.ndarray:
     """Edge-to-edge bisection of the regularized single-family secular form.
 
     lambeta4 has shape (..., n, 1) and nulam broadcasts against it; the
-    result has shape (..., n, k_max), bit for bit what _bisect returns from
-    the band edges.  At an edge only D vanishes, so the regularized form is
-    nu*lam*gamma^3*N there, whose sign alternates as (-1)^k at the lower
-    edge of band k (the k=1 interval starts at F(0) = -2 (lam*beta)^4); the
-    bisection is seeded with that sign.  Lanes (one per level) go through
-    _inner_brackets and _replay in chunks of at most _CHUNK.
+    result has shape (..., n, k_max), bit for bit what plain bisection from
+    the band edges returns.  At an edge only D vanishes, so the regularized
+    form is nu*lam*gamma^3*N there, whose sign alternates as (-1)^k at the
+    lower edge of band k (the k=1 interval starts at F(0) = -2
+    (lam*beta)^4); the bisection is seeded with that sign.  Lanes (one per
+    level) go through _inner_brackets and then _replay with their inner
+    brackets, in chunks of at most _CHUNK.
     """
     bounds = np.concatenate(([0.0], band_edge_gammas(k_max)))
     nd = _scaled_nd_slopes(bounds)
@@ -255,7 +229,8 @@ def _band_bisect(nulam, lambeta4: np.ndarray, k_max: int) -> np.ndarray:
         x = _newton_start(lo, hi, c, lb4, [t[k] for t in nd],
                           [t[k + 1] for t in nd])
         a, b = _inner_brackets(lo, hi, neg, c, lb4, x)
-        out.flat[part] = _replay(lo, hi, neg, c, lb4, a, b)
+        out.flat[part] = _replay(
+            lo, hi, neg, lambda g, i: _regular_secular(g, c[i], lb4[i]), a, b)
     return out
 
 
@@ -274,15 +249,18 @@ def _newton_start(lo, hi, nulam, lambeta4, nd_lo, nd_hi):
                     x_lo, x)
 
 
-def _replay(lo, hi, neg, nulam, lambeta4, a, b):
-    """_bisect of _regular_secular over [lo, hi], where neg is the sign bit
-    of F at lo, evaluating F only where its sign is in doubt.
+def _replay(lo, hi, neg, f, a=-np.inf, b=np.inf):
+    """Halve every lane's bracket [lo, hi], all at once, until none moves;
+    returns the midpoints.
 
-    (a, b) is each lane's inner bracket from _inner_brackets, F(a) of the
-    sign at lo and F(b) of the other: a midpoint at or below a takes the lo
-    side, one at or above b the hi side, and only the midpoints strictly
-    inside are evaluated.  The halvings, the settle test and the
-    _BISECT_ITERS cap are those of _bisect, so the levels are too.
+    neg is the sign bit of f at lo, and f(g, lanes) gives f at midpoints g
+    of the indexed lanes.  A bracket moves lo only where f(mid) has that
+    sign bit, so (lo, hi) is the whole state: once a step leaves every bit
+    of it as it was, later steps would too, and the result equals that of
+    all _BISECT_ITERS steps, which remain the cap.  (a, b) is an optional
+    inner bracket, f(a) of the sign at lo and f(b) of the other: a midpoint
+    at or below a takes the lo side, one at or above b the hi side, and
+    only midpoints strictly inside are evaluated (all of them by default).
     """
     n = lo.size
     bracket = np.concatenate((lo, hi))
@@ -292,12 +270,11 @@ def _replay(lo, hi, neg, nulam, lambeta4, a, b):
         take = mid <= a
         doubt = np.flatnonzero(~take & (mid < b))
         if doubt.size:
-            take[doubt] = np.signbit(_regular_secular(
-                mid[doubt], nulam[doubt], lambeta4[doubt])) == neg[doubt]
+            take[doubt] = np.signbit(f(mid[doubt], doubt)) == neg[doubt]
         # mid replaces lo where taken and hi elsewhere; no bracket moves
-        # when those ends hold its bits already
+        # when those ends hold its bytes already (-0.0 is not 0.0)
         end = lane + n * ~take
-        if _same_bits(bracket[end], mid):
+        if bracket[end].tobytes() == mid.tobytes():
             break
         bracket[end] = mid
     return 0.5 * (lo + hi)
@@ -556,20 +533,17 @@ def _band_brackets(eps, k_max: int):
             first - step, np.concatenate((zero, first[:, :-1]), axis=1), first)
 
 
-def _single_family(geometry, profile, eps, betas, k_max, c1, c2):
-    """Level grid and band upper edges of a layout with one pole set: one
-    family empty, or equal lengths (length2 = eps * length1).
-    gamma' = gamma_scale * gamma obeys the uniform equation."""
-    lam1 = profile.length1 / geometry.beam_length
-    if c2 == 0.0:
-        nulam, beta_scale, gamma_scale = c1, lam1, 1.0
-    elif c1 == 0.0:
-        nulam, beta_scale, gamma_scale = eps * c2, eps * lam1, eps
-    else:
-        nulam, beta_scale, gamma_scale = c1 + c2, lam1, 1.0
-    lambeta4 = (beta_scale * betas[:, None]) ** 4
-    return (_band_bisect(nulam, lambeta4, k_max) / gamma_scale,
-            band_edge_gammas(k_max) / gamma_scale)
+def _single_family(eps, lam1, betas, k_max, c1, c2):
+    """Level grids (P, n, k) and band upper edges (P, k) of the layouts
+    eps[p] with one pole set: one family empty, or equal lengths (length2 =
+    eps * length1), all in one bisection.  gamma' = scale * gamma obeys the
+    uniform equation with nu*lam = scale * (c1 + c2) and lam = scale * lam1,
+    where scale is eps if family 2 stands alone and 1 otherwise."""
+    alone2 = c1 == 0.0 and c2 != 0.0
+    scale = np.where(alone2, eps, 1.0)[:, None, None]          # (P, 1, 1)
+    lambeta4 = (scale * lam1 * betas[:, None]) ** 4            # (P, n, 1)
+    return (_band_bisect(scale * (c1 + c2), lambeta4, k_max) / scale,
+            band_edge_gammas(k_max) / scale[:, 0])
 
 
 def _alternating_solves(geometry: DeviceGeometry, profile: AlternatingProfile,
@@ -577,43 +551,48 @@ def _alternating_solves(geometry: DeviceGeometry, profile: AlternatingProfile,
                         k_max: int):
     """gammas[p, n-1, k-1] and band upper edges[p, k-1] of the layout with
     length2 = eps[p] * length1, for every p, NaN for a rejected level; the
-    band brackets of all two-family layouts are built and bisected
-    together."""
+    single-family layouts are bisected together, and so are the band
+    brackets of all two-family layouts, one lane per level."""
     betas = beam_roots(bc, n_max)
     gammas = np.empty((eps.size, n_max, k_max))
     upper = np.empty((eps.size, k_max))
     c1, c2 = _alternating_coeffs(geometry, profile)  # 0.0 when empty
+    lam1 = profile.length1 / geometry.beam_length
     # one shared pole set would make the two-family regularized form
     # vanish quadratically at the edges
     single = (c1 == 0.0) | (c2 == 0.0) | (np.abs(eps - 1.0) < 1e-12)
-    for p in np.flatnonzero(single):
-        gammas[p], upper[p] = _single_family(geometry, profile, eps[p], betas,
-                                             k_max, c1, c2)
+    if single.any():
+        gammas[single], upper[single] = _single_family(
+            eps[single], lam1, betas, k_max, c1, c2)
     paired = np.flatnonzero(~single)
     if not paired.size:
         return gammas, upper
     lo, hi, lower, top = (b[:, None] for b in _band_brackets(eps[paired],
                                                              k_max))
+    upper[paired] = top[:, 0]
     e = eps[paired, None, None]                                # (P, 1, 1)
     mid = 0.5 * (lo + hi)
-    lo, hi = (np.repeat(b, n_max, axis=1) for b in (lo, hi))   # (P, n, k)
     # the secular function rises from -inf in every band, and the
     # denominators keep one sign inside it
-    f_lo = -_scaled_nd(mid)[1] * _scaled_nd(e * mid)[1]
-    lb4 = (profile.length1 / geometry.beam_length * betas[:, None]) ** 4
+    neg = np.signbit(-_scaled_nd(mid)[1] * _scaled_nd(e * mid)[1])
+    lb4 = (lam1 * betas[:, None]) ** 4
+    shape = (paired.size, n_max, k_max)
+    lo, hi, lower, top, neg, e, lb4 = (
+        np.broadcast_to(v, shape).ravel()
+        for v in (lo, hi, lower, top, neg, e, lb4))             # lanes
 
-    def f(g):
-        return _regular_alternating(g, c1, c2, e, lb4)
+    def f(g, i=slice(None)):
+        return _regular_alternating(g, c1, c2, e[i], lb4[i])
 
-    found = _bisect(f, lo, hi, f_lo)
+    found = _replay(lo, hi, neg, f)
     # an end stepped off a merged pole group must still have the sign that
     # the bracket assumes, or the bracket may hold no level at all
-    lo_sign = np.signbit(f_lo)
-    rejected = (((lo != lower) & (np.signbit(f(lo)) != lo_sign))
-                | ((hi != top) & (np.signbit(f(hi)) == lo_sign)))
+    rejected = (((lo != lower) & (np.signbit(f(lo)) != neg))
+                | ((hi != top) & (np.signbit(f(hi)) == neg)))
     found[rejected] = np.nan
-    gammas[paired], upper[paired] = found, top[:, 0]
-    for p, count in zip(paired, rejected.sum(axis=(1, 2)).tolist()):
+    gammas[paired] = found.reshape(shape)
+    counts = rejected.reshape(shape).sum(axis=(1, 2)).tolist()
+    for p, count in zip(paired, counts):
         if count:
             warnings.warn(
                 f"epsilon={float(eps[p])!r}: {count} two-family "
@@ -656,7 +635,12 @@ def sweep_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,
     bad = ~((length2 > 0.0) & (length2 <= profile.length1))   # NaN, inf too
     if bad.any():
         # the first such value fails a check of AlternatingProfile
-        replace(profile, length2=float(length2[bad.argmax()]))
+        first = bad.argmax()
+        try:
+            replace(profile, length2=float(length2[first]))
+        except ConfigError as exc:
+            raise ConfigError(
+                f"sweep epsilon = {float(values[first])!r}: {exc}") from exc
     gammas, _ = _alternating_solves(
         geometry, profile, length2 / profile.length1, bc, n_max, k_max)
     scale = geometry.cantilever_wave_scale / profile.length1 ** 2
@@ -689,8 +673,12 @@ def sweep_uniform(geometry: DeviceGeometry, profile: UniformProfile,
     bad = ~(np.isfinite(lam) & (lam > 0.0) & np.isfinite(nu) & (nu >= 0.0))
     if bad.any():
         # the first such point fails a check of DimensionlessParams
-        DimensionlessParams(lam=float(lam[bad.argmax()]),
-                            nu=float(nu[bad.argmax()]))
+        first = bad.argmax()
+        try:
+            DimensionlessParams(lam=float(lam[first]), nu=float(nu[first]))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep {parameter} = "
+                              f"{float(values[first])!r}: {exc}") from exc
     gammas = _uniform_gammas(nu, lam, beam_roots(bc, n_max), k_max)
     for value, length, grid in zip(values.tolist(), lengths, gammas):
         # a scalar ** 2: an array square can differ from it in the last bit

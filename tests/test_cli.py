@@ -381,6 +381,30 @@ def test_sweep_with_non_finite_bounds_is_exit_2(capsys, tmp_path, param,
                        "--output", str(out))
     assert code == 2
     assert "must be a" in err and "finite number" in err
+    # the message names the swept parameter and its first failing value
+    first = next(v for v in np.linspace(float(bounds[0]), float(bounds[1]),
+                                        100).tolist()
+                 if not (np.isfinite(v) and (v > 0.0 if param == "lambda"
+                                             else v >= 0.0)))
+    assert f"error: sweep {param} = {first!r}: " in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("param, bounds, message", [
+    ("N", ("-5", "10"), "sweep N = -5.0: nu must be a finite number >= 0"),
+    ("nu", ("0", "-1"),
+     "sweep nu = -0.5: nu must be a finite number >= 0"),
+    ("lambda", ("-0.1", "0.2"),
+     "sweep lambda = -0.1: lam must be a positive finite number")])
+def test_sweep_out_of_range_bounds_name_the_swept_value(capsys, tmp_path,
+                                                        param, bounds,
+                                                        message):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--preset", PRESET, "--param", param,
+                       f"--from={bounds[0]}", f"--to={bounds[1]}",
+                       "--points", "3", "--output", str(out))
+    assert code == 2
+    assert f"error: {message}\n" == err
     assert os.listdir(tmp_path) == []
 
 
@@ -407,6 +431,10 @@ def test_epsilon_sweep_out_of_range_bounds_are_exit_2(capsys, tmp_path,
                        "--points", "5", "--output", str(out))
     assert code == 2
     assert message in err
+    first = next(v for v in np.linspace(float(bounds[0]), float(bounds[1]),
+                                        5).tolist()
+                 if not 0.0 < v * 5e-7 <= 5e-7)
+    assert f"error: sweep epsilon = {first!r}: " in err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 

@@ -503,27 +503,3 @@ def test_linear_regime_scaling(sel, ints):
         ratio = stb[0][i].amplitude / sta[0][i].amplitude
         assert ratio == pytest.approx(2.0, abs=1e-9)
 
-
-def test_reconstruction_field(sel, ints):
-    par = params_for(sel, ints, 1e-9, 1e-9)
-    pairs = nl.coupled_steady_state(0.0, 0.0, par)
-    field = nl.reconstruct_solution(pairs[0], sel)
-    p1, p2 = pairs[0]
-    x = 0.5 * sel.beam_length
-    phi_mid = float(sel.mode(np.array([0.5]))[0])
-    period = 2 * math.pi / (par.omega1 + p1.sigma)
-    ts = np.linspace(0.0, 5000 * period, 200001)
-    msq = np.mean(field.beam_deflection(x, ts) ** 2)
-    expect = 0.5 * phi_mid ** 2 * (p1.amplitude ** 2 + p2.amplitude ** 2)
-    assert msq == pytest.approx(expect, rel=1e-2)
-    # total cantilever motion = carried base + relative flex
-    xi = np.array([0.25e-7, 2.5e-7, 5.0e-7])
-    tot = field.cantilever_total(x, xi, 1e-9)
-    relv = field.cantilever_relative(x, xi, 1e-9)
-    base = field.beam_deflection(x, 1e-9)
-    assert np.allclose(tot, relv + base, rtol=1e-12)
-    # swapped pair order is accepted, mode mix is rejected
-    swapped = nl.reconstruct_solution((p2, p1), sel)
-    assert swapped.point1.mode == 1
-    with pytest.raises(ValueError):
-        nl.reconstruct_solution((p1, p1), sel)

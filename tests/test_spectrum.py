@@ -429,6 +429,34 @@ def test_sweep_alternating_rejects_the_levels_of_per_value_solves(
         [0, rejected, 0, rejected]
 
 
+@pytest.mark.parametrize("count1, count2", [(20, 0), (0, 20), (10, 10)])
+def test_epsilon_sweep_bisects_single_family_layouts_in_one_call(
+        monkeypatch, count1, count2):
+    # every value of a one-family profile (with family 1 empty the grid
+    # depends on epsilon) and epsilon = 1 of a two-family one share one
+    # _band_bisect call, and their grids are the per-value solves' bits
+    calls, band_bisect = [], sp._band_bisect
+
+    def counted(*args):
+        calls.append(args)
+        return band_bisect(*args)
+
+    monkeypatch.setattr(sp, "_band_bisect", counted)
+    _, profile, _ = preset_device("jap1-calibrated")
+    geometry, bc, alt = _two_family(profile.length, 0.5, count1, count2)
+    values = np.linspace(0.05, 1.0, 200)
+    assert values[-1] == 1.0
+    swept = list(sp.sweep_alternating(geometry, alt, bc, values, 3, 4))
+    assert len(calls) == 1
+    picks = [0, 71, 150, 199]
+    _, _, alone, _ = _sweep_and_solves(geometry, alt, bc,
+                                       values[picks].tolist(), 3, 4)
+    for i, levels in zip(picks, alone):
+        assert swept[i][1].tobytes() == _grid(levels, 3, 4).tobytes()
+    if count1 == 0:
+        assert swept[0][1].tobytes() != swept[71][1].tobytes()
+
+
 def _scalar_brackets(eps, k_max):
     return band_brackets(eps, k_max, band_edge_gammas, sp._MERGE_RTOL,
                          sp._STEP_RTOL)
@@ -573,25 +601,30 @@ def _brackets(draw):
 @given(brackets=_brackets(), data=st.data(), form=st.sampled_from(
     ["uniform", "two-family"]))
 def test_bisect_stops_with_the_bits_of_all_halvings(brackets, data, form):
-    # the early stop must return, for any f and sign seed, exactly what all
-    # _BISECT_ITERS halvings return
+    # the early stop of _replay without an inner bracket must return, for
+    # any f and sign seed, exactly what all _BISECT_ITERS halvings return;
+    # the loadings differ per lane, so f must evaluate the lanes it is given
     lo, hi = brackets
-    f_lo = np.array(data.draw(st.lists(
-        st.sampled_from([-1.0, -0.0, 0.0, 1.0]) | st.floats(-1e3, 1e3),
-        min_size=lo.size, max_size=lo.size)), dtype=float)
-    lambeta4 = data.draw(st.floats(0.0, 1e4))
-    if form == "uniform":
-        nulam = data.draw(st.floats(1e-3, 10.0))
 
-        def f(g):
-            return sp._regular_secular(g, nulam, lambeta4)
+    def lanes(values):
+        return np.array(data.draw(st.lists(values, min_size=lo.size,
+                                           max_size=lo.size)), dtype=float)
+
+    f_lo = lanes(st.sampled_from([-1.0, -0.0, 0.0, 1.0])
+                 | st.floats(-1e3, 1e3))
+    lambeta4 = lanes(st.floats(0.0, 1e4))
+    if form == "uniform":
+        nulam = lanes(st.floats(1e-3, 10.0))
+
+        def f(g, i=slice(None)):
+            return sp._regular_secular(g, nulam[i], lambeta4[i])
     else:
         c1, c2 = (data.draw(st.floats(1e-3, 10.0)) for _ in range(2))
-        eps = data.draw(st.floats(0.2, 1.0))
+        eps = lanes(st.floats(0.2, 1.0))
 
-        def f(g):
-            return sp._regular_alternating(g, c1, c2, eps, lambeta4)
-    got = sp._bisect(f, lo, hi, f_lo)
+        def f(g, i=slice(None)):
+            return sp._regular_alternating(g, c1, c2, eps[i], lambeta4[i])
+    got = sp._replay(lo, hi, np.signbit(f_lo), f)
     want = _bisect_fixed(f, lo, hi, f_lo, sp._BISECT_ITERS)
     assert got.tobytes() == want.tobytes()
 
@@ -650,8 +683,9 @@ def test_band_bisect_equals_bisection_on_seeded_lanes(bc):
     # 700 loadings x 12 x 12 = 100,800 lanes, more than _CHUNK
     nulam, lambeta4 = _random_loadings(np.random.default_rng(15), 700, bc, 12)
     got = sp._band_bisect(nulam, lambeta4, 12)
-    assert got.tobytes() == sp._bisect(*_edge_bisection(nulam, lambeta4,
-                                                        12)).tobytes()
+    want = _bisect_fixed(*_edge_bisection(nulam, lambeta4, 12),
+                         sp._BISECT_ITERS)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_band_bisect_falls_back_where_inner_bracket_fails(monkeypatch):
