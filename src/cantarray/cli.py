@@ -8,7 +8,8 @@ a numpy array of one type; floats are printed with 17 significant digits
 (a float column made of runs of equal cells, like a swept value, is
 formatted once per run) and output files are written atomically (temp
 file, then rename), so identical config and version give byte-identical
-files.
+files.  Each subcommand imports only the solver module it runs, so start-up
+does not load the others.
 
 Exit codes: 0 success, 2 configuration problem, 3 solver failure.
 """
@@ -28,7 +29,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import __version__, galerkin, nonlinear, spectrum
+from . import __version__
 from .beam import beam_modes
 from .kernel import (CantileverShape, PoleProximityError, band_edge_gammas,
                      shear_kernel)
@@ -36,8 +37,9 @@ from .model import (AlternatingProfile, BoundaryCondition, Config, ConfigError,
                     SweepRange, UniformProfile, config_to_dict, load_config)
 from .quadrature import QuadratureError
 
-SOLVER_ERRORS = (QuadratureError, PoleProximityError, spectrum.BlowUpError,
-                 np.linalg.LinAlgError, FloatingPointError, ArithmeticError)
+# spectrum.BlowUpError is an ArithmeticError, so the tuple covers it
+SOLVER_ERRORS = (QuadratureError, PoleProximityError, np.linalg.LinAlgError,
+                 FloatingPointError, ArithmeticError)
 
 # CSV field per dtype kind of a column's cells (see _csv_cells)
 _CSV_FIELD = {"i": "%d", "f": "%.17g", "U": "%s", "O": "%s"}
@@ -233,6 +235,7 @@ def _cmd_kernel(args, caught, t0):
 
 
 def _cmd_spectrum(args, caught, t0):
+    from . import spectrum
     config = _require_config(args)
     solve = _by_profile(config, "spectrum",
                         {UniformProfile: spectrum.solve_uniform,
@@ -258,6 +261,7 @@ def _cmd_spectrum(args, caught, t0):
 
 
 def _cmd_sweep(args, caught, t0):
+    from . import spectrum
     config = _require_config(args)
     n_max = args.n_max or config.spectrum.n_max
     k_max = args.k_max or config.spectrum.k_max
@@ -283,6 +287,7 @@ def _cmd_sweep(args, caught, t0):
 
 
 def _cmd_galerkin(args, caught, t0):
+    from . import galerkin
     config = _require_config(args)
     settings = config.galerkin
     if args.basis_size:
@@ -307,6 +312,7 @@ def _cmd_galerkin(args, caught, t0):
 
 
 def _cmd_nonlinear(args, caught, t0):
+    from . import nonlinear
     config = _require_config(args)
     select_modes = _by_profile(config, f"nonlinear {args.what}",
                                {UniformProfile: nonlinear.select_modes})

@@ -268,8 +268,11 @@ def _replay(lo, hi, neg, f, a=-np.inf, b=np.inf):
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         take = mid <= a
-        doubt = np.flatnonzero(~take & (mid < b))
-        if doubt.size:
+        doubt = ~take & (mid < b)
+        if doubt.all():                   # every lane: no gather
+            take = np.signbit(f(mid, slice(None))) == neg
+        elif doubt.any():
+            doubt = np.flatnonzero(doubt)
             take[doubt] = np.signbit(f(mid[doubt], doubt)) == neg[doubt]
         # mid replaces lo where taken and hi elsewhere; no bracket moves
         # when those ends hold its bytes already (-0.0 is not 0.0)

@@ -288,6 +288,16 @@ def test_solver_failure_is_exit_3(capsys, monkeypatch):
     assert "solver error" in err
 
 
+def test_band_blow_up_is_exit_3(capsys, monkeypatch):
+    # BlowUpError reaches the exit code through ArithmeticError
+    def boom(*_args):
+        raise spectrum.BlowUpError("synthetic resonant denominator")
+    monkeypatch.setattr(spectrum, "solve_uniform", boom)
+    code, _, err = run(capsys, "spectrum", "--preset", PRESET)
+    assert code == 3
+    assert "solver error" in err
+
+
 def test_modes_shape_table(capsys):
     code, out, _ = run(capsys, "modes", "--n-max", "3", "--samples", "11")
     assert code == 0
@@ -740,3 +750,62 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         [sys.executable, "-W", "ignore", "-c", NO_SCIPY, json.dumps(runs)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+SOLVERS_LOADED = """
+import json, sys
+import cantarray.cli
+
+
+def loaded():
+    return sorted(m for m in ("galerkin", "nonlinear", "spectrum")
+                  if "cantarray." + m in sys.modules)
+
+
+steps = [loaded()]
+for runs in json.loads(sys.argv[1]):
+    for argv in runs:
+        code = cantarray.cli.main(argv)
+        if code != 0:
+            sys.exit(f"exit {code}: {argv}")
+    steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def test_each_subcommand_loads_only_its_solver(tmp_path):
+    # one fresh process: the solver modules in sys.modules after importing
+    # the CLI and after each group of subcommands, cumulatively
+    comb = tmp_path / "comb.json"
+    comb.write_text(json.dumps({"geometry": {"preset": PRESET}, "profile": {
+        "kind": "discrete", "positions": [2e-6, 5e-6, 8e-6],
+        "lengths": [5e-7, 4.5e-7, 5.5e-7]}}))
+    response = tmp_path / "response.json"
+    response.write_text(json.dumps({"geometry": {"preset": PRESET},
+                                    "nonlinear": {
+        "c_y": 1e-6, "c_eta": 1e-6, "f1": 1e-9, "f2": 1e-9,
+        "sigma1": {"from": -1e3, "to": 1e3, "points": 3}, "sigma2": 0.0}}))
+    groups = [
+        [["modes", "--preset", PRESET], ["kernel", "--points", "5"]],
+        [["galerkin", "--config", str(comb), "--basis-size", "4",
+          "--alpha-max", "1e6"]],
+        [["spectrum", "--preset", PRESET],
+         ["sweep", "--preset", PRESET, "--param", "nu", "--from", "0",
+          "--to", "40", "--points", "3"]],
+        [["nonlinear", "response", "--config", str(response)]],
+    ]
+    out = str(tmp_path / "out.csv")
+    for runs in groups:
+        for argv in runs:
+            argv += ["--output", out]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", SOLVERS_LOADED,
+         json.dumps(groups)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == [
+        [], [], ["galerkin"], ["galerkin", "spectrum"],
+        ["galerkin", "nonlinear", "spectrum"]]
