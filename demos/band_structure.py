@@ -7,6 +7,8 @@ reproduces the published device scale (fundamental near 24.7 MHz, first
 collective cantilever mode near 2.94 GHz).
 """
 
+import numpy as np
+
 from cantarray import dimensionless, preset_device
 from cantarray.spectrum import band_gaps, solve_uniform
 
@@ -20,18 +22,22 @@ def main():
     print(f"  lambda = l/L     {params.lam:8.5f}")
     print(f"  nu = 2 N wc/wb   {params.nu:8.1f}")
 
-    levels = solve_uniform(geometry, profile, bc, n_max=6, k_max=3)
+    gammas, edges, scale = solve_uniform(geometry, profile, bc, n_max=6,
+                                         k_max=3)
+    lower = np.append(0.0, edges[:-1])
+    freq = scale * gammas * gammas / (2 * np.pi)
 
     print("\nSpectrum (n = beam index, k = band):")
     print(f"  {'n':>2} {'k':>2} {'gamma':>14} {'f (MHz)':>12}  band window")
-    for lv in levels:
-        flag = "" if lv.valid else "   [n ~ pair count, averaging suspect]"
-        print(f"  {lv.n:>2} {lv.k:>2} {lv.gamma:>14.8f} "
-              f"{lv.omega / 2 / 3.141592653589793 / 1e6:>12.3f}  "
-              f"({lv.band_lower:.4f}, {lv.band_upper:.4f}){flag}")
+    for (i, j), g in np.ndenumerate(gammas):
+        n = i + 1
+        # the averaged model holds for n below the pairs per side
+        flag = ("" if n < geometry.count_per_side
+                else "   [n ~ pair count, averaging suspect]")
+        print(f"  {n:>2} {j + 1:>2} {g:>14.8f} {freq[i, j] / 1e6:>12.3f}  "
+              f"({lower[j]:.4f}, {edges[j]:.4f}){flag}")
 
-    f1 = levels[0].omega / (2 * 3.141592653589793)
-    f2 = next(lv for lv in levels if lv.n == 1 and lv.k == 2).omega / (2 * 3.141592653589793)
+    f1, f2 = freq[0, 0], freq[0, 1]
     print(f"\nFundamental         : {f1 / 1e6:8.2f} MHz (published ~24.7)")
     print(f"First flexing level : {f2 / 1e9:8.3f} GHz (published ~2.94)")
 

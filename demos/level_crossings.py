@@ -39,8 +39,8 @@ def main():
             geo = geometry.__class__(**{**geometry.to_dict(),
                                         "count_per_side": count})
             profile = UniformProfile(length=lam * geo.beam_length)
-            levels = solve_uniform(geo, profile, BC, n_max=1, k_max=2)
-            row.append(next(lv.gamma for lv in levels if lv.k == 2))
+            gammas = solve_uniform(geo, profile, BC, n_max=1, k_max=2)[0]
+            row.append(gammas[0, 1])
         spread = max(row) - min(row)
         mark = "  <- independent of loading" if spread < 1e-9 else ""
         print(f"  {lam:>8.3f} " + " ".join(f"{g:>14.9f}" for g in row)

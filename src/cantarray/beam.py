@@ -32,7 +32,8 @@ def secular_residual(beta, bc: BoundaryCondition):
     """
     beta = np.asarray(beta, dtype=float)
     s = 1.0 if bc is BoundaryCondition.CLAMPED_CLAMPED else -1.0
-    return np.cos(beta) - s / np.cosh(beta)
+    with np.errstate(over="ignore"):   # cosh = inf past 710, and s/inf = 0
+        return np.cos(beta) - s / np.cosh(beta)
 
 
 def beam_roots(bc: BoundaryCondition, n_max: int) -> np.ndarray:

@@ -183,9 +183,12 @@ def _by_profile(config: Config, command: str, choices: dict):
     return choices[kind]
 
 
-def _column(items, name: str, dtype=float) -> np.ndarray:
-    """Attribute `name` of every item, as one array."""
-    return np.array([getattr(item, name) for item in items], dtype=dtype)
+def _level_rows(gammas: np.ndarray, scale: np.ndarray):
+    """(p, n, k, gamma, omega) of each finite gammas[p, n-1, k-1], in that
+    order, with omega = scale[p] * gamma^2."""
+    p, n, k = np.nonzero(np.isfinite(gammas))
+    gamma = gammas[p, n, k]
+    return p, n + 1, k + 1, gamma, scale[p] * gamma * gamma
 
 
 # --- subcommands -------------------------------------------------------------
@@ -207,7 +210,8 @@ def _cmd_modes(args, caught, t0):
         geo = config.geometry if config is not None else None
         w = np.array([geo.beam_wave_scale * (m.beta / geo.beam_length) ** 2
                       if geo else math.nan for m in modes])
-        table = {"n": _column(modes, "n", int), "beta": _column(modes, "beta"),
+        table = {"n": np.array([m.n for m in modes]),
+                 "beta": np.array([m.beta for m in modes]),
                  "omega_rad_s": w, "freq_hz": w / (2.0 * math.pi)}
     _emit(args, table, config, caught, t0)
 
@@ -240,23 +244,28 @@ def _cmd_spectrum(args, caught, t0):
     solve = _by_profile(config, "spectrum",
                         {UniformProfile: spectrum.solve_uniform,
                          AlternatingProfile: spectrum.solve_alternating})
-    levels = solve(config.geometry, config.profile, config.boundary,
-                   args.n_max or config.spectrum.n_max,
-                   args.k_max or config.spectrum.k_max)
-    invalid = sum(1 for lv in levels if not lv.valid)
+    gammas, edges, scale = solve(config.geometry, config.profile,
+                                 config.boundary,
+                                 args.n_max or config.spectrum.n_max,
+                                 args.k_max or config.spectrum.k_max)
+    _, n, k, gamma, omega = _level_rows(gammas[None], np.array([scale]))
+    # the averaged model holds for n below the pairs per side
+    pairs = (config.profile.count1 + config.profile.count2
+             if isinstance(config.profile, AlternatingProfile)
+             else config.geometry.count_per_side)
+    valid = n < pairs
+    invalid = int(np.sum(~valid))
     if invalid:
         warnings.warn(f"{invalid} level(s) have beam index n >= N and fall "
                       "outside the averaged model's validity")
-    omega = _column(levels, "omega")
-    base = next((lv.omega for lv in levels if lv.n == 1 and lv.k == 1), None)
-    table = {"n": _column(levels, "n", int), "k": _column(levels, "k", int),
-             "gamma": _column(levels, "gamma"), "omega_rad_s": omega,
+    base = omega[(n == 1) & (k == 1)]
+    table = {"n": n, "k": k, "gamma": gamma, "omega_rad_s": omega,
              "freq_hz": omega / (2.0 * math.pi),
-             "omega_normalized": (omega / base if base
+             "omega_normalized": (omega / base[0] if base.size and base[0]
                                   else np.full(omega.size, math.nan)),
-             "band_edge_lower": _column(levels, "band_lower"),
-             "band_edge_upper": _column(levels, "band_upper"),
-             "valid": _column(levels, "valid", bool)}
+             "band_edge_lower": np.append(0.0, edges[:-1])[k - 1],
+             "band_edge_upper": edges[k - 1],
+             "valid": valid}
     _emit(args, table, config, caught, t0)
 
 
@@ -278,10 +287,8 @@ def _cmd_sweep(args, caught, t0):
     points = list(sweep(config.geometry, config.profile, config.boundary,
                         *parameter, values, n_max, k_max))
     value, gammas, scale = map(np.array, zip(*points))
-    p, n, k = np.nonzero(np.isfinite(gammas))   # in (value, n, k) order
-    gamma = gammas[p, n, k]
-    value, omega, n, k = value[p], scale[p] * gamma * gamma, n + 1, k + 1
-    table = {"param": np.full(value.size, args.param), "value": value,
+    p, n, k, gamma, omega = _level_rows(gammas, scale)
+    table = {"param": np.full(p.size, args.param), "value": value[p],
              "n": n, "k": k, "gamma": gamma, "omega_rad_s": omega}
     _emit(args, table, config, caught, t0)
 
@@ -299,15 +306,12 @@ def _cmd_galerkin(args, caught, t0):
         lengths = galerkin._distinct_lengths(profile)
         longest = max(profile.length if lengths is None else lengths)
         alpha_max = band_edge_gammas(config.spectrum.k_max)[-1] / longest
-    levels = galerkin.solve(config.geometry, profile, config.boundary,
-                            alpha_max, settings=settings)
-    m = settings.basis_size
-    weights = np.reshape([lv.participation for lv in levels], (len(levels), m))
-    table = {"alpha": _column(levels, "alpha"),
-             "omega_rad_s": _column(levels, "omega"),
-             "dominant_n": _column(levels, "dominant_n", int),
-             **{f"participation_{i}": weights[:, i - 1]
-                for i in range(1, m + 1)}}
+    alpha, omega, weights = galerkin.solve(
+        config.geometry, profile, config.boundary, alpha_max, settings)
+    table = {"alpha": alpha, "omega_rad_s": omega,
+             "dominant_n": np.argmax(np.abs(weights), axis=1) + 1,
+             **{f"participation_{i}": w
+                for i, w in enumerate(weights.T, start=1)}}
     _emit(args, table, config, caught, t0)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,14 +49,6 @@ DOMINANCE_THRESHOLD = 0.9   # least pure-mode participation, uniform loading
 
 class BasisTooSmall(UserWarning):
     """Dominant participation below threshold where a pure mode is expected."""
-
-
-@dataclass(frozen=True)
-class GalerkinLevel:
-    alpha: float               # 1/m
-    omega: float               # rad/s, beam dispersion
-    dominant_n: int            # 1-based beam-basis index of largest weight
-    participation: np.ndarray = field(compare=False)  # unit norm, length M
 
 
 @dataclass(frozen=True)
@@ -352,16 +344,18 @@ def _roots(segments: list[tuple[float, float]],
 
 def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
           alpha_max: float,
-          settings: GalerkinSettings | None = None) -> list[GalerkinLevel]:
-    """All spectrum levels with alpha in (0, alpha_max].
+          settings: GalerkinSettings | None = None):
+    """All spectrum levels with alpha in (0, alpha_max], as arrays (alpha,
+    omega, participation), sorted by alpha.
 
     The forbidden resonance intervals cut (0, alpha_max] into pole-free
     segments.  The inertia of D(alpha) at each segment's ends counts its
-    levels, and `_roots` locates them, all segments together; each level
-    carries the null-space direction (participation vector) at its root,
-    from one stacked eigh over the roots' matrices.  Levels are sorted by
-    alpha.  For x-independent profiles a BasisTooSmall warning is emitted if
-    any participation vector is not essentially a coordinate axis
+    levels, and `_roots` locates them, all segments together.  omega (rad/s)
+    follows the beam dispersion.  participation[i] is the unit null-space
+    direction of D at alpha[i], length M = basis_size, from one stacked eigh
+    over the roots' matrices, signed so that its largest entry is positive.
+    For x-independent profiles a BasisTooSmall warning is emitted if any
+    participation vector is not essentially a coordinate axis
     (DOMINANCE_THRESHOLD).
     """
     settings = settings or GalerkinSettings()
@@ -397,30 +391,26 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
     roots = _roots(segments,
                    lambda a: np.linalg.eigvalsh(assemble_all(a.tolist())))
     if not roots:
-        return []
+        return np.empty(0), np.empty(0), np.empty((0, settings.basis_size))
     missing = [r for r in dict.fromkeys(roots) if r not in mats]
     if missing:
         assemble_all(missing)
     evals, evecs = np.linalg.eigh(np.stack([mats[r] for r in roots]))
-    levels: list[GalerkinLevel] = []
-    for root, ev, vecs in zip(roots, evals, evecs):
-        idx = int(np.argmin(np.abs(ev)))
-        norm = np.max(np.abs(ev))   # the spectral norm of a symmetric D
-        if abs(ev[idx]) > 1e-8 * norm:
+    size, rows = np.abs(evals), np.arange(len(roots))
+    idx = np.argmin(size, axis=1)
+    p = evecs[rows, :, idx]
+    p[p[rows, np.argmax(np.abs(p), axis=1)] < 0] *= -1.0
+    # max |eig| is the spectral norm of a symmetric D
+    for root, eig, norm, w in zip(roots, size[rows, idx], size.max(axis=1),
+                                  np.abs(p).max(axis=1)):
+        if eig > 1e-8 * norm:
             warnings.warn(
                 f"root at alpha={root:.6e} polished to "
-                f"|eig|/||D||={abs(ev[idx])/norm:.2e}", stacklevel=2)
-        p = vecs[:, idx]
-        if p[np.argmax(np.abs(p))] < 0:
-            p = -p
-        dom = int(np.argmax(np.abs(p)))
-        if uniformish and abs(p[dom]) < DOMINANCE_THRESHOLD:
+                f"|eig|/||D||={eig/norm:.2e}", stacklevel=2)
+        if uniformish and w < DOMINANCE_THRESHOLD:
             warnings.warn(
-                f"participation {abs(p[dom]):.3f} at alpha="
-                f"{root:.6e}; increase basis_size",
-                category=BasisTooSmall, stacklevel=2)
-        levels.append(GalerkinLevel(
-            alpha=float(root),
-            omega=float(geometry.beam_wave_scale * root ** 2),
-            dominant_n=dom + 1, participation=p))
-    return levels
+                f"participation {w:.3f} at alpha={root:.6e}; increase "
+                "basis_size", category=BasisTooSmall, stacklevel=2)
+    # a scalar ** 2 per root: an array square can differ in the last bit
+    omega = [geometry.beam_wave_scale * root ** 2 for root in roots]
+    return np.array(roots, dtype=float), np.array(omega), p

@@ -43,7 +43,8 @@ class PoleProximityError(ValueError):
 def _edge_residual(gamma):
     """cos(gamma) + sech(gamma); zero at the band edges, overflow-safe."""
     gamma = np.asarray(gamma, dtype=float)
-    return np.cos(gamma) + 1.0 / np.cosh(gamma)
+    with np.errstate(over="ignore"):   # cosh = inf past 710, and 1/inf = 0
+        return np.cos(gamma) + 1.0 / np.cosh(gamma)
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +109,8 @@ def _scaled_parts(gamma):
     gamma = np.asarray(gamma, dtype=float)
     c, s = np.cos(gamma), np.sin(gamma)
     th = np.tanh(gamma)
-    sech = 1.0 / np.cosh(gamma)
+    with np.errstate(over="ignore"):   # cosh = inf past 710, and 1/inf = 0
+        sech = 1.0 / np.cosh(gamma)
     return c, s, th, sech, sech + c
 
 

@@ -41,6 +41,25 @@ class BoundaryCondition(enum.Enum):
             f"expected one of {[m.value for m in cls]}")
 
 
+def _is_count(value) -> bool:
+    """An integer >= 1; JSON's true, 2.5, "3" and 1e9 are not."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= 1)
+
+
+def _is_number(value) -> bool:
+    """A finite int or float (not a bool, NaN or an infinity)."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
+def _check(test, what: str, **values) -> None:
+    """ConfigError naming the first config key whose value fails test."""
+    for key, value in values.items():
+        if not test(value):
+            raise ConfigError(f"{key}: must be {what}, got {value!r}")
+
+
 _EQUAL_THICKNESS_RTOL = 1e-9
 
 
@@ -63,20 +82,13 @@ class DeviceGeometry:
     equal_thickness: bool = True
 
     def __post_init__(self):
-        for name in ("beam_length", "beam_width", "beam_rigidity",
-                     "beam_linear_density", "cantilever_width",
-                     "cantilever_rigidity", "cantilever_linear_density"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)) or value <= 0:
-                raise ConfigError(f"geometry.{name}: must be a positive finite number")
-        try:
-            count_ok = math.isfinite(self.count_per_side) \
-                and self.count_per_side >= 0
-        except TypeError:
-            count_ok = False
-        if not count_ok:
-            raise ConfigError("geometry.count_per_side: must be a finite "
-                              "number >= 0")
+        _check(lambda v: _is_number(v) and v > 0, "a positive finite number",
+               **{f"geometry.{name}": getattr(self, name) for name in (
+                   "beam_length", "beam_width", "beam_rigidity",
+                   "beam_linear_density", "cantilever_width",
+                   "cantilever_rigidity", "cantilever_linear_density")})
+        _check(lambda v: _is_number(v) and v >= 0, "a finite number >= 0",
+               **{"geometry.count_per_side": self.count_per_side})
         if self.equal_thickness:
             w = self.cantilever_width / self.beam_width
             r = self.cantilever_rigidity / self.beam_rigidity
@@ -334,8 +346,8 @@ class SpectrumSettings:
     k_max: int = 4
 
     def __post_init__(self):
-        if self.n_max < 1 or self.k_max < 1:
-            raise ConfigError("spectrum: n_max and k_max must be >= 1")
+        _check(_is_count, "an integer >= 1", **{"spectrum.n_max": self.n_max,
+                                                "spectrum.k_max": self.k_max})
 
 
 @dataclass(frozen=True)
@@ -345,8 +357,11 @@ class GalerkinSettings:
     quadrature_rtol: float = 1e-10
 
     def __post_init__(self):
-        if self.basis_size < 1:
-            raise ConfigError("galerkin.basis_size: must be >= 1")
+        _check(_is_count, "an integer >= 1",
+               **{"galerkin.basis_size": self.basis_size,
+                  "galerkin.quadrature.order": self.quadrature_order})
+        _check(lambda v: _is_number(v) and v > 0, "a positive finite number",
+               **{"galerkin.quadrature.rtol": self.quadrature_rtol})
 
 
 @dataclass(frozen=True)
@@ -356,8 +371,9 @@ class SweepRange:
     points: int
 
     def __post_init__(self):
-        if self.points < 1:
-            raise ConfigError("sweep range: points must be >= 1")
+        _check(_is_number, "a finite number",
+               **{"from": self.start, "to": self.stop})
+        _check(_is_count, "an integer >= 1", points=self.points)
 
     def values(self):
         return np.linspace(self.start, self.stop, self.points)
@@ -371,6 +387,16 @@ class NonlinearSettings:
     force2: float = 0.0
     sigma1: SweepRange | float = 0.0
     sigma2: SweepRange | float = 0.0
+
+    def __post_init__(self):
+        _check(lambda v: _is_number(v) and v >= 0, "a finite number >= 0",
+               **{"nonlinear.c_y": self.damping_beam,
+                  "nonlinear.c_eta": self.damping_cantilever})
+        _check(lambda v: isinstance(v, SweepRange) or _is_number(v),
+               "a finite number",
+               **{"nonlinear.f1": self.force1, "nonlinear.f2": self.force2,
+                  "nonlinear.sigma1": self.sigma1,
+                  "nonlinear.sigma2": self.sigma2})
 
 
 @dataclass(frozen=True)
@@ -457,9 +483,12 @@ def _parse_profile(spec: dict, geometry: DeviceGeometry, preset: str | None) -> 
 
 def _parse_sweep(value, section: str) -> SweepRange | float:
     if isinstance(value, dict):
-        return SweepRange(start=_require(value, "from", section),
-                          stop=_require(value, "to", section),
-                          points=_require(value, "points", section))
+        bounds = [_require(value, key, section)
+                  for key in ("from", "to", "points")]
+        try:
+            return SweepRange(*bounds)
+        except ConfigError as exc:   # name the section and its key
+            raise ConfigError(f"{section}.{exc}") from exc
     if isinstance(value, (int, float)):
         return float(value)
     raise ConfigError(f"{section}: expected a number or {{from, to, points}}")

@@ -38,8 +38,8 @@ F(a) and F(b) are checked to have the two signs; a lane whose Newton pass
 or check fails keeps (-inf, inf), so the levels are plain bisection's bit
 for bit either way.  All single-family layouts of an epsilon sweep share
 one _band_bisect call.  Solvers return gamma grids (gammas[n-1, k-1], NaN
-where no level is reported); both sweeps yield one grid per value, and only
-solve_uniform and solve_alternating turn their grid into SpectrumLevel rows.
+where no level is reported) with omega = scale * gamma^2: the sweeps one per
+value, solve_uniform and solve_alternating one with its band upper edges.
 """
 from __future__ import annotations
 
@@ -73,17 +73,6 @@ _STEP_RTOL = 1e-12
 
 class BlowUpError(ArithmeticError):
     """Band-edge expansion denominator is resonant (lam*beta_n ~ gamma_edge)."""
-
-
-@dataclass(frozen=True)
-class SpectrumLevel:
-    n: int
-    k: int
-    gamma: float
-    omega: float           # rad/s
-    band_lower: float      # gamma of lower band edge (0 for k=1)
-    band_upper: float      # gamma of upper band edge
-    valid: bool = True     # averaged model trustworthy (n << pairs)
 
 
 @dataclass(frozen=True)
@@ -159,19 +148,6 @@ def _secular_slope(gamma, nulam, lambeta4, nd):
     noise = (nulam * g3 * n_err + np.abs(poly) * d_err
              + (g4 + lambeta4) * np.abs(d_hat))
     return f, df, noise
-
-
-def _levels(gammas: np.ndarray, edges: np.ndarray, scale: float,
-            valid_n: int) -> list[SpectrumLevel]:
-    """One SpectrumLevel per finite gammas[n-1, k-1], band k between
-    edges[k-2] (0 for k = 1) and edges[k-1]."""
-    lower = np.concatenate(([0.0], edges[:-1]))
-    return [SpectrumLevel(n=i + 1, k=j + 1, gamma=float(g),
-                          omega=float(scale * g * g),
-                          band_lower=float(lower[j]),
-                          band_upper=float(edges[j]),
-                          valid=bool(i + 1 < valid_n))
-            for (i, j), g in np.ndenumerate(gammas) if np.isfinite(g)]
 
 
 def solve_uniform_dimensionless(params: DimensionlessParams, betas: np.ndarray,
@@ -335,14 +311,14 @@ def _inner_brackets(lo, hi, neg, nulam, lambeta4, start):
 
 
 def solve_uniform(geometry: DeviceGeometry, profile: UniformProfile,
-                  bc: BoundaryCondition, n_max: int, k_max: int) -> list[SpectrumLevel]:
-    """Spectrum levels for a uniform array, frequencies from
-    omega = sqrt(Ec/mu_c) (gamma/l)^2."""
+                  bc: BoundaryCondition, n_max: int, k_max: int):
+    """Levels of a uniform array: (gammas[n-1, k-1], band upper edges[k-1],
+    scale), band k running from edges[k-2] (0 for k = 1) to edges[k-1], and
+    omega = scale * gamma^2 = sqrt(Ec/mu_c) (gamma/l)^2."""
     params, betas = dimensionless(geometry, profile), beam_roots(bc, n_max)
     gammas = solve_uniform_dimensionless(params, betas, k_max)
-    scale = geometry.cantilever_wave_scale / profile.length ** 2
-    return _levels(gammas, band_edge_gammas(k_max), scale,
-                   geometry.count_per_side)
+    return (gammas, band_edge_gammas(k_max),
+            geometry.cantilever_wave_scale / profile.length ** 2)
 
 
 def gamma_to_omega(gamma: float, geometry: DeviceGeometry,
@@ -382,18 +358,16 @@ def band_gaps(geometry: DeviceGeometry, profile: UniformProfile,
               bc: BoundaryCondition, k_max: int) -> list[BandGap]:
     """Frequency gaps omega_{1,k+1} - omega_{inf,k} above each band edge,
     with the first-order edge estimate alongside.  Empty for nu = 0."""
-    params, betas = dimensionless(geometry, profile), beam_roots(bc, 1)
+    params = dimensionless(geometry, profile)
     if params.nu == 0.0:
         return []
-    gammas = solve_uniform_dimensionless(params, betas, k_max + 1)[0]
-    edges = band_edge_gammas(k_max)
-    scale = geometry.cantilever_wave_scale / profile.length ** 2
-    beta1 = betas[0]
+    gammas, edges, scale = solve_uniform(geometry, profile, bc, 1, k_max + 1)
+    beta1 = beam_roots(bc, 1)[0]
     out = []
     for k in range(1, k_max + 1):
         edge = edges[k - 1]
         omega_edge = scale * edge * edge
-        exact = scale * gammas[k] ** 2 - omega_edge
+        exact = scale * gammas[0, k] ** 2 - omega_edge
         try:
             delta, k_eff = delta_asymptotic(1, k, params, beta1)
         except BlowUpError:
@@ -605,25 +579,24 @@ def _alternating_solves(geometry: DeviceGeometry, profile: AlternatingProfile,
 
 
 def solve_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,
-                      bc: BoundaryCondition, n_max: int,
-                      k_max: int) -> list[SpectrumLevel]:
-    """Levels of the interleaved array; band index counts the merged-pole
-    intervals (band 1 is (0, first pole)).
+                      bc: BoundaryCondition, n_max: int, k_max: int):
+    """Levels of the interleaved array, as solve_uniform returns them, with
+    NaN for a rejected level; band index counts the merged-pole intervals
+    (band 1 is (0, first pole)).
 
     Each beam index has exactly one level per band (Wittrick-Williams: the
     secular function rises from -inf to +inf between consecutive poles), so
     every (n, k) is one edge-to-edge bracket of the regularized form.  A
     bracket end stepped off a merged twin-pole group must still show the
-    expected sign; a level whose end fails that check is rejected, counted
-    in one warning and not returned.  Degenerate layouts (one family empty,
-    or equal lengths) share a single pole set and reduce exactly to the
-    single-family solver instead.
+    expected sign; a level whose end fails that check is rejected and
+    counted in one warning.  Degenerate layouts (one family empty, or equal
+    lengths) share a single pole set and reduce exactly to the single-family
+    solver instead.
     """
     gammas, upper = _alternating_solves(
         geometry, profile, np.array([profile.epsilon]), bc, n_max, k_max)
-    return _levels(gammas[0], upper[0],
-                   geometry.cantilever_wave_scale / profile.length1 ** 2,
-                   profile.count1 + profile.count2)
+    return (gammas[0], upper[0],
+            geometry.cantilever_wave_scale / profile.length1 ** 2)
 
 
 def sweep_alternating(geometry: DeviceGeometry, profile: AlternatingProfile,

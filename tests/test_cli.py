@@ -140,29 +140,74 @@ def test_output_files_are_byte_identical_across_runs(capsys, tmp_path):
 
 # SHA-256 of the outputs of fixed band-structure runs, recorded before the
 # band solvers were batched (CSV) and before tables were rendered by column
-# (JSON): both refactors must keep every byte.  The digits depend
-# on how numpy rounds exp, cos, sin and power, which varies with the numpy
-# build and the CPU's SIMD level, so the hashes are checked only where the
-# fingerprint of those functions matches the one taken with them (numpy 2.4,
-# x86-64 with AVX-512).
+# (JSON): both refactors must keep every byte.  The runs on a config were
+# recorded before solve_uniform, solve_alternating and galerkin.solve
+# returned arrays instead of level rows.  The digits depend on how numpy
+# rounds exp, cos, sin and power, which varies with the numpy build and the
+# CPU's SIMD level, so the hashes are checked only where the fingerprint of
+# those functions matches the one taken with them (numpy 2.4, x86-64 with
+# AVX-512); the Galerkin runs also need the LAPACK fingerprint of eigvalsh
+# and eigh.
 GOLDEN_FINGERPRINT = \
     "563c7e9208ef27c5a9dd44ded440994fc3bdb4db422b8772753e978f66ac6c8d"
+GOLDEN_LINALG_FINGERPRINT = \
+    "a34f492abfa2cea17e38aa64678adfdc6c17fbdd85b746ecb801c15bb9ae292c"
+GOLDEN_CONFIGS = {
+    # three pairs per side: the rows with n >= 3 are not valid
+    "alternating-few": {
+        "geometry": {"preset": PRESET},
+        "profile": {"kind": "alternating", "length1": 5e-7, "length2": 4e-7,
+                    "width1": 2e-7, "width2": 2e-7, "count1": 1,
+                    "count2": 2}},
+    "alternating": {
+        "geometry": {"preset": PRESET},
+        "profile": {"kind": "alternating", "length1": 5e-7, "length2": 4e-7,
+                    "width1": 2e-7, "width2": 2e-7, "count1": 10,
+                    "count2": 10}},
+    "comb": {
+        "geometry": {"preset": PRESET},
+        "profile": {"kind": "discrete",
+                    "positions": [2.5e-6, 4.5e-6, 6.5e-6, 8.5e-6],
+                    "lengths": [5e-7, 4e-7, 5e-7, 4e-7]},
+        "galerkin": {"basis_size": 4}},
+    "tabulated": {
+        "geometry": {"preset": PRESET},
+        "profile": {"kind": "tabulated",
+                    "x": [0.0, 5.343850781101918e-06, 1.0687701562203836e-05],
+                    "length": [5e-7, 5.4e-7, 4.7e-7],
+                    "density": [4e6, 3.5e6, 4e6]},
+        "galerkin": {"basis_size": 4}},
+}
+# name: (argv, GOLDEN_CONFIGS key or None for the preset, SHA-256)
 GOLDEN_RUNS = {
-    "spectrum": (["spectrum", "--n-max", "6", "--k-max", "6"],
+    "spectrum": (["spectrum", "--n-max", "6", "--k-max", "6"], None,
                  "9f3cda2962f67b7f97de93a9b992f5ecf000ba3618f8da229a42ddff025d6527"),
-    "sweep-nu": (["sweep", "--param", "nu", "--from", "0", "--to", "90"],
+    "sweep-nu": (["sweep", "--param", "nu", "--from", "0", "--to", "90"], None,
                  "7aea5e74a7eab38e7e371a04e957d31a96770739dd3ab2e36f2508a851c70826"),
     "sweep-lambda": (["sweep", "--param", "lambda", "--from", "0.02",
-                      "--to", "0.1"],
+                      "--to", "0.1"], None,
                      "c51c46381af11ce22fd47bf0b8582d06f9b6c8437cead37aa07ebcb8cad1eff0"),
-    "sweep-N": (["sweep", "--param", "N", "--from", "0", "--to", "60"],
+    "sweep-N": (["sweep", "--param", "N", "--from", "0", "--to", "60"], None,
                 "802aea4e6f49826103162aa2ad890d5cc2cd59628efe31aa88efb348ca4dd40f"),
     "spectrum-json": (["spectrum", "--n-max", "6", "--k-max", "6",
-                       "--format", "json"],
+                       "--format", "json"], None,
                       "5cfb8e27ce7332a49f6d799366e484bd508b361ccb28cdf725037c4329a0c7f5"),
     "sweep-nu-json": (["sweep", "--param", "nu", "--from", "0", "--to", "90",
-                       "--format", "json"],
+                       "--format", "json"], None,
                       "290e19b00ef7ebacd8703b34ea7629ec2a7a87281c81d1b60f8dbe1b3423daa2"),
+    "spectrum-alternating": (["spectrum", "--n-max", "5", "--k-max", "4"],
+                             "alternating-few",
+                             "4ed19379d1b5a54d05eb985ee33e1bfd8d5a7ef01b16b2faafff0176d1867957"),
+    "spectrum-alternating-json": (["spectrum", "--n-max", "5", "--k-max", "4",
+                                   "--format", "json"], "alternating-few",
+                                  "17aacf4bc857ddabbd2f6285faa8787af4747d7425688b757134e1202dae6486"),
+    "sweep-epsilon": (["sweep", "--param", "epsilon", "--from", "0.5",
+                       "--to", "1"], "alternating",
+                      "1adcae279db67c23d6bfefdc06a471638b06990f2b1563688ba91507ddb05f20"),
+    "galerkin-comb": (["galerkin", "--alpha-max", "5e6"], "comb",
+                      "f0771f7aeb6baf360c8562eb0f171f0ea86f4d63000a7e07b0bc1850b9308b2f"),
+    "galerkin-tabulated": (["galerkin", "--alpha-max", "3e6"], "tabulated",
+                           "02a56bc9886b2a664e3e6c8c2277432efef1c8caa42c4308dffd0daed2f4f3e7"),
 }
 SWEEP_FLAGS = ["--points", "41", "--n-max", "4", "--k-max", "5"]
 
@@ -173,18 +218,49 @@ def _float_fingerprint() -> str:
     return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def _linalg_fingerprint() -> str:
+    a = np.arange(1.0, 26.0).reshape(5, 5)
+    a = a + a.T + np.diag(np.linspace(-3.0, 3.0, 5))
+    w, v = np.linalg.eigh(np.stack([a, 2.0 * a]))
+    return hashlib.sha256(np.linalg.eigvalsh(a).tobytes() + w.tobytes()
+                          + v.tobytes()).hexdigest()
+
+
+def _check_golden_run(capsys, tmp_path, name):
+    argv, config, digest = GOLDEN_RUNS[name]
+    if argv[0] == "sweep":
+        argv = argv + SWEEP_FLAGS
+    if config is None:
+        source = ["--preset", PRESET]
+    else:
+        path = tmp_path / f"{config}.json"
+        path.write_text(json.dumps(GOLDEN_CONFIGS[config]))
+        source = ["--config", str(path)]
+    out = tmp_path / f"{name}.out"
+    code, _, _ = run(capsys, *argv, *source, "--output", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (argv, _, _) in GOLDEN_RUNS.items()
+    if argv[0] != "galerkin"))
 def test_band_outputs_match_golden_hashes(capsys, tmp_path, name):
     if _float_fingerprint() != GOLDEN_FINGERPRINT:
         pytest.skip("numpy rounds exp/cos/sin/power differently here than "
                     "where the golden hashes were recorded")
-    argv, digest = GOLDEN_RUNS[name]
-    if argv[0] == "sweep":
-        argv = argv + SWEEP_FLAGS
-    out = tmp_path / f"{name}.out"
-    code, _, _ = run(capsys, *argv, "--preset", PRESET, "--output", str(out))
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    _check_golden_run(capsys, tmp_path, name)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (argv, _, _) in GOLDEN_RUNS.items()
+    if argv[0] == "galerkin"))
+def test_galerkin_outputs_match_golden_hashes(capsys, tmp_path, name):
+    if (_float_fingerprint() != GOLDEN_FINGERPRINT
+            or _linalg_fingerprint() != GOLDEN_LINALG_FINGERPRINT):
+        pytest.skip("numpy or LAPACK rounds differently here than where "
+                    "the golden hashes were recorded")
+    _check_golden_run(capsys, tmp_path, name)
 
 
 def test_manifest_sidecar_schema(capsys, tmp_path):
@@ -353,11 +429,11 @@ def test_sweep_epsilon(capsys, tmp_path):
 def test_epsilon_sweep_builds_no_spectrum_levels(capsys, tmp_path,
                                                 monkeypatch):
     # a 200-value sweep hands the table one gamma grid per value, as the
-    # uniform sweeps do, and builds no SpectrumLevel on the way
+    # uniform sweeps do, from one batched solve, not one solve per value
     calls = []
-    levels = spectrum._levels
-    monkeypatch.setattr(spectrum, "_levels",
-                        lambda *args: calls.append(args) or levels(*args))
+    solve = spectrum.solve_alternating
+    monkeypatch.setattr(spectrum, "solve_alternating",
+                        lambda *args: calls.append(args) or solve(*args))
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({
         "geometry": {"preset": PRESET},
@@ -809,3 +885,103 @@ def test_each_subcommand_loads_only_its_solver(tmp_path):
     assert json.loads(proc.stdout) == [
         [], [], ["galerkin"], ["galerkin", "spectrum"],
         ["galerkin", "nonlinear", "spectrum"]]
+
+
+@pytest.mark.parametrize("geometry, profile", [
+    ({**MATERIAL_GEOMETRY, "count_per_side": 2},
+     {"kind": "uniform", "length": 5e-7}),
+    ({"preset": PRESET},
+     {"kind": "alternating", "length1": 5e-7, "length2": 4e-7, "count1": 1,
+      "count2": 1})], ids=["uniform", "alternating"])
+def test_spectrum_marks_levels_past_the_pair_count_invalid(
+        capsys, tmp_path, geometry, profile):
+    # two pairs per side (count_per_side, or count1 + count2): the averaged
+    # model holds for n = 1 only, and one warning counts the other rows
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"geometry": geometry, "profile": profile,
+                             "spectrum": {"n_max": 4, "k_max": 3}}))
+    code, out, err = run(capsys, "spectrum", "--config", str(p),
+                         "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    n, valid = (data["columns"].index(name) for name in ("n", "valid"))
+    assert [(row[n], row[valid]) for row in data["rows"]] == \
+        [(i, i < 2) for i in range(1, 5) for _ in range(3)]
+    warned = [w for w in stdout_manifest(err)["warnings"] if "n >= N" in w]
+    assert warned == ["9 level(s) have beam index n >= N and fall outside "
+                      "the averaged model's validity"]
+
+
+RESPONSE = {"c_y": 1e-6, "c_eta": 1e-6, "f1": 1e-9, "f2": 1e-9,
+            "sigma1": {"from": -1e3, "to": 1e3, "points": 3}, "sigma2": 0.0}
+
+
+SETTINGS_CASES = [
+    (["spectrum"], {"spectrum": {"n_max": 2.5}},
+     "spectrum.n_max: must be an integer >= 1, got 2.5"),
+    (["spectrum"], {"spectrum": {"n_max": "3"}},
+     "spectrum.n_max: must be an integer >= 1, got '3'"),
+    (["spectrum"], {"spectrum": {"k_max": True}},
+     "spectrum.k_max: must be an integer >= 1, got True"),
+    (["spectrum"], {"spectrum": {"n_max": 1e9}},
+     "spectrum.n_max: must be an integer >= 1, got 1000000000.0"),
+    (["galerkin"], {"galerkin": {"basis_size": 2.5}},
+     "galerkin.basis_size: must be an integer >= 1, got 2.5"),
+    (["galerkin"], {"galerkin": {"quadrature": {"order": 0}}},
+     "galerkin.quadrature.order: must be an integer >= 1, got 0"),
+    (["galerkin"], {"galerkin": {"quadrature": {"rtol": float("nan")}}},
+     "galerkin.quadrature.rtol: must be a positive finite number, got nan"),
+    (["nonlinear", "response"],
+     {"nonlinear": {**RESPONSE, "sigma1": {"from": -1e3, "to": 1e3,
+                                           "points": 2.5}}},
+     "nonlinear.sigma1.points: must be an integer >= 1, got 2.5"),
+    (["nonlinear", "response"],
+     {"nonlinear": {**RESPONSE, "sigma2": {"from": float("-inf"), "to": 0.0,
+                                           "points": 2}}},
+     "nonlinear.sigma2.from: must be a finite number, got -inf"),
+    (["nonlinear", "response"], {"nonlinear": {**RESPONSE,
+                                               "c_y": float("nan")}},
+     "nonlinear.c_y: must be a finite number >= 0, got nan"),
+    (["nonlinear", "response"], {"nonlinear": {**RESPONSE,
+                                               "f2": float("inf")}},
+     "nonlinear.f2: must be a finite number, got inf"),
+    (["nonlinear", "coeffs"], {"nonlinear": {**RESPONSE,
+                                             "c_y": float("nan")}},
+     "nonlinear.c_y: must be a finite number >= 0, got nan"),
+    (["nonlinear", "response", "--f1", "nan"], {"nonlinear": RESPONSE},
+     "nonlinear.f1: must be a finite number, got nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, section, message", SETTINGS_CASES,
+    ids=[" ".join(argv) + " " + message.split(":")[0] + "="
+         + message.rsplit("got ", 1)[1] for argv, _, message in SETTINGS_CASES])
+def test_settings_numbers_are_checked(capsys, tmp_path, argv, section,
+                                      message):
+    # each of these raised a TypeError traceback (exit 1), failed in the
+    # solver (exit 3) or exited 0 with NaN in the output before
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"geometry": {"preset": PRESET}, **section}))
+    code, out, err = run(capsys, *argv, "--config", str(p))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["kernel", "--gamma-max", "800", "--points", "50"],
+     "aaf6b4e45fc31a2882b3a0c255833decdd4abfbd9ad9fe34fe588dc5774de29f"),
+    (["modes", "--n-max", "240"],
+     "3e0e0eccba72a5e5bf6fe9950b7e54e753cf562baae87e910e056f688710996e")],
+    ids=["kernel", "modes"])
+def test_cosh_past_its_range_warns_nothing(capsys, tmp_path, argv, digest):
+    # sech(x) = 1/cosh(x) is 0 once cosh overflows (x > 710): every such
+    # sample used to put an overflow warning in the manifest
+    out = tmp_path / "table.csv"
+    code, _, err = run(capsys, *argv, "--output", str(out))
+    assert code == 0 and "overflow" not in err
+    manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+    assert manifest["warnings"] == []
+    if _float_fingerprint() == GOLDEN_FINGERPRINT:
+        # recorded before the overflow was silenced: the same bytes
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -21,22 +21,25 @@ CANT = PROF.length
 RHO_UNIFORM = 2.0 * GEO.count_per_side / L  # pairs per meter
 
 
-def nearest(levels, alpha):
-    return min(levels, key=lambda lv: abs(lv.alpha - alpha))
+def nearest(alphas, alpha):
+    """Index of the level in alphas nearest to alpha."""
+    return int(np.argmin(np.abs(alphas - alpha)))
 
 
 def test_uniform_profile_matches_band_solver():
     settings = GalerkinSettings(basis_size=8)
     alpha_max = band_edge_gammas(2)[-1] / CANT * 0.9999
-    levels = gk.solve(GEO, PROF, BC, alpha_max, settings)
-    exact = sp.solve_uniform(GEO, PROF, BC, n_max=4, k_max=2)
-    for ex in exact:
-        a_ref = ex.gamma / CANT
-        best = nearest(levels, a_ref)
-        assert best.alpha == pytest.approx(a_ref, rel=1e-10)
-        assert best.dominant_n == ex.n
-        assert np.max(np.abs(best.participation)) > 0.999
-        assert best.omega == pytest.approx(
+    alphas, omegas, weights = gk.solve(GEO, PROF, BC, alpha_max, settings)
+    assert weights.shape == (alphas.size, 8)
+    exact = sp.solve_uniform(GEO, PROF, BC, n_max=4, k_max=2)[0]
+    for (n, _), g in np.ndenumerate(exact):
+        a_ref = g / CANT
+        i = nearest(alphas, a_ref)
+        assert alphas[i] == pytest.approx(a_ref, rel=1e-10)
+        # the dominant beam index is the level's n, with a positive weight
+        assert np.argmax(np.abs(weights[i])) == n
+        assert weights[i, n] > 0.999
+        assert omegas[i] == pytest.approx(
             GEO.beam_wave_scale * a_ref ** 2, rel=1e-9)
 
 
@@ -135,22 +138,26 @@ def test_discrete_comb_converges_to_continuum():
     comb = DiscreteProfile(positions=pos, lengths=(CANT,) * n_side)
     geo = DeviceGeometry(**{**GEO.to_dict(), "count_per_side": n_side})
     alpha_max = band_edge_gammas(1)[0] / CANT * 0.9999
-    levels = gk.solve(geo, comb, BC, alpha_max, GalerkinSettings(basis_size=6))
-    exact = [lv for lv in sp.solve_uniform(geo, PROF, BC, 3, 1)]
-    for ex in exact:
-        a_ref = ex.gamma / CANT
-        assert nearest(levels, a_ref).alpha == pytest.approx(a_ref, rel=1e-6)
+    alphas = gk.solve(geo, comb, BC, alpha_max,
+                      GalerkinSettings(basis_size=6))[0]
+    for g in sp.solve_uniform(geo, PROF, BC, 3, 1)[0].ravel():
+        a_ref = g / CANT
+        assert alphas[nearest(alphas, a_ref)] == pytest.approx(a_ref,
+                                                               rel=1e-6)
 
 
 def test_alternating_profile_matches_two_family_solver():
     alt = AlternatingProfile(length1=5e-7, length2=4e-7, width1=2e-7,
                              width2=2e-7, count1=10, count2=10)
-    exact = [lv for lv in sp.solve_alternating(GEO, alt, BC, 3, 2) if lv.n <= 3]
-    alpha_max = max(lv.gamma for lv in exact) / alt.length1 * 1.001
-    levels = gk.solve(GEO, alt, BC, alpha_max, GalerkinSettings(basis_size=8))
-    for ex in exact:
-        a_ref = ex.gamma / alt.length1
-        assert nearest(levels, a_ref).alpha == pytest.approx(a_ref, rel=1e-6)
+    exact = sp.solve_alternating(GEO, alt, BC, 3, 2)[0]
+    assert np.isfinite(exact).all()
+    alpha_max = exact.max() / alt.length1 * 1.001
+    alphas = gk.solve(GEO, alt, BC, alpha_max,
+                      GalerkinSettings(basis_size=8))[0]
+    for g in exact.ravel():
+        a_ref = g / alt.length1
+        assert alphas[nearest(alphas, a_ref)] == pytest.approx(a_ref,
+                                                               rel=1e-6)
 
 
 def test_forbidden_intervals_isolated_vs_continuum():
@@ -186,12 +193,11 @@ def test_basis_size_convergence_on_smooth_profile():
     a_max = 1.0e6  # stays below the first resonance of the longest cantilever
     quad = {"quadrature_order": 64, "quadrature_rtol": 1e-10}
     lv8 = gk.solve(GEO, gentle, BC, a_max,
-                   GalerkinSettings(basis_size=8, **quad))
+                   GalerkinSettings(basis_size=8, **quad))[0]
     lv12 = gk.solve(GEO, gentle, BC, a_max,
-                    GalerkinSettings(basis_size=12, **quad))
+                    GalerkinSettings(basis_size=12, **quad))[0]
     assert len(lv8) >= 3 and len(lv12) >= 3
-    for a, b in zip(lv8[:3], lv12[:3]):
-        assert a.alpha == pytest.approx(b.alpha, rel=1e-8)
+    np.testing.assert_allclose(lv8[:3], lv12[:3], rtol=1e-8, atol=0.0)
 
 
 def test_discrete_resonant_tooth_names_its_position():
@@ -262,9 +268,8 @@ def test_clustered_levels_are_counted_and_bracketed():
         mat = gk.assemble(alpha, geo, comb, basis, settings)
         return int(np.sum(np.linalg.eigvalsh(mat) < 0.0))
 
-    levels = gk.solve(geo, comb, BC, alpha_max, settings)
-    assert len(levels) == negcount(alpha_max) == 6
-    alphas = [lv.alpha for lv in levels]
+    alphas = gk.solve(geo, comb, BC, alpha_max, settings)[0].tolist()
+    assert len(alphas) == negcount(alpha_max) == 6
     assert alphas == sorted(alphas)
     for a in alphas:
         assert negcount(a * (1 + 1e-11)) > negcount(a * (1 - 1e-11)), a
@@ -291,11 +296,10 @@ def test_diagonal_loading_matches_closed_forms(lam, count, two_families, eps,
         profile = uni
         exact = sp.solve_uniform(geo, profile, BC, basis_size, 3)
     alpha_max = frac * band_edge_gammas(2)[1] / uni.length
-    expected = sorted(lv.gamma / uni.length for lv in exact
-                      if lv.gamma / uni.length <= alpha_max)
-    levels = gk.solve(geo, profile, BC, alpha_max,
-                      GalerkinSettings(basis_size=basis_size))
-    got = [lv.alpha for lv in levels]
+    exact = exact[0][np.isfinite(exact[0])] / uni.length
+    expected = np.sort(exact[exact <= alpha_max])
+    got = gk.solve(geo, profile, BC, alpha_max,
+                   GalerkinSettings(basis_size=basis_size))[0]
     assert len(got) == len(expected)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
@@ -423,8 +427,9 @@ def test_comb_solve_assembles_in_lockstep_rounds(monkeypatch):
         lengths=(CANT,) * n)
     geo = DeviceGeometry(**{**GEO.to_dict(), "count_per_side": n})
     alpha_max = 0.9999 * band_edge_gammas(2)[1] / CANT
-    levels = gk.solve(geo, comb, BC, alpha_max, GalerkinSettings(basis_size=8))
-    assert len(levels) == 16
+    alphas = gk.solve(geo, comb, BC, alpha_max,
+                      GalerkinSettings(basis_size=8))[0]
+    assert len(alphas) == 16
     assert all(len(shape) == 1 for shape in calls)
     assert len(calls) <= 30
 
@@ -478,6 +483,7 @@ def test_comb_assemble_evaluates_the_kernel_once_per_length(monkeypatch):
         lengths=tuple(np.where(np.arange(n) % 2, 0.75 * CANT, CANT)))
     geo = DeviceGeometry(**{**GEO.to_dict(), "count_per_side": n})
     alpha_max = 0.9999 * band_edge_gammas(1)[0] / (0.75 * CANT)
-    levels = gk.solve(geo, comb, BC, alpha_max, GalerkinSettings(basis_size=8))
-    assert len(levels) == 16
+    alphas = gk.solve(geo, comb, BC, alpha_max,
+                      GalerkinSettings(basis_size=8))[0]
+    assert len(alphas) == 16
     assert widths and set(widths) == {2}

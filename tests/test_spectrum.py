@@ -106,20 +106,18 @@ def test_gamma_omega_round_trip():
 
 
 def test_solve_uniform_levels_and_validity():
+    # the validity flag (n below the pairs per side) is the CLI's; see
+    # test_cli.test_spectrum_marks_levels_past_the_pair_count_invalid
     geometry, profile, bc = preset_device("jap1-calibrated")
-    levels = sp.solve_uniform(geometry, profile, bc, n_max=3, k_max=3)
-    assert len(levels) == 9
-    for lv in levels:
-        assert lv.band_lower < lv.gamma < lv.band_upper
-        assert lv.omega == pytest.approx(
-            sp.gamma_to_omega(lv.gamma, geometry, profile.length), rel=1e-15)
-        assert lv.valid  # n <= 3 << 20 pairs per side
-    small = geometry.__class__(**{**geometry.to_dict(), "count_per_side": 2})
-    levels = sp.solve_uniform(geometry.__class__(**{**geometry.to_dict(),
-                                                    "count_per_side": 2}),
-                              profile, bc, n_max=3, k_max=1)
-    flags = {lv.n: lv.valid for lv in levels}
-    assert flags == {1: True, 2: False, 3: False}
+    gammas, edges, scale = sp.solve_uniform(geometry, profile, bc, n_max=3,
+                                            k_max=3)
+    assert gammas.shape == (3, 3) and edges.shape == (3,)
+    assert edges.tobytes() == band_edge_gammas(3).tobytes()
+    lower = np.append(0.0, edges[:-1])
+    assert (lower < gammas).all() and (gammas < edges).all()
+    for g in gammas.ravel():
+        assert scale * g * g == pytest.approx(
+            sp.gamma_to_omega(g, geometry, profile.length), rel=1e-15)
 
 
 def test_near_edge_offset_matches_exact_roots():
@@ -179,13 +177,10 @@ def test_alternating_equal_lengths_match_uniform():
                              width1=geometry.cantilever_width,
                              width2=geometry.cantilever_width,
                              count1=10, count2=10)
-    ref = {(lv.n, lv.k): lv.gamma
-           for lv in sp.solve_uniform(geometry, profile, bc, 3, 3)}
-    got = {(lv.n, lv.k): lv.gamma
-           for lv in sp.solve_alternating(geometry, alt, bc, 3, 3)}
-    assert set(got) == set(ref)
-    for key, g in got.items():
-        assert g == pytest.approx(ref[key], abs=1e-12)
+    ref = sp.solve_uniform(geometry, profile, bc, 3, 3)[0]
+    got = sp.solve_alternating(geometry, alt, bc, 3, 3)[0]
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
 
 
 def test_alternating_single_family_degenerate():
@@ -194,12 +189,9 @@ def test_alternating_single_family_degenerate():
                              width1=geometry.cantilever_width,
                              width2=geometry.cantilever_width,
                              count1=20, count2=0)
-    ref = {(lv.n, lv.k): lv.gamma
-           for lv in sp.solve_uniform(geometry, profile, bc, 2, 2)}
-    got = {(lv.n, lv.k): lv.gamma
-           for lv in sp.solve_alternating(geometry, alt, bc, 2, 2)}
-    for key, g in got.items():
-        assert g == pytest.approx(ref[key], abs=1e-12)
+    ref = sp.solve_uniform(geometry, profile, bc, 2, 2)[0]
+    got = sp.solve_alternating(geometry, alt, bc, 2, 2)[0]
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
 
 
 def test_alternating_pole_set_merges_both_families():
@@ -232,14 +224,15 @@ def test_alternating_roots_solve_raw_secular():
                              width2=geometry.cantilever_width,
                              count1=10, count2=10)
     betas = beam_roots(bc, 2)
-    for lv in sp.solve_alternating(geometry, alt, bc, 2, 3):
-        res = sp.secular_alternating(lv.gamma, geometry, alt, betas[lv.n - 1])
+    gammas = sp.solve_alternating(geometry, alt, bc, 2, 3)[0]
+    assert np.isfinite(gammas).all()
+    for (n, _), g in np.ndenumerate(gammas):
+        res = sp.secular_alternating(g, geometry, alt, betas[n])
         # scale by the local slope so the residual reads as a gamma error
         h = 1e-7
-        slope = (sp.secular_alternating(lv.gamma + h, geometry, alt,
-                                        betas[lv.n - 1]) -
-                 sp.secular_alternating(lv.gamma - h, geometry, alt,
-                                        betas[lv.n - 1])) / (2 * h)
+        slope = (sp.secular_alternating(g + h, geometry, alt, betas[n]) -
+                 sp.secular_alternating(g - h, geometry, alt, betas[n])) \
+            / (2 * h)
         assert abs(res / slope) < 1e-9
 
 
@@ -284,9 +277,8 @@ def test_twin_poles_give_one_level_per_band(eps):
     geometry, bc, alt = _two_family(profile.length, eps)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        levels = sp.solve_alternating(geometry, alt, bc, 3, 4)
-    assert [(lv.n, lv.k) for lv in levels] == \
-        [(n, k) for n in range(1, 4) for k in range(1, 5)]
+        gammas, upper, _ = sp.solve_alternating(geometry, alt, bc, 3, 4)
+    assert gammas.shape == (3, 4) and np.isfinite(gammas).all()
     # twin poles are 1e-10..1e-12 apart relative: every pair merges, at any k
     poles = sp.alternating_pole_set(alt, 60.0)
     assert len(poles) == 19 and all(fam == 0 for _, fam in poles)
@@ -294,11 +286,12 @@ def test_twin_poles_give_one_level_per_band(eps):
     same = AlternatingProfile(length1=alt.length1, length2=alt.length1,
                               width1=alt.width1, width2=alt.width2,
                               count1=10, count2=10)
-    limit = sp.solve_alternating(geometry, same, bc, 3, 4)
-    for lv, ref in zip(levels, limit):
-        assert bounds[lv.k - 1] < lv.gamma < bounds[lv.k]
-        # continuous in epsilon: the equal-length solve is the limit
-        assert lv.gamma == pytest.approx(ref.gamma, rel=1e-8)
+    assert upper.tolist() == bounds[1:]
+    limit = sp.solve_alternating(geometry, same, bc, 3, 4)[0]
+    assert (np.array(bounds[:-1]) < gammas).all()
+    assert (gammas < np.array(bounds[1:])).all()
+    # continuous in epsilon: the equal-length solve is the limit
+    np.testing.assert_allclose(gammas, limit, rtol=1e-8, atol=0.0)
 
 
 @pytest.mark.parametrize("width_scale, rejected", [(1e-9, 2), (1e-12, 4)])
@@ -314,14 +307,14 @@ def test_twin_pole_band_end_without_sign_change_is_rejected(width_scale,
                              width1=w, width2=w, count1=1, count2=1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        levels = sp.solve_alternating(geometry, alt, bc, 2, 3)
-    assert len(levels) == 6 - rejected
+        gammas = sp.solve_alternating(geometry, alt, bc, 2, 3)[0]
+    assert int(np.isnan(gammas).sum()) == rejected
     assert len(caught) == 1
     assert f": {rejected} two-family level(s) rejected" in str(caught[0].message)
     betas = beam_roots(bc, 2)
-    for lv in levels:
-        below, above = (sp.secular_alternating((1 + s * 1e-13) * lv.gamma,
-                                               geometry, alt, betas[lv.n - 1])
+    for n, k in zip(*np.nonzero(np.isfinite(gammas))):
+        below, above = (sp.secular_alternating((1 + s * 1e-13) * gammas[n, k],
+                                               geometry, alt, betas[n])
                         for s in (-1, 1))
         assert below < 0 < above
 
@@ -356,17 +349,9 @@ def test_sweep_uniform_equals_per_value_solves(data, parameter, n_max, k_max):
         assert gammas.tobytes() == alone.tobytes()
 
 
-def _grid(levels, n_max, k_max):
-    """gammas[n-1, k-1] of the levels, NaN where none is returned."""
-    grid = np.full((n_max, k_max), np.nan)
-    for lv in levels:
-        grid[lv.n - 1, lv.k - 1] = lv.gamma
-    return grid
-
-
 def _sweep_and_solves(geometry, alt, bc, values, n_max, k_max):
     """sweep_alternating's points and the per-value solve_alternating
-    levels, each with the texts of the warnings it raised."""
+    results, each with the texts of the warnings it raised."""
     with warnings.catch_warnings(record=True) as caught_sweep:
         warnings.simplefilter("always")
         swept = list(sp.sweep_alternating(geometry, alt, bc, values, n_max,
@@ -384,10 +369,10 @@ def _sweep_and_solves(geometry, alt, bc, values, n_max, k_max):
 
 def _assert_sweep_equals_levels(swept, alone, values, n_max, k_max):
     assert [v for v, _, _ in swept] == values
-    for (_, gammas, scale), levels in zip(swept, alone):
-        assert gammas.tobytes() == _grid(levels, n_max, k_max).tobytes()
-        assert [scale * lv.gamma * lv.gamma for lv in levels] == \
-            [lv.omega for lv in levels]
+    for (_, gammas, scale), (grid, _, grid_scale) in zip(swept, alone):
+        assert gammas.shape == (n_max, k_max)
+        assert gammas.tobytes() == grid.tobytes()
+        assert scale == grid_scale
 
 
 @pytest.mark.parametrize("merge_rtol, warns", [(sp._MERGE_RTOL, False),
@@ -451,8 +436,8 @@ def test_epsilon_sweep_bisects_single_family_layouts_in_one_call(
     picks = [0, 71, 150, 199]
     _, _, alone, _ = _sweep_and_solves(geometry, alt, bc,
                                        values[picks].tolist(), 3, 4)
-    for i, levels in zip(picks, alone):
-        assert swept[i][1].tobytes() == _grid(levels, 3, 4).tobytes()
+    for i, (grid, _, _) in zip(picks, alone):
+        assert swept[i][1].tobytes() == grid.tobytes()
     if count1 == 0:
         assert swept[0][1].tobytes() != swept[71][1].tobytes()
 
@@ -523,18 +508,19 @@ def test_alternating_matches_scalar_bisection(eps, count1, count2, width_ratio,
                                     count1, count2, width_ratio)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        levels = sp.solve_alternating(geometry, alt, bc, n_max, k_max)
+        gammas = sp.solve_alternating(geometry, alt, bc, n_max, k_max)[0]
     c1, c2 = sp._alternating_coeffs(geometry, alt)
     ref = scalar_alternating_levels(
         alt.length1 / geometry.beam_length, beam_roots(bc, n_max), c1, c2,
         alt.epsilon, _scalar_brackets(alt.epsilon, k_max)[:, :2])
     # one level per (n, k), and the scan finds no other root in any band
-    assert [(lv.n, lv.k) for lv in levels] == [(n, k) for n, k, _ in ref] \
-        == [(n, k) for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
+    assert np.isfinite(gammas).all()
+    assert [(n, k) for n, k, _ in ref] == \
+        [(n, k) for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
     # within 1e-12 of equal lengths the solver takes the single-family limit
     rel = 1e-12 if abs(alt.epsilon - 1.0) < 1e-12 else 1e-15
-    for lv, (_, _, g) in zip(levels, ref):
-        assert lv.gamma == pytest.approx(g, rel=rel, abs=0.0)
+    np.testing.assert_allclose(gammas.ravel(), [g for _, _, g in ref],
+                               rtol=rel, atol=0.0)
 
 
 @settings(max_examples=150, deadline=None)
