@@ -274,8 +274,12 @@ def _cmd_sweep(args, caught, t0):
     config = _require_config(args)
     n_max = args.n_max or config.spectrum.n_max
     k_max = args.k_max or config.spectrum.k_max
-    values = np.linspace(args.sweep_from, args.sweep_to, args.points)
     command = f"sweep {args.param}"
+    for flag, bound in (("--from", args.sweep_from), ("--to", args.sweep_to)):
+        if not math.isfinite(bound):
+            raise ConfigError(f"{command}: {flag} must be a finite number, "
+                              f"not {bound!r}")
+    values = np.linspace(args.sweep_from, args.sweep_to, args.points)
     if args.param == "epsilon":
         sweep = _by_profile(config, command,
                             {AlternatingProfile: spectrum.sweep_alternating})
@@ -303,8 +307,7 @@ def _cmd_galerkin(args, caught, t0):
     alpha_max = args.alpha_max
     if not alpha_max:
         # span k_max bands of the longest cantilever
-        lengths = galerkin._distinct_lengths(profile)
-        longest = max(profile.length if lengths is None else lengths)
+        longest = galerkin.length_spans(profile)[-1][1]
         alpha_max = band_edge_gammas(config.spectrum.k_max)[-1] / longest
     alpha, omega, weights = galerkin.solve(
         config.geometry, profile, config.boundary, alpha_max, settings)

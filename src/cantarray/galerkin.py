@@ -10,8 +10,12 @@ y(x) = sum_m c_m phi_m(x/L),
 
 where V(alpha; x) = (w_c/w_b) rho(x) alpha^3 T(alpha l(x)) is the loading
 potential.  Roots of det D(alpha) give the spectrum for arbitrary length and
-density profiles; for profiles with x-independent loading the matrix is
-diagonal and the roots coincide with the closed-form band solver.
+density profiles.  Every finite-length profile is a set of length families
+f (`length_families`), and its projected loading is a sum over them,
+V_mn = 2 (alpha L)^3 (w_c/w_b) sum_f T(alpha l_f) S_f,mn; only a tabulated
+l(x) is a true continuum, integrated by quadrature.  The averaged families
+of uniform and alternating profiles have S_f = c_f I, so D is diagonal and
+the roots coincide with the closed-form band solver.
 
 Levels are counted, not scanned for: on a pole-free alpha segment the
 inertia (negative-eigenvalue count) of the symmetric matrix rises by one at
@@ -29,7 +33,8 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,15 +49,14 @@ from .quadrature import panel_nodes
 GAMMA_EXCLUSION = 1e-8   # half-width in gamma of the excluded pole window
 _BRENT_RTOL = 4.0 * np.finfo(float).eps   # the smallest brentq accepts
 _BRENT_XTOL = 1e-300     # leaves the relative tolerance in charge
-DOMINANCE_THRESHOLD = 0.9   # least pure-mode participation, uniform loading
+DOMINANCE_THRESHOLD = 0.9   # least pure-mode participation, averaged loading
 
 
 class BasisTooSmall(UserWarning):
     """Dominant participation below threshold where a pure mode is expected."""
 
 
-@dataclass(frozen=True)
-class ForbiddenInterval:
+class ForbiddenInterval(NamedTuple):
     """alpha interval where some cantilever length resonates (gamma at a
     band edge for some x); no level is sought inside it."""
     lo: float
@@ -60,84 +64,96 @@ class ForbiddenInterval:
     k: int
 
 
-def _distinct_lengths(profile: Profile) -> list[float] | None:
-    """Distinct cantilever lengths, or None for a continuum of lengths."""
+class LengthFamily(NamedTuple):
+    """Cantilever pairs of one length (m) and their loading pattern S_mn,
+    overlap(geometry, basis).  A comb family lists the positions (m) of its
+    teeth; an averaged family, spread evenly along the beam, has none."""
+    length: float
+    overlap: Callable[[DeviceGeometry, list[BeamMode]], np.ndarray]
+    positions: tuple[float, ...] = ()
+
+
+def _comb_overlap(positions: tuple[float, ...], geometry: DeviceGeometry,
+                  basis: list[BeamMode]) -> np.ndarray:
+    """sum_j phi_m(x_j/L) phi_n(x_j/L) over the teeth x_j; a tooth off the
+    beam is a ConfigError."""
+    L = geometry.beam_length
+    off = [x for x in positions if not -1e-12 * L <= x <= (1.0 + 1e-12) * L]
+    if off:
+        raise ConfigError(f"profile.positions must lie on the beam: "
+                          f"cantilever at x={off[0]:.6e} m is outside "
+                          "[0, beam_length]")
+    phi = np.stack([m(np.array(positions) / L) for m in basis]).T  # (J, M)
+    # reduceat sums in the order that the comb's recorded outputs used
+    return np.add.reduceat(phi[:, :, None] * phi[:, None, :], [0], axis=0)[0]
+
+
+def length_families(profile: Profile) -> list[LengthFamily] | None:
+    """The profile's cantilevers as families of one length each, or None for
+    a tabulated profile, whose lengths form a continuum.
+
+    A uniform profile is one averaged family, S = N I.  An alternating one
+    has an averaged family per non-empty side, S = count_f (w_f/w_c) I.  A
+    comb's teeth are grouped by length in order of first appearance, with
+    S_f = sum_j phi_m(x_j/L) phi_n(x_j/L) over the teeth of family f.
+    """
     if isinstance(profile, UniformProfile):
-        return [profile.length]
+        return [LengthFamily(profile.length, lambda geo, basis:
+                             geo.count_per_side * np.eye(len(basis)))]
     if isinstance(profile, AlternatingProfile):
-        lengths = []
-        if profile.count1 > 0:
-            lengths.append(profile.length1)
-        if profile.count2 > 0:
-            lengths.append(profile.length2)
-        return sorted(set(lengths))
+        sides = ((profile.length1, profile.width1, profile.count1),
+                 (profile.length2, profile.width2, profile.count2))
+        return [LengthFamily(ln, lambda geo, basis, w=w, cnt=cnt:
+                             cnt * (w / geo.cantilever_width)
+                             * np.eye(len(basis)))
+                for ln, w, cnt in sides if cnt > 0]
     if isinstance(profile, DiscreteProfile):
-        return sorted(set(profile.lengths))
+        teeth: dict[float, list[float]] = {}
+        for x, ln in zip(profile.positions, profile.lengths):
+            teeth.setdefault(ln, []).append(x)
+        return [LengthFamily(ln, partial(_comb_overlap, tuple(xs)), tuple(xs))
+                for ln, xs in teeth.items()]
     if isinstance(profile, TabulatedProfile):
         return None
     raise ConfigError(f"unsupported profile type {type(profile).__name__}")
+
+
+def length_spans(profile: Profile) -> list[tuple[float, float]]:
+    """Ascending (l_lo, l_hi) spans of the cantilever lengths: (l, l) for
+    each distinct length, or (l_min, l_max) for a tabulated profile."""
+    families = length_families(profile)
+    if families is None:
+        return [(min(profile.length), max(profile.length))]
+    return sorted({(f.length, f.length) for f in families})
 
 
 def forbidden_alpha_intervals(profile: Profile,
                               alpha_max: float) -> list[ForbiddenInterval]:
     """alpha ranges where gamma(x) = alpha*l(x) hits a band edge for some x.
 
-    Profiles with finitely many lengths produce isolated resonances fattened
-    by the exclusion window; a tabulated length continuum [l_min, l_max]
-    turns each band edge into the full interval [edge/l_max, edge/l_min]
-    (some cantilever resonates throughout it).  Overlapping intervals merge.
+    Each length span [l_lo, l_hi] turns each band edge into the interval
+    [edge/l_hi, edge/l_lo], fattened by the exclusion window: an isolated
+    resonance for a single length, and for a tabulated length continuum an
+    interval throughout which some cantilever resonates.  Overlapping
+    intervals merge.
     """
-    lengths = _distinct_lengths(profile)
-    if lengths is None:
-        l_min, l_max = min(profile.length), max(profile.length)
-    else:
-        l_min, l_max = lengths[0], lengths[-1]
-    g_max = alpha_max * l_max
+    spans = length_spans(profile)
+    g_max = alpha_max * spans[-1][1]
     k_max = max(1, int(g_max / np.pi) + 2)
-    edges = band_edge_gammas(k_max)
     raw = []
-    for k, edge in enumerate(edges, start=1):
-        if lengths is None:
-            lo = (edge - GAMMA_EXCLUSION) / l_max
-            hi = (edge + GAMMA_EXCLUSION) / l_min
+    for k, edge in enumerate(band_edge_gammas(k_max), start=1):
+        for l_lo, l_hi in spans:
+            lo = (edge - GAMMA_EXCLUSION) / l_hi
+            hi = (edge + GAMMA_EXCLUSION) / l_lo
             if lo <= alpha_max:
                 raw.append((float(lo), float(hi), k))
-        else:
-            for ln in lengths:
-                lo = (edge - GAMMA_EXCLUSION) / ln
-                hi = (edge + GAMMA_EXCLUSION) / ln
-                if lo <= alpha_max:
-                    raw.append((float(lo), float(hi), k))
-    raw.sort()
     merged: list[ForbiddenInterval] = []
-    for lo, hi, k in raw:
+    for lo, hi, k in sorted(raw):
         if merged and lo <= merged[-1].hi:
-            prev = merged.pop()
-            merged.append(ForbiddenInterval(lo=prev.lo, hi=max(prev.hi, hi),
-                                            k=prev.k))
+            merged[-1] = merged[-1]._replace(hi=max(merged[-1].hi, hi))
         else:
-            merged.append(ForbiddenInterval(lo=lo, hi=hi, k=k))
+            merged.append(ForbiddenInterval(lo, hi, k))
     return merged
-
-
-def _constant_potential_diag(alphas: np.ndarray, geometry: DeviceGeometry,
-                             profile: Profile) -> np.ndarray | None:
-    """L^4 V at each alpha for x-independent loading, or None if the profile
-    varies in x."""
-    if not isinstance(profile, (UniformProfile, AlternatingProfile)):
-        return None
-    aL3 = np.array([(a * geometry.beam_length) ** 3 for a in alphas.tolist()])
-    if isinstance(profile, UniformProfile):
-        nu = 2.0 * geometry.count_per_side * geometry.cantilever_width \
-            / geometry.beam_width
-        return nu * aL3 * shear_kernel(alphas * profile.length)
-    v = np.zeros(alphas.size)
-    for ln, w, cnt in ((profile.length1, profile.width1, profile.count1),
-                       (profile.length2, profile.width2, profile.count2)):
-        if cnt > 0:
-            v = v + (w / geometry.beam_width) * 2.0 * cnt * aL3 \
-                * shear_kernel(alphas * ln)
-    return v
 
 
 def assemble(alpha, geometry: DeviceGeometry, profile: Profile,
@@ -147,26 +163,25 @@ def assemble(alpha, geometry: DeviceGeometry, profile: Profile,
     a scalar alpha, (A, M, M) for a 1-D array of A alphas, each slice equal
     bit for bit to the scalar call.
 
-    Diagonal for x-independent loading.  A discrete comb's teeth fall into
-    length families (one per distinct length, in order of first appearance),
-    and its loading is a sum over families, T(alpha l_f) S_f, where
-    S_f = sum_j phi_m(x_j) phi_n(x_j) over the teeth j of length l_f: the
-    kernel is evaluated once per family and alpha, not once per tooth.  A
-    tooth off the beam is a ConfigError.  Tabulated profiles are integrated
-    by Gauss quadrature on their knot panels, each split 1, 2, ..., 16 ways
-    until two passes agree, so every sub-panel holds one cubic piece of the
-    interpolants.  Each alpha refines until it converges, and each one that
-    does not warns once.  There are no pole windows: inside a forbidden
-    interval, where a band edge lies strictly between alpha*l_min and
-    alpha*l_max, a tabulated profile raises PoleProximityError, as any
-    profile does when alpha*l meets an edge; the error names the first
-    offending alpha in input order and, for a comb, the first tooth of the
-    first offending family, which is the first offending tooth.
+    Every finite-length profile is assembled by length family: its loading
+    is 2 (alpha L)^3 (w_c/w_b) sum_f T(alpha l_f) S_f, with S_f = c_f I for
+    an averaged family and the point sums over the teeth of a comb family,
+    so the kernel is evaluated once per family and alpha, not per tooth.
+    Only tabulated profiles use quadrature: Gauss rules on their knot
+    panels, each split 1, 2, ..., 16 ways until two passes agree, so every
+    sub-panel holds one cubic piece of the interpolants.  Each alpha refines
+    until it converges, and each one that does not warns once.  There are
+    no pole windows: inside a forbidden interval, where a band edge lies
+    strictly between alpha*l_min and alpha*l_max, a tabulated profile
+    raises PoleProximityError, as any profile does when alpha*l meets an
+    edge; the error names the first offending alpha in input order and, for
+    a comb, the first tooth of the first offending family, which is the
+    first offending tooth.  A tooth off the beam is a ConfigError.
 
-    cache holds the alpha-independent parts (the comb's family lengths and
-    overlap matrices S_f; the basis and profile values at the quadrature
-    nodes and the profile interpolants) between calls that share geometry,
-    profile, basis and settings; `solve` passes one per call.
+    cache holds the alpha-independent parts (the families, their lengths and
+    S_f; the basis and profile values at the quadrature nodes and the
+    profile interpolants) between calls that share geometry, profile, basis
+    and settings; `solve` passes one per call.
     """
     settings = settings or GalerkinSettings()
     cache = {} if cache is None else cache
@@ -185,101 +200,84 @@ def assemble(alpha, geometry: DeviceGeometry, profile: Profile,
         mats = d - v
         return mats[0] if scalar else mats
 
-    const = _constant_potential_diag(alphas, geometry, profile)
-    if const is not None:
-        return out(const[:, None, None] * np.eye(m_count))
+    if "families" not in cache:   # None for a tabulated profile
+        families = length_families(profile)
+        cache["families"] = families and (
+            families, np.array([f.length for f in families]),
+            np.stack([f.overlap(geometry, basis) for f in families]))
 
-    if isinstance(profile, DiscreteProfile):
-        if "families" not in cache:
-            off = [x for x in profile.positions
-                   if not -1e-12 * L <= x <= (1.0 + 1e-12) * L]
-            if off:
-                raise ConfigError(f"profile.positions must lie on the beam: "
-                                  f"cantilever at x={off[0]:.6e} m is outside "
-                                  "[0, beam_length]")
-            # one family per distinct length, in order of first appearance
-            families: dict[float, list[int]] = {}
-            for j, ln in enumerate(profile.lengths):
-                families.setdefault(ln, []).append(j)
-            order = [j for teeth in families.values() for j in teeth]
-            u = np.array(profile.positions)[order] / L
-            phi = np.stack([m(u) for m in basis]).T  # (J, M), by family
-            sizes = [len(teeth) for teeth in families.values()]
-            overlap = np.add.reduceat(phi[:, :, None] * phi[:, None, :],
-                                      np.cumsum([0] + sizes[:-1]), axis=0)
-            cache["families"] = (np.array(list(families)), overlap)
-        lengths, overlap = cache["families"]
+    if cache["families"]:
+        families, lengths, overlap = cache["families"]
         gam = alphas[:, None] * lengths
         try:
             t_vals = shear_kernel(gam)
         except PoleProximityError as exc:
             first = int(np.flatnonzero(gam == exc.gamma)[0])  # input order
             # a family's first tooth precedes those of later families
-            bad = profile.lengths.index(float(lengths[first % gam.shape[1]]))
+            teeth = families[first % gam.shape[1]].positions
+            if not teeth:
+                raise
             raise PoleProximityError(
                 exc.gamma, exc.k,
-                where=f"cantilever at x={profile.positions[bad]:.6e} m") from exc
+                where=f"cantilever at x={teeth[0]:.6e} m") from exc
         weight = np.array([2.0 * (a * L) ** 3
                            * (geometry.cantilever_width / geometry.beam_width)
                            for a in alpha_list])
         return out(weight[:, None, None]
                    * np.einsum("af,fmn->amn", t_vals, overlap))
 
-    if isinstance(profile, TabulatedProfile):
-        if abs(profile.x[0]) > 1e-12 * L or abs(profile.x[-1] - L) > 1e-12 * L:
-            raise ConfigError("profile.x must span the beam: first sample at "
-                              "0, last at beam_length")
-        g_lo, g_hi = alphas * min(profile.length), alphas * max(profile.length)
-        edges = band_edge_gammas(int(np.max(g_hi) / np.pi) + 2)
-        inside = (g_lo[:, None] < edges) & (edges < g_hi[:, None])
-        if inside.any():
-            i, k = np.argwhere(inside)[0]
-            raise PoleProximityError(
-                float(edges[k]), int(k) + 1,
-                where=f"gamma = alpha*l(x), alpha={alpha_list[i]:.6e}, "
-                      "for some x,")
-        if "interpolants" not in cache:
-            cache["interpolants"] = profile.interpolants()
-        length_of, density_of = cache["interpolants"]
-        coef = np.array([(geometry.cantilever_width / geometry.beam_width)
-                         * a ** 3 * L ** 4 for a in alpha_list])
+    if abs(profile.x[0]) > 1e-12 * L or abs(profile.x[-1] - L) > 1e-12 * L:
+        raise ConfigError("profile.x must span the beam: first sample at "
+                          "0, last at beam_length")
+    g_lo, g_hi = alphas * min(profile.length), alphas * max(profile.length)
+    edges = band_edge_gammas(int(np.max(g_hi) / np.pi) + 2)
+    inside = (g_lo[:, None] < edges) & (edges < g_hi[:, None])
+    if inside.any():
+        i, k = np.argwhere(inside)[0]
+        raise PoleProximityError(
+            float(edges[k]), int(k) + 1,
+            where=f"gamma = alpha*l(x), alpha={alpha_list[i]:.6e}, "
+                  "for some x,")
+    if "interpolants" not in cache:
+        cache["interpolants"] = profile.interpolants()
+    length_of, density_of = cache["interpolants"]
+    coef = np.array([(geometry.cantilever_width / geometry.beam_width)
+                     * a ** 3 * L ** 4 for a in alpha_list])
 
-        def entry_sums(splits: int, rows: np.ndarray) -> np.ndarray:
-            if splits not in cache:   # weight*rho, l, phi at nodes: no alpha
-                knots = np.array(profile.x) / profile.x[-1]
-                knots[0], knots[-1] = 0.0, 1.0
-                t = np.arange(splits) / splits
-                edges = np.append(knots[:-1, None]
-                                  + np.diff(knots)[:, None] * t, 1.0)
-                u, w = panel_nodes(edges, settings.quadrature_order)
-                x = u * profile.x[-1]
-                cache[splits] = (w * density_of(x), length_of(x),
-                                 np.stack([m(u) for m in basis]))
-            w_rho, lengths, phi = cache[splits]
-            wp = w_rho * shear_kernel(alphas[rows, None] * lengths)
-            # one product per alpha: an (A, M, nodes) array would not be small
-            return np.stack([coef[i] * ((phi * w) @ phi.T)
-                             for i, w in zip(rows, wp)])
+    def entry_sums(splits: int, rows: np.ndarray) -> np.ndarray:
+        if splits not in cache:   # weight*rho, l, phi at nodes: no alpha
+            knots = np.array(profile.x) / profile.x[-1]
+            knots[0], knots[-1] = 0.0, 1.0
+            t = np.arange(splits) / splits
+            edges = np.append(knots[:-1, None]
+                              + np.diff(knots)[:, None] * t, 1.0)
+            u, w = panel_nodes(edges, settings.quadrature_order)
+            x = u * profile.x[-1]
+            cache[splits] = (w * density_of(x), length_of(x),
+                             np.stack([m(u) for m in basis]))
+        w_rho, lengths, phi = cache[splits]
+        wp = w_rho * shear_kernel(alphas[rows, None] * lengths)
+        # one product per alpha: an (A, M, nodes) array would not be small
+        return np.stack([coef[i] * ((phi * w) @ phi.T)
+                         for i, w in zip(rows, wp)])
 
-        rows = np.arange(alphas.size)
-        v = entry_sums(1, rows)
-        scale = np.maximum(np.max(np.abs(v), axis=(1, 2)),
-                           np.maximum(np.max(betas ** 4), aL4))
-        for splits in (2, 4, 8, 16):
-            v_cur = entry_sums(splits, rows)
-            done = np.max(np.abs(v_cur - v[rows]), axis=(1, 2)) \
-                <= settings.quadrature_rtol * scale[rows]
-            v[rows] = v_cur
-            rows = rows[~done]
-            if not rows.size:
-                break
-        for i in rows:
-            warnings.warn(f"projection quadrature at alpha={alpha_list[i]:.6e}"
-                          " did not reach the requested tolerance",
-                          stacklevel=2)
-        return out(0.5 * (v + v.transpose(0, 2, 1)))  # symmetrize rounding
-
-    raise ConfigError(f"unsupported profile type {type(profile).__name__}")
+    rows = np.arange(alphas.size)
+    v = entry_sums(1, rows)
+    scale = np.maximum(np.max(np.abs(v), axis=(1, 2)),
+                       np.maximum(np.max(betas ** 4), aL4))
+    for splits in (2, 4, 8, 16):
+        v_cur = entry_sums(splits, rows)
+        done = np.max(np.abs(v_cur - v[rows]), axis=(1, 2)) \
+            <= settings.quadrature_rtol * scale[rows]
+        v[rows] = v_cur
+        rows = rows[~done]
+        if not rows.size:
+            break
+    for i in rows:
+        warnings.warn(f"projection quadrature at alpha={alpha_list[i]:.6e}"
+                      " did not reach the requested tolerance",
+                      stacklevel=2)
+    return out(0.5 * (v + v.transpose(0, 2, 1)))  # symmetrize rounding
 
 
 def _roots(segments: list[tuple[float, float]],
@@ -354,9 +352,9 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
     follows the beam dispersion.  participation[i] is the unit null-space
     direction of D at alpha[i], length M = basis_size, from one stacked eigh
     over the roots' matrices, signed so that its largest entry is positive.
-    For x-independent profiles a BasisTooSmall warning is emitted if any
-    participation vector is not essentially a coordinate axis
-    (DOMINANCE_THRESHOLD).
+    Where every length family is averaged (no tooth positions) a
+    BasisTooSmall warning is emitted if any participation vector is not
+    essentially a coordinate axis (DOMINANCE_THRESHOLD).
     """
     settings = settings or GalerkinSettings()
     basis = beam_modes(bc, settings.basis_size)
@@ -366,19 +364,11 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
             "beam and cantilever dispersion scales differ; the single-"
             "wavenumber loading model assumes matched sections", stacklevel=2)
 
-    forbidden = forbidden_alpha_intervals(profile, alpha_max)
-    segments = []
-    cursor = 0.0
-    for itv in forbidden:
-        if itv.lo >= alpha_max:
-            continue
-        if itv.lo > cursor:
-            segments.append((cursor, itv.lo))
-        cursor = max(cursor, itv.hi)
-    if cursor < alpha_max:
-        segments.append((cursor, alpha_max))
+    # the merged intervals are disjoint and ascending; the gaps are segments
+    ends = [0.0, *(x for itv in forbidden_alpha_intervals(profile, alpha_max)
+                   if itv.lo < alpha_max for x in (itv.lo, itv.hi)), alpha_max]
+    segments = [(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi]
 
-    uniformish = isinstance(profile, (UniformProfile, AlternatingProfile))
     cache: dict = {}                     # alpha-independent assembly parts
     mats: dict[float, np.ndarray] = {}   # D(alpha) at every alpha assembled
 
@@ -392,6 +382,8 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
                    lambda a: np.linalg.eigvalsh(assemble_all(a.tolist())))
     if not roots:
         return np.empty(0), np.empty(0), np.empty((0, settings.basis_size))
+    cached = cache["families"]   # set by the first assemble; None if tabulated
+    averaged = cached is not None and not any(f.positions for f in cached[0])
     missing = [r for r in dict.fromkeys(roots) if r not in mats]
     if missing:
         assemble_all(missing)
@@ -407,7 +399,7 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
             warnings.warn(
                 f"root at alpha={root:.6e} polished to "
                 f"|eig|/||D||={eig/norm:.2e}", stacklevel=2)
-        if uniformish and w < DOMINANCE_THRESHOLD:
+        if averaged and w < DOMINANCE_THRESHOLD:
             warnings.warn(
                 f"participation {w:.3f} at alpha={root:.6e}; increase "
                 "basis_size", category=BasisTooSmall, stacklevel=2)

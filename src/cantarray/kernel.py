@@ -18,8 +18,8 @@ within POLE_TOL of a pole raise PoleProximityError.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +94,7 @@ def check_pole_distance(gamma, where: str = "gamma") -> None:
         raise PoleProximityError(float(finite[i]), k, where)
 
 
-@dataclass(frozen=True)
-class CantileverCoeffs:
+class CantileverCoeffs(NamedTuple):
     gamma: float
     a1_plus: float
     a1_minus: float

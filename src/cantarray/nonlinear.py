@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -593,8 +594,7 @@ def coupled_steady_state(sigma1: float, sigma2: float, params: EffectiveParams
 # frequency shift of the driven fundamental
 
 
-@dataclass(frozen=True)
-class ShiftRoot:
+class ShiftRoot(NamedTuple):
     """Flexing-mode amplitude at its own resonance peak and the detuning it
     imposes on the collective mode through the cross coupling."""
 

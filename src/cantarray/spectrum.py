@@ -44,7 +44,8 @@ value, solve_uniform and solve_alternating one with its band upper edges.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +76,7 @@ class BlowUpError(ArithmeticError):
     """Band-edge expansion denominator is resonant (lam*beta_n ~ gamma_edge)."""
 
 
-@dataclass(frozen=True)
-class BandGap:
+class BandGap(NamedTuple):
     k: int
     omega_edge: float      # band-edge frequency omega_{inf,k}
     exact: float           # omega_{1,k+1} - omega_{inf,k}

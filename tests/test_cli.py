@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -301,6 +302,41 @@ def test_galerkin_table(capsys):
     assert len(lines) >= 3
 
 
+def _alternating(count1, count2):
+    return {"kind": "alternating", "length1": 5e-7, "length2": 4e-7,
+            "width1": 2e-7, "width2": 2e-7, "count1": count1,
+            "count2": count2}
+
+
+# name: (profile, or None for the preset's, and its longest length)
+DEFAULT_ALPHA_PROFILES = {
+    "uniform": (None, preset_device(PRESET)[1].length),
+    "alternating": (_alternating(10, 10), 5e-7),
+    "alternating-first-only": (_alternating(20, 0), 5e-7),
+    "alternating-second-only": (_alternating(0, 20), 4e-7),
+    "comb": (GOLDEN_CONFIGS["comb"]["profile"], 5e-7),
+    "tabulated": (GOLDEN_CONFIGS["tabulated"]["profile"], 5.4e-7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_ALPHA_PROFILES))
+def test_galerkin_default_alpha_max_spans_k_max_bands(capsys, tmp_path, name):
+    # without --alpha-max the solve spans k_max bands of the longest
+    # cantilever that the profile has
+    profile, longest = DEFAULT_ALPHA_PROFILES[name]
+    config = {"geometry": {"preset": PRESET}, "spectrum": {"k_max": 3},
+              "galerkin": {"basis_size": 4}}
+    if profile is not None:
+        config["profile"] = profile
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    code, out, err = run(capsys, "galerkin", "--config", str(p))
+    assert code == 0
+    alphas = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert stdout_manifest(err)["rows"] == len(alphas) > 0
+    assert max(alphas) <= band_edge_gammas(3)[-1] / longest
+
+
 def test_nonlinear_coeffs_rejects_csv(capsys):
     code, _, err = run(capsys, "nonlinear", "coeffs", "--preset", PRESET,
                        "--format", "csv")
@@ -466,13 +502,11 @@ def test_sweep_with_non_finite_bounds_is_exit_2(capsys, tmp_path, param,
                        f"--from={bounds[0]}", f"--to={bounds[1]}",
                        "--output", str(out))
     assert code == 2
-    assert "must be a" in err and "finite number" in err
-    # the message names the swept parameter and its first failing value
-    first = next(v for v in np.linspace(float(bounds[0]), float(bounds[1]),
-                                        100).tolist()
-                 if not (np.isfinite(v) and (v > 0.0 if param == "lambda"
-                                             else v >= 0.0)))
-    assert f"error: sweep {param} = {first!r}: " in err
+    # the message names the swept parameter and its first non-finite bound
+    flag, bound = (("--from", bounds[0]) if not math.isfinite(float(bounds[0]))
+                   else ("--to", bounds[1]))
+    assert err == (f"error: sweep {param}: {flag} must be a finite number, "
+                   f"not {float(bound)!r}\n")
     assert os.listdir(tmp_path) == []
 
 
@@ -496,16 +530,17 @@ def test_sweep_out_of_range_bounds_name_the_swept_value(capsys, tmp_path,
 
 @pytest.mark.parametrize("bounds, message", [
     (("0.5", "2"), "length2 must not exceed length1"),
-    (("1.5", "nan"), "profile.length2: must be finite numbers"),
+    (("1.5", "nan"), "--to must be a finite number, not nan"),
     (("1.5", "2"), "length2 must not exceed length1"),
     (("0", "1"), "lengths must be positive"),
     (("-0.5", "1"), "lengths must be positive"),
-    (("nan", "1"), "profile.length2: must be finite numbers"),
-    (("0.5", "inf"), "profile.length2: must be finite numbers"),
-    (("-inf", "1"), "profile.length2: must be finite numbers")])
+    (("nan", "1"), "--from must be a finite number, not nan"),
+    (("0.5", "inf"), "--to must be a finite number, not inf"),
+    (("-inf", "1"), "--from must be a finite number, not -inf")])
 def test_epsilon_sweep_out_of_range_bounds_are_exit_2(capsys, tmp_path,
                                                       bounds, message):
-    # the first swept value out of (0, 1] names the check that it fails
+    # the first swept value out of (0, 1] names the check that it fails; a
+    # non-finite bound is named before any value is swept
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({
         "geometry": {"preset": PRESET},
@@ -516,11 +551,14 @@ def test_epsilon_sweep_out_of_range_bounds_are_exit_2(capsys, tmp_path,
                        "epsilon", f"--from={bounds[0]}", f"--to={bounds[1]}",
                        "--points", "5", "--output", str(out))
     assert code == 2
-    assert message in err
-    first = next(v for v in np.linspace(float(bounds[0]), float(bounds[1]),
-                                        5).tolist()
-                 if not 0.0 < v * 5e-7 <= 5e-7)
-    assert f"error: sweep epsilon = {first!r}: " in err
+    if message.startswith("--"):
+        assert err == f"error: sweep epsilon: {message}\n"
+    else:
+        assert message in err
+        first = next(v for v in np.linspace(float(bounds[0]),
+                                            float(bounds[1]), 5).tolist()
+                     if not 0.0 < v * 5e-7 <= 5e-7)
+        assert f"error: sweep epsilon = {first!r}: " in err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 

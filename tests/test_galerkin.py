@@ -340,10 +340,9 @@ def test_batched_assemble_equals_per_alpha_calls(kind, seed, fracs, order,
     basis = beam_modes(BC, 6)
     quad = GalerkinSettings(basis_size=6, quadrature_order=order,
                             quadrature_rtol=rtol)
-    lengths = gk._distinct_lengths(profile)
     # below the forbidden interval of a tabulated profile, two bands else
-    top = band_edge_gammas(2)[0 if lengths is None else 1] \
-        / max(profile.length if lengths is None else lengths)
+    top = band_edge_gammas(2)[0 if kind == "tabulated" else 1] \
+        / gk.length_spans(profile)[-1][1]
     alphas = np.array(fracs) * top
     with warnings.catch_warnings(record=True) as batch_warned:
         warnings.simplefilter("always")
@@ -357,6 +356,22 @@ def test_batched_assemble_equals_per_alpha_calls(kind, seed, fracs, order,
     assert _bits(batch) == _bits(singles)
     assert [str(w.message) for w in batch_warned] \
         == [str(w.message) for w in single_warned]
+    if kind == "uniform":
+        # an alternating profile with one side empty is the uniform one's
+        # length family, bit for bit; with equal lengths it splits that
+        # family in two, within 1e-15 of the largest term of D, the bare
+        # diagonal or the loading
+        n, w = GEO.count_per_side, GEO.cantilever_width
+        one_side = AlternatingProfile(CANT, 0.8 * CANT, w, w, n, 0)
+        assert _bits(gk.assemble(alphas, GEO, one_side, basis, quad)) \
+            == _bits(batch)
+        split = AlternatingProfile(CANT, CANT, w, w, n // 3, n - n // 3)
+        mats = gk.assemble(alphas, GEO, split, basis, quad)
+        bare = np.array([np.diag([b.beta ** 4 - (a * L) ** 4 for b in basis])
+                         for a in alphas.tolist()])
+        terms = np.maximum(np.abs(bare), np.abs(bare - batch))
+        assert np.all(np.max(np.abs(mats - batch), axis=(1, 2))
+                      <= 1e-15 * np.max(terms, axis=(1, 2)))
 
 
 @settings(max_examples=40, deadline=None)
