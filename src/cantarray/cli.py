@@ -275,11 +275,11 @@ def _cmd_sweep(args, caught, t0):
     n_max = args.n_max or config.spectrum.n_max
     k_max = args.k_max or config.spectrum.k_max
     command = f"sweep {args.param}"
-    for flag, bound in (("--from", args.sweep_from), ("--to", args.sweep_to)):
-        if not math.isfinite(bound):
-            raise ConfigError(f"{command}: {flag} must be a finite number, "
-                              f"not {bound!r}")
-    values = np.linspace(args.sweep_from, args.sweep_to, args.points)
+    try:
+        values = SweepRange(args.sweep_from, args.sweep_to,
+                            args.points).values()
+    except ConfigError as exc:   # "from: ..." names the --from flag
+        raise ConfigError(f"{command}: --{exc}") from exc
     if args.param == "epsilon":
         sweep = _by_profile(config, command,
                             {AlternatingProfile: spectrum.sweep_alternating})

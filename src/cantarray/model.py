@@ -9,13 +9,17 @@ solvers actually consume are
 
 so that 2 N m_c / m_b = nu * lam when beam and cantilevers share material and
 thickness.
+
+The config schema lives here: geometry and profile keys are dataclass field
+names (`_PROFILES` maps each profile kind to its class) and `_SETTINGS` holds
+the settings key tables; parsing, checks and `config_to_dict` all read them.
 """
 from __future__ import annotations
 
 import enum
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +37,9 @@ class BoundaryCondition(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "BoundaryCondition":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ConfigError(
-            f"boundary.kind: unknown value {name!r}; "
-            f"expected one of {[m.value for m in cls]}")
+        names = [member.value for member in cls]
+        _check(lambda v: v in names, f"one of {names}", **{"boundary.kind": name})
+        return cls(name)
 
 
 def _is_count(value) -> bool:
@@ -49,8 +50,16 @@ def _is_count(value) -> bool:
 
 def _is_number(value) -> bool:
     """A finite int or float (not a bool, NaN or an infinity)."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and math.isfinite(value))
+    return ((type(value) is float    # JSON's floats, the common case first
+             or isinstance(value, (int, float, np.integer, np.floating))
+             and not isinstance(value, bool)) and math.isfinite(value))
+
+
+# (test, description) rules for _check
+_COUNT = (_is_count, "an integer >= 1")
+_FINITE = (_is_number, "a finite number")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
+_NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
 
 
 def _check(test, what: str, **values) -> None:
@@ -82,12 +91,9 @@ class DeviceGeometry:
     equal_thickness: bool = True
 
     def __post_init__(self):
-        _check(lambda v: _is_number(v) and v > 0, "a positive finite number",
-               **{f"geometry.{name}": getattr(self, name) for name in (
-                   "beam_length", "beam_width", "beam_rigidity",
-                   "beam_linear_density", "cantilever_width",
-                   "cantilever_rigidity", "cantilever_linear_density")})
-        _check(lambda v: _is_number(v) and v >= 0, "a finite number >= 0",
+        _check(*_POSITIVE, **{f"geometry.{k}": v for k, v in vars(self).items()
+                              if k not in ("count_per_side", "equal_thickness")})
+        _check(*_NONNEGATIVE,
                **{"geometry.count_per_side": self.count_per_side})
         if self.equal_thickness:
             w = self.cantilever_width / self.beam_width
@@ -105,6 +111,12 @@ class DeviceGeometry:
                       thickness: float, beam_length: float, beam_width: float,
                       cantilever_width: float, count_per_side: int) -> "DeviceGeometry":
         """Build from a shared film: E (Pa), volumetric density (kg/m^3), t (m)."""
+        _check(*_POSITIVE, **{"geometry.youngs_modulus": youngs_modulus,
+                              "geometry.mass_density": mass_density,
+                              "geometry.thickness": thickness,
+                              "geometry.beam_width": beam_width,
+                              "geometry.cantilever_width": cantilever_width})
+
         def rigidity(width):
             return youngs_modulus * width * thickness ** 3 / 12.0
 
@@ -139,15 +151,16 @@ class DeviceGeometry:
 
 # --- cantilever distribution profiles -------------------------------------
 
-def _require_finite(name: str, *values) -> None:
-    """ConfigError naming profile field `name` unless every value is a finite
-    number (JSON admits NaN and Infinity, which pass a `<= 0` check)."""
-    try:
-        finite = all(map(math.isfinite, values))
-    except TypeError:
-        finite = False
-    if not finite:
-        raise ConfigError(f"profile.{name}: must be finite numbers")
+def _samples(profile, **rules) -> None:
+    """Store each named list of a profile as floats once its samples pass."""
+    for name, (test, what) in rules.items():
+        values = getattr(profile, name)
+        _check(lambda v: isinstance(v, (list, tuple, np.ndarray)),
+               "a list of numbers", **{f"profile.{name}": values})
+        if not all(map(test, values)):   # name the first failing sample
+            _check(test, what, **{f"profile.{name}[{i}]": v
+                                  for i, v in enumerate(values)})
+        object.__setattr__(profile, name, tuple(map(float, values)))
 
 
 @dataclass(frozen=True)
@@ -157,12 +170,7 @@ class UniformProfile:
     length: float  # l (m)
 
     def __post_init__(self):
-        _require_finite("length", self.length)
-        if not self.length > 0:
-            raise ConfigError("profile.length: must be positive")
-
-    def to_dict(self) -> dict:
-        return {"kind": "uniform", "length": self.length}
+        _check(*_POSITIVE, **{"profile.length": self.length})
 
 
 @dataclass(frozen=True)
@@ -180,27 +188,19 @@ class AlternatingProfile:
     count2: int  # per side
 
     def __post_init__(self):
-        for name in ("length1", "length2", "width1", "width2", "count1",
-                     "count2"):
-            _require_finite(name, getattr(self, name))
-        if not (self.length1 > 0 and self.length2 > 0):
-            raise ConfigError("profile: lengths must be positive")
+        _check(*_POSITIVE, **{f"profile.{k}": v for k, v in vars(self).items()
+                              if not k.startswith("count")})
+        _check(*_NONNEGATIVE, **{"profile.count1": self.count1,
+                                 "profile.count2": self.count2})
         if self.length2 > self.length1:
             raise ConfigError("profile: length2 must not exceed length1 "
                               "(label the longer family 1)")
-        if not (self.width1 > 0 and self.width2 > 0):
-            raise ConfigError("profile: widths must be positive")
-        if self.count1 < 0 or self.count2 < 0:
-            raise ConfigError("profile: counts must be >= 0")
         if self.count1 == 0 and self.count2 == 0:
             raise ConfigError("alternating profile has no cantilevers")
 
     @property
     def epsilon(self) -> float:
         return self.length2 / self.length1
-
-    def to_dict(self) -> dict:
-        return {"kind": "alternating", **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -216,32 +216,16 @@ class TabulatedProfile:
     density: tuple  # pair line density rho(x), 1/m; V uses w_c/w_b * rho
 
     def __post_init__(self):
-        x = tuple(float(v) for v in self.x)
-        ln = tuple(float(v) for v in self.length)
-        de = tuple(float(v) for v in self.density)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "length", ln)
-        object.__setattr__(self, "density", de)
-        _require_finite("x", *x)
-        _require_finite("length", *ln)
-        _require_finite("density", *de)
-        if len(x) < 2:
+        _samples(self, x=_FINITE, length=_POSITIVE, density=_NONNEGATIVE)
+        if len(self.x) < 2:
             raise ConfigError("profile.x: need at least two samples")
-        if len(ln) != len(x) or len(de) != len(x):
+        if len(self.length) != len(self.x) or len(self.density) != len(self.x):
             raise ConfigError("profile: x, length, density must have equal lengths")
-        if any(b <= a for a, b in zip(x, x[1:])):
+        if any(b <= a for a, b in zip(self.x, self.x[1:])):
             raise ConfigError("profile.x: samples must be strictly increasing")
-        if any(v <= 0 for v in ln):
-            raise ConfigError("profile.length: samples must be positive")
-        if any(v < 0 for v in de):
-            raise ConfigError("profile.density: samples must be >= 0")
 
     def interpolants(self):
         return Pchip(self.x, self.length), Pchip(self.x, self.density)
-
-    def to_dict(self) -> dict:
-        return {"kind": "tabulated", "x": list(self.x),
-                "length": list(self.length), "density": list(self.density)}
 
 
 @dataclass(frozen=True)
@@ -252,25 +236,18 @@ class DiscreteProfile:
     lengths: tuple    # l_j (m)
 
     def __post_init__(self):
-        pos = tuple(float(v) for v in self.positions)
-        ln = tuple(float(v) for v in self.lengths)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "lengths", ln)
-        _require_finite("positions", *pos)
-        _require_finite("lengths", *ln)
-        if len(pos) != len(ln):
+        _samples(self, positions=_FINITE, lengths=_POSITIVE)
+        if len(self.positions) != len(self.lengths):
             raise ConfigError("profile: positions and lengths must have equal lengths")
-        if len(pos) == 0:
+        if not self.positions:
             raise ConfigError("profile.positions: need at least one cantilever pair")
-        if any(v <= 0 for v in ln):
-            raise ConfigError("profile.lengths: must be positive")
-
-    def to_dict(self) -> dict:
-        return {"kind": "discrete", "positions": list(self.positions),
-                "lengths": list(self.lengths)}
 
 
 Profile = UniformProfile | AlternatingProfile | TabulatedProfile | DiscreteProfile
+
+# the "kind" of each profile class in a config
+_PROFILES = {"uniform": UniformProfile, "alternating": AlternatingProfile,
+             "tabulated": TabulatedProfile, "discrete": DiscreteProfile}
 
 
 @dataclass(frozen=True)
@@ -340,14 +317,23 @@ def preset_device(name: str) -> tuple[DeviceGeometry, UniformProfile, BoundaryCo
 
 # --- config files -----------------------------------------------------------
 
+def _validate(obj, prefix: str, table: dict) -> None:
+    """_check each field of a settings object by its table (_SETTINGS)."""
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            _validate(obj, f"{prefix}{key}.", entry)
+        else:
+            name, (test, what) = entry
+            _check(test, what, **{prefix + key: getattr(obj, name)})
+
+
 @dataclass(frozen=True)
 class SpectrumSettings:
     n_max: int = 4
     k_max: int = 4
 
     def __post_init__(self):
-        _check(_is_count, "an integer >= 1", **{"spectrum.n_max": self.n_max,
-                                                "spectrum.k_max": self.k_max})
+        _validate(self, "spectrum.", _SPECTRUM)
 
 
 @dataclass(frozen=True)
@@ -357,23 +343,23 @@ class GalerkinSettings:
     quadrature_rtol: float = 1e-10
 
     def __post_init__(self):
-        _check(_is_count, "an integer >= 1",
-               **{"galerkin.basis_size": self.basis_size,
-                  "galerkin.quadrature.order": self.quadrature_order})
-        _check(lambda v: _is_number(v) and v > 0, "a positive finite number",
-               **{"galerkin.quadrature.rtol": self.quadrature_rtol})
+        _validate(self, "galerkin.", _GALERKIN)
 
 
 @dataclass(frozen=True)
 class SweepRange:
+    """Errors name from, to or points, for the caller to prefix."""
+
     start: float
     stop: float
     points: int
 
     def __post_init__(self):
-        _check(_is_number, "a finite number",
-               **{"from": self.start, "to": self.stop})
-        _check(_is_count, "an integer >= 1", points=self.points)
+        _validate(self, "", _RANGE)
+        # finite bounds whose span overflows give NaN values
+        if not math.isfinite(self.stop - self.start):
+            raise ConfigError(f"to: must lie less than the largest float from "
+                              f"the start {self.start!r}, got {self.stop!r}")
 
     def values(self):
         return np.linspace(self.start, self.stop, self.points)
@@ -389,14 +375,26 @@ class NonlinearSettings:
     sigma2: SweepRange | float = 0.0
 
     def __post_init__(self):
-        _check(lambda v: _is_number(v) and v >= 0, "a finite number >= 0",
-               **{"nonlinear.c_y": self.damping_beam,
-                  "nonlinear.c_eta": self.damping_cantilever})
-        _check(lambda v: isinstance(v, SweepRange) or _is_number(v),
-               "a finite number",
-               **{"nonlinear.f1": self.force1, "nonlinear.f2": self.force2,
-                  "nonlinear.sigma1": self.sigma1,
-                  "nonlinear.sigma2": self.sigma2})
+        _validate(self, "nonlinear.", _NONLINEAR)
+
+
+# a settings table maps a JSON key to (field, rule) or to a nested table
+_RANGE = {"from": ("start", _FINITE), "to": ("stop", _FINITE),
+          "points": ("points", _COUNT)}
+_SIGMA = (lambda v: isinstance(v, SweepRange) or _is_number(v), "a finite number")
+_SPECTRUM = {"n_max": ("n_max", _COUNT), "k_max": ("k_max", _COUNT)}
+_GALERKIN = {"basis_size": ("basis_size", _COUNT),
+             "quadrature": {"order": ("quadrature_order", _COUNT),
+                            "rtol": ("quadrature_rtol", _POSITIVE)}}
+_NONLINEAR = {"c_y": ("damping_beam", _NONNEGATIVE),
+              "c_eta": ("damping_cantilever", _NONNEGATIVE),
+              "f1": ("force1", _FINITE), "f2": ("force2", _FINITE),
+              "sigma1": ("sigma1", _SIGMA), "sigma2": ("sigma2", _SIGMA)}
+_SETTINGS = {"spectrum": (SpectrumSettings, _SPECTRUM),
+             "galerkin": (GalerkinSettings, _GALERKIN),
+             "nonlinear": (NonlinearSettings, _NONLINEAR)}
+_MATERIAL = ("youngs_modulus", "mass_density", "thickness", "beam_length",
+             "beam_width", "cantilever_width", "count_per_side")
 
 
 @dataclass(frozen=True)
@@ -410,88 +408,89 @@ class Config:
     preset_name: str | None = None
 
 
-def _require(mapping: dict, key: str, section: str):
-    if key not in mapping:
-        raise ConfigError(f"{section}.{key}: missing required key")
-    return mapping[key]
-
-
-def _parse_geometry(spec: dict) -> tuple[DeviceGeometry, str | None]:
+def _object(spec, path: str, keys, what: str, required=()) -> dict:
+    """spec, if it is a JSON object with the required keys and none outside keys."""
     if not isinstance(spec, dict):
-        raise ConfigError("geometry: must be an object")
-    if "preset" in spec:
-        _reject_unknown(spec, ("preset",), "preset")
-        geometry, _, _ = preset_device(spec["preset"])
-        return geometry, spec["preset"]
-    if "youngs_modulus" in spec:
-        keys = ("youngs_modulus", "mass_density", "thickness", "beam_length",
-                "beam_width", "cantilever_width", "count_per_side")
-        _reject_unknown(spec, keys, "material")
-        try:
-            return DeviceGeometry.from_material(
-                **{key: _require(spec, key, "geometry") for key in keys}), None
-        except TypeError as exc:
-            raise ConfigError(f"geometry: {exc}") from exc
-    keys = ("beam_length", "beam_width", "beam_rigidity",
-            "beam_linear_density", "cantilever_width", "cantilever_rigidity",
-            "cantilever_linear_density", "count_per_side")
-    _reject_unknown(spec, keys + ("equal_thickness",), "full")
-    kwargs = {key: _require(spec, key, "geometry") for key in keys}
-    kwargs["equal_thickness"] = spec.get("equal_thickness", True)
-    return DeviceGeometry(**kwargs), None
-
-
-def _reject_unknown(spec: dict, keys, kind: str) -> None:
-    unknown = sorted(set(spec) - set(keys))
+        raise ConfigError(f"{path}: must be an object, got {spec!r}")
+    unknown = [] if keys is None else sorted(map(str, spec.keys() - set(keys)))
     if unknown:
-        raise ConfigError(f"geometry: unknown key(s) {unknown} in a {kind} "
-                          f"geometry; it takes {sorted(keys)}")
+        raise ConfigError(f"{path}.{unknown[0]}: unknown {what} key; it "
+                          f"takes only {sorted(keys)}, not {unknown}")
+    for key in required:
+        if key not in spec:
+            raise ConfigError(f"{path}.{key}: missing required key")
+    return spec
 
 
-def _parse_profile(spec: dict, geometry: DeviceGeometry, preset: str | None) -> Profile:
-    if spec is None:
-        if preset is not None:
-            return preset_device(preset)[1]
-        raise ConfigError("profile: missing section")
-    if not isinstance(spec, dict):
-        raise ConfigError("profile: must be an object")
-    kind = _require(spec, "kind", "profile")
-    if kind == "uniform":
-        return UniformProfile(length=_require(spec, "length", "profile"))
-    if kind == "alternating":
-        return AlternatingProfile(
-            length1=_require(spec, "length1", "profile"),
-            length2=_require(spec, "length2", "profile"),
-            width1=spec.get("width1", geometry.cantilever_width),
-            width2=spec.get("width2", geometry.cantilever_width),
-            count1=spec.get("count1", geometry.count_per_side),
-            count2=spec.get("count2", geometry.count_per_side),
-        )
-    if kind == "tabulated":
-        return TabulatedProfile(
-            x=tuple(_require(spec, "x", "profile")),
-            length=tuple(_require(spec, "length", "profile")),
-            density=tuple(_require(spec, "density", "profile")),
-        )
-    if kind == "discrete":
-        return DiscreteProfile(
-            positions=tuple(_require(spec, "positions", "profile")),
-            lengths=tuple(_require(spec, "lengths", "profile")),
-        )
-    raise ConfigError(f"profile.kind: unknown kind {kind!r}")
+def _from_fields(cls, spec, path: str, what: str, defaults: dict, extra=()):
+    """cls from a JSON object keyed by its field names and the extra keys; a
+    field without a default in cls or in defaults is required."""
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.name not in defaults]
+    _object(spec, path, [*extra, *(f.name for f in fields(cls))], what, required)
+    return cls(**{**defaults, **{k: v for k, v in spec.items() if k not in extra}})
 
 
-def _parse_sweep(value, section: str) -> SweepRange | float:
+def _read(spec, path: str, table: dict, required=()) -> dict:
+    """The keyword arguments of a settings object, from its JSON object."""
+    kwargs = {}
+    for key, value in _object(spec, path, table, path, required).items():
+        entry, where = table[key], f"{path}.{key}"
+        if isinstance(entry, dict):
+            kwargs.update(_read(value, where, entry))
+        else:
+            kwargs[entry[0]] = _parse_sweep(value, where) if entry[1] is _SIGMA else value
+    return kwargs
+
+
+def _write(obj, table: dict) -> dict:
+    """The JSON object of a settings object: the inverse of _read."""
+    out = {}
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            out[key] = _write(obj, entry)
+        else:
+            value = getattr(obj, entry[0])
+            out[key] = (_write(value, _RANGE) if isinstance(value, SweepRange)
+                        else value)
+    return out
+
+
+def _parse_sweep(value, path: str):
+    """A {from, to, points} object as a SweepRange, a number as a float."""
     if isinstance(value, dict):
-        bounds = [_require(value, key, section)
-                  for key in ("from", "to", "points")]
+        bounds = _read(value, path, _RANGE, required=_RANGE)
         try:
-            return SweepRange(*bounds)
+            return SweepRange(**bounds)
         except ConfigError as exc:   # name the section and its key
-            raise ConfigError(f"{section}.{exc}") from exc
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ConfigError(f"{section}: expected a number or {{from, to, points}}")
+            raise ConfigError(f"{path}.{exc}") from exc
+    return float(value) if _is_number(value) else value
+
+
+def _parse_geometry(spec) -> tuple[DeviceGeometry, str | None]:
+    """A preset name, a film's material constants or the full geometry."""
+    if isinstance(spec, dict) and "preset" in spec:
+        name = _object(spec, "geometry", ("preset",), "preset geometry")["preset"]
+        return preset_device(name)[0], name
+    if isinstance(spec, dict) and "youngs_modulus" in spec:
+        _object(spec, "geometry", _MATERIAL, "material geometry", _MATERIAL)
+        return DeviceGeometry.from_material(**spec), None
+    return _from_fields(DeviceGeometry, spec, "geometry", "full geometry", {}), None
+
+
+def _parse_profile(spec, geometry: DeviceGeometry) -> Profile:
+    kind = _object(spec, "profile", None, "profile", ("kind",))["kind"]
+    _check(lambda k: isinstance(k, str) and k in _PROFILES,
+           f"one of {list(_PROFILES)}", **{"profile.kind": kind})
+    cls = _PROFILES[kind]
+    # an alternating profile's widths and counts default to the geometry's
+    defaults = ({"width1": geometry.cantilever_width,
+                 "width2": geometry.cantilever_width,
+                 "count1": geometry.count_per_side,
+                 "count2": geometry.count_per_side}
+                if cls is AlternatingProfile else {})
+    return _from_fields(cls, spec, "profile", f"{kind} profile", defaults,
+                        ("kind",))
 
 
 def load_config(source) -> Config:
@@ -512,74 +511,35 @@ def load_config(source) -> Config:
         data = source
     else:
         raise ConfigError("config source must be a path, JSON text, or dict")
-    if not isinstance(data, dict):
-        raise ConfigError("config: top level must be an object")
 
-    if "output" in data:
+    if isinstance(data, dict) and "output" in data:
         raise ConfigError("config: no 'output' section; the --format and "
                           "--output flags choose the output")
-    known = {"geometry", "boundary", "profile", "spectrum", "galerkin",
-             "nonlinear"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"config: unknown top-level keys {sorted(unknown)}")
-
-    geometry, preset = _parse_geometry(_require(data, "geometry", "config"))
-
-    boundary_spec = data.get("boundary", {"kind": "clamped-clamped"})
-    if not isinstance(boundary_spec, dict) or "kind" not in boundary_spec:
-        raise ConfigError("boundary: expected {'kind': ...}")
-    boundary = BoundaryCondition.from_name(boundary_spec["kind"])
-
-    profile = _parse_profile(data.get("profile"), geometry, preset)
-
-    sp = data.get("spectrum", {})
-    spectrum = SpectrumSettings(n_max=sp.get("n_max", 4), k_max=sp.get("k_max", 4))
-
-    ga = data.get("galerkin", {})
-    quad = ga.get("quadrature", {})
-    galerkin = GalerkinSettings(
-        basis_size=ga.get("basis_size", 8),
-        quadrature_order=quad.get("order", 32),
-        quadrature_rtol=quad.get("rtol", 1e-10),
-    )
-
-    nl = data.get("nonlinear", {})
-    nonlinear = NonlinearSettings(
-        damping_beam=nl.get("c_y", 0.0),
-        damping_cantilever=nl.get("c_eta", 0.0),
-        force1=nl.get("f1", 0.0),
-        force2=nl.get("f2", 0.0),
-        sigma1=_parse_sweep(nl.get("sigma1", 0.0), "nonlinear.sigma1"),
-        sigma2=_parse_sweep(nl.get("sigma2", 0.0), "nonlinear.sigma2"),
-    )
-
-    return Config(geometry=geometry, boundary=boundary, profile=profile,
-                  spectrum=spectrum, galerkin=galerkin, nonlinear=nonlinear,
-                  preset_name=preset)
+    _object(data, "config", ("geometry", "boundary", "profile", *_SETTINGS),
+            "top-level", ("geometry",))
+    geometry, preset = _parse_geometry(data["geometry"])
+    boundary = BoundaryCondition.from_name(_object(
+        data.get("boundary", {"kind": "clamped-clamped"}), "boundary",
+        ("kind",), "boundary", ("kind",))["kind"])
+    return Config(geometry=geometry, boundary=boundary,
+                  profile=(preset_device(preset)[1]
+                           if preset and "profile" not in data else
+                           _parse_profile(data.get("profile", {}), geometry)),
+                  preset_name=preset,
+                  **{name: cls(**_read(data.get(name, {}), name, table))
+                     for name, (cls, table) in _SETTINGS.items()})
 
 
 def config_to_dict(config: Config) -> dict:
     """Round-trippable plain-dict form of a parsed config."""
-    out: dict = {
+    profile = config.profile
+    kind = next(k for k, cls in _PROFILES.items() if cls is type(profile))
+    return {
         "geometry": ({"preset": config.preset_name} if config.preset_name
                      else config.geometry.to_dict()),
         "boundary": {"kind": config.boundary.value},
-        "profile": config.profile.to_dict(),
-        "spectrum": {"n_max": config.spectrum.n_max, "k_max": config.spectrum.k_max},
-        "galerkin": {"basis_size": config.galerkin.basis_size,
-                     "quadrature": {"order": config.galerkin.quadrature_order,
-                                    "rtol": config.galerkin.quadrature_rtol}},
+        "profile": {"kind": kind, **{k: list(v) if isinstance(v, tuple) else v
+                                     for k, v in vars(profile).items()}},
+        **{name: _write(getattr(config, name), table)
+           for name, (_, table) in _SETTINGS.items()},
     }
-    nl = config.nonlinear
-
-    def sweep_dict(v):
-        if isinstance(v, SweepRange):
-            return {"from": v.start, "to": v.stop, "points": v.points}
-        return v
-
-    out["nonlinear"] = {"c_y": nl.damping_beam, "c_eta": nl.damping_cantilever,
-                        "f1": nl.force1, "f2": nl.force2,
-                        "sigma1": sweep_dict(nl.sigma1),
-                        "sigma2": sweep_dict(nl.sigma2)}
-    return out

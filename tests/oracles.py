@@ -1,13 +1,14 @@
 """Independent reference values computed with mpmath bisection, scalar
 reference versions of batched code (band brackets among them), a
-knot-aligned high-order Galerkin projection and an exactly summed comb
-projection.
+knot-aligned high-order Galerkin projection, an exactly summed comb
+projection and the canonical dict form of a config.
 
 Nothing here imports the package under test; the characteristic equations
 are restated from scratch so root comparisons are a genuine cross-check.
 """
 
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import mpmath as mp
@@ -318,3 +319,45 @@ def overlap_arrays(shapes, quad, cumulative_square_quad):
                         for c, d in ((k, l), (l, k)):
                             curv[a, b, c, d] = val
     return mass, damp, stretch, curv
+
+
+def config_to_dict(config) -> dict:
+    """Canonical dict form of a parsed config as it was first written, with
+    the to_dict methods of the geometry and the four profiles inlined; it
+    fixes the bytes that `config_sha256` hashes."""
+    out: dict = {
+        "geometry": ({"preset": config.preset_name} if config.preset_name
+                     else asdict(config.geometry)),
+        "boundary": {"kind": config.boundary.value},
+        "profile": _profile_to_dict(config.profile),
+        "spectrum": {"n_max": config.spectrum.n_max, "k_max": config.spectrum.k_max},
+        "galerkin": {"basis_size": config.galerkin.basis_size,
+                     "quadrature": {"order": config.galerkin.quadrature_order,
+                                    "rtol": config.galerkin.quadrature_rtol}},
+    }
+    nl = config.nonlinear
+
+    def sweep_dict(v):
+        if type(v).__name__ == "SweepRange":
+            return {"from": v.start, "to": v.stop, "points": v.points}
+        return v
+
+    out["nonlinear"] = {"c_y": nl.damping_beam, "c_eta": nl.damping_cantilever,
+                        "f1": nl.force1, "f2": nl.force2,
+                        "sigma1": sweep_dict(nl.sigma1),
+                        "sigma2": sweep_dict(nl.sigma2)}
+    return out
+
+
+def _profile_to_dict(profile) -> dict:
+    kind = type(profile).__name__
+    if kind == "UniformProfile":
+        return {"kind": "uniform", "length": profile.length}
+    if kind == "AlternatingProfile":
+        return {"kind": "alternating", **asdict(profile)}
+    if kind == "TabulatedProfile":
+        return {"kind": "tabulated", "x": list(profile.x),
+                "length": list(profile.length), "density": list(profile.density)}
+    assert kind == "DiscreteProfile", kind
+    return {"kind": "discrete", "positions": list(profile.positions),
+            "lengths": list(profile.lengths)}

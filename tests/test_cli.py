@@ -493,7 +493,8 @@ def test_sweep_epsilon_needs_alternating_profile(capsys):
 
 
 @pytest.mark.parametrize("bounds", [("nan", "1"), ("0", "nan"), ("0", "inf"),
-                                    ("-inf", "1"), ("inf", "inf")])
+                                    ("-inf", "1"), ("inf", "inf"),
+                                    ("-1e308", "1e308")])
 @pytest.mark.parametrize("param", ["nu", "N", "lambda"])
 def test_sweep_with_non_finite_bounds_is_exit_2(capsys, tmp_path, param,
                                                 bounds):
@@ -502,11 +503,16 @@ def test_sweep_with_non_finite_bounds_is_exit_2(capsys, tmp_path, param,
                        f"--from={bounds[0]}", f"--to={bounds[1]}",
                        "--output", str(out))
     assert code == 2
-    # the message names the swept parameter and its first non-finite bound
-    flag, bound = (("--from", bounds[0]) if not math.isfinite(float(bounds[0]))
-                   else ("--to", bounds[1]))
-    assert err == (f"error: sweep {param}: {flag} must be a finite number, "
-                   f"not {float(bound)!r}\n")
+    # the message names the swept parameter and its first non-finite bound,
+    # or --to when finite bounds span more than a float (NaN values)
+    if not math.isfinite(float(bounds[0])):
+        message = f"--from: must be a finite number, got {float(bounds[0])!r}"
+    elif not math.isfinite(float(bounds[1])):
+        message = f"--to: must be a finite number, got {float(bounds[1])!r}"
+    else:
+        message = ("--to: must lie less than the largest float from the "
+                   "start -1e+308, got 1e+308")
+    assert err == f"error: sweep {param}: {message}\n"
     assert os.listdir(tmp_path) == []
 
 
@@ -530,13 +536,13 @@ def test_sweep_out_of_range_bounds_name_the_swept_value(capsys, tmp_path,
 
 @pytest.mark.parametrize("bounds, message", [
     (("0.5", "2"), "length2 must not exceed length1"),
-    (("1.5", "nan"), "--to must be a finite number, not nan"),
+    (("1.5", "nan"), "--to: must be a finite number, got nan"),
     (("1.5", "2"), "length2 must not exceed length1"),
-    (("0", "1"), "lengths must be positive"),
-    (("-0.5", "1"), "lengths must be positive"),
-    (("nan", "1"), "--from must be a finite number, not nan"),
-    (("0.5", "inf"), "--to must be a finite number, not inf"),
-    (("-inf", "1"), "--from must be a finite number, not -inf")])
+    (("0", "1"), "profile.length2: must be a positive finite number"),
+    (("-0.5", "1"), "profile.length2: must be a positive finite number"),
+    (("nan", "1"), "--from: must be a finite number, got nan"),
+    (("0.5", "inf"), "--to: must be a finite number, got inf"),
+    (("-inf", "1"), "--from: must be a finite number, got -inf")])
 def test_epsilon_sweep_out_of_range_bounds_are_exit_2(capsys, tmp_path,
                                                       bounds, message):
     # the first swept value out of (0, 1] names the check that it fails; a
@@ -715,7 +721,12 @@ def test_non_finite_profile_numbers_are_exit_2(capsys, tmp_path, kind, key,
     code, out, err = run(capsys, "galerkin", "--alpha-max", "5e6",
                          "--config", str(p))
     assert code == 2 and out == ""
-    assert f"profile.{key}: must be finite" in err
+    if isinstance(profile[key], list):   # the failing sample is named
+        expected = f"profile.{key}[1]: must be "
+    else:
+        expected = f"profile.{key}: must be "
+    assert err.startswith(f"error: {expected}") and "finite number" in err
+    assert err.endswith(f", got {value!r}\n") and "Traceback" not in err
 
 
 _FLOATS = st.one_of(
@@ -977,6 +988,12 @@ SETTINGS_CASES = [
      {"nonlinear": {**RESPONSE, "sigma2": {"from": float("-inf"), "to": 0.0,
                                            "points": 2}}},
      "nonlinear.sigma2.from: must be a finite number, got -inf"),
+    # finite bounds whose span overflows a float give NaN detunings
+    (["nonlinear", "response"],
+     {"nonlinear": {**RESPONSE, "sigma1": {"from": -1e308, "to": 1e308,
+                                           "points": 3}}},
+     "nonlinear.sigma1.to: must lie less than the largest float from the "
+     "start -1e+308, got 1e+308"),
     (["nonlinear", "response"], {"nonlinear": {**RESPONSE,
                                                "c_y": float("nan")}},
      "nonlinear.c_y: must be a finite number >= 0, got nan"),
@@ -1004,6 +1021,113 @@ def test_settings_numbers_are_checked(capsys, tmp_path, argv, section,
     code, out, err = run(capsys, *argv, "--config", str(p))
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+_MATERIAL_UNIFORM = {"geometry": MATERIAL_GEOMETRY,
+                     "profile": {"kind": "uniform", "length": 5e-7}}
+_P = {"preset": PRESET}
+MALFORMED_CASES = {
+    # a key no section declares
+    "config.spectrm": ({"geometry": _P, "spectrm": {}},
+                       "unknown top-level key; it takes only ['boundary', "
+                       "'galerkin', 'geometry', 'nonlinear', 'profile', "
+                       "'spectrum'], not ['spectrm']"),
+    "geometry.equal_thickness": (
+        {**_MATERIAL_UNIFORM, "geometry": {**MATERIAL_GEOMETRY,
+                                           "equal_thickness": True}},
+        "unknown material geometry key; it takes only ['beam_length', "
+        "'beam_width', 'cantilever_width', 'count_per_side', "
+        "'mass_density', 'thickness', 'youngs_modulus'], "
+        "not ['equal_thickness']"),
+    "boundary.type": ({"geometry": _P, "boundary": {"kind": "clamped-free",
+                                                    "type": "fixed"}},
+                      "unknown boundary key; it takes only ['kind'], "
+                      "not ['type']"),
+    "profile.lengths": ({"geometry": _P, "profile": {
+        "kind": "uniform", "length": 5e-7, "lengths": [5e-7]}},
+        "unknown uniform profile key; it takes only ['kind', 'length'], "
+        "not ['lengths']"),
+    "profile.epsilon": ({"geometry": _P, "profile": {
+        "kind": "alternating", "length1": 5e-7, "length2": 4e-7,
+        "epsilon": 0.8}},
+        "unknown alternating profile key; it takes only ['count1', "
+        "'count2', 'kind', 'length1', 'length2', 'width1', 'width2'], "
+        "not ['epsilon']"),
+    "profile.rho": ({"geometry": _P, "profile": {
+        **FINITE_PROFILES["tabulated"], "rho": [1.0, 1.0, 1.0]}},
+        "unknown tabulated profile key; it takes only ['density', 'kind', "
+        "'length', 'x'], not ['rho']"),
+    "profile.length": ({"geometry": _P, "profile": {
+        **FINITE_PROFILES["discrete"], "length": 5e-7}},
+        "unknown discrete profile key; it takes only ['kind', 'lengths', "
+        "'positions'], not ['length']"),
+    "spectrum.kmax": ({"geometry": _P, "spectrum": {"kmax": 3}},
+                      "unknown spectrum key; it takes only ['k_max', "
+                      "'n_max'], not ['kmax']"),
+    "galerkin.basis": ({"geometry": _P, "galerkin": {"basis": 4}},
+                       "unknown galerkin key; it takes only ['basis_size', "
+                       "'quadrature'], not ['basis']"),
+    "galerkin.quadrature.tol": (
+        {"geometry": _P, "galerkin": {"quadrature": {"tol": 1e-9}}},
+        "unknown galerkin.quadrature key; it takes only ['order', "
+        "'rtol'], not ['tol']"),
+    "nonlinear.force1": ({"geometry": _P, "nonlinear": {"force1": 1e-9}},
+                         "unknown nonlinear key; it takes only ['c_eta', "
+                         "'c_y', 'f1', 'f2', 'sigma1', 'sigma2'], "
+                         "not ['force1']"),
+    "nonlinear.sigma1.step": (
+        {"geometry": _P, "nonlinear": {"sigma1": {
+            "from": -1.0, "to": 1.0, "points": 3, "step": 1.0}}},
+        "unknown nonlinear.sigma1 key; it takes only ['from', 'points', "
+        "'to'], not ['step']"),
+    # a section that is not an object
+    "config": ([_P], "must be an object, got [{'preset': 'jap1-calibrated'}]"),
+    "geometry": ({"geometry": PRESET},
+                 "must be an object, got 'jap1-calibrated'"),
+    "boundary": ({"geometry": _P, "boundary": "clamped-free"},
+                 "must be an object, got 'clamped-free'"),
+    "profile": ({"geometry": _P, "profile": ["uniform", 5e-7]},
+                "must be an object, got ['uniform', 5e-07]"),
+    "spectrum": ({"geometry": _P, "spectrum": []},
+                 "must be an object, got []"),
+    "galerkin": ({"geometry": _P, "galerkin": 8}, "must be an object, got 8"),
+    "galerkin.quadrature": ({"geometry": _P, "galerkin": {"quadrature": 5}},
+                            "must be an object, got 5"),
+    "nonlinear": ({"geometry": _P, "nonlinear": None},
+                  "must be an object, got None"),
+    # a profile array that is not a list
+    "profile.x": ({"geometry": _P, "profile": {
+        **FINITE_PROFILES["tabulated"], "x": 5e-6}},
+        "must be a list of numbers, got 5e-06"),
+    "profile.positions": ({"geometry": _P, "profile": {
+        **FINITE_PROFILES["discrete"], "positions": 5}},
+        "must be a list of numbers, got 5"),
+    # JSON's true given as a number
+    "nonlinear.sigma1": ({"geometry": _P, "nonlinear": {"sigma1": True}},
+                         "must be a finite number, got True"),
+    "geometry.youngs_modulus": (
+        {**_MATERIAL_UNIFORM, "geometry": {**MATERIAL_GEOMETRY,
+                                           "youngs_modulus": True}},
+        "must be a positive finite number, got True"),
+    "profile.count1": ({"geometry": _P, "profile": {
+        **FINITE_PROFILES["alternating"], "count1": True}},
+        "must be a finite number >= 0, got True"),
+    "profile.lengths[1]": ({"geometry": _P, "profile": {
+        **FINITE_PROFILES["discrete"], "lengths": [5e-7, True, 5e-7]}},
+        "must be a positive finite number, got True"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MALFORMED_CASES))
+def test_malformed_config_is_exit_2_naming_its_key(capsys, tmp_path, key):
+    # unknown keys used to be dropped, non-objects raised a traceback and
+    # true loaded as 1.0
+    config, message = MALFORMED_CASES[key]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    code, out, err = run(capsys, "spectrum", "--config", str(p))
+    assert code == 2 and out == ""
+    assert err == f"error: {key}: {message}\n"
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import comb_projection, tabulated_projection
 
@@ -454,8 +454,12 @@ def test_comb_solve_assembles_in_lockstep_rounds(monkeypatch):
                                "distinct"]),
        seed=st.integers(0, 2 ** 32 - 1), teeth=st.integers(4, 24),
        fracs=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=3))
+# the loading cancels most of the bare diagonal in these two
+@example(layout="one", seed=0, teeth=21, fracs=[0.4375])
+@example(layout="one", seed=9002, teeth=14, fracs=[0.4324932080966834])
 def test_comb_assemble_matches_exact_projection(layout, seed, teeth, fracs):
-    # the family sums stay within a few roundings of the exact point sums
+    # the family sums stay within a few roundings of the exact point sums,
+    # in units of the largest summed term: the bare diagonal or the loading
     rng = np.random.default_rng(seed)
     pool = CANT * rng.uniform(0.7, 1.1, 3)
     if layout == "distinct":
@@ -475,9 +479,12 @@ def test_comb_assemble_matches_exact_projection(layout, seed, teeth, fracs):
     phi = np.stack([m(positions / L) for m in basis])
     for a, mat in zip(alphas.tolist(), mats):
         weight = 2.0 * (a * L) ** 3 * (GEO.cantilever_width / GEO.beam_width)
-        exact = comb_projection([m.beta for m in basis], a * L, weight,
-                                shear_kernel(a * lengths), phi)
-        assert np.max(np.abs(mat - exact)) <= 2e-15 * np.max(np.abs(mat))
+        betas = np.array([m.beta for m in basis])
+        kernel = shear_kernel(a * lengths)
+        exact = comb_projection(betas, a * L, weight, kernel, phi)
+        bare = np.max(np.abs(betas ** 4 - (a * L) ** 4))
+        loading = np.max(np.abs(weight * (phi * kernel) @ phi.T))
+        assert np.max(np.abs(mat - exact)) <= 2e-15 * max(bare, loading)
 
 
 def test_comb_assemble_evaluates_the_kernel_once_per_length(monkeypatch):

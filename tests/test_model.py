@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import config_to_dict as reference_config_to_dict
 
 from cantarray.beam import beam_roots
 from cantarray.model import (_JAP1, AlternatingProfile, BoundaryCondition,
@@ -186,3 +189,97 @@ def test_output_format_validation():
         with pytest.raises(ConfigError, match="--format and --output"):
             load_config({"geometry": {"preset": "jap1-calibrated"},
                          "output": output})
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_COUNTS = st.integers(0, 400)
+_MATERIAL = st.fixed_dictionaries({
+    "youngs_modulus": _floats(1e9, 1e12), "mass_density": _floats(1e3, 2e4),
+    "thickness": _floats(1e-8, 1e-6), "beam_length": _floats(1e-6, 1e-4),
+    "beam_width": _floats(1e-7, 1e-6), "cantilever_width": _floats(1e-8, 1e-6),
+    "count_per_side": _COUNTS})
+# sections drawn apart, so equal_thickness must be false
+_FULL = st.fixed_dictionaries(
+    {name: _floats(1e-20, 1e-3) for name in (
+        "beam_length", "beam_width", "beam_rigidity", "beam_linear_density",
+        "cantilever_width", "cantilever_rigidity",
+        "cantilever_linear_density")}).map(
+            lambda d: {**d, "equal_thickness": False})
+_GEOMETRIES = st.one_of(
+    st.just({"preset": "jap1-calibrated"}), _MATERIAL,
+    _MATERIAL.map(lambda m: DeviceGeometry.from_material(**m).to_dict()),
+    st.tuples(_FULL, _COUNTS).map(lambda t: {**t[0], "count_per_side": t[1]}))
+_LENGTHS = _floats(1e-8, 1e-5)
+
+
+@st.composite
+def _profiles(draw):
+    kind = draw(st.sampled_from(["uniform", "alternating", "tabulated",
+                                 "discrete"]))
+    if kind == "uniform":
+        return {"kind": kind, "length": draw(_LENGTHS)}
+    if kind == "alternating":
+        lengths = sorted(draw(st.lists(_LENGTHS, min_size=2, max_size=2)))
+        return {"kind": kind, "length1": lengths[1], "length2": lengths[0],
+                "count1": draw(st.integers(1, 50)),
+                **draw(st.fixed_dictionaries({}, optional={
+                    "width1": _LENGTHS, "width2": _LENGTHS,
+                    "count2": st.one_of(_COUNTS, _floats(0.0, 50.0))}))}
+    n = draw(st.integers(2, 12))
+    if kind == "tabulated":
+        x = sorted(draw(st.sets(_floats(0.0, 1e-4), min_size=n, max_size=n)))
+        return {"kind": kind, "x": x,
+                "length": draw(st.lists(_LENGTHS, min_size=n, max_size=n)),
+                "density": draw(st.lists(st.one_of(
+                    st.integers(0, 10 ** 7), _floats(0.0, 1e7)),
+                    min_size=n, max_size=n))}
+    return {"kind": kind,
+            "positions": draw(st.lists(_floats(-1e-4, 1e-4), min_size=n,
+                                       max_size=n)),
+            "lengths": draw(st.lists(_LENGTHS, min_size=n, max_size=n))}
+
+
+_NUMBERS = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                     _floats(-1e6, 1e6))
+_SIGMAS = st.one_of(_NUMBERS, st.fixed_dictionaries({
+    "from": _NUMBERS, "to": _NUMBERS, "points": st.integers(1, 50)}))
+
+
+@st.composite
+def _configs(draw):
+    geometry = draw(_GEOMETRIES)
+    config = {"geometry": geometry}
+    if "preset" not in geometry or draw(st.booleans()):
+        config["profile"] = draw(_profiles())
+    sections = {
+        "boundary": st.sampled_from(["clamped-clamped", "clamped-free"]).map(
+            lambda kind: {"kind": kind}),
+        "spectrum": st.fixed_dictionaries({}, optional={
+            "n_max": st.integers(1, 12), "k_max": st.integers(1, 12)}),
+        "galerkin": st.fixed_dictionaries({}, optional={
+            "basis_size": st.integers(1, 40),
+            "quadrature": st.fixed_dictionaries({}, optional={
+                "order": st.integers(1, 64), "rtol": _floats(1e-14, 1.0)})}),
+        "nonlinear": st.fixed_dictionaries({}, optional={
+            "c_y": _floats(0.0, 1.0), "c_eta": st.integers(0, 5),
+            "f1": _NUMBERS, "f2": _NUMBERS,
+            "sigma1": _SIGMAS, "sigma2": _SIGMAS})}
+    for name, strategy in sections.items():
+        if draw(st.booleans()):
+            config[name] = draw(strategy)
+    return config
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_configs())
+def test_config_round_trips_through_its_canonical_form(spec):
+    # every geometry form, every profile kind, scalar and range detunings
+    config = load_config(json.loads(json.dumps(spec)))
+    data = config_to_dict(config)
+    assert load_config(data) == config
+    # the bytes config_sha256 hashes are the ones first written
+    assert json.dumps(data, sort_keys=True) == \
+        json.dumps(reference_config_to_dict(config), sort_keys=True)
