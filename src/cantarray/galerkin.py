@@ -49,11 +49,6 @@ from .quadrature import panel_nodes
 GAMMA_EXCLUSION = 1e-8   # half-width in gamma of the excluded pole window
 _BRENT_RTOL = 4.0 * np.finfo(float).eps   # the smallest brentq accepts
 _BRENT_XTOL = 1e-300     # leaves the relative tolerance in charge
-DOMINANCE_THRESHOLD = 0.9   # least pure-mode participation, averaged loading
-
-
-class BasisTooSmall(UserWarning):
-    """Dominant participation below threshold where a pure mode is expected."""
 
 
 class ForbiddenInterval(NamedTuple):
@@ -352,9 +347,6 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
     follows the beam dispersion.  participation[i] is the unit null-space
     direction of D at alpha[i], length M = basis_size, from one stacked eigh
     over the roots' matrices, signed so that its largest entry is positive.
-    Where every length family is averaged (no tooth positions) a
-    BasisTooSmall warning is emitted if any participation vector is not
-    essentially a coordinate axis (DOMINANCE_THRESHOLD).
     """
     settings = settings or GalerkinSettings()
     basis = beam_modes(bc, settings.basis_size)
@@ -382,8 +374,6 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
                    lambda a: np.linalg.eigvalsh(assemble_all(a.tolist())))
     if not roots:
         return np.empty(0), np.empty(0), np.empty((0, settings.basis_size))
-    cached = cache["families"]   # set by the first assemble; None if tabulated
-    averaged = cached is not None and not any(f.positions for f in cached[0])
     missing = [r for r in dict.fromkeys(roots) if r not in mats]
     if missing:
         assemble_all(missing)
@@ -393,16 +383,11 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
     p = evecs[rows, :, idx]
     p[p[rows, np.argmax(np.abs(p), axis=1)] < 0] *= -1.0
     # max |eig| is the spectral norm of a symmetric D
-    for root, eig, norm, w in zip(roots, size[rows, idx], size.max(axis=1),
-                                  np.abs(p).max(axis=1)):
+    for root, eig, norm in zip(roots, size[rows, idx], size.max(axis=1)):
         if eig > 1e-8 * norm:
             warnings.warn(
                 f"root at alpha={root:.6e} polished to "
                 f"|eig|/||D||={eig/norm:.2e}", stacklevel=2)
-        if averaged and w < DOMINANCE_THRESHOLD:
-            warnings.warn(
-                f"participation {w:.3f} at alpha={root:.6e}; increase "
-                "basis_size", category=BasisTooSmall, stacklevel=2)
     # a scalar ** 2 per root: an array square can differ in the last bit
     omega = [geometry.beam_wave_scale * root ** 2 for root in roots]
     return np.array(roots, dtype=float), np.array(omega), p

@@ -49,10 +49,13 @@ def _is_count(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A finite int or float (not a bool, NaN or an infinity)."""
-    return ((type(value) is float    # JSON's floats, the common case first
-             or isinstance(value, (int, float, np.integer, np.floating))
-             and not isinstance(value, bool)) and math.isfinite(value))
+    """A finite float, or an int within the float range (not a bool)."""
+    try:
+        return ((type(value) is float    # JSON's floats, the common case first
+                 or isinstance(value, (int, float, np.integer, np.floating))
+                 and not isinstance(value, bool)) and math.isfinite(value))
+    except OverflowError:   # math.isfinite of an int too large for a float
+        return False
 
 
 # (test, description) rules for _check
@@ -95,6 +98,8 @@ class DeviceGeometry:
                               if k not in ("count_per_side", "equal_thickness")})
         _check(*_NONNEGATIVE,
                **{"geometry.count_per_side": self.count_per_side})
+        _check(lambda v: isinstance(v, bool), "true or false",
+               **{"geometry.equal_thickness": self.equal_thickness})
         if self.equal_thickness:
             w = self.cantilever_width / self.beam_width
             r = self.cantilever_rigidity / self.beam_rigidity
@@ -117,8 +122,14 @@ class DeviceGeometry:
                               "geometry.beam_width": beam_width,
                               "geometry.cantilever_width": cantilever_width})
 
+        try:
+            cube = thickness ** 3
+        except OverflowError:
+            raise ConfigError("geometry.thickness: its cube must be a finite "
+                              f"float, got {thickness!r}") from None
+
         def rigidity(width):
-            return youngs_modulus * width * thickness ** 3 / 12.0
+            return youngs_modulus * width * cube / 12.0
 
         def lin_density(width):
             return mass_density * width * thickness

@@ -19,14 +19,15 @@ linewidth keeps its coefficients O(1) across the ~40 orders of magnitude
 the physical coefficients span.  A grid of detuning pairs is solved in one
 batch: the eliminants of all points form one array, their real roots come
 from one stacked companion eigensolve, and every root is Newton-polished
-(all at once) and checked before it is reported.
+(all at once) and checked before it is reported.  The fundamental's shift
+is mode 2's single-mode response at the detuning mode 1's peak imposes.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -49,7 +50,7 @@ __all__ = [
 
 
 class SteadyStateWarning(UserWarning):
-    """A steady-state candidate was dropped or a search came up empty."""
+    """A steady-state candidate failed its residual check and was dropped."""
 
 
 # ---------------------------------------------------------------------------
@@ -608,23 +609,19 @@ def shift_of_fundamental(params: EffectiveParams, force1: float | None = None,
     """Collective-mode detuning when both modes are driven at their peaks.
 
     The collective mode is held at its largest response, where its amplitude
-    is drive over damping regardless of the couplings.  The flexing mode's
-    peak condition then closes into a cubic for its squared amplitude,
-    and each admissible root shifts the collective resonance by the cross
-    coupling.  Passing force1/force2 (modal force densities) overrides the
-    drives stored in params.
-
-    Without a second drive the collective mode still detunes itself through
-    its own cubic coefficient; that single root is returned directly.
+    is drive over damping regardless of the couplings.  Each root of mode 2's
+    single-mode response at the cross-shifted detuning -C12 z1 / (4 M2 w2)
+    (ascending) shifts the collective resonance by the cross coupling;
+    without a second drive the collective mode only detunes itself, through
+    its own cubic coefficient.  force1/force2 (modal force densities)
+    override the drives stored in params.
     """
     f1 = params.drive1 if force1 is None else params.drive_per_force * force1
     f2 = params.drive2 if force2 is None else params.drive_per_force * force2
     mu1, mu2 = params.damping1, params.damping2
     if mu1 == 0.0 or mu2 == 0.0:
         raise ConfigError("both modes need nonzero damping at their peaks")
-    w1, w2 = params.omega1, params.omega2
-    m1, m2 = params.mass1, params.mass2
-    c11, c22 = params.self_coupling1, params.self_coupling2
+    w1, m1, c11 = params.omega1, params.mass1, params.self_coupling1
     c12 = params.cross_coupling
     base = (f1 / (mu1 * w1)) ** 2     # collective peak amplitude, squared
 
@@ -634,42 +631,10 @@ def shift_of_fundamental(params: EffectiveParams, force1: float | None = None,
     if f2 == 0.0:
         return [ShiftRoot(amplitude2=0.0, sigma1=sigma_at(0.0), branch="0")]
 
-    k2 = 16.0 * (mu2 * w2) ** 2
-    coeffs = (c22 ** 2, 2.0 * c22 * c12 * base, (c12 * base) ** 2 + k2,
-              -16.0 * f2 ** 2)
-    zmax = (f2 / (mu2 * w2)) ** 2
-    # in units of zmax, so that the coefficients stay O(1)
-    scaled = np.array(coeffs) * zmax ** np.arange(2.0, -2.0, -1.0)
-    roots = _real_roots(scaled[None])[0] * zmax
-    roots = roots[~np.isnan(roots)]
-    admissible = (-1e-9 * zmax <= roots) & (roots <= zmax * (1.0 + 1e-9))
-    if not admissible.any():
-        near = roots[np.argmin(abs(roots - zmax))] if roots.size else None
-        detail = (f"nearest real root {near:.6e} vs admissible max {zmax:.6e}"
-                  if near is not None else "no real roots at all")
-        warnings.warn("no admissible flexing-mode amplitude: " + detail,
-                      SteadyStateWarning, stacklevel=2)
-        return []
-
-    # Far above the fold force the cubic's small root lies below the
-    # companion solve's rounding of the other two; polish each root by the
-    # fixed point z = 16 f2^2 / ((c22 z + c12 base)^2 + k2) wherever that
-    # map contracts (by at least half) at the iterate.
-    z = np.clip(roots[admissible], 0.0, zmax)
-    for _ in range(50):
-        s = c22 * z + c12 * base
-        den = s * s + k2
-        step = np.where(4.0 * abs(c22 * s) * z < den, 16.0 * f2 ** 2 / den, z)
-        if np.array_equal(step, z):
-            break
-        z = step
-
-    out = []
-    for z in np.unique(z).tolist():
-        bracket = (c22 * z + c12 * base) / (4.0 * m2 * w2)
-        tol = 1e-9 * max(abs(bracket), mu2 / m2)
-        branch = "0" if abs(bracket) <= tol else ("+" if bracket < 0.0 else "-")
-        out.append(ShiftRoot(amplitude2=math.sqrt(z), sigma1=sigma_at(z),
-                             branch=branch))
-    return out
+    shifted = np.array([-c12 * base / (4.0 * params.mass2 * params.omega2)])
+    z2 = _single_mode_states(2, shifted, replace(params, drive2=f2))[0]
+    z2 = np.unique(z2[~np.isnan(z2)])
+    branch = _phase_branch(2, z2, base, 0.0, params)[1]   # reads no drive
+    return [ShiftRoot(amplitude2=math.sqrt(z), sigma1=sigma_at(z), branch=b)
+            for z, b in zip(z2.tolist(), branch.tolist())]
 

@@ -96,6 +96,30 @@ def steady_state_count(sigma1, sigma2, p):
     return int(np.count_nonzero(sign[1:] != sign[:-1]))
 
 
+def peak_shift_roots(p):
+    """(z2, branch) at each real root of the flexing mode's peak cubic,
+    ascending, from mpmath.polyroots at 60 digits.
+
+    With mode 1 at its peak, z1 = (F1 / (w1 mu1))^2, and mode 2 at zero
+    detuning, mode 2's condition reads z2 ((C2 z2 + C12 z1)^2
+    + 16 (w2 mu2)^2) = 16 F2^2, solved here in units of z2's largest value
+    (F2 / (w2 mu2))^2.  The branch is '+' where the bracket C2 z2 + C12 z1
+    is negative (the detuning lies above the backbone), '-' otherwise.
+    """
+    with mp.workdps(60):
+        c2, c12 = mp.mpf(p.self_coupling2), mp.mpf(p.cross_coupling)
+        z1 = (mp.mpf(p.drive1) / (mp.mpf(p.omega1) * p.damping1)) ** 2
+        d2 = mp.mpf(p.omega2) * p.damping2
+        top = (p.drive2 / d2) ** 2
+        roots = mp.polyroots([(c2 * top) ** 2, 2 * c2 * c12 * z1 * top,
+                              (c12 * z1) ** 2 + 16 * d2 ** 2, -16 * d2 ** 2],
+                             maxsteps=500, extraprec=400)
+        real = sorted(mp.re(r) * top for r in roots
+                      if abs(mp.im(r)) <= mp.mpf(10) ** -40 * abs(r))
+        return [(float(z), "+" if c2 * z + c12 * z1 < 0 else "-")
+                for z in real]
+
+
 def scalar_alternating_levels(lam1, betas, c1, c2, eps, bands,
                               scan_points=96, iters=110):
     """Scalar reference for the two-family band solve, one bracket at a time.

@@ -1115,13 +1115,23 @@ MALFORMED_CASES = {
     "profile.lengths[1]": ({"geometry": _P, "profile": {
         **FINITE_PROFILES["discrete"], "lengths": [5e-7, True, 5e-7]}},
         "must be a positive finite number, got True"),
+    # numbers a float cannot hold: a 401-digit integer, a cube that overflows
+    "nonlinear.sigma1.from": ({"geometry": _P, "nonlinear": {"sigma1": {
+        "from": 10 ** 400, "to": 1.0, "points": 3}}},
+        f"must be a finite number, got {10 ** 400}"),
+    "geometry.beam_length": ({**_MATERIAL_UNIFORM, "geometry": {
+        **FULL_GEOMETRY, "beam_length": 10 ** 400}},
+        f"must be a positive finite number, got {10 ** 400}"),
+    "geometry.thickness": ({**_MATERIAL_UNIFORM, "geometry": {
+        **MATERIAL_GEOMETRY, "thickness": 1e200}},
+        "its cube must be a finite float, got 1e+200"),
 }
 
 
 @pytest.mark.parametrize("key", sorted(MALFORMED_CASES))
 def test_malformed_config_is_exit_2_naming_its_key(capsys, tmp_path, key):
-    # unknown keys used to be dropped, non-objects raised a traceback and
-    # true loaded as 1.0
+    # unknown keys used to be dropped, non-objects raised a traceback, true
+    # loaded as 1.0 and a number a float cannot hold failed with exit 3
     config, message = MALFORMED_CASES[key]
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(config))

@@ -241,11 +241,22 @@ def test_tabulated_profile_must_span_beam():
         gk.assemble(1e6, GEO, short, basis)
 
 
-def test_low_dominance_warns_for_uniform_loading(monkeypatch):
-    monkeypatch.setattr(gk, "DOMINANCE_THRESHOLD", 1.1)
-    alpha_max = band_edge_gammas(1)[0] / CANT * 0.5
-    with pytest.warns(gk.BasisTooSmall):
-        gk.solve(GEO, PROF, BC, alpha_max, GalerkinSettings(basis_size=4))
+@pytest.mark.parametrize("basis_size", [4, 8, 16, 24])
+def test_averaged_loading_levels_are_exact_beam_modes(basis_size):
+    # uniform and alternating families load the beam with S_f = c_f I, so
+    # D(alpha) is exactly diagonal and eigh returns coordinate axes: every
+    # participation row is one entry 1.0 and exact zeros elsewhere
+    w = GEO.cantilever_width
+    profiles = [PROF, AlternatingProfile(CANT, 0.8 * CANT, w, w, 10, 10),
+                AlternatingProfile(CANT, 0.6 * CANT, w, 0.75 * w, 12, 8),
+                AlternatingProfile(CANT, 0.9 * CANT, w, w, 20, 0)]
+    alpha_max = 0.9999 * band_edge_gammas(2)[1] / CANT
+    for profile in profiles:
+        alphas, _, weights = gk.solve(GEO, profile, BC, alpha_max,
+                                      GalerkinSettings(basis_size=basis_size))
+        assert alphas.size >= 2 * basis_size
+        assert np.all(np.sum(weights == 1.0, axis=1) == 1)
+        assert np.all(np.sum(weights == 0.0, axis=1) == basis_size - 1)
 
 
 def test_clustered_levels_are_counted_and_bracketed():

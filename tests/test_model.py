@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,17 @@ def test_from_material_consistency():
     assert g.cantilever_rigidity / g.beam_rigidity == pytest.approx(0.5)
     assert g.cantilever_linear_density / g.beam_linear_density == pytest.approx(0.5)
     assert g.beam_wave_scale > 0
+
+
+@pytest.mark.parametrize("flag", ["no", 0, []])
+def test_equal_thickness_takes_only_true_or_false(flag):
+    # "no" loaded and, being truthy, asked for the film-ratio check
+    geometry = {**preset_device("jap1-calibrated")[0].to_dict(),
+                "equal_thickness": flag}
+    with pytest.raises(ConfigError, match="^geometry.equal_thickness: must "
+                       f"be true or false, got {re.escape(repr(flag))}$"):
+        load_config({"geometry": geometry,
+                     "profile": {"kind": "uniform", "length": 5e-7}})
 
 
 def test_dimensionless_reduction():

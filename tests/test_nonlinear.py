@@ -13,7 +13,7 @@ from cantarray.model import (BoundaryCondition, ConfigError,
                              NonlinearSettings, UniformProfile,
                              preset_device)
 from cantarray.quadrature import adaptive_quad, cumulative_square_quad
-from oracles import overlap_arrays, steady_state_count
+from oracles import overlap_arrays, peak_shift_roots, steady_state_count
 
 GEOM, PROF, BC = preset_device("jap1-calibrated")
 
@@ -485,6 +485,26 @@ def test_shift_keeps_small_root_far_above_fold(sel, ints, f1, f2, z2):
                                     force2=f2 * ffold)
     assert len(roots) == 1
     assert roots[0].amplitude2 ** 2 == pytest.approx(z2, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("damping, f1, f2", [
+    (1e-6, 1.0, 30.0), (1e-6, 10.0, 3e4), (1e-7, 1.0, 3e4)])
+def test_shift_three_roots_match_mpmath(sel, ints, damping, f1, f2):
+    # forces in units of the fold force at damping 1e-6; with C22's sign
+    # flipped, mode 2's self shift opposes the cross shift C12 z1 and its
+    # peak cubic has three real roots, on both sides of its backbone
+    ffold = fold_force(params_for(sel, ints, 1.0, 0.0))
+    par = params_for(sel, ints, f1 * ffold, f2 * ffold, damping=damping)
+    par = dataclasses.replace(par, self_coupling2=-par.self_coupling2)
+    roots = nl.shift_of_fundamental(par)
+    exact = peak_shift_roots(par)
+    assert len(roots) == len(exact) == 3
+    z1 = (par.drive1 / (par.damping1 * par.omega1)) ** 2
+    for r, (z2, branch) in zip(roots, exact):
+        assert r.amplitude2 ** 2 == pytest.approx(z2, rel=1e-13, abs=0.0)
+        assert r.branch == branch
+        assert nl.steady_residual(z1, r.amplitude2 ** 2, r.sigma1, 0.0,
+                                  par) <= 1e-10
 
 
 def test_shift_requires_damping(sel, ints):
