@@ -6,10 +6,11 @@ the other.  Eigenvalues beta_n solve
     clamped-clamped:  cos(beta) cosh(beta) = +1
     clamped-free:     cos(beta) cosh(beta) = -1
 
-evaluated in the overflow-safe form cos(beta) -/+ sech(beta) = 0.  Mode shapes
-are normalized to unit L2 norm on [0, 1] and evaluated through an
-exponentially-scaled recombination that stays finite and cancellation-safe for
-any mode number.
+evaluated in the overflow-safe form cos(beta) -/+ sech(beta) = 0 by
+kernel.cos_cosh_root, once per root and process; the clamped-free eigenvalues
+are the band edges.  Mode shapes are normalized to unit L2 norm on [0, 1] and
+evaluated through an exponentially-scaled recombination that stays finite and
+cancellation-safe for any mode number.
 """
 from __future__ import annotations
 
@@ -17,12 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernel import band_edge_gammas, cos_cosh_residual, cos_cosh_root
 from .model import BoundaryCondition
-from .numerics import brentq
 from .quadrature import fixed_quad
-
-ROOT_XTOL = 1e-15
-ROOT_RTOL = 4 * np.finfo(float).eps
 
 
 def secular_residual(beta, bc: BoundaryCondition):
@@ -30,32 +28,21 @@ def secular_residual(beta, bc: BoundaryCondition):
 
     Zero exactly at the eigenvalues; safe for arbitrarily large beta.
     """
-    beta = np.asarray(beta, dtype=float)
-    s = 1.0 if bc is BoundaryCondition.CLAMPED_CLAMPED else -1.0
-    with np.errstate(over="ignore"):   # cosh = inf past 710, and s/inf = 0
-        return np.cos(beta) - s / np.cosh(beta)
+    return cos_cosh_residual(
+        beta, -1.0 if bc is BoundaryCondition.CLAMPED_CLAMPED else 1.0)
 
 
 def beam_roots(bc: BoundaryCondition, n_max: int) -> np.ndarray:
     """First n_max eigenvalues, ascending.
 
     Roots approach (n + 1/2)*pi for clamped-clamped and (n - 1/2)*pi for
-    clamped-free; each lies in a bracket of width pi containing exactly one
-    sign change of the secular residual.
+    clamped-free, where they are the band edges.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    roots = np.empty(n_max)
-    # bracket offset: cc root n sits in (n*pi, (n+1)*pi), cf in ((n-1)*pi, n*pi)
-    shift = 1 if bc is BoundaryCondition.CLAMPED_CLAMPED else 0
-    f = lambda b: float(secular_residual(b, bc))
-    for n in range(1, n_max + 1):
-        lo = (n - 1 + shift) * np.pi
-        hi = (n + shift) * np.pi
-        if lo == 0.0:
-            lo = 1e-3  # skip the trivial root at beta = 0
-        roots[n - 1] = brentq(f, lo, hi, xtol=ROOT_XTOL, rtol=ROOT_RTOL)
-    return roots
+    if bc is BoundaryCondition.CLAMPED_FREE:
+        return band_edge_gammas(n_max)
+    return np.array([cos_cosh_root(n + 1, -1.0) for n in range(1, n_max + 1)])
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Every run reads one JSON config (or a named preset), dispatches to the
 library, and emits a single CSV or JSON table plus a manifest sidecar that
-records the tool version, a hash of the effective config, wall time and
-every warning raised along the way.  A table is a set of named columns, each
+records the tool version, a hash of the effective config (override flags
+included), wall time and every warning raised along the way.  A table is a set of named columns, each
 a numpy array of one type; floats are printed with 17 significant digits
 (a float column made of runs of equal cells, like a swept value, is
 formatted once per run) and output files are written atomically (temp
@@ -32,9 +32,10 @@ import numpy as np
 from . import __version__
 from .beam import beam_modes
 from .kernel import (CantileverShape, PoleProximityError, band_edge_gammas,
-                     shear_kernel)
+                     band_edges_reaching, shear_kernel)
 from .model import (AlternatingProfile, BoundaryCondition, Config, ConfigError,
-                    SweepRange, UniformProfile, config_to_dict, load_config)
+                    SpectrumSettings, SweepRange, UniformProfile,
+                    config_to_dict, load_config)
 from .quadrature import QuadratureError
 
 # spectrum.BlowUpError is an ArithmeticError, so the tuple covers it
@@ -150,6 +151,13 @@ def _emit(args, table, config, caught, t0, payload=None) -> None:
               file=sys.stderr)
 
 
+def _flagged(settings, args):
+    """settings with each field that a given flag of its name overrides."""
+    return replace(settings, **{name: getattr(args, name) for name in
+                                vars(settings)
+                                if getattr(args, name, None) is not None})
+
+
 def _load(args) -> Config | None:
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
@@ -160,7 +168,9 @@ def _load(args) -> Config | None:
         # provenance travels with every artifact built on fitted constants
         warnings.warn(f"preset {config.preset_name!r}: section constants are "
                       "a calibrated reconstruction, not measured dimensions")
-    return config
+    # the flags join the settings (and their checks), so the hash covers them
+    return replace(config, **{name: _flagged(getattr(config, name), args)
+                              for name in ("spectrum", "galerkin", "nonlinear")})
 
 
 def _require_config(args) -> Config:
@@ -197,12 +207,11 @@ def _level_rows(gammas: np.ndarray, scale: np.ndarray):
 def _cmd_modes(args, caught, t0):
     config = _load(args)
     if config is not None:
-        bc = config.boundary
-        n_max = args.n_max or config.spectrum.n_max
+        bc, settings = config.boundary, config.spectrum
     else:
         bc = BoundaryCondition.from_name(args.bc)
-        n_max = args.n_max or 4
-    modes = beam_modes(bc, n_max)
+        settings = _flagged(SpectrumSettings(), args)
+    modes = beam_modes(bc, settings.n_max)
     if args.samples:
         u = np.linspace(0.0, 1.0, args.samples)
         table = {"u": u, **{f"phi_{m.n}": m(u) for m in modes}}
@@ -224,7 +233,7 @@ def _cmd_kernel(args, caught, t0):
               caught, t0)
         return
     gmax = args.gamma_max
-    edges = band_edge_gammas(int(gmax / math.pi) + 2)
+    edges = band_edges_reaching(gmax)
     poles = edges[edges < gmax]
     grid = np.linspace(0.0, gmax, args.points)
     keep = np.all(np.abs(grid[:, None] - poles) > 1e-9 * np.maximum(poles, 1.0),
@@ -245,9 +254,8 @@ def _cmd_spectrum(args, caught, t0):
                         {UniformProfile: spectrum.solve_uniform,
                          AlternatingProfile: spectrum.solve_alternating})
     gammas, edges, scale = solve(config.geometry, config.profile,
-                                 config.boundary,
-                                 args.n_max or config.spectrum.n_max,
-                                 args.k_max or config.spectrum.k_max)
+                                 config.boundary, config.spectrum.n_max,
+                                 config.spectrum.k_max)
     _, n, k, gamma, omega = _level_rows(gammas[None], np.array([scale]))
     # the averaged model holds for n below the pairs per side
     pairs = (config.profile.count1 + config.profile.count2
@@ -272,8 +280,6 @@ def _cmd_spectrum(args, caught, t0):
 def _cmd_sweep(args, caught, t0):
     from . import spectrum
     config = _require_config(args)
-    n_max = args.n_max or config.spectrum.n_max
-    k_max = args.k_max or config.spectrum.k_max
     command = f"sweep {args.param}"
     try:
         values = SweepRange(args.sweep_from, args.sweep_to,
@@ -289,7 +295,8 @@ def _cmd_sweep(args, caught, t0):
                             {UniformProfile: spectrum.sweep_uniform})
         parameter = (args.param,)
     points = list(sweep(config.geometry, config.profile, config.boundary,
-                        *parameter, values, n_max, k_max))
+                        *parameter, values, config.spectrum.n_max,
+                        config.spectrum.k_max))
     value, gammas, scale = map(np.array, zip(*points))
     p, n, k, gamma, omega = _level_rows(gammas, scale)
     table = {"param": np.full(p.size, args.param), "value": value[p],
@@ -300,9 +307,6 @@ def _cmd_sweep(args, caught, t0):
 def _cmd_galerkin(args, caught, t0):
     from . import galerkin
     config = _require_config(args)
-    settings = config.galerkin
-    if args.basis_size:
-        settings = replace(settings, basis_size=args.basis_size)
     profile = config.profile
     alpha_max = args.alpha_max
     if not alpha_max:
@@ -310,7 +314,7 @@ def _cmd_galerkin(args, caught, t0):
         longest = galerkin.length_spans(profile)[-1][1]
         alpha_max = band_edge_gammas(config.spectrum.k_max)[-1] / longest
     alpha, omega, weights = galerkin.solve(
-        config.geometry, profile, config.boundary, alpha_max, settings)
+        config.geometry, profile, config.boundary, alpha_max, config.galerkin)
     table = {"alpha": alpha, "omega_rad_s": omega,
              "dominant_n": np.argmax(np.abs(weights), axis=1) + 1,
              **{f"participation_{i}": w
@@ -323,9 +327,7 @@ def _cmd_nonlinear(args, caught, t0):
     config = _require_config(args)
     select_modes = _by_profile(config, f"nonlinear {args.what}",
                                {UniformProfile: nonlinear.select_modes})
-    forces = {"force1": args.f1, "force2": args.f2}
-    ns = replace(config.nonlinear,
-                 **{key: f for key, f in forces.items() if f is not None})
+    ns = config.nonlinear
     overlap_rtol = 1e-9
     selection = select_modes(config.geometry, config.profile, config.boundary)
     integrals = nonlinear.overlap_integrals(selection, rtol=overlap_rtol)
@@ -450,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nonlinear", help="two-mode coupling outputs")
     p.add_argument("what", choices=("coeffs", "response"))
     _add_io_flags(p)
-    p.add_argument("--f1", type=float, help="override modal force density 1")
-    p.add_argument("--f2", type=float, help="override modal force density 2")
+    for j in (1, 2):
+        p.add_argument(f"--f{j}", dest=f"force{j}", type=float,
+                       help=f"override modal force density {j}")
     p.set_defaults(run=_cmd_nonlinear)
     return parser
 

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .beam import BeamMode, beam_modes
-from .kernel import PoleProximityError, band_edge_gammas, shear_kernel
+from .kernel import PoleProximityError, band_edges_reaching, shear_kernel
 from .model import (AlternatingProfile, BoundaryCondition, ConfigError,
                     DeviceGeometry, DiscreteProfile, GalerkinSettings, Profile,
                     TabulatedProfile, UniformProfile)
@@ -134,9 +134,8 @@ def forbidden_alpha_intervals(profile: Profile,
     """
     spans = length_spans(profile)
     g_max = alpha_max * spans[-1][1]
-    k_max = max(1, int(g_max / np.pi) + 2)
     raw = []
-    for k, edge in enumerate(band_edge_gammas(k_max), start=1):
+    for k, edge in enumerate(band_edges_reaching(g_max), start=1):
         for l_lo, l_hi in spans:
             lo = (edge - GAMMA_EXCLUSION) / l_hi
             hi = (edge + GAMMA_EXCLUSION) / l_lo
@@ -225,7 +224,7 @@ def assemble(alpha, geometry: DeviceGeometry, profile: Profile,
         raise ConfigError("profile.x must span the beam: first sample at "
                           "0, last at beam_length")
     g_lo, g_hi = alphas * min(profile.length), alphas * max(profile.length)
-    edges = band_edge_gammas(int(np.max(g_hi) / np.pi) + 2)
+    edges = band_edges_reaching(np.max(g_hi))
     inside = (g_lo[:, None] < edges) & (edges < g_hi[:, None])
     if inside.any():
         i, k = np.argwhere(inside)[0]

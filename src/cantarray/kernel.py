@@ -15,6 +15,9 @@ All coefficient formulas are evaluated in a cosh-scaled form (divide through
 by cosh(gamma)) so they stay finite for arbitrarily large gamma.  T has simple
 poles at the clamped-free beam resonances gamma_k, the band edges; calls
 within POLE_TOL of a pole raise PoleProximityError.
+
+Band edges are the clamped-free beam eigenvalues, roots of cos cosh = -1
+(clamped-clamped: +1); cos_cosh_root solves both once per root and process.
 """
 from __future__ import annotations
 
@@ -40,18 +43,20 @@ class PoleProximityError(ValueError):
             f"{where} = {gamma!r} lies within {POLE_TOL} of band edge k={k}")
 
 
-def _edge_residual(gamma):
-    """cos(gamma) + sech(gamma); zero at the band edges, overflow-safe."""
+def cos_cosh_residual(gamma, s: float = 1.0):
+    """cos(gamma) + s*sech(gamma), overflow-safe; zero where cos(gamma)
+    cosh(gamma) = -s (s = +1: band edges, s = -1: clamped-clamped)."""
     gamma = np.asarray(gamma, dtype=float)
-    with np.errstate(over="ignore"):   # cosh = inf past 710, and 1/inf = 0
-        return np.cos(gamma) + 1.0 / np.cosh(gamma)
+    with np.errstate(over="ignore"):   # cosh = inf past 710, and s/inf = 0
+        return np.cos(gamma) + s / np.cosh(gamma)
 
 
 @lru_cache(maxsize=None)
-def _band_edge(k: int) -> float:
-    """Root k of 1 + cos(gamma) cosh(gamma) = 0, solved once per k."""
+def cos_cosh_root(k: int, s: float = 1.0) -> float:
+    """Root k of cos(gamma) + s*sech(gamma) in ((k-1) pi, k pi), solved once
+    per (k, s); for s = -1, k = 1 holds only the trivial root 0."""
     lo = (k - 1) * np.pi if k > 1 else 1e-6
-    return brentq(lambda g: float(_edge_residual(g)), lo, k * np.pi,
+    return brentq(lambda g: float(cos_cosh_residual(g, s)), lo, k * np.pi,
                   xtol=_ROOT_XTOL)
 
 
@@ -63,13 +68,18 @@ def band_edge_gammas(k_max: int) -> np.ndarray:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return np.array([_band_edge(k) for k in range(1, k_max + 1)])
+    return np.array([cos_cosh_root(k) for k in range(1, k_max + 1)])
+
+
+def band_edges_reaching(gamma: float) -> np.ndarray:
+    """The band edges that reach gamma >= 0: every edge <= gamma and at
+    least the first one above it (edge k lies in ((k-1) pi, k pi))."""
+    return band_edge_gammas(int(gamma / np.pi) + 2)
 
 
 def nearest_band_edge(gamma: float) -> tuple[int, float]:
     """(k, gamma_k) of the band edge closest to gamma."""
-    k_hi = max(1, int(np.ceil(gamma / np.pi - 0.5)) + 1)
-    edges = band_edge_gammas(k_hi + 1)
+    edges = band_edges_reaching(gamma)
     k = int(np.argmin(np.abs(edges - gamma)))
     return k + 1, float(edges[k])
 
@@ -84,14 +94,14 @@ def check_pole_distance(gamma, where: str = "gamma") -> None:
     if finite.size == 0:
         return
     lo, hi = np.min(finite), np.max(finite)
-    edges = band_edge_gammas(max(1, int(np.ceil(hi / np.pi - 0.5)) + 1) + 1)
+    edges = band_edges_reaching(hi)
     # rounding is monotone: only edges within POLE_TOL of [lo, hi] can be hit
     near = edges[(edges - hi < POLE_TOL) & (lo - edges < POLE_TOL)]
     hit = (np.abs(finite[:, None] - near) < POLE_TOL).any(axis=1)  # (N, few)
     if hit.any():
         i = int(np.argmax(hit))
-        k = int(np.argmin(np.abs(finite[i] - edges))) + 1
-        raise PoleProximityError(float(finite[i]), k, where)
+        raise PoleProximityError(float(finite[i]),
+                                 nearest_band_edge(finite[i])[0], where)
 
 
 class CantileverCoeffs(NamedTuple):

@@ -134,17 +134,17 @@ class DeviceGeometry:
         def lin_density(width):
             return mass_density * width * thickness
 
-        return cls(
-            beam_length=beam_length,
-            beam_width=beam_width,
-            beam_rigidity=rigidity(beam_width),
-            beam_linear_density=lin_density(beam_width),
-            cantilever_width=cantilever_width,
-            cantilever_rigidity=rigidity(cantilever_width),
-            cantilever_linear_density=lin_density(cantilever_width),
-            count_per_side=count_per_side,
-            equal_thickness=True,
-        )
+        derived = {"beam_rigidity": rigidity(beam_width),
+                   "beam_linear_density": lin_density(beam_width),
+                   "cantilever_rigidity": rigidity(cantilever_width),
+                   "cantilever_linear_density": lin_density(cantilever_width)}
+        # products of valid film constants can still underflow or overflow
+        _check(*_POSITIVE, **{f"geometry.thickness, via {name}": value
+                              for name, value in derived.items()})
+        return cls(beam_length=beam_length, beam_width=beam_width,
+                   cantilever_width=cantilever_width,
+                   count_per_side=count_per_side, equal_thickness=True,
+                   **derived)
 
     @property
     def beam_wave_scale(self) -> float:

@@ -281,6 +281,7 @@ class EffectiveParams:
         return (self.drive1, self.drive2)[j - 1]
 
 
+@np.errstate(all="ignore")   # a coefficient past the float range raises below
 def effective_params(selection: TwoModeSelection, integrals: OverlapIntegrals,
                      geometry: DeviceGeometry,
                      settings: NonlinearSettings) -> EffectiveParams:
@@ -330,7 +331,7 @@ def effective_params(selection: TwoModeSelection, integrals: OverlapIntegrals,
              + n2 * bb.shape_quartic * cross_cant / ell ** 2)
 
     drive_per_force = 0.5 * L * bb.mean_shape
-    return EffectiveParams(
+    params = EffectiveParams(
         omega1=w1, omega2=w2,
         mass1=modal_mass(0), mass2=modal_mass(1),
         damping1=modal_damping(0), damping2=modal_damping(1),
@@ -339,6 +340,11 @@ def effective_params(selection: TwoModeSelection, integrals: OverlapIntegrals,
         drive1=drive_per_force * settings.force1,
         drive2=drive_per_force * settings.force2,
         drive_per_force=drive_per_force)
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise FloatingPointError(f"two-mode coefficient {name} is "
+                                     f"{value}: past the float range")
+    return params
 
 
 # ---------------------------------------------------------------------------

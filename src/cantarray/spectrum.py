@@ -50,7 +50,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .beam import beam_roots
-from .kernel import band_edge_gammas, check_pole_distance, shear_kernel
+from .kernel import (band_edge_gammas, band_edges_reaching,
+                     check_pole_distance, shear_kernel)
 from .model import (AlternatingProfile, BoundaryCondition, ConfigError,
                     DeviceGeometry, DimensionlessParams, UniformProfile,
                     dimensionless)
@@ -326,12 +327,6 @@ def gamma_to_omega(gamma: float, geometry: DeviceGeometry,
     return geometry.cantilever_wave_scale * (gamma / cantilever_length) ** 2
 
 
-def omega_to_gamma(omega: float, geometry: DeviceGeometry,
-                   cantilever_length: float) -> float:
-    """Exact inverse of gamma_to_omega (cantilever dispersion)."""
-    return cantilever_length * (omega / geometry.cantilever_wave_scale) ** 0.5
-
-
 def delta_asymptotic(n: int, k: int, params: DimensionlessParams,
                      beta: float, resonance_rtol: float = 1e-9) -> tuple[float, int]:
     """First-order offset of the near-edge root from band edge k.
@@ -445,7 +440,7 @@ def _pole_groups(eps, gamma_max, families=(1, 2)):
     group before it joins that group.  Returns (first, last, family) of the
     groups, each (P, G), family 0 for a merged one, and each row's group
     count; a row's entries past its count are padding."""
-    edges = band_edge_gammas(int(gamma_max.max() / np.pi) + 2)
+    edges = band_edges_reaching(gamma_max.max())
     poles = np.concatenate(
         [edges / np.where(fam == 1, 1.0, eps)[:, None] for fam in families]
         + [np.full((eps.size, 1), np.inf)], axis=1)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
+
 from cantarray.beam import beam_modes, beam_roots, secular_residual
+from cantarray.kernel import band_edge_gammas
 from cantarray.model import BoundaryCondition
 from cantarray.quadrature import fixed_quad
 
@@ -25,6 +28,21 @@ def test_roots_approach_asymptotes():
     assert abs(r[29] - 30.5 * np.pi) < 1e-12
     r = beam_roots(CF, 30)
     assert abs(r[29] - 29.5 * np.pi) < 1e-12
+
+
+def test_clamped_free_roots_are_the_band_edges():
+    for n in range(1, 201):
+        assert beam_roots(CF, n).tobytes() == band_edge_gammas(n).tobytes()
+
+
+def test_clamped_clamped_roots_equal_a_fresh_solve_per_n():
+    # bit for bit: root n of cos - sech in (n pi, (n+1) pi), as solved
+    # before the kernel's root table held it
+    fresh = np.array([
+        brentq(lambda b: float(np.cos(b) - 1.0 / np.cosh(b)), n * np.pi,
+               (n + 1) * np.pi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        for n in range(1, 61)])
+    assert beam_roots(CC, 60).tobytes() == fresh.tobytes()
 
 
 def test_secular_residual_zero_at_roots_only():

@@ -113,9 +113,31 @@ def test_spectrum_csv_schema_and_normalization(capsys):
     assert float(first["gamma"]) == pytest.approx(0.18760324063691297,
                                                   rel=1e-12)
     m = stdout_manifest(err)
-    # re-recorded when the config's "output" section was removed
-    assert m["config_sha256"] == ("f54346e837b5f04e0e55656bd8d796adea"
-                                  "381d61e08ab40f03db1a81aa802b76")
+    # re-recorded when the override flags joined the hashed config: this is
+    # the hash of the preset with spectrum n_max = k_max = 2
+    assert m["config_sha256"] == ("f6a16ac81ff120f917b5df3377aeedc8cf24df"
+                                  "ee148b7786759452a4eae25d87")
+
+
+@pytest.mark.parametrize("argv, flag, same, other", [
+    (["galerkin", "--alpha-max", "3e6"], "--basis-size", "8", "4"),
+    (["spectrum"], "--n-max", "4", "2"),
+    (["sweep", "--param", "nu", "--from", "0", "--to", "1", "--points", "2"],
+     "--k-max", "4", "3"),
+    (["nonlinear", "coeffs"], "--f1", "0", "1e-9"),
+    (["nonlinear", "coeffs"], "--f2", "0.0", "-2.5"),
+], ids=["galerkin-basis-size", "spectrum-n-max", "sweep-k-max", "coeffs-f1",
+        "coeffs-f2"])
+def test_manifest_hash_covers_the_override_flags(capsys, argv, flag, same,
+                                                 other):
+    # the flags reached the solver but not the hashed config: --basis-size 4
+    # and 8 wrote 4 and 8 rows under one hash
+    hashes = []
+    for extra in ([], [flag, same], [flag, other]):
+        code, _, err = run(capsys, *argv, "--preset", PRESET, *extra)
+        assert code == 0
+        hashes.append(stdout_manifest(err)["config_sha256"])
+    assert hashes[0] == hashes[1] != hashes[2]
 
 
 def test_spectrum_json_format(capsys):
@@ -1125,7 +1147,31 @@ MALFORMED_CASES = {
     "geometry.thickness": ({**_MATERIAL_UNIFORM, "geometry": {
         **MATERIAL_GEOMETRY, "thickness": 1e200}},
         "its cube must be a finite float, got 1e+200"),
+    # a film whose section constants underflow names the film key it wrote
+    "geometry.thickness, via beam_rigidity": ({**_MATERIAL_UNIFORM,
+        "geometry": {**MATERIAL_GEOMETRY, "thickness": 1e-200}},
+        "must be a positive finite number, got 0.0"),
 }
+
+
+@pytest.mark.parametrize("nonlinear", [
+    {}, {"c_y": 1e-6, "c_eta": 1e-6, "f1": 1.0, "f2": 1.0}],
+    ids=["undriven", "driven"])
+@pytest.mark.parametrize("what", ["coeffs", "response"])
+def test_coefficients_past_the_float_range_are_a_solver_error(
+        capsys, tmp_path, what, nonlinear):
+    # coeffs wrote NaN (not JSON), response wrote 0 rows or failed in a
+    # linear solve, each with numpy overflow warnings in the manifest
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**_MATERIAL_UNIFORM, "nonlinear": nonlinear,
+                             "geometry": {**MATERIAL_GEOMETRY,
+                                          "youngs_modulus": 1e300,
+                                          "thickness": 100}}))
+    code, out, err = run(capsys, "nonlinear", what, "--config", str(p),
+                         "--format", "json")
+    assert code == 3 and out == ""
+    assert err == ("solver error: two-mode coefficient self_coupling1 is "
+                   "nan: past the float range\n")
 
 
 @pytest.mark.parametrize("key", sorted(MALFORMED_CASES))

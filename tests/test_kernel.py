@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from cantarray import kernel
 from cantarray.beam import beam_roots
 from cantarray.kernel import (POLE_TOL, CantileverShape, PoleProximityError,
-                              band_edge_gammas, check_pole_distance, coeffs,
+                              band_edge_gammas, band_edges_reaching,
+                              check_pole_distance, coeffs, nearest_band_edge,
                               shear_kernel)
 from cantarray.model import BoundaryCondition
 from cantarray.quadrature import adaptive_quad
@@ -31,6 +33,46 @@ def test_band_edges_equal_a_fresh_solve_per_k():
     assert np.array_equal(first, fresh)
     first[:] = 0.0  # callers own the returned array
     assert np.array_equal(band_edge_gammas(60), fresh)
+
+
+def test_root_table_solves_each_root_once_per_process(monkeypatch):
+    real, calls = kernel.brentq, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    def solve():
+        return (beam_roots(BoundaryCondition.CLAMPED_CLAMPED, 12),
+                band_edge_gammas(12))
+
+    monkeypatch.setattr(kernel, "brentq", counted)
+    kernel.cos_cosh_root.cache_clear()
+    first = solve()
+    assert len(calls) == 24   # 12 clamped-clamped roots and 12 band edges
+    calls.clear()
+    again = solve()
+    assert calls == []
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+
+
+_ALL_EDGES = band_edge_gammas(int(1e3 / np.pi) + 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1e3))
+def test_edges_reaching_gamma_cover_it(gamma):
+    edges = band_edges_reaching(gamma)
+    assert np.array_equal(edges[edges <= gamma],
+                          _ALL_EDGES[_ALL_EDGES <= gamma])
+    assert edges[-1] > gamma
+
+
+def test_pole_error_names_the_nearest_edge():
+    for k, edge in enumerate(band_edge_gammas(12), start=1):
+        with pytest.raises(PoleProximityError) as err:
+            check_pole_distance([0.5 * edge, edge])
+        assert err.value.k == nearest_band_edge(edge)[0] == k
 
 
 _EDGES = band_edge_gammas(40)

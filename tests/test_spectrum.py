@@ -97,14 +97,6 @@ def test_crossing_point_is_loading_independent():
     assert omega_star == pytest.approx(bare, rel=1e-15)
 
 
-def test_gamma_omega_round_trip():
-    geometry, profile, _ = preset_device("jap1-calibrated")
-    for g in (0.1, 1.0, 3.7, 11.0):
-        w = sp.gamma_to_omega(g, geometry, profile.length)
-        assert sp.omega_to_gamma(w, geometry, profile.length) == \
-            pytest.approx(g, rel=1e-12)
-
-
 def test_solve_uniform_levels_and_validity():
     # the validity flag (n below the pairs per side) is the CLI's; see
     # test_cli.test_spectrum_marks_levels_past_the_pair_count_invalid
