@@ -14,22 +14,13 @@ cancellation-safe for any mode number.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import band_edge_gammas, cos_cosh_residual, cos_cosh_root
+from .kernel import band_edge_gammas, cos_cosh_root
 from .model import BoundaryCondition
 from .quadrature import fixed_quad
-
-
-def secular_residual(beta, bc: BoundaryCondition):
-    """cos(beta) - s*sech(beta) with s = +1 (clamped-clamped), -1 (clamped-free).
-
-    Zero exactly at the eigenvalues; safe for arbitrarily large beta.
-    """
-    return cos_cosh_residual(
-        beta, -1.0 if bc is BoundaryCondition.CLAMPED_CLAMPED else 1.0)
 
 
 def beam_roots(bc: BoundaryCondition, n_max: int) -> np.ndarray:
@@ -45,9 +36,8 @@ def beam_roots(bc: BoundaryCondition, n_max: int) -> np.ndarray:
     return np.array([cos_cosh_root(n + 1, -1.0) for n in range(1, n_max + 1)])
 
 
-@dataclass(frozen=True)
-class BeamMode:
-    """One orthonormal beam mode.
+class BeamMode(NamedTuple):
+    """One orthonormal beam mode; norm is the L2 norm of its raw shape.
 
     The overall sign is fixed so that the curvature at the clamped end is
     negative, phi_n''(0) < 0.  For the clamped-clamped fundamental this makes
@@ -58,13 +48,13 @@ class BeamMode:
     n: int
     beta: float
     bc: BoundaryCondition
-    _norm: float = field(default=1.0, compare=False)
+    norm: float = 1.0
 
     def __call__(self, u, derivative: int = 0):
         """phi_n and its first two u-derivatives on [0, 1]."""
         if derivative not in (0, 1, 2):
             raise ValueError("derivative order must be 0, 1 or 2")
-        return self._raw(u, derivative) / self._norm
+        return self._raw(u, derivative) / self.norm
 
     def _raw(self, u, derivative: int):
         # Scaled representation: with E = exp(-beta), eps = -1 (cc) / +1 (cf),
@@ -104,10 +94,9 @@ def beam_modes(bc: BoundaryCondition, n_max: int) -> list[BeamMode]:
     betas = beam_roots(bc, n_max)
     modes = []
     for n, beta in enumerate(betas, start=1):
-        mode = BeamMode(n=n, beta=float(beta), bc=bc)
+        raw = BeamMode(n=n, beta=float(beta), bc=bc)
         panels = max(8, n + 2)
-        norm2 = fixed_quad(lambda u: mode._raw(u, 0) ** 2, 0.0, 1.0, panels=panels)
-        object.__setattr__(mode, "_norm", float(np.sqrt(norm2)))
-        modes.append(mode)
+        norm2 = fixed_quad(lambda u: raw._raw(u, 0) ** 2, 0.0, 1.0, panels=panels)
+        modes.append(raw._replace(norm=float(np.sqrt(norm2))))
     return modes
 

@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 configuration problem, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -169,7 +170,7 @@ def _load(args) -> Config | None:
         warnings.warn(f"preset {config.preset_name!r}: section constants are "
                       "a calibrated reconstruction, not measured dimensions")
     # the flags join the settings (and their checks), so the hash covers them
-    return replace(config, **{name: _flagged(getattr(config, name), args)
+    return config._replace(**{name: _flagged(getattr(config, name), args)
                               for name in ("spectrum", "galerkin", "nonlinear")})
 
 
@@ -233,8 +234,7 @@ def _cmd_kernel(args, caught, t0):
               caught, t0)
         return
     gmax = args.gamma_max
-    edges = band_edges_reaching(gmax)
-    poles = edges[edges < gmax]
+    poles = band_edges_reaching(gmax)   # an edge at or just past gmax too
     grid = np.linspace(0.0, gmax, args.points)
     keep = np.all(np.abs(grid[:, None] - poles) > 1e-9 * np.maximum(poles, 1.0),
                   axis=1)
@@ -349,13 +349,13 @@ def _cmd_nonlinear(args, caught, t0):
             "selection": {units.get(name, name): getattr(selection, name)
                           for name in ("beta", "lam", "nu", "gamma1", "gamma2",
                                        "omega1", "omega2")},
-            "beam_integrals": asdict(integrals.beam),
+            "beam_integrals": integrals.beam._asdict(),
             "cantilever_integrals": {
                 name: getattr(integrals, name).tolist()
                 for name in ("mass_overlap", "damping_overlap",
                              "stretch_overlap", "curvature_overlap")},
             "effective_params": {units.get(name, name): value
-                                 for name, value in asdict(params).items()},
+                                 for name, value in params._asdict().items()},
         }
         _emit(args, {}, config, caught, t0, payload=payload)
         return
@@ -400,6 +400,7 @@ def _add_io_flags(p, config_flags=True):
     p.add_argument("--format", choices=("csv", "json"))
 
 
+@functools.cache   # once per process, on the first main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cantarray",

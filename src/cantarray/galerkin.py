@@ -381,8 +381,11 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
     idx = np.argmin(size, axis=1)
     p = evecs[rows, :, idx]
     p[p[rows, np.argmax(np.abs(p), axis=1)] < 0] *= -1.0
-    # max |eig| is the spectral norm of a symmetric D
-    for root, eig, norm in zip(roots, size[rows, idx], size.max(axis=1)):
+    # max |eig| is the spectral norm of a symmetric D; the bare terms beta_M^4
+    # and (alpha L)^4 scale it where one mode's |eig| is the crossing itself
+    norms = np.maximum(size.max(axis=1), np.maximum(
+        basis[-1].beta ** 4, (np.array(roots) * geometry.beam_length) ** 4))
+    for root, eig, norm in zip(roots, size[rows, idx], norms):
         if eig > 1e-8 * norm:
             warnings.warn(
                 f"root at alpha={root:.6e} polished to "

@@ -22,7 +22,6 @@ Band edges are the clamped-free beam eigenvalues, roots of cos cosh = -1
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -104,14 +103,6 @@ def check_pole_distance(gamma, where: str = "gamma") -> None:
                                  nearest_band_edge(finite[i])[0], where)
 
 
-class CantileverCoeffs(NamedTuple):
-    gamma: float
-    a1_plus: float
-    a1_minus: float
-    a2_plus: float
-    a2_minus: float
-
-
 def _scaled_parts(gamma):
     """cos, sin, tanh, sech of gamma plus the cosh-scaled resonance denominator
     d = sech(gamma) + cos(gamma)  [= (1 + cos cosh)/cosh]."""
@@ -121,18 +112,6 @@ def _scaled_parts(gamma):
     with np.errstate(over="ignore"):   # cosh = inf past 710, and 1/inf = 0
         sech = 1.0 / np.cosh(gamma)
     return c, s, th, sech, sech + c
-
-
-def coeffs(gamma: float) -> CantileverCoeffs:
-    """Response coefficients at one gamma; A1+ + A1- = 1, A2+ = -A2-."""
-    check_pole_distance(gamma)
-    c, s, th, sech, d = _scaled_parts(gamma)
-    a1p = (d - s * th) / (2.0 * d)
-    a1m = (d + s * th) / (2.0 * d)
-    a2p = (c * th + s) / (2.0 * d)
-    return CantileverCoeffs(gamma=float(gamma), a1_plus=float(a1p),
-                            a1_minus=float(a1m), a2_plus=float(a2p),
-                            a2_minus=float(-a2p))
 
 
 def shear_kernel(gamma):
@@ -159,11 +138,12 @@ class CantileverShape:
         check_pole_distance(gamma)
         self.gamma = float(gamma)
         if self.gamma == 0.0:
-            self._coeffs = None
             return
-        self._coeffs = coeffs(self.gamma)
+        c, s, th, _, d = _scaled_parts(self.gamma)
+        # trig amplitudes A1+ and A2+ (A1- = 1 - A1+, A2- = -A2+)
+        self._a1p = float((d - s * th) / (2.0 * d))
+        self._a2p = float((c * th + s) / (2.0 * d))
         g = self.gamma
-        c = np.cos(g)
         # e^{-gamma} * 2(1 + cos cosh), denominator of the hyperbolic part
         self._dhat = 2.0 * np.exp(-g) + c * (1.0 + np.exp(-2.0 * g))
 
@@ -173,10 +153,10 @@ class CantileverShape:
         v = np.asarray(v, dtype=float)
         if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
             raise ValueError("v must lie in [0, 1]")
-        if self._coeffs is None:  # gamma == 0: cantilever rides rigidly
+        if self.gamma == 0.0:  # the cantilever rides rigidly
             return np.zeros_like(v)
         g = self.gamma
-        a1p, a2p = self._coeffs.a1_plus, self._coeffs.a2_plus
+        a1p, a2p = self._a1p, self._a2p
         cg, sg = np.cos(g), np.sin(g)
         # hyperbolic part numerator, scaled by e^{-gamma}:
         #   P(v) = cosh(g v) + cos(g) cosh(g(1-v)) + sin(g) sinh(g(1-v))

@@ -19,8 +19,9 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -408,14 +409,13 @@ _MATERIAL = ("youngs_modulus", "mass_density", "thickness", "beam_length",
              "beam_width", "cantilever_width", "count_per_side")
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     geometry: DeviceGeometry
     boundary: BoundaryCondition
     profile: Profile
-    spectrum: SpectrumSettings = field(default_factory=SpectrumSettings)
-    galerkin: GalerkinSettings = field(default_factory=GalerkinSettings)
-    nonlinear: NonlinearSettings = field(default_factory=NonlinearSettings)
+    spectrum: SpectrumSettings = SpectrumSettings()
+    galerkin: GalerkinSettings = GalerkinSettings()
+    nonlinear: NonlinearSettings = NonlinearSettings()
     preset_name: str | None = None
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -57,11 +56,10 @@ class SteadyStateWarning(UserWarning):
 # mode selection
 
 
-@dataclass(frozen=True)
-class TwoModeSelection:
+class TwoModeSelection(NamedTuple):
     """Fundamental beam mode paired with its first two array levels."""
 
-    mode: BeamMode = field(compare=False)
+    mode: BeamMode
     beta: float
     lam: float
     nu: float
@@ -69,8 +67,8 @@ class TwoModeSelection:
     gamma2: float            # flexing level, second band
     omega1: float            # rad/s
     omega2: float
-    shape1: CantileverShape = field(compare=False)
-    shape2: CantileverShape = field(compare=False)
+    shape1: CantileverShape
+    shape2: CantileverShape
     beam_length: float
     cantilever_length: float
 
@@ -102,8 +100,7 @@ def select_modes(geometry: DeviceGeometry, profile: UniformProfile,
 # overlap integrals
 
 
-@dataclass(frozen=True)
-class BeamConstants:
+class BeamConstants(NamedTuple):
     """Shape integrals of one beam mode entering the amplitude equations.
 
     stretch_inertia   int_0^1 (int_0^u phi'^2) du   accumulated stretch
@@ -158,8 +155,7 @@ def beam_constants_closed(beta: float) -> BeamConstants:
     )
 
 
-@dataclass(frozen=True)
-class OverlapIntegrals:
+class OverlapIntegrals(NamedTuple):
     """Beam and cantilever shape integrals for the two-mode reduction.
 
     Cantilever entries use the total carried shape h_i(v) = 1 + chi_i(v),
@@ -175,10 +171,10 @@ class OverlapIntegrals:
     """
 
     beam: BeamConstants
-    mass_overlap: np.ndarray = field(compare=False)
-    damping_overlap: np.ndarray = field(compare=False)
-    stretch_overlap: np.ndarray = field(compare=False)
-    curvature_overlap: np.ndarray = field(compare=False)
+    mass_overlap: np.ndarray
+    damping_overlap: np.ndarray
+    stretch_overlap: np.ndarray
+    curvature_overlap: np.ndarray
 
 
 def overlap_integrals(selection: TwoModeSelection,
@@ -241,8 +237,7 @@ def overlap_integrals(selection: TwoModeSelection,
 # effective oscillator parameters
 
 
-@dataclass(frozen=True)
-class EffectiveParams:
+class EffectiveParams(NamedTuple):
     """Coefficients of the two coupled amplitude equations (SI).
 
     Each mode j obeys a damped driven Duffing equation in its slow
@@ -340,7 +335,7 @@ def effective_params(selection: TwoModeSelection, integrals: OverlapIntegrals,
         drive1=drive_per_force * settings.force1,
         drive2=drive_per_force * settings.force2,
         drive_per_force=drive_per_force)
-    for name, value in vars(params).items():
+    for name, value in params._asdict().items():
         if not math.isfinite(value):
             raise FloatingPointError(f"two-mode coefficient {name} is "
                                      f"{value}: past the float range")
@@ -396,8 +391,7 @@ def steady_residual(z1, z2, sigma1, sigma2, params: EffectiveParams):
     return worst
 
 
-@dataclass(frozen=True)
-class ResponsePoint:
+class ResponsePoint(NamedTuple):
     """One mode's steady response: amplitude (m), phase lag (rad), detuning
     sigma (rad/s) and the square-root branch it lies on ('+', '-', '0')."""
 
@@ -638,7 +632,7 @@ def shift_of_fundamental(params: EffectiveParams, force1: float | None = None,
         return [ShiftRoot(amplitude2=0.0, sigma1=sigma_at(0.0), branch="0")]
 
     shifted = np.array([-c12 * base / (4.0 * params.mass2 * params.omega2)])
-    z2 = _single_mode_states(2, shifted, replace(params, drive2=f2))[0]
+    z2 = _single_mode_states(2, shifted, params._replace(drive2=f2))[0]
     z2 = np.unique(z2[~np.isnan(z2)])
     branch = _phase_branch(2, z2, base, 0.0, params)[1]   # reads no drive
     return [ShiftRoot(amplitude2=math.sqrt(z), sigma1=sigma_at(z), branch=b)

@@ -71,6 +71,8 @@ _ROUNDOFF = 2.0 ** -53     # unit roundoff of float64
 _MERGE_RTOL = 3e-10
 # Least step off a merged pole pair, relative, when its members coincide.
 _STEP_RTOL = 1e-12
+# lam*beta_n this close (relative) to an edge: delta_asymptotic diverges.
+_RESONANCE_RTOL = 1e-9
 
 
 class BlowUpError(ArithmeticError):
@@ -328,7 +330,7 @@ def gamma_to_omega(gamma: float, geometry: DeviceGeometry,
 
 
 def delta_asymptotic(n: int, k: int, params: DimensionlessParams,
-                     beta: float, resonance_rtol: float = 1e-9) -> tuple[float, int]:
+                     beta: float) -> tuple[float, int]:
     """First-order offset of the near-edge root from band edge k.
 
     Returns (delta, k_eff): the root sits at gamma_{inf,k} + delta and belongs
@@ -338,9 +340,9 @@ def delta_asymptotic(n: int, k: int, params: DimensionlessParams,
     """
     edge = band_edge_gammas(k)[k - 1]
     x = params.lam * beta / edge
-    if abs(x - 1.0) < resonance_rtol:
+    if abs(x - 1.0) < _RESONANCE_RTOL:
         raise BlowUpError(
-            f"lam*beta_n within {resonance_rtol} of band edge {k}: "
+            f"lam*beta_n within {_RESONANCE_RTOL} of band edge {k}: "
             "first-order edge expansion diverges")
     t = np.tan(edge)
     th = np.tanh(edge)

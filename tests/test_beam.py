@@ -3,8 +3,8 @@ import pytest
 
 from scipy.optimize import brentq
 
-from cantarray.beam import beam_modes, beam_roots, secular_residual
-from cantarray.kernel import band_edge_gammas
+from cantarray.beam import beam_modes, beam_roots
+from cantarray.kernel import band_edge_gammas, cos_cosh_residual
 from cantarray.model import BoundaryCondition
 from cantarray.quadrature import fixed_quad
 
@@ -46,15 +46,16 @@ def test_clamped_clamped_roots_equal_a_fresh_solve_per_n():
 
 
 def test_secular_residual_zero_at_roots_only():
+    # the clamped-clamped residual cos - sech
     roots = beam_roots(CC, 6)
-    assert np.all(np.abs(secular_residual(roots, CC)) < 1e-12)
+    assert np.all(np.abs(cos_cosh_residual(roots, -1.0)) < 1e-12)
     mids = 0.5 * (roots[:-1] + roots[1:])
-    vals = secular_residual(mids, CC)
+    vals = cos_cosh_residual(mids, -1.0)
     assert np.all(np.abs(vals) > 1e-3)
     # residual changes sign across each root
     eps = 1e-6
-    left = secular_residual(roots - eps, CC)
-    right = secular_residual(roots + eps, CC)
+    left = cos_cosh_residual(roots - eps, -1.0)
+    right = cos_cosh_residual(roots + eps, -1.0)
     assert np.all(np.sign(left) != np.sign(right))
 
 

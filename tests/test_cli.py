@@ -165,12 +165,13 @@ def test_output_files_are_byte_identical_across_runs(capsys, tmp_path):
 # band solvers were batched (CSV) and before tables were rendered by column
 # (JSON): both refactors must keep every byte.  The runs on a config were
 # recorded before solve_uniform, solve_alternating and galerkin.solve
-# returned arrays instead of level rows.  The digits depend on how numpy
-# rounds exp, cos, sin and power, which varies with the numpy build and the
-# CPU's SIMD level, so the hashes are checked only where the fingerprint of
-# those functions matches the one taken with them (numpy 2.4, x86-64 with
-# AVX-512); the Galerkin runs also need the LAPACK fingerprint of eigvalsh
-# and eigh.
+# returned arrays instead of level rows.  The two-mode coefficients were
+# recorded before the nonlinear records became NamedTuples.  The digits depend
+# on how numpy rounds exp, cos, sin and power, which varies with the numpy
+# build and the CPU's SIMD level, so the hashes are checked only where the
+# fingerprint of those functions matches the one taken with them (numpy 2.4,
+# x86-64 with AVX-512); the Galerkin runs also need the LAPACK fingerprint of
+# eigvalsh and eigh.
 GOLDEN_FINGERPRINT = \
     "563c7e9208ef27c5a9dd44ded440994fc3bdb4db422b8772753e978f66ac6c8d"
 GOLDEN_LINALG_FINGERPRINT = \
@@ -231,6 +232,8 @@ GOLDEN_RUNS = {
                       "f0771f7aeb6baf360c8562eb0f171f0ea86f4d63000a7e07b0bc1850b9308b2f"),
     "galerkin-tabulated": (["galerkin", "--alpha-max", "3e6"], "tabulated",
                            "02a56bc9886b2a664e3e6c8c2277432efef1c8caa42c4308dffd0daed2f4f3e7"),
+    "nonlinear-coeffs": (["nonlinear", "coeffs"], None,
+                         "53b525f978a9d71b181987cf8509f44f7689d21d0e7cfb22865f8a8282600e4c"),
 }
 SWEEP_FLAGS = ["--points", "41", "--n-max", "4", "--k-max", "5"]
 
@@ -816,17 +819,18 @@ def test_csv_keeps_negative_zero_after_zero():
 
 def test_kernel_drops_samples_on_band_edges(capsys):
     edge = band_edge_gammas(1)[0]
-    # 3 points over [0, 2*edge] puts the middle sample exactly on the pole
-    code, out, err = run(capsys, "kernel",
-                         "--gamma-max", "%.17g" % (2 * edge),
-                         "--points", "3")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3  # header + two surviving samples
-    m = stdout_manifest(err)
-    assert m["rows"] == 2
-    assert any("pole window" in w for w in m["warnings"])
-    assert "warning:" in err
+    # 3 points over [0, 2*edge] put the middle sample exactly on the pole;
+    # over [0, edge] and [0, edge - 6e-14] the last one sits on it
+    for gamma_max in ("%.17g" % (2 * edge), "%.17g" % edge, "1.8751040687119"):
+        code, out, err = run(capsys, "kernel", "--gamma-max", gamma_max,
+                             "--points", "3")
+        assert code == 0, gamma_max
+        lines = out.strip().splitlines()
+        assert len(lines) == 3  # header + two surviving samples
+        m = stdout_manifest(err)
+        assert m["rows"] == 2
+        assert any("pole window" in w for w in m["warnings"])
+        assert "warning:" in err
 
 
 NO_SCIPY = """

@@ -259,6 +259,18 @@ def test_averaged_loading_levels_are_exact_beam_modes(basis_size):
         assert np.all(np.sum(weights == 0.0, axis=1) == basis_size - 1)
 
 
+@pytest.mark.filterwarnings("error")
+def test_one_mode_basis_polishes_every_level_without_warning():
+    # with M = 1, max |eig| of D is the crossing eigenvalue itself; the
+    # bare terms beta_1^4 and (alpha L)^4 scale the polish check instead
+    alpha_max = 0.9999 * band_edge_gammas(4)[-1] / CANT
+    alphas, _, weights = gk.solve(GEO, PROF, BC, alpha_max,
+                                  GalerkinSettings(basis_size=1))
+    exact = sp.solve_uniform(GEO, PROF, BC, n_max=1, k_max=4)[0][0] / CANT
+    assert alphas == pytest.approx(exact, rel=1e-10)
+    assert np.all(weights == 1.0)
+
+
 def test_clustered_levels_are_counted_and_bracketed():
     # a jittered two-length comb crowds its levels together; the inertia at
     # the segment ends says how many there are, and each one found must sit

@@ -8,7 +8,7 @@ from cantarray import kernel
 from cantarray.beam import beam_roots
 from cantarray.kernel import (POLE_TOL, CantileverShape, PoleProximityError,
                               band_edge_gammas, band_edges_reaching,
-                              check_pole_distance, coeffs, nearest_band_edge,
+                              check_pole_distance, nearest_band_edge,
                               shear_kernel)
 from cantarray.model import BoundaryCondition
 from cantarray.quadrature import adaptive_quad
@@ -174,14 +174,6 @@ def test_shape_zero_gamma_rides_rigidly():
     v = np.linspace(0.0, 1.0, 11)
     assert np.all(sh(v) == 0.0)
     assert np.all(sh(v, 1) == 0.0)
-
-
-def test_coefficient_identities():
-    rng = np.random.default_rng(3)
-    for g in rng.uniform(0.05, 50.0, 10):
-        c = coeffs(float(g))
-        assert c.a1_plus + c.a1_minus == pytest.approx(1.0, abs=1e-12)
-        assert c.a2_plus + c.a2_minus == pytest.approx(0.0, abs=1e-13)
 
 
 def test_kernel_vectorized_matches_scalar():

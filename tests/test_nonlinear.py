@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -318,8 +317,7 @@ def columns_equal(got, want):
 @pytest.mark.parametrize("case", sorted(DEGENERATE))
 def test_degenerate_limits(sel, ints, case):
     changes, expected = DEGENERATE[case]
-    par = dataclasses.replace(params_for(sel, ints, 3.7e-6, 3.5e-5),
-                              **changes)
+    par = params_for(sel, ints, 3.7e-6, 3.5e-5)._replace(**changes)
     pairs = nl.coupled_steady_state(-1400.0, -2000.0, par)
     assert len(pairs) == len(expected)
     for (p1, p2), amps in zip(pairs, expected):
@@ -362,8 +360,8 @@ def test_real_roots_match_np_roots_row_by_row():
 
 def test_singular_newton_step_stops_that_candidate_only(sel, ints):
     # undamped and undriven at zero detuning: the Jacobian at z = 0 is zero
-    par = dataclasses.replace(params_for(sel, ints, 3.7e-6, 3.5e-5),
-                              damping1=0.0, damping2=0.0)
+    par = params_for(sel, ints, 3.7e-6, 3.5e-5)._replace(damping1=0.0,
+                                                         damping2=0.0)
     point, z1, z2 = nl._eliminant_states(1, np.array([-1400.0]),
                                          np.array([-2000.0]), par)
     zero = np.zeros(1)
@@ -495,7 +493,7 @@ def test_shift_three_roots_match_mpmath(sel, ints, damping, f1, f2):
     # peak cubic has three real roots, on both sides of its backbone
     ffold = fold_force(params_for(sel, ints, 1.0, 0.0))
     par = params_for(sel, ints, f1 * ffold, f2 * ffold, damping=damping)
-    par = dataclasses.replace(par, self_coupling2=-par.self_coupling2)
+    par = par._replace(self_coupling2=-par.self_coupling2)
     roots = nl.shift_of_fundamental(par)
     exact = peak_shift_roots(par)
     assert len(roots) == len(exact) == 3
