@@ -92,10 +92,12 @@ def check_pole_distance(gamma, where: str = "gamma") -> None:
     finite = arr[np.isfinite(arr) & (arr > 0)]
     if finite.size == 0:
         return
-    lo, hi = np.min(finite), np.max(finite)
+    lo, hi = finite.min(), finite.max()
     edges = band_edges_reaching(hi)
     # rounding is monotone: only edges within POLE_TOL of [lo, hi] can be hit
     near = edges[(edges - hi < POLE_TOL) & (lo - edges < POLE_TOL)]
+    if near.size == 0:   # the common case: no entry needs testing
+        return
     hit = (np.abs(finite[:, None] - near) < POLE_TOL).any(axis=1)  # (N, few)
     if hit.any():
         i = int(np.argmax(hit))

@@ -59,8 +59,14 @@ def _is_number(value) -> bool:
         return False
 
 
+def _count(ceiling: int):
+    """The rule for an integer from 1 to ceiling (README's schema says why
+    each count has the ceiling it has)."""
+    return (lambda v: _is_count(v) and v <= ceiling,
+            f"an integer from 1 to {ceiling}")
+
+
 # (test, description) rules for _check
-_COUNT = (_is_count, "an integer >= 1")
 _FINITE = (_is_number, "a finite number")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
 _NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
@@ -392,11 +398,12 @@ class NonlinearSettings:
 
 # a settings table maps a JSON key to (field, rule) or to a nested table
 _RANGE = {"from": ("start", _FINITE), "to": ("stop", _FINITE),
-          "points": ("points", _COUNT)}
+          "points": ("points", _count(10_000))}
 _SIGMA = (lambda v: isinstance(v, SweepRange) or _is_number(v), "a finite number")
-_SPECTRUM = {"n_max": ("n_max", _COUNT), "k_max": ("k_max", _COUNT)}
-_GALERKIN = {"basis_size": ("basis_size", _COUNT),
-             "quadrature": {"order": ("quadrature_order", _COUNT),
+_SPECTRUM = {"n_max": ("n_max", _count(1000)),
+             "k_max": ("k_max", _count(1000))}
+_GALERKIN = {"basis_size": ("basis_size", _count(64)),
+             "quadrature": {"order": ("quadrature_order", _count(100)),
                             "rtol": ("quadrature_rtol", _POSITIVE)}}
 _NONLINEAR = {"c_y": ("damping_beam", _NONNEGATIVE),
               "c_eta": ("damping_cantilever", _NONNEGATIVE),

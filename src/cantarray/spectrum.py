@@ -51,7 +51,7 @@ import numpy as np
 
 from .beam import beam_roots
 from .kernel import (band_edge_gammas, band_edges_reaching,
-                     check_pole_distance, shear_kernel)
+                     check_pole_distance, cos_cosh_root, shear_kernel)
 from .model import (AlternatingProfile, BoundaryCondition, ConfigError,
                     DeviceGeometry, DimensionlessParams, UniformProfile,
                     dimensionless)
@@ -329,16 +329,17 @@ def gamma_to_omega(gamma: float, geometry: DeviceGeometry,
     return geometry.cantilever_wave_scale * (gamma / cantilever_length) ** 2
 
 
-def delta_asymptotic(n: int, k: int, params: DimensionlessParams,
+def delta_asymptotic(k: int, params: DimensionlessParams,
                      beta: float) -> tuple[float, int]:
-    """First-order offset of the near-edge root from band edge k.
+    """First-order offset from band edge k of the near-edge root of the
+    level whose beam eigenvalue is beta (beta_n of any n).
 
     Returns (delta, k_eff): the root sits at gamma_{inf,k} + delta and belongs
     to band k when delta < 0 (top of band) or band k+1 when delta > 0 (bottom
     of the next band).  Raises BlowUpError when lam*beta_n is resonant with
     the edge and the leading-order denominator vanishes.
     """
-    edge = band_edge_gammas(k)[k - 1]
+    edge = cos_cosh_root(k)
     x = params.lam * beta / edge
     if abs(x - 1.0) < _RESONANCE_RTOL:
         raise BlowUpError(
@@ -366,7 +367,7 @@ def band_gaps(geometry: DeviceGeometry, profile: UniformProfile,
         omega_edge = scale * edge * edge
         exact = scale * gammas[0, k] ** 2 - omega_edge
         try:
-            delta, k_eff = delta_asymptotic(1, k, params, beta1)
+            delta, k_eff = delta_asymptotic(k, params, beta1)
         except BlowUpError:
             delta, k_eff = np.nan, k + 1
         estimate = 2.0 * omega_edge * delta / edge if np.isfinite(delta) else np.nan

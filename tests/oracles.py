@@ -1,7 +1,8 @@
 """Independent reference values computed with mpmath bisection, scalar
-reference versions of batched code (band brackets among them), a
-knot-aligned high-order Galerkin projection, an exactly summed comb
-projection and the canonical dict form of a config.
+reference versions of batched code (band brackets among them), the
+Galerkin root loop with one bisection per round, a knot-aligned
+high-order Galerkin projection, an exactly summed comb projection and the
+canonical dict form of a config.
 
 Nothing here imports the package under test; the characteristic equations
 are restated from scratch so root comparisons are a genuine cross-check.
@@ -285,6 +286,59 @@ def comb_projection(betas, alpha_l, weight, t, phi):
                 exact += Fraction(float(betas[m])) ** 4 - al4
             d[m, n] = d[n, m] = float(exact)
     return d
+
+
+def plain_bisection_roots(segments, spectrum, brent):
+    """Reference for galerkin._roots: its lockstep loop before the
+    lookahead, one bisection per round.
+
+    spectrum(alphas) gives the ascending eigenvalues at each alpha of a 1-D
+    array; brent is the generator form of brentq (numerics.brent), driven
+    on eigenvalue c_lo of each bracket holding one crossing with rtol 4 eps
+    and xtol 1e-300.  A piece narrower than 1e-14 relative that still holds
+    several crossings yields its midpoint once per crossing.
+    """
+    evals = {}
+
+    def evaluate(alphas):
+        new = [a for a in dict.fromkeys(alphas) if a not in evals]
+        if new:
+            evals.update(zip(new, spectrum(np.array(new))))
+
+    def count(a):
+        return int(np.sum(evals[a] < 0.0))
+
+    evaluate([a for seg in segments for a in seg])
+    brackets = [(lo, hi, count(lo), count(hi)) for lo, hi in segments]
+    lanes, roots = [], []
+    while True:
+        splits = []
+        for lo, hi, c_lo, c_hi in brackets:
+            if c_hi - c_lo == 1:
+                steps = brent(lo, hi, xtol=1e-300,
+                              rtol=4.0 * np.finfo(float).eps)
+                lanes.append([steps, c_lo, next(steps)])
+            elif c_hi - c_lo > 1:
+                if hi - lo <= 1e-14 * max(abs(hi), 1.0):
+                    roots.extend([0.5 * (lo + hi)] * (c_hi - c_lo))
+                else:
+                    splits.append((lo, hi, c_lo, c_hi, 0.5 * (lo + hi)))
+        waiting = []
+        for steps, c, x in lanes:
+            try:
+                while x in evals:
+                    x = steps.send(evals[x][c])
+            except StopIteration as stop:
+                roots.append(stop.value)
+                continue
+            waiting.append([steps, c, x])
+        lanes = waiting
+        if not (splits or lanes):
+            return sorted(roots)
+        evaluate([b[4] for b in splits] + [lane[2] for lane in lanes])
+        brackets = [b for lo, hi, c_lo, c_hi, mid in splits
+                    for b in ((lo, mid, c_lo, count(mid)),
+                              (mid, hi, count(mid), c_hi))]
 
 
 def _fmt(x) -> str:

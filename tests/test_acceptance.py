@@ -159,7 +159,7 @@ def test_criterion_06_edge_offset_asymptotics():
                         continue
                     try:
                         delta, keff = sp.delta_asymptotic(
-                            n, edge_idx, params, betas[n - 1])
+                            edge_idx, params, betas[n - 1])
                     except sp.BlowUpError:
                         continue  # resonant: expansion legitimately diverges
                     assert keff == k, (params, n, k, edge_idx)

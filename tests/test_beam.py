@@ -3,10 +3,11 @@ import pytest
 
 from scipy.optimize import brentq
 
-from cantarray.beam import beam_modes, beam_roots
+from cantarray import beam
+from cantarray.beam import basis_values, beam_modes, beam_roots
 from cantarray.kernel import band_edge_gammas, cos_cosh_residual
 from cantarray.model import BoundaryCondition
-from cantarray.quadrature import fixed_quad
+from cantarray.quadrature import fixed_quad, panel_nodes
 
 from oracles import clamped_free_root, doubly_clamped_root
 
@@ -124,3 +125,39 @@ def test_large_index_stability():
     vals = m(u)
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) < 3.0
+
+
+def test_mode_table_integrates_each_norm_once_per_process(monkeypatch):
+    real, calls = beam.fixed_quad, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    def build():
+        return beam_modes(CC, 6), beam_modes(CF, 6)
+
+    monkeypatch.setattr(beam, "fixed_quad", counted)
+    beam._mode.cache_clear()
+    first = build()
+    assert len(calls) == 12   # one norm per mode and support
+    calls.clear()
+    again = build()
+    assert calls == []
+    assert again == first
+    assert all(a is not b for a, b in zip(again, first))   # fresh lists
+    again[0].clear()
+    assert beam_modes(CC, 6) == first[0]
+
+
+@pytest.mark.parametrize("bc", [CC, CF])
+def test_basis_values_equal_per_mode_calls(bc):
+    # one broadcast pass, bit for bit the per-mode values, at comb teeth,
+    # Gauss nodes and both ends
+    rng = np.random.default_rng(5)
+    u = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 400),
+                        panel_nodes(np.linspace(0.0, 1.0, 17), 8)[0]))
+    for size in (1, 8, 40):
+        modes = beam_modes(bc, size)
+        want = np.stack([m(u) for m in modes])
+        assert basis_values(modes, u).tobytes() == want.tobytes()

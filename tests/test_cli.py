@@ -993,23 +993,23 @@ RESPONSE = {"c_y": 1e-6, "c_eta": 1e-6, "f1": 1e-9, "f2": 1e-9,
 
 SETTINGS_CASES = [
     (["spectrum"], {"spectrum": {"n_max": 2.5}},
-     "spectrum.n_max: must be an integer >= 1, got 2.5"),
+     "spectrum.n_max: must be an integer from 1 to 1000, got 2.5"),
     (["spectrum"], {"spectrum": {"n_max": "3"}},
-     "spectrum.n_max: must be an integer >= 1, got '3'"),
+     "spectrum.n_max: must be an integer from 1 to 1000, got '3'"),
     (["spectrum"], {"spectrum": {"k_max": True}},
-     "spectrum.k_max: must be an integer >= 1, got True"),
+     "spectrum.k_max: must be an integer from 1 to 1000, got True"),
     (["spectrum"], {"spectrum": {"n_max": 1e9}},
-     "spectrum.n_max: must be an integer >= 1, got 1000000000.0"),
+     "spectrum.n_max: must be an integer from 1 to 1000, got 1000000000.0"),
     (["galerkin"], {"galerkin": {"basis_size": 2.5}},
-     "galerkin.basis_size: must be an integer >= 1, got 2.5"),
+     "galerkin.basis_size: must be an integer from 1 to 64, got 2.5"),
     (["galerkin"], {"galerkin": {"quadrature": {"order": 0}}},
-     "galerkin.quadrature.order: must be an integer >= 1, got 0"),
+     "galerkin.quadrature.order: must be an integer from 1 to 100, got 0"),
     (["galerkin"], {"galerkin": {"quadrature": {"rtol": float("nan")}}},
      "galerkin.quadrature.rtol: must be a positive finite number, got nan"),
     (["nonlinear", "response"],
      {"nonlinear": {**RESPONSE, "sigma1": {"from": -1e3, "to": 1e3,
                                            "points": 2.5}}},
-     "nonlinear.sigma1.points: must be an integer >= 1, got 2.5"),
+     "nonlinear.sigma1.points: must be an integer from 1 to 10000, got 2.5"),
     (["nonlinear", "response"],
      {"nonlinear": {**RESPONSE, "sigma2": {"from": float("-inf"), "to": 0.0,
                                            "points": 2}}},
@@ -1031,6 +1031,16 @@ SETTINGS_CASES = [
      "nonlinear.c_y: must be a finite number >= 0, got nan"),
     (["nonlinear", "response", "--f1", "nan"], {"nonlinear": RESPONSE},
      "nonlinear.f1: must be a finite number, got nan"),
+    # override flags past a count's ceiling, checked as the key they set
+    (["spectrum", "--n-max", "1001"], {},
+     "spectrum.n_max: must be an integer from 1 to 1000, got 1001"),
+    (["modes", "--n-max", "1001"], {},
+     "spectrum.n_max: must be an integer from 1 to 1000, got 1001"),
+    (["galerkin", "--basis-size", "65"], {},
+     "galerkin.basis_size: must be an integer from 1 to 64, got 65"),
+    (["sweep", "--param", "nu", "--from", "0", "--to", "1", "--points",
+      "10001"], {},
+     "sweep nu: --points: must be an integer from 1 to 10000, got 10001"),
 ]
 
 
@@ -1155,6 +1165,20 @@ MALFORMED_CASES = {
     "geometry.thickness, via beam_rigidity": ({**_MATERIAL_UNIFORM,
         "geometry": {**MATERIAL_GEOMETRY, "thickness": 1e-200}},
         "must be a positive finite number, got 0.0"),
+    # counts past their ceilings: a 401-digit n_max ran for minutes while
+    # the root table grew
+    "spectrum.n_max": ({"geometry": _P, "spectrum": {"n_max": 10 ** 400}},
+                       f"must be an integer from 1 to 1000, got {10 ** 400}"),
+    "spectrum.k_max": ({"geometry": _P, "spectrum": {"k_max": 1001}},
+                       "must be an integer from 1 to 1000, got 1001"),
+    "galerkin.basis_size": ({"geometry": _P, "galerkin": {"basis_size": 65}},
+                            "must be an integer from 1 to 64, got 65"),
+    "galerkin.quadrature.order": (
+        {"geometry": _P, "galerkin": {"quadrature": {"order": 101}}},
+        "must be an integer from 1 to 100, got 101"),
+    "nonlinear.sigma2.points": ({"geometry": _P, "nonlinear": {"sigma2": {
+        "from": -1.0, "to": 1.0, "points": 10_001}}},
+        "must be an integer from 1 to 10000, got 10001"),
 }
 
 

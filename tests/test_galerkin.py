@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import comb_projection, tabulated_projection
+from oracles import (comb_projection, plain_bisection_roots,
+                     tabulated_projection)
 
 from cantarray import galerkin as gk
 from cantarray import spectrum as sp
@@ -14,6 +15,7 @@ from cantarray.model import (AlternatingProfile, BoundaryCondition,
                              ConfigError, DeviceGeometry, DiscreteProfile,
                              GalerkinSettings, TabulatedProfile,
                              UniformProfile, preset_device)
+from cantarray.numerics import brent
 
 GEO, PROF, BC = preset_device("jap1-calibrated")
 L = GEO.beam_length
@@ -470,6 +472,77 @@ def test_comb_solve_assembles_in_lockstep_rounds(monkeypatch):
     assert len(alphas) == 16
     assert all(len(shape) == 1 for shape in calls)
     assert len(calls) <= 30
+
+
+def _jittered_comb(rng, teeth, families):
+    """teeth jittered about even spacing; with two families every other
+    tooth is 0.7-0.8 times as long, as in the benchmark's combs."""
+    positions = (np.arange(teeth) + 0.5 + rng.uniform(-0.35, 0.35, teeth)) \
+        * L / teeth
+    lengths = np.full(teeth, CANT * rng.uniform(0.95, 1.05))
+    if families == 2:
+        lengths[1::2] *= rng.uniform(0.7, 0.8)
+    return DiscreteProfile(positions=tuple(positions), lengths=tuple(lengths))
+
+
+def _counted(spectrum, calls):
+    def counted(alphas):
+        calls.append(alphas.size)
+        return spectrum(alphas)
+    return counted
+
+
+@pytest.mark.filterwarnings("ignore:projection quadrature")
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["comb", "tabulated"]),
+       seed=st.integers(0, 2 ** 32 - 1), teeth=st.integers(4, 60),
+       families=st.integers(1, 2), reach=st.floats(0.2, 1.9))
+def test_lookahead_roots_equal_plain_bisection(kind, seed, teeth, families,
+                                               reach):
+    # the lookahead only moves bisection steps and Brent lanes to earlier
+    # rounds: the brackets and iterates, so the roots' bits, stay the same
+    rng = np.random.default_rng(seed)
+    if kind == "comb":
+        profile = _jittered_comb(rng, teeth, families)
+        settings_ = GalerkinSettings(basis_size=8)
+    else:   # 3-6 knots
+        knots = 3 + teeth % 4
+        profile = TabulatedProfile(
+            x=tuple(np.linspace(0.0, L, knots)),
+            length=tuple(CANT * rng.uniform(0.85, 1.1, knots)),
+            density=tuple(RHO_UNIFORM * rng.uniform(0.7, 1.3, knots)))
+        settings_ = GalerkinSettings(basis_size=6, quadrature_order=8)
+    shortest = min(profile.lengths if kind == "comb" else profile.length)
+    alpha_max = reach * band_edge_gammas(1)[0] / shortest
+    basis, cache = beam_modes(BC, settings_.basis_size), {}
+
+    def spectrum(alphas):
+        return np.linalg.eigvalsh(
+            gk.assemble(alphas, GEO, profile, basis, settings_, cache))
+
+    segments = gk._segments(profile, alpha_max)
+    rounds, plain_rounds = [], []
+    got = gk._roots(segments, _counted(spectrum, rounds))
+    want = plain_bisection_roots(segments, _counted(spectrum, plain_rounds),
+                                 brent)
+    assert got and np.array(got).tobytes() == np.array(want).tobytes()
+    assert len(rounds) <= len(plain_rounds)
+
+
+def test_comb_roots_take_at_most_14_lockstep_rounds(monkeypatch):
+    # a 2x200-tooth comb over two bands, 16 levels: the depth-two lookahead
+    # bisects twice per round (12 rounds); one bisection per round took 19.
+    # Brent's iterates are untouched, so some combs still take up to 17
+    roots, calls = gk._roots, []
+    monkeypatch.setattr(gk, "_roots", lambda segments, spectrum: roots(
+        segments, _counted(spectrum, calls)))
+    comb = _jittered_comb(np.random.default_rng(5), 200, 1)
+    geo = DeviceGeometry(**{**GEO.to_dict(), "count_per_side": 200})
+    alpha_max = 0.9999 * band_edge_gammas(2)[1] / max(comb.lengths)
+    alphas = gk.solve(geo, comb, BC, alpha_max,
+                      GalerkinSettings(basis_size=8))[0]
+    assert len(alphas) == 16
+    assert len(calls) <= 14
 
 
 @settings(max_examples=40, deadline=None)

@@ -133,7 +133,7 @@ def test_near_edge_offset_matches_exact_roots():
                         continue
                     try:
                         delta, keff = sp.delta_asymptotic(
-                            n, edge_idx, params, betas[n - 1])
+                            edge_idx, params, betas[n - 1])
                     except sp.BlowUpError:
                         continue
                     assert keff == k
@@ -147,7 +147,7 @@ def test_offset_blows_up_at_resonance():
     beta = beam_roots(CC, 1)[0]
     params = DimensionlessParams(lam=edge / beta, nu=5.0)
     with pytest.raises(sp.BlowUpError):
-        sp.delta_asymptotic(1, 1, params, beta)
+        sp.delta_asymptotic(1, params, beta)
 
 
 def test_band_gaps_positive_and_estimated():
