@@ -59,11 +59,12 @@ def main():
     print("(softening), so the curve leans to lower frequency and the")
     print("coexistence window sits at negative detuning:")
     print(f"  {'sigma1/width':>12}  {'a1 (nm)':>10}  branch")
-    for s in np.linspace(2.0, -8.0, 11):
-        states = coupled_steady_state(s * width, 0.0, params)
-        for p1, _p2 in states:
-            print(f"  {s:>12.1f}  {p1.amplitude * 1e9:>10.4f}  {p1.branch}"
-                  + ("   <- coexisting" if len(states) > 1 else ""))
+    fracs = np.linspace(2.0, -8.0, 11)
+    states = coupled_steady_state(fracs * width, 0.0, params)
+    count = np.bincount(states["point"])
+    for i, z1, branch in zip(states["point"], states["z1"], states["branch1"]):
+        print(f"  {fracs[i]:>12.1f}  {np.sqrt(z1) * 1e9:>10.4f}  {branch}"
+              + ("   <- coexisting" if count[i] > 1 else ""))
 
     print("\nNow drive the flexing mode too and sit both modes on their")
     print("peaks; its amplitude drags the collective resonance (the shift")

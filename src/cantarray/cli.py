@@ -365,7 +365,7 @@ def _cmd_nonlinear(args, caught, t0):
     axes = [s.values() if isinstance(s, SweepRange) else np.array([float(s)])
             for s in (ns.sigma1, ns.sigma2)]
     s1, s2 = (s.ravel() for s in np.meshgrid(*axes, indexing="ij"))
-    states = nonlinear.steady_states(s1, s2, params)
+    states = nonlinear.coupled_steady_state(s1, s2, params)
     point = states["point"]
     table = {"sigma1": s1[point], "sigma2": s2[point],
              "a1": np.sqrt(states["z1"]), "a2": np.sqrt(states["z2"]),

@@ -16,11 +16,12 @@ Steady states of the coupled pair come from elimination: mode 1's bracket
 s = D1 fixes both squared amplitudes, so mode 2's condition becomes one
 real polynomial of degree at most nine in s.  Scaling s by mode 1's
 linewidth keeps its coefficients O(1) across the ~40 orders of magnitude
-the physical coefficients span.  A grid of detuning pairs is solved in one
-batch: the eliminants of all points form one array, their real roots come
-from one stacked companion eigensolve, and every root is Newton-polished
-(all at once) and checked before it is reported.  The fundamental's shift
-is mode 2's single-mode response at the detuning mode 1's peak imposes.
+the physical coefficients span.  `coupled_steady_state` solves one pair of
+detunings or a grid of them in one batch: the eliminants of all points form
+one array, their real roots come from one stacked companion eigensolve, and
+every root is Newton-polished (all at once) and checked before it is
+reported.  The fundamental's shift is mode 2's single-mode response at the
+detuning mode 1's peak imposes.
 """
 
 from __future__ import annotations
@@ -37,16 +38,6 @@ from .model import (BoundaryCondition, ConfigError, DeviceGeometry,
                     NonlinearSettings, UniformProfile, dimensionless)
 from .quadrature import adaptive_quad, cumulative_square_quad
 from .spectrum import gamma_to_omega, solve_uniform_dimensionless
-
-__all__ = [
-    "TwoModeSelection", "BeamConstants", "OverlapIntegrals",
-    "EffectiveParams", "ResponsePoint", "ShiftRoot",
-    "SteadyStateWarning", "select_modes", "beam_constants",
-    "beam_constants_closed", "overlap_integrals", "effective_params",
-    "backbone", "peak_amplitude", "steady_states", "coupled_steady_state",
-    "steady_residual", "shift_of_fundamental",
-]
-
 
 class SteadyStateWarning(UserWarning):
     """A steady-state candidate failed its residual check and was dropped."""
@@ -375,31 +366,27 @@ def backbone(j: int, amplitude: float, other_amplitude: float,
     return (center - half, center + half)
 
 
+def _condition(j: int, zj, zo, sigma, params: EffectiveParams):
+    """Mode j's bracket D_j = (C_j z_j + C12 z_other) / 4 - w_j sigma_j M_j
+    and q_j = D_j^2 + (w_j mu_j)^2; its steady state is z_j q_j = F_j^2.
+    The Newton polish and the residual check both read this."""
+    w, m = params.omega(j), params.mass(j)
+    off = 0.25 * (params.self_coupling(j) * zj
+                  + params.cross_coupling * zo) - w * sigma * m
+    return off, off ** 2 + (w * params.damping(j)) ** 2
+
+
 def steady_residual(z1, z2, sigma1, sigma2, params: EffectiveParams):
     """Largest relative defect of the two steady-state conditions at the
     squared amplitudes (z1, z2), elementwise over arrays of them.  The
     scale is max(|lhs|, F_j^2): |lhs| bounds both of its own terms."""
     worst = 0.0
     for j, zj, zo, sig in ((1, z1, z2, sigma1), (2, z2, z1, sigma2)):
-        w, m = params.omega(j), params.mass(j)
-        mu, drv = params.damping(j), params.drive(j)
-        off = 0.25 * (params.self_coupling(j) * zj
-                      + params.cross_coupling * zo) - w * sig * m
-        lhs = zj * (off ** 2 + (w * mu) ** 2)
+        lhs = zj * _condition(j, zj, zo, sig, params)[1]
+        drv = params.drive(j)
         scale = np.maximum(abs(lhs), max(drv ** 2, 1e-300))
         worst = np.maximum(worst, abs(lhs - drv ** 2) / scale)
     return worst
-
-
-class ResponsePoint(NamedTuple):
-    """One mode's steady response: amplitude (m), phase lag (rad), detuning
-    sigma (rad/s) and the square-root branch it lies on ('+', '-', '0')."""
-
-    mode: int
-    sigma: float
-    amplitude: float
-    phase: float
-    branch: str
 
 
 def _newton_polish(z1, z2, sigma1, sigma2, params: EffectiveParams):
@@ -410,14 +397,13 @@ def _newton_polish(z1, z2, sigma1, sigma2, params: EffectiveParams):
     sig = np.stack([sigma1, sigma2], axis=1)
     fscale = np.array([max(params.drive(j) ** 2, 1e-300) for j in (1, 2)])
     live = np.ones(len(z), dtype=bool)
+    cx = params.cross_coupling
     for _ in range(12):
         f, diag, cross = np.empty_like(z), np.empty_like(z), np.empty_like(z)
         for i, j in enumerate((1, 2)):
-            w, m, mu = params.omega(j), params.mass(j), params.damping(j)
-            cs, cx = params.self_coupling(j), params.cross_coupling
-            off = 0.25 * (cs * z[:, i] + cx * z[:, 1 - i]) - w * sig[:, i] * m
-            f[:, i] = z[:, i] * (off ** 2 + (w * mu) ** 2) - params.drive(j) ** 2
-            diag[:, i] = off ** 2 + (w * mu) ** 2 + 0.5 * z[:, i] * off * cs
+            off, q = _condition(j, z[:, i], z[:, 1 - i], sig[:, i], params)
+            f[:, i] = z[:, i] * q - params.drive(j) ** 2
+            diag[:, i] = q + 0.5 * z[:, i] * off * params.self_coupling(j)
             cross[:, i] = 0.5 * z[:, i] * off * cx     # d f_i / d z_other
         live &= ~np.all(np.abs(f) <= 1e-15 * fscale, axis=1)
         if not live.any():
@@ -542,9 +528,11 @@ def _phase_branch(j: int, zj, zo, sigma, params: EffectiveParams):
     return phase, np.where(s > tol, "+", np.where(s < -tol, "-", "0"))
 
 
-def steady_states(sigma1, sigma2, params: EffectiveParams
-                  ) -> dict[str, np.ndarray]:
-    """All steady states at the detuning pairs (sigma1[i], sigma2[i]).
+def coupled_steady_state(sigma1, sigma2, params: EffectiveParams
+                         ) -> dict[str, np.ndarray]:
+    """All steady states at the detuning pairs (sigma1[i], sigma2[i]); a
+    scalar or one-entry detuning pairs with every entry of the other, and
+    other unequal lengths raise ValueError.
 
     Columns, in this order, one row per state sorted by (point, z1, z2):
     point (the index i), z1, z2 (squared amplitudes), phase1, phase2 (drive
@@ -554,7 +542,11 @@ def steady_states(sigma1, sigma2, params: EffectiveParams
     are dropped, with one SteadyStateWarning per point.  Each row depends on
     its own point alone.
     """
-    sigma1, sigma2 = np.atleast_1d(sigma1, sigma2)
+    sigma1, sigma2 = np.ravel(sigma1), np.ravel(sigma2)
+    if sigma1.size != sigma2.size and 1 not in (sigma1.size, sigma2.size):
+        raise ValueError(f"{sigma1.size} values of sigma1 and {sigma2.size} "
+                         "of sigma2 cannot be paired")
+    sigma1, sigma2 = np.broadcast_arrays(sigma1, sigma2)
     if (params.cross_coupling == 0.0 or params.drive1 == 0.0
             or params.drive2 == 0.0):
         z1, z2 = np.broadcast_arrays(
@@ -580,15 +572,6 @@ def steady_states(sigma1, sigma2, params: EffectiveParams
     phase2, branch2 = _phase_branch(2, z2, z1, s2, params)
     return {"point": point, "z1": z1, "z2": z2, "phase1": phase1,
             "phase2": phase2, "branch1": branch1, "branch2": branch2}
-
-
-def coupled_steady_state(sigma1: float, sigma2: float, params: EffectiveParams
-                         ) -> list[tuple[ResponsePoint, ResponsePoint]]:
-    """steady_states at one detuning pair, one ResponsePoint per mode."""
-    columns = steady_states(sigma1, sigma2, params).values()
-    return [(ResponsePoint(1, sigma1, math.sqrt(z1), th1, b1),
-             ResponsePoint(2, sigma2, math.sqrt(z2), th2, b2)) for
-            _, z1, z2, th1, th2, b1, b2 in zip(*(c.tolist() for c in columns))]
 
 
 # ---------------------------------------------------------------------------

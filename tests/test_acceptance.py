@@ -272,14 +272,12 @@ def test_criterion_09_nonlinear_response():
     par_b = params_for(ffold, 0.0)
     zpk = nl.peak_amplitude(1, par_b) ** 2
     fold = par_b.self_coupling1 * zpk / (4 * par_b.mass1 * par_b.omega1)
-    for frac in np.linspace(-0.5, 1.1, 20):
-        sig1 = fold * float(frac)
-        pairs = nl.coupled_steady_state(sig1, 0.0, par_b)
-        assert pairs
-        for p1, p2 in pairs:
-            assert p2.amplitude == 0.0
-            assert nl.steady_residual(p1.amplitude ** 2, 0.0, sig1, 0.0,
-                                      par_b) < 1e-10
+    sig1 = fold * np.linspace(-0.5, 1.1, 20)
+    states = nl.coupled_steady_state(sig1, 0.0, par_b)
+    assert np.all(np.bincount(states["point"], minlength=20) > 0)
+    assert np.all(states["z2"] == 0.0)
+    assert np.all(nl.steady_residual(states["z1"], 0.0, sig1[states["point"]],
+                                     0.0, par_b) < 1e-10)
 
     # (c) fundamental peak shift grows monotonically with f2^2
     assert par_b.self_coupling1 < 0 < par_b.cross_coupling
@@ -295,20 +293,18 @@ def test_criterion_09_nonlinear_response():
     # (d) every reported pair back-substitutes into the amplitude equations
     rng = np.random.default_rng(11)
     par_d = params_for(ffold, 3.0 * ffold)
-    for _ in range(25):
-        sc1 = par_d.self_coupling1 * nl.peak_amplitude(1, par_d) ** 2 \
-            / (4 * par_d.mass1 * par_d.omega1)
-        sc2 = par_d.self_coupling2 * nl.peak_amplitude(2, par_d) ** 2 \
-            / (4 * par_d.mass2 * par_d.omega2)
-        sig1 = float(rng.uniform(-1.5, 1.5)) \
-            * max(abs(sc1), par_d.damping1 / par_d.mass1)
-        sig2 = float(rng.uniform(-1.5, 1.5)) \
-            * max(abs(sc2), par_d.damping2 / par_d.mass2)
-        pairs = nl.coupled_steady_state(sig1, sig2, par_d)
-        assert pairs
-        for p1, p2 in pairs:
-            assert nl.steady_residual(p1.amplitude ** 2, p2.amplitude ** 2,
-                                      sig1, sig2, par_d) < 1e-10
+    sc1 = par_d.self_coupling1 * nl.peak_amplitude(1, par_d) ** 2 \
+        / (4 * par_d.mass1 * par_d.omega1)
+    sc2 = par_d.self_coupling2 * nl.peak_amplitude(2, par_d) ** 2 \
+        / (4 * par_d.mass2 * par_d.omega2)
+    sig1, sig2 = np.array([rng.uniform(-1.5, 1.5, 2) for _ in range(25)]).T
+    sig1 *= max(abs(sc1), par_d.damping1 / par_d.mass1)
+    sig2 *= max(abs(sc2), par_d.damping2 / par_d.mass2)
+    states = nl.coupled_steady_state(sig1, sig2, par_d)
+    point = states["point"]
+    assert np.all(np.bincount(point, minlength=25) > 0)
+    assert np.all(nl.steady_residual(states["z1"], states["z2"], sig1[point],
+                                     sig2[point], par_d) < 1e-10)
     a1sq = (par_d.drive_per_force * ffold
             / (par_d.damping1 * par_d.omega1)) ** 2
     for f2 in (0.5 * ffold, 2.0 * ffold):

@@ -189,11 +189,11 @@ def test_single_drive_reduces_to_duffing(sel, ints):
     par = params_for(sel, ints, 1.0, 0.0)
     for frac in (-2.0, -0.5, 0.0, 0.5, 2.0):
         sig1 = frac * par.damping1 / par.mass1
-        pairs = nl.coupled_steady_state(sig1, 0.0, par)
-        assert pairs
-        for p1, p2 in pairs:
-            assert p2.amplitude == 0.0
-            lo, hi = nl.backbone(1, p1.amplitude, 0.0, par)
+        states = nl.coupled_steady_state(sig1, 0.0, par)
+        assert states["point"].size
+        for z1, z2 in zip(states["z1"], states["z2"]):
+            assert z2 == 0.0
+            lo, hi = nl.backbone(1, math.sqrt(z1), 0.0, par)
             scale = max(abs(lo), abs(hi), 1e-300)
             assert min(abs(sig1 - lo), abs(sig1 - hi)) / scale < 1e-8
 
@@ -203,46 +203,39 @@ def test_bistable_window_has_three_states(sel, ints):
     par = params_for(sel, ints, fold_force(probe), 0.0)
     zpk = nl.peak_amplitude(1, par) ** 2
     fold = par.self_coupling1 * zpk / (4 * par.mass1 * par.omega1)
-    count3 = 0
-    for frac in np.linspace(0.05, 1.1, 25):
-        sig1 = fold * frac
-        pairs = nl.coupled_steady_state(sig1, 0.0, par)
-        if len(pairs) == 3:
-            count3 += 1
-        for p1, p2 in pairs:
-            assert nl.steady_residual(p1.amplitude ** 2, p2.amplitude ** 2,
-                                      sig1, 0.0, par) < 1e-10
-    assert count3 >= 3
+    sig1 = fold * np.linspace(0.05, 1.1, 25)
+    states = nl.coupled_steady_state(sig1, 0.0, par)
+    assert np.sum(np.bincount(states["point"]) == 3) >= 3
+    assert np.all(nl.steady_residual(states["z1"], states["z2"],
+                                     sig1[states["point"]], 0.0, par) < 1e-10)
 
 
 def test_coupled_states_satisfy_amplitude_equations(sel, ints):
     probe = params_for(sel, ints, 1.0, 0.0)
     ffold = fold_force(probe)
     par = params_for(sel, ints, ffold, 3.0 * ffold)
+    sc1 = par.self_coupling1 * nl.peak_amplitude(1, par) ** 2 \
+        / (4 * par.mass1 * par.omega1)
+    sc2 = par.self_coupling2 * nl.peak_amplitude(2, par) ** 2 \
+        / (4 * par.mass2 * par.omega2)
     rng = np.random.default_rng(11)
-    for _ in range(15):
-        sc1 = par.self_coupling1 * nl.peak_amplitude(1, par) ** 2 \
-            / (4 * par.mass1 * par.omega1)
-        sc2 = par.self_coupling2 * nl.peak_amplitude(2, par) ** 2 \
-            / (4 * par.mass2 * par.omega2)
-        sig1 = float(rng.uniform(-1.5, 1.5)) \
-            * max(abs(sc1), par.damping1 / par.mass1)
-        sig2 = float(rng.uniform(-1.5, 1.5)) \
-            * max(abs(sc2), par.damping2 / par.mass2)
-        pairs = nl.coupled_steady_state(sig1, sig2, par)
-        assert pairs
-        for p1, p2 in pairs:
-            assert nl.steady_residual(p1.amplitude ** 2, p2.amplitude ** 2,
-                                      sig1, sig2, par) < 1e-10
+    sig1, sig2 = np.array([rng.uniform(-1.5, 1.5, 2) for _ in range(15)]).T
+    sig1 *= max(abs(sc1), par.damping1 / par.mass1)
+    sig2 *= max(abs(sc2), par.damping2 / par.mass2)
+    states = nl.coupled_steady_state(sig1, sig2, par)
+    point = states["point"]
+    assert np.all(np.bincount(point, minlength=15) > 0)
+    assert np.all(nl.steady_residual(states["z1"], states["z2"], sig1[point],
+                                     sig2[point], par) < 1e-10)
 
 
 def assert_states_match_oracle(sig1, sig2, par):
-    pairs = nl.coupled_steady_state(sig1, sig2, par)
-    assert len(pairs) % 2 == 1, (sig1, sig2, len(pairs))
-    assert len(pairs) == steady_state_count(sig1, sig2, par), (sig1, sig2)
-    for p1, p2 in pairs:
-        assert nl.steady_residual(p1.amplitude ** 2, p2.amplitude ** 2,
-                                  sig1, sig2, par) <= 1e-10
+    states = nl.coupled_steady_state(sig1, sig2, par)
+    count = states["point"].size
+    assert count % 2 == 1, (sig1, sig2, count)
+    assert count == steady_state_count(sig1, sig2, par), (sig1, sig2)
+    assert np.all(nl.steady_residual(states["z1"], states["z2"],
+                                     sig1, sig2, par) <= 1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,7 +303,7 @@ DEGENERATE = {
 
 
 def columns_equal(got, want):
-    """Bitwise equality of two sets of steady_states columns."""
+    """Bitwise equality of two sets of coupled_steady_state columns."""
     return all(got[k].tobytes() == want[k].tobytes() for k in want)
 
 
@@ -318,10 +311,11 @@ def columns_equal(got, want):
 def test_degenerate_limits(sel, ints, case):
     changes, expected = DEGENERATE[case]
     par = params_for(sel, ints, 3.7e-6, 3.5e-5)._replace(**changes)
-    pairs = nl.coupled_steady_state(-1400.0, -2000.0, par)
+    states = nl.coupled_steady_state(-1400.0, -2000.0, par)
+    pairs = np.sqrt([states["z1"], states["z2"]]).T.tolist()
     assert len(pairs) == len(expected)
-    for (p1, p2), amps in zip(pairs, expected):
-        for got, want in zip((p1.amplitude, p2.amplitude), amps):
+    for amp_pair, amps in zip(pairs, expected):
+        for got, want in zip(amp_pair, amps):
             if want == 0.0:
                 assert got == 0.0
             else:
@@ -329,13 +323,13 @@ def test_degenerate_limits(sel, ints, case):
     # the same point inside a grid, next to points of other root counts
     sig1 = np.array([-2600.0, -1400.0, 0.0, -1400.0, 700.0])
     sig2 = np.array([-1500.0, -2000.0, 0.0, 10000.0, -2000.0])
-    grid = nl.steady_states(sig1, sig2, par)
+    grid = nl.coupled_steady_state(sig1, sig2, par)
     amps = np.sqrt([grid["z1"][grid["point"] == 1],
                     grid["z2"][grid["point"] == 1]]).T
-    assert amps.tolist() == [[p1.amplitude, p2.amplitude] for p1, p2 in pairs]
+    assert amps.tolist() == pairs
     for i in range(sig1.size):
         rows = grid["point"] == i
-        one = nl.steady_states(sig1[i], sig2[i], par)
+        one = nl.coupled_steady_state(sig1[i], sig2[i], par)
         assert columns_equal({k: c[rows] for k, c in grid.items()
                               if k != "point"},
                              {k: c for k, c in one.items() if k != "point"})
@@ -380,14 +374,14 @@ def test_failed_roots_are_dropped_loudly(sel, ints, monkeypatch):
     monkeypatch.setattr(nl, "_newton_polish",
                         lambda z1, z2, *rest: (1.01 * z1, z2))
     with pytest.warns(nl.SteadyStateWarning, match="3 of 3 .* dropped"):
-        assert nl.coupled_steady_state(-1400.0, -2000.0, par) == []
+        assert nl.coupled_steady_state(-1400.0, -2000.0, par)["point"].size == 0
 
 
 def test_polish_failure_warns_for_its_own_point(sel, ints, monkeypatch):
     par = params_for(sel, ints, 3.7e-6, 3.5e-5)
     sig1 = np.array([-1500.0, -1400.0, -1300.0])
     sig2 = np.full(3, -2000.0)
-    clean = nl.steady_states(sig1, sig2, par)
+    clean = nl.coupled_steady_state(sig1, sig2, par)
     polish = nl._newton_polish
 
     def broken(z1, z2, s1, s2, params):
@@ -396,7 +390,7 @@ def test_polish_failure_warns_for_its_own_point(sel, ints, monkeypatch):
 
     monkeypatch.setattr(nl, "_newton_polish", broken)
     with pytest.warns(nl.SteadyStateWarning) as caught:
-        got = nl.steady_states(sig1, sig2, par)
+        got = nl.coupled_steady_state(sig1, sig2, par)
     assert [str(w.message) for w in caught] == [
         "3 of 3 real root(s) at sigma = (-1400, -2000) failed the "
         "steady-state check; dropped"]
@@ -416,10 +410,10 @@ def test_grid_rows_match_one_point_calls(sel, ints, f1, f2, grid, data):
     # must not depend on the other points of its grid
     par = params_for(sel, ints, f1, f2)
     sig1, sig2 = np.array(grid).T
-    states = nl.steady_states(sig1, sig2, par)
+    states = nl.coupled_steady_state(sig1, sig2, par)
     for i in range(sig1.size):
         rows = states["point"] == i
-        one = nl.steady_states(sig1[i], sig2[i], par)
+        one = nl.coupled_steady_state(sig1[i], sig2[i], par)
         assert np.all(one["point"] == 0)
         assert columns_equal({k: c[rows] for k, c in states.items()
                               if k != "point"},
@@ -430,6 +424,27 @@ def test_grid_rows_match_one_point_calls(sel, ints, f1, f2, grid, data):
         assert np.all(nl.steady_residual(states["z1"][rows],
                                          states["z2"][rows],
                                          sig1[i], sig2[i], par) <= 1e-10)
+
+
+@pytest.mark.parametrize("sig1, sig2", [
+    (np.linspace(-1600.0, -1150.0, 5), -2000.0),
+    (-1400.0, np.linspace(-4000.0, -300.0, 3)),
+    (np.array([-1400.0]), np.linspace(-4000.0, -300.0, 3))])
+def test_scalar_detuning_pairs_with_every_point(sel, ints, sig1, sig2):
+    par = params_for(sel, ints, 3.7e-6, 3.5e-5)
+    size = max(np.size(sig1), np.size(sig2))
+    full = [np.full(size, s) if np.size(s) == 1 else s for s in (sig1, sig2)]
+    got = nl.coupled_steady_state(sig1, sig2, par)
+    # mode 1's bistable window: three states at every point
+    assert got["point"].tolist() == np.repeat(np.arange(size), 3).tolist()
+    assert columns_equal(got, nl.coupled_steady_state(*full, par))
+
+
+def test_unpairable_detunings_raise(sel, ints):
+    par = params_for(sel, ints, 3.7e-6, 3.5e-5)
+    with pytest.raises(ValueError, match="5 values of sigma1 and 3 of sigma2"):
+        nl.coupled_steady_state(np.linspace(-1600.0, -1150.0, 5),
+                                np.linspace(-4000.0, -300.0, 3), par)
 
 
 def test_shift_monotone_in_second_drive(sel, ints):
@@ -516,8 +531,8 @@ def test_linear_regime_scaling(sel, ints):
     pb = params_for(sel, ints, 2e-12, 2e-12)
     sta = nl.coupled_steady_state(0.0, 0.0, pa)
     stb = nl.coupled_steady_state(0.0, 0.0, pb)
-    assert len(sta) == len(stb) == 1
-    for i in range(2):
-        ratio = stb[0][i].amplitude / sta[0][i].amplitude
+    assert sta["point"].size == stb["point"].size == 1
+    for z in ("z1", "z2"):
+        ratio = math.sqrt(stb[z][0]) / math.sqrt(sta[z][0])
         assert ratio == pytest.approx(2.0, abs=1e-9)
 

@@ -51,3 +51,22 @@ def test_cumulative_square_quad_matches_closed_form():
     expect = 0.5 - math.sin(2.0) / 4.0
     got = cumulative_square_quad(np.cos, 0.0, 1.0, rtol=1e-12)
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_both_doubling_quadratures_stop_at_the_cap():
+    # 10^5 rad of oscillation outruns 2-point rules on up to 8192 panels:
+    # 13 rule evaluations, one f call each (two for the nested rule)
+    calls = []
+
+    def f(v):
+        calls.append(v.size)
+        return np.cos(1e5 * v)
+
+    with pytest.raises(QuadratureError, match="within 8192 panels"):
+        adaptive_quad(f, 0.0, 1.0, rtol=1e-12, initial_panels=2, order=2)
+    assert len(calls) == 13
+    calls.clear()
+    with pytest.raises(QuadratureError, match="nested integral"):
+        cumulative_square_quad(f, 0.0, 1.0, rtol=1e-12, initial_panels=2,
+                               order=2)
+    assert len(calls) == 26
