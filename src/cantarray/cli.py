@@ -3,13 +3,17 @@
 Every run reads one JSON config (or a named preset), dispatches to the
 library, and emits a single CSV or JSON table plus a manifest sidecar that
 records the tool version, a hash of the effective config (override flags
-included), wall time and every warning raised along the way.  A table is a set of named columns, each
-a numpy array of one type; floats are printed with 17 significant digits
-(a float column made of runs of equal cells, like a swept value, is
-formatted once per run) and output files are written atomically (temp
-file, then rename), so identical config and version give byte-identical
-files.  Each subcommand imports only the solver module it runs, so start-up
-does not load the others.
+included), wall time and every warning raised along the way.  A table is
+a set of named columns, each a numpy array of one type.  CSV text is
+exactly "%.17g" per float and "%d" per int, rendered a block of rows at a
+time: each column of a block becomes a list of cells, a run of equal cells
+formatted once, and a float or int column with enough cells goes through
+a numpy kernel that writes the same bytes as "%" does, cell for cell (the
+cells it cannot certify, and short columns, keep "%").  Output files are
+written atomically (a new file under the umask, then a rename), so
+identical config and version give byte-identical files.  Each subcommand
+imports only the solver module it runs, so start-up does not load the
+others.
 
 Exit codes: 0 success, 2 configuration problem, 3 solver failure.
 """
@@ -23,7 +27,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 import warnings
 from dataclasses import replace
@@ -43,10 +46,32 @@ from .quadrature import QuadratureError
 SOLVER_ERRORS = (QuadratureError, PoleProximityError, np.linalg.LinAlgError,
                  FloatingPointError, ArithmeticError)
 
-# CSV field per dtype kind of a column's cells (see _csv_cells)
-_CSV_FIELD = {"i": "%d", "f": "%.17g", "U": "%s", "O": "%s"}
-_BLOCK_ROWS = 4096   # CSV rows formatted per write
+_BLOCK_ROWS = 4096   # CSV rows rendered per write
+# a column of a block with fewer cells to format than this is formatted one
+# cell at a time: below it the kernel's fixed numpy cost outweighs its gain
+_KERNEL_MIN = 256
+# bytes.join takes 80 bytes per item while it runs, so a block's cells are
+# joined and written this many rows at a time
+_JOIN_ROWS = 512
 _JSON = json.JSONEncoder(sort_keys=True, indent=2)
+
+# The CSV kernel writes float64 and int64 cells exactly as "%.17g" and "%d"
+# do.  A float with 1e-4 <= |x| < 1e16 prints in fixed notation, and its 17
+# digits are d = round(|x| * 10**(16 - e)) with e = floor(log10 |x|).
+# Dekker's error-free product gives |x| * 10**(16 - e) as hi + lo, and hi,
+# at least 1e16 > 2**53, is an even integer, so d = hi + rint(lo) rounds ties
+# to even as dtoa does.  Digits are made 8 at a time in the bytes of a
+# uint64 word (SWAR), most significant in the lowest byte, and the point,
+# the sign and the separator are placed with word shifts; numpy's shift by
+# 64 or more bits (also a negative count, cast to uint64) gives 0.
+_POW10 = np.array([float(10 ** k) for k in range(23)])    # exact doubles
+_SPLIT = 134217729.0                  # 2**27 + 1: Veltkamp's split factor
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_PARTS = np.array([_POW10, _POW10_HI, _POW10 - _POW10_HI])
+_POW10_INT = 10 ** np.arange(20, dtype=np.uint64)
+_ZERO = 0x3030303030303030            # "0" in each byte of a word
+_ALL = np.uint64(2 ** 64 - 1)
+_WORD = np.array([[0], [8], [16], [24]])   # first byte of each text word
 
 
 def _write_json(fh, obj) -> None:
@@ -54,49 +79,204 @@ def _write_json(fh, obj) -> None:
     fh.write("\n")
 
 
-def _csv_cells(column: np.ndarray) -> np.ndarray:
-    """The cells of one CSV column: bools as true/false; a float column
-    with at most one run of equal cells per two cells as the %.17g text of
-    each run, formatted once and repeated over it; any other column as it
-    is.  Runs are compared by bits, so 0.0 and -0.0 stay apart."""
-    if column.dtype.kind == "b":
-        return np.where(column, "true", "false")
-    if column.dtype == np.float64:
-        bits = column.view(np.int64)
-        starts = np.flatnonzero(np.append(True, bits[1:] != bits[:-1]))
-        if 2 * starts.size <= column.size:
-            text = ["%.17g" % x for x in column[starts].tolist()]
-            return np.repeat(np.array(text, dtype=object),
-                             np.diff(starts, append=column.size))
-    return column
+def _shift(nbytes):
+    """A count of bytes as a uint64 bit shift."""
+    return (nbytes << 3).astype(np.uint64)
 
 
-def _write_table(fh, table: dict[str, np.ndarray], fmt: str) -> None:
+def _digits(v):
+    """Overwrite each v < 10**8 (uint64) with its 8 decimal digits, one per
+    byte, the most significant in the lowest byte, and return it."""
+    hi = v // 10000
+    v -= hi * 10000
+    v <<= 32
+    v |= hi
+    t = v * 10486 >> 20 & 0x7F0000007F          # // 100 in each half
+    v -= t * 100
+    v <<= 16
+    v |= t
+    t = v * 103 >> 10 & 0x000F000F000F000F      # // 10 in each quarter
+    v -= t * 10
+    v <<= 8
+    v |= t
+    return v
+
+
+def _text_cells(words, start, size):
+    """The cells in text words (size + 1 rows, a column per cell): size
+    words of column i from its byte start[i] (0 to 8) on, less the NULs at
+    their end."""
+    shift = _shift(start)
+    out = np.empty((words.shape[1], size), "<u8")   # bytes in text order
+    out.T[...] = words[:size] >> shift
+    out.T[...] |= words[1:size + 1] << (64 - shift)
+    return out.view(f"S{8 * size}").ravel().tolist()
+
+
+def _two_product(ax, k):
+    """(hi, lo) with hi + lo = ax * 10**k exactly (Dekker 1971)."""
+    p, p_hi, p_lo = np.take(_POW10_PARTS, k, axis=1, mode="clip")
+    c = ax * _SPLIT
+    x_hi = c - (c - ax)
+    x_lo = ax - x_hi
+    hi = ax * p
+    return hi, ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+
+
+def _significand(ax):
+    """(d, e) for each ax in [1e-4, 1e16): e = floor(log10 ax) and the 17
+    significant digits d = round(ax * 10**(16 - e)), ties to even."""
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    hi, lo = _two_product(ax, 16 - e)
+    # next to a power of ten log10 may miss e by one; the product tells
+    step = (((hi - 1e17) + lo >= 0).view(np.int8)
+            - ((hi - 1e16) + lo < 0).view(np.int8))
+    if step.any():
+        e += step
+        hi, lo = _two_product(ax, 16 - e)
+    d = hi.astype(np.uint64) + np.rint(lo).astype(np.int64).view(np.uint64)
+    return d, e
+
+
+def _float_text(x, sep):
+    """(cells, at): "%.17g" + sep of x[at], at being the cells the kernel
+    certified; 0, nan, inf, subnormals and exponent notation are not."""
+    ax = np.abs(x)
+    at = np.flatnonzero((ax >= 1e-4) & (ax < 1e16))
+    ax = ax[at]
+    d, e = _significand(ax)
+    good = d - 10 ** 16 < 9 * 10 ** 16      # 17 digits; uint64 wraps below
+    if not good.all():
+        at, ax, d, e = at[good], ax[good], d[good], e[good]
+    # 18 digits: the integer part, a 0 where the point goes, the fraction;
+    # below 1 the integer part is empty and d stays as it is
+    d += (9 * np.floor(ax).astype(np.uint64)
+          * np.take(_POW10_INT, 16 - e, mode="clip"))
+    w = np.empty((4, d.size), np.uint64)
+    w[0] = d // 10 ** 16
+    d -= w[0] * 10 ** 16
+    w[1] = d // 10 ** 8
+    w[2] = d - w[1] * 10 ** 8
+    _digits(w[:3])                          # bytes 6..23 hold the digits
+    w[3] = 0
+    # the cell ends after its last nonzero digit, or at the point if no
+    # fraction digit is left; its bytes before that become text
+    top = (np.frexp(w[:3].astype(np.float64))[1] + 7) >> 3
+    point = 7 + e
+    end = np.maximum(np.max((top + _WORD[:3]) * (top > 0), axis=0), point)
+    w[:3] += ((_ZERO - (2 << _shift(point - _WORD[:3])))   # "0", "."
+              & _ALL >> _shift(np.maximum(_WORD[1:] - end, 0)))
+    w |= ord(sep) << _shift(end - _WORD)
+    first = 6 + np.minimum(e, 0)            # first digit, or the 0 of "0."
+    neg = np.signbit(x[at])
+    w[0] -= neg * (3 << _shift(first - 1))  # "0" -> "-"
+    return _text_cells(w, first - neg, 3), at
+
+
+def _int_text(v, sep):
+    """(cells, at): "%d" + sep of v[at], at being the cells with
+    0 < |v| < 10**8."""
+    at = np.flatnonzero((v > -10 ** 8) & (v < 10 ** 8) & (v != 0))
+    v = v[at]
+    t = _digits(np.abs(v).astype(np.uint64))
+    # leading zero digits: the byte of the lowest set bit of t
+    lead = (np.frexp((t & (0 - t)).astype(np.float64))[1] - 1) >> 3
+    t += _ZERO
+    w = np.empty((3, v.size), np.uint64)
+    w[0] = t << 8 | 0x30                    # the digits from byte 1 on
+    w[1] = t >> 56 | ord(sep) << 8
+    w[2] = 0
+    neg = v < 0
+    w[0] -= neg * (3 << _shift(lead))       # "0" -> "-"
+    return _text_cells(w, lead + 1 - neg, 2), at
+
+
+def _format(values, sep):
+    """(cells, missed): the text of each of values ending in sep, and how
+    many the kernel was given but left to per-cell formatting."""
+    kind = values.dtype.kind
+    if kind == "b":
+        both = np.array([b"false" + sep, b"true" + sep])
+        return both[values.view(np.uint8)].tolist(), 0
+    if kind not in "fi":
+        end = sep.decode()
+        return [(str(x) + end).encode("utf-8", "surrogatepass")
+                for x in values.tolist()], 0
+    field = (b"%.17g" if kind == "f" else b"%d") + sep
+    if values.size < _KERNEL_MIN:
+        return [field % x for x in values.tolist()], 0
+    text, at = (_float_text if kind == "f" else _int_text)(values, sep)
+    if at.size == values.size:
+        return text, 0
+    rest = np.ones(values.size, dtype=bool)
+    rest[at] = False
+    cells = np.empty(values.size, dtype=object)
+    cells[at] = text
+    cells[rest] = [field % x for x in values[rest].tolist()]
+    return cells.tolist(), values.size - at.size
+
+
+def _csv_cells(column, sep):
+    """(cells, missed) of one block of a column, as _format gives them; a
+    run of equal cells is formatted once.  Floats are compared by bits, so
+    0.0 and -0.0 stay apart."""
+    key = column
+    if column.dtype.kind == "f":
+        column = column.astype(np.float64, copy=False)
+        key = column.view(np.int64)
+    starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    if starts.size == column.size:
+        return _format(column, sep)
+    text, missed = _format(column[starts], sep)
+    runs = np.empty(len(text), dtype=object)
+    runs[:] = text
+    return (np.repeat(runs, np.diff(starts, append=column.size)).tolist(),
+            missed)
+
+
+def _write_block(fh, block) -> int:
+    """Write rows given as their columns to fh: each column becomes a list
+    of cells ending in "," (the last column's in a newline), and the
+    interleaved lists are joined _JOIN_ROWS rows at a time.  Returns the
+    kernel's per-cell count (_format)."""
+    seps = [b","] * (len(block) - 1) + [b"\n"]
+    cells = [b""] * (len(block) * block[0].size)
+    missed = 0
+    for j, (column, sep) in enumerate(zip(block, seps)):
+        cells[j::len(block)], count = _csv_cells(column, sep)
+        missed += count
+    step = _JOIN_ROWS * len(block)
+    for i in range(0, len(cells), step):
+        fh.write(b"".join(cells[i:i + step]).decode("utf-8", "surrogatepass"))
+    return missed
+
+
+def _write_table(fh, table: dict[str, np.ndarray], fmt: str) -> int:
     """Write named, equal-length columns to fh as CSV or JSON.
 
-    CSV: a header line, then one line per row from a single %-template
-    (floats %.17g, ints %d, bools true/false, strings as they are), written
-    in blocks of _BLOCK_ROWS rows.  A float column made of runs of equal
-    cells, such as a swept value repeated over its levels, is formatted
-    once per run (_csv_cells).  JSON: {"columns": names, "rows": rows}.
+    CSV: a header line, then the rows in blocks of _BLOCK_ROWS (_write_block).
+    The text is "%.17g" for floats, "%d" for ints, true/false for bools and
+    strings as they are.  Float and int columns with at least _KERNEL_MIN
+    cells to format in a block go through the numpy kernel (_float_text,
+    _int_text), which leaves to per-cell formatting only the cells it cannot
+    certify.  Returns that count (0 for JSON).  JSON: {"columns": names,
+    "rows": rows}.
     """
     cols = list(table.values())
     if fmt == "json":
         rows = list(zip(*(c.tolist() for c in cols)))
         _write_json(fh, {"columns": list(table), "rows": rows})
-        return
-    cells = [_csv_cells(c) for c in cols]
-    line = ",".join(_CSV_FIELD[c.dtype.kind] for c in cells) + "\n"
+        return 0
     fh.write(",".join(table) + "\n")
-    for start in range(0, len(cols[0]), _BLOCK_ROWS):
-        block = zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in cells))
-        fh.write("".join([line % row for row in block]))
+    return sum(_write_block(fh, [c[start:start + _BLOCK_ROWS] for c in cols])
+               for start in range(0, len(cols[0]), _BLOCK_ROWS))
 
 
 def _write_atomic(path: str, write) -> None:
-    """Call write(fh) on a temp file beside path, then rename it to path."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
+    """Call write(fh) on a new file beside path, then rename it to path.
+    The file is created with mode 0666 less the umask, as open() would."""
+    tmp = f"{os.path.abspath(path)}.{os.urandom(6).hex()}.part"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             write(fh)

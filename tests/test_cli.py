@@ -799,15 +799,29 @@ def _tables(draw):
     return table, [list(row) for row in zip(*cells)]
 
 
+def _check_renderer(drawn, fmt):
+    table, rows = drawn
+    buf = io.StringIO()
+    cli._write_table(buf, table, fmt)
+    assert buf.getvalue() == render_rows(list(table), rows, fmt)
+
+
 @settings(max_examples=300, deadline=None)
 @given(drawn=_tables(), fmt=st.sampled_from(["csv", "json"]),
        block=st.integers(1, 8))
 def test_table_renderer_matches_cell_by_cell_oracle(drawn, fmt, block):
-    table, rows = drawn
-    buf = io.StringIO()
     with mock.patch.object(cli, "_BLOCK_ROWS", block):
-        cli._write_table(buf, table, fmt)
-    assert buf.getvalue() == render_rows(list(table), rows, fmt)
+        _check_renderer(drawn, fmt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_tables(), block=st.integers(1, 8), join=st.integers(1, 3))
+def test_table_kernel_matches_cell_by_cell_oracle(drawn, block, join):
+    # the tables above are too short for the kernel unless its minimum is 1
+    with mock.patch.object(cli, "_BLOCK_ROWS", block), \
+            mock.patch.object(cli, "_KERNEL_MIN", 1), \
+            mock.patch.object(cli, "_JOIN_ROWS", join):
+        _check_renderer(drawn, "csv")
 
 
 def test_csv_keeps_negative_zero_after_zero():
@@ -815,6 +829,101 @@ def test_csv_keeps_negative_zero_after_zero():
     buf = io.StringIO()
     cli._write_table(buf, {"x": np.array([0.0, 0.0, -0.0, -0.0])}, "csv")
     assert buf.getvalue() == "x\n0\n0\n-0\n-0\n"
+
+
+def _kernel_cells(values, sep):
+    """(cells, missed) of values with every one of them given to the kernel."""
+    with mock.patch.object(cli, "_KERNEL_MIN", 1):
+        return cli._format(values, sep)
+
+
+def test_kernel_matches_percent_formatting():
+    rng = np.random.default_rng(29)
+    powers = np.array([float(f"1e{k}") for k in range(-6, 18)])
+    near = (powers.view(np.int64)[:, None]          # +-1..300 ulps of each
+            + np.arange(-300, 301)).view(np.float64).ravel()
+    nans = [struct.unpack("<d", struct.pack("<Q", bits))[0]
+            for bits in (0x7FF8000000000000, 0xFFF8000000000001,
+                         0x7FF0000000000ABC)]
+    x = np.concatenate([
+        rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64),
+        near, -near,
+        [9999999999999999.0, 0.0, -0.0, *nans, math.inf, -math.inf, 5e-324,
+         -5e-324, sys.float_info.max]])
+    cells, missed = _kernel_cells(x, b",")
+    assert cells == [b"%.17g," % v for v in x.tolist()]
+    # the kernel leaves exactly 0, nan, inf, subnormals and exponent notation
+    ax = np.abs(x)
+    assert missed == np.count_nonzero(~((ax >= 1e-4) & (ax < 1e16)))
+    # the 17th digit of a tie rounds to even, as dtoa rounds it
+    assert _kernel_cells(np.array([1e15 + 0.25, 1e15 + 0.75]), b"\n")[0] \
+        == [b"1000000000000000.2\n", b"1000000000000000.8\n"]
+
+    top = np.iinfo(np.int64)
+    v = np.concatenate([[top.min, top.max, 0, 10 ** 8 - 1, 1 - 10 ** 8,
+                         10 ** 8, -10 ** 8],
+                        rng.integers(-10 ** 9, 10 ** 9, 20_000)])
+    cells, missed = _kernel_cells(v, b"\n")
+    assert cells == [b"%d\n" % i for i in v.tolist()]
+    assert missed == np.count_nonzero((v == 0) | (np.abs(v) >= 10 ** 8)
+                                      | (v == top.min))
+
+
+def test_kernel_certifies_every_cell_of_the_golden_sweep(capsys, tmp_path):
+    # a platform whose log10 or product were off would hand more cells to
+    # per-cell formatting, unseen in the bytes: count them
+    tables = []
+    write_table = cli._write_table
+
+    def keep(fh, table, fmt):
+        tables.append(table)
+        return write_table(fh, table, fmt)
+    out = tmp_path / "sweep.csv"
+    with mock.patch.object(cli, "_write_table", keep):
+        code, _, _ = run(capsys, *GOLDEN_RUNS["sweep-nu"][0], *SWEEP_FLAGS,
+                         "--preset", PRESET, "--output", str(out))
+    assert code == 0
+    (table,) = tables
+    assert len(table["value"]) <= cli._BLOCK_ROWS       # a single block
+    buf = io.StringIO()
+    with mock.patch.object(cli, "_KERNEL_MIN", 1):
+        missed = cli._write_table(buf, table, "csv")
+    assert buf.getvalue() == out.read_text()
+    # formatted cells (one per run of equal cells) the kernel may leave
+    expected = 0
+    for column in table.values():
+        if column.dtype.kind in "fi":
+            key = column.view(np.int64)
+            cells = np.abs(column[np.append(True, key[1:] != key[:-1])])
+            low, high = (1e-4, 1e16) if column.dtype.kind == "f" else (1, 1e8)
+            expected += np.count_nonzero(~((cells >= low) & (cells < high)))
+    assert missed == expected
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_outputs_are_created_under_the_umask(capsys, tmp_path, umask, mode):
+    # the temp file renamed into place was 0600 under any umask
+    old = os.umask(umask)
+    try:
+        code, _, _ = run(capsys, "spectrum", "--preset", PRESET,
+                         "--output", str(tmp_path / "levels.csv"))
+    finally:
+        os.umask(old)
+    assert code == 0
+    names = ["levels.csv", "levels.csv.manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    def fail(fh):
+        fh.write("partial")
+        raise RuntimeError("solver died")
+    with pytest.raises(RuntimeError):
+        cli._write_atomic(str(tmp_path / "levels.csv"), fail)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kernel_drops_samples_on_band_edges(capsys):
