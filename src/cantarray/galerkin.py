@@ -27,11 +27,11 @@ make every bracket independent, so all brackets of all segments advance in
 lockstep rounds: each round assembles D at every pending abscissa (bisection
 midpoints and Brent iterates) in one batched `assemble` and takes their
 eigenvalues in one stacked eigvalsh.  The bisection looks two levels ahead:
-a bracket waiting on its midpoint also has its halves' midpoints in the
-batch, so the next round splits it twice, and a bracket that turns out to
-hold one crossing starts Brent in the same round.  The brackets and Brent
-iterates are those of one bisection per round, and so are the roots' bits;
-a 2x200-tooth comb over two bands takes 12-17 rounds instead of 16-21.
+a bracket waiting on its midpoint, and every segment in the first batch,
+has its halves' midpoints in the batch too, so the next round splits it
+twice, and a bracket that holds one crossing starts Brent in that round.
+The brackets, Brent iterates and roots' bits are those of one bisection
+per round; a 2x200-tooth comb over two bands takes 11-16 rounds, not 16-21.
 Determinant magnitudes are never compared across alpha, so basis sizes
 beyond det overflow are fine.
 """
@@ -55,6 +55,7 @@ from .quadrature import panel_nodes
 GAMMA_EXCLUSION = 1e-8   # half-width in gamma of the excluded pole window
 _BRENT_RTOL = 4.0 * np.finfo(float).eps   # the smallest brentq accepts
 _BRENT_XTOL = 1e-300     # leaves the relative tolerance in charge
+_PRODUCT_BYTES = 1 << 20   # per stacked (alphas, M, nodes) array, >= 1 alpha
 
 
 class ForbiddenInterval(NamedTuple):
@@ -184,8 +185,9 @@ def assemble(alpha, geometry: DeviceGeometry, profile: Profile,
     Only tabulated profiles use quadrature: Gauss rules on their knot
     panels, each split 1, 2, ..., 16 ways until two passes agree, so every
     sub-panel holds one cubic piece of the interpolants.  Each alpha refines
-    until it converges, and each one that does not warns once.  There are
-    no pole windows: inside a forbidden interval, where a band edge lies
+    until it converges, and each one that does not warns once; each pass
+    stacks its alphas' products in chunks of up to _PRODUCT_BYTES.  There
+    are no pole windows: inside a forbidden interval, where a band edge lies
     strictly between alpha*l_min and alpha*l_max, a tabulated profile
     raises PoleProximityError, as any profile does when alpha*l meets an
     edge; the error names the first offending alpha in input order and, for
@@ -274,9 +276,10 @@ def assemble(alpha, geometry: DeviceGeometry, profile: Profile,
                              basis_values(basis, u))
         w_rho, lengths, phi = cache[splits]
         wp = w_rho * shear_kernel(alphas[rows, None] * lengths)
-        # one product per alpha: an (A, M, nodes) array would not be small
-        return np.stack([coef[i] * ((phi * w) @ phi.T)
-                         for i, w in zip(rows, wp)])
+        step = max(1, _PRODUCT_BYTES // phi.nbytes)
+        return np.concatenate([coef[rows[s:s + step], None, None]
+                               * ((phi * wp[s:s + step, None, :]) @ phi.T)
+                               for s in range(0, rows.size, step)])
 
     rows = np.arange(alphas.size)
     v = entry_sums(1, rows)
@@ -309,12 +312,13 @@ def _roots(segments: list[tuple[float, float]],
     holding one runs Brent's method (numerics.brent, rtol 4 eps) on the
     eigenvalue that crosses zero, eigvalsh(D)[c_lo], from the round it
     appears in.  The bisection looks two levels ahead: a bracket that waits
-    on its midpoint also has the midpoints of its two halves in the batch,
-    and within a round a bracket whose midpoint is known splits at once, so
-    a round bisects twice.  The brackets and the Brent iterates are those of
-    one bisection per round, so each root follows the iterates of a scalar
-    brentq.  A piece narrower than 1e-14 relative that still holds several
-    crossings yields its midpoint once per crossing.
+    on its midpoint, like each segment in the first batch, also has the
+    midpoints of its two halves in the batch, and a bracket whose midpoint
+    is known splits at once, so a round bisects twice.  The brackets and
+    Brent iterates are those of one bisection per round, so each root
+    follows the iterates of a scalar brentq.  A piece narrower than 1e-14
+    relative that still holds several crossings yields its midpoint once
+    per crossing.
     """
     evals: dict[float, np.ndarray] = {}
     counts: dict[float, int] = {}
@@ -327,7 +331,11 @@ def _roots(segments: list[tuple[float, float]],
             counts.update(zip(new, np.count_nonzero(batch < 0.0, axis=1)
                               .tolist()))
 
-    evaluate([a for seg in segments for a in seg])
+    def ahead(lo: float, hi: float) -> list[float]:   # midpoints, own first
+        mid = 0.5 * (lo + hi)
+        return [mid, 0.5 * (lo + mid), 0.5 * (mid + hi)]
+
+    evaluate([a for lo, hi in segments for a in (lo, hi, *ahead(lo, hi))])
     work = [(lo, hi, counts[lo], counts[hi]) for lo, hi in segments]
     lanes = []   # [Brent generator, eigenvalue index, abscissa it waits on]
     roots = []
@@ -350,7 +358,7 @@ def _roots(segments: list[tuple[float, float]],
                          (mid, hi, counts[mid], c_hi)]
             else:
                 waiting.append((lo, hi, c_lo, c_hi))
-                batch += [mid, 0.5 * (lo + mid), 0.5 * (mid + hi)]
+                batch += ahead(lo, hi)
         advanced = []
         for steps, c, x in lanes:
             try:

@@ -70,6 +70,7 @@ def _count(ceiling: int):
 _FINITE = (_is_number, "a finite number")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
 _NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
+_MAX_SAMPLES = 4096   # per profile list; README's schema says why
 
 
 def _check(test, what: str, **values) -> None:
@@ -175,6 +176,9 @@ def _samples(profile, **rules) -> None:
         values = getattr(profile, name)
         _check(lambda v: isinstance(v, (list, tuple, np.ndarray)),
                "a list of numbers", **{f"profile.{name}": values})
+        if len(values) > _MAX_SAMPLES:
+            raise ConfigError(f"profile.{name}: must be a list of at most "
+                              f"{_MAX_SAMPLES} numbers, got {len(values)}")
         if not all(map(test, values)):   # name the first failing sample
             _check(test, what, **{f"profile.{name}[{i}]": v
                                   for i, v in enumerate(values)})

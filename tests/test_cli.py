@@ -1288,6 +1288,10 @@ MALFORMED_CASES = {
     "nonlinear.sigma2.points": ({"geometry": _P, "nonlinear": {"sigma2": {
         "from": -1.0, "to": 1.0, "points": 10_001}}},
         "must be an integer from 1 to 10000, got 10001"),
+    # a profile list past its ceiling (2048 knots took 15 s at basis 64)
+    "profile.density": ({"geometry": _P, "profile": {
+        **FINITE_PROFILES["tabulated"], "density": [4e6] * 4097}},
+        "must be a list of at most 4096 numbers, got 4097"),
 }
 
 

@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -355,21 +357,28 @@ def _profile(kind, rng):
                              "tabulated"]),
        seed=st.integers(0, 2 ** 32 - 1),
        fracs=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=7),
-       order=st.sampled_from([4, 8]), rtol=st.sampled_from([1e-10, 1e-16]))
+       order=st.sampled_from([4, 8]), rtol=st.sampled_from([1e-10, 1e-16]),
+       size=st.sampled_from([1, 6, 16]), chunk=st.sampled_from([0, 1, 2]))
 def test_batched_assemble_equals_per_alpha_calls(kind, seed, fracs, order,
-                                                 rtol):
+                                                 rtol, size, chunk):
     # every slice of a batch is the scalar call's matrix, bit for bit, and a
     # tabulated batch warns once per unconverged alpha, in input order (the
-    # rtol of 1e-16 leaves some alphas unconverged after 16 splits)
+    # rtol of 1e-16 leaves some alphas unconverged after 16 splits).  A
+    # byte budget of chunk alphas' first-pass slices splits each stacked
+    # product of a tabulated batch into chunks of at most chunk alphas
     profile = _profile(kind, np.random.default_rng(seed))
-    basis = beam_modes(BC, 6)
-    quad = GalerkinSettings(basis_size=6, quadrature_order=order,
+    basis = beam_modes(BC, size)
+    quad = GalerkinSettings(basis_size=size, quadrature_order=order,
                             quadrature_rtol=rtol)
     # below the forbidden interval of a tabulated profile, two bands else
     top = band_edge_gammas(2)[0 if kind == "tabulated" else 1] \
         / gk.length_spans(profile)[-1][1]
     alphas = np.array(fracs) * top
-    with warnings.catch_warnings(record=True) as batch_warned:
+    budget = gk._PRODUCT_BYTES
+    if chunk and kind == "tabulated":   # float64 basis values at the nodes
+        budget = chunk * size * (len(profile.x) - 1) * order * 8
+    with mock.patch.object(gk, "_PRODUCT_BYTES", budget), \
+            warnings.catch_warnings(record=True) as batch_warned:
         warnings.simplefilter("always")
         batch = gk.assemble(alphas, GEO, profile, basis, quad, {})
     with warnings.catch_warnings(record=True) as single_warned:
@@ -377,7 +386,7 @@ def test_batched_assemble_equals_per_alpha_calls(kind, seed, fracs, order,
         cache = {}
         singles = [gk.assemble(a, GEO, profile, basis, quad, cache)
                    for a in alphas]
-    assert batch.shape == (alphas.size, 6, 6)
+    assert batch.shape == (alphas.size, size, size)
     assert _bits(batch) == _bits(singles)
     assert [str(w.message) for w in batch_warned] \
         == [str(w.message) for w in single_warned]
@@ -397,6 +406,37 @@ def test_batched_assemble_equals_per_alpha_calls(kind, seed, fracs, order,
         terms = np.maximum(np.abs(bare), np.abs(bare - batch))
         assert np.all(np.max(np.abs(mats - batch), axis=(1, 2))
                       <= 1e-15 * np.max(terms, axis=(1, 2)))
+
+
+def test_stacked_projection_keeps_within_its_byte_budget():
+    # 40 alphas on a 240-knot profile: stacking the projections costs at
+    # most _PRODUCT_BYTES beyond one product per alpha (a budget of 1 byte),
+    # which never holds the (40, 32, nodes) stack of a whole pass
+    u = np.linspace(0.0, 1.0, 240)
+    profile = TabulatedProfile(
+        x=tuple(u * L), length=tuple(CANT * (1.0 + 0.1 * np.sin(np.pi * u))),
+        density=tuple(RHO_UNIFORM * (1.0 + 0.2 * np.cos(np.pi * u))))
+    basis = beam_modes(BC, 32)
+    quad = GalerkinSettings(basis_size=32, quadrature_order=8)
+    alphas = np.linspace(0.1, 0.9, 40) * band_edge_gammas(1)[0] / (1.1 * CANT)
+    peaks, mats = {}, {}
+    for budget in (1, gk._PRODUCT_BYTES):
+        cache = {}
+        with mock.patch.object(gk, "_PRODUCT_BYTES", budget):
+            gk.assemble(alphas, GEO, profile, basis, quad, cache)  # nodes
+            tracemalloc.start()
+            try:
+                mats[budget] = gk.assemble(alphas, GEO, profile, basis, quad,
+                                           cache)
+                peaks[budget] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    # cache[splits] holds the basis values at that pass's nodes, (32, nodes)
+    stack = alphas.size * max(cache[key][2].nbytes for key in cache
+                              if isinstance(key, int))
+    assert _bits(mats[1]) == _bits(mats[gk._PRODUCT_BYTES])
+    assert peaks[gk._PRODUCT_BYTES] <= peaks[1] + gk._PRODUCT_BYTES
+    assert peaks[1] < stack / 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -529,10 +569,11 @@ def test_lookahead_roots_equal_plain_bisection(kind, seed, teeth, families,
     assert len(rounds) <= len(plain_rounds)
 
 
-def test_comb_roots_take_at_most_14_lockstep_rounds(monkeypatch):
+def test_comb_roots_take_at_most_13_lockstep_rounds(monkeypatch):
     # a 2x200-tooth comb over two bands, 16 levels: the depth-two lookahead
-    # bisects twice per round (12 rounds); one bisection per round took 19.
-    # Brent's iterates are untouched, so some combs still take up to 17
+    # bisects twice per round, and the first batch holds each segment's
+    # midpoint and quarter points (11 rounds); one bisection per round took
+    # 19.  Brent's iterates are untouched, so some combs still take up to 16
     roots, calls = gk._roots, []
     monkeypatch.setattr(gk, "_roots", lambda segments, spectrum: roots(
         segments, _counted(spectrum, calls)))
@@ -542,7 +583,7 @@ def test_comb_roots_take_at_most_14_lockstep_rounds(monkeypatch):
     alphas = gk.solve(geo, comb, BC, alpha_max,
                       GalerkinSettings(basis_size=8))[0]
     assert len(alphas) == 16
-    assert len(calls) <= 14
+    assert len(calls) <= 13
 
 
 @settings(max_examples=40, deadline=None)

@@ -92,6 +92,19 @@ def test_discrete_profile_lengths_match_positions():
         DiscreteProfile(positions=(1e-6, 2e-6), lengths=(1e-7,))
 
 
+def test_profile_lists_hold_at_most_4096_samples():
+    # the ceiling is checked before the samples, and names the list
+    x = tuple(np.linspace(0.0, 1e-5, 4096))
+    TabulatedProfile(x=x, length=(1e-7,) * 4096, density=(1.0,) * 4096)
+    DiscreteProfile(positions=x, lengths=(1e-7,) * 4096)
+    with pytest.raises(ConfigError, match=r"^profile\.x: .* at most 4096 "
+                       r"numbers, got 4097$"):
+        TabulatedProfile(x=(*x, 2e-5), length=(1e-7,) * 4097,
+                         density=(1.0,) * 4097)
+    with pytest.raises(ConfigError, match=r"^profile\.lengths: .*got 4097$"):
+        DiscreteProfile(positions=x, lengths=("bad",) * 4097)
+
+
 def test_boundary_names():
     assert BoundaryCondition.from_name("clamped-clamped") is \
         BoundaryCondition.CLAMPED_CLAMPED
