@@ -36,10 +36,10 @@ import numpy as np
 from . import __version__
 from .beam import beam_modes
 from .kernel import (CantileverShape, PoleProximityError, band_edge_gammas,
-                     band_edges_reaching, shear_kernel)
-from .model import (AlternatingProfile, BoundaryCondition, Config, ConfigError,
-                    SpectrumSettings, SweepRange, UniformProfile,
-                    config_to_dict, load_config)
+                     band_edges_reaching, cos_cosh_root, shear_kernel)
+from .model import (MAX_BANDS, MAX_POINTS, AlternatingProfile,
+                    BoundaryCondition, Config, ConfigError, SpectrumSettings,
+                    SweepRange, UniformProfile, config_to_dict, load_config)
 from .quadrature import QuadratureError
 
 # spectrum.BlowUpError is an ArithmeticError, so the tuple covers it
@@ -296,7 +296,8 @@ def _config_hash(config: Config | None) -> str | None:
 
 def _emit(args, table, config, caught, t0, payload=None) -> None:
     """Write the table (or a ready JSON payload) and its manifest; tables
-    are CSV unless --format says otherwise."""
+    are CSV unless --format says otherwise.  Each distinct warning is
+    printed and recorded once, in the order first raised."""
     fmt = "json" if payload is not None else args.format or "csv"
 
     def write(fh):
@@ -305,7 +306,7 @@ def _emit(args, table, config, caught, t0, payload=None) -> None:
         else:
             _write_json(fh, payload)
     rows = len(next(iter(table.values()), ()))
-    warn_strings = [str(w.message) for w in caught]
+    warn_strings = list(dict.fromkeys(str(w.message) for w in caught))
     for msg in warn_strings:
         print(f"warning: {msg}", file=sys.stderr)
     if args.output:
@@ -374,6 +375,16 @@ def _by_profile(config: Config, command: str, choices: dict):
     return choices[kind]
 
 
+def _below_last_edge(flag: str, value: float, length: float = 1.0) -> None:
+    """ConfigError unless gamma = value * length stays at or below band edge
+    MAX_BANDS, the last a k_max can ask for: every edge below gamma is
+    solved, one root at a time."""
+    ceiling = cos_cosh_root(MAX_BANDS) / length
+    if value > ceiling:
+        raise ConfigError(f"{flag}: must be at most {ceiling!r} (band edge "
+                          f"{MAX_BANDS}, the last k_max reaches), got {value!r}")
+
+
 def _level_rows(gammas: np.ndarray, scale: np.ndarray):
     """(p, n, k, gamma, omega) of each finite gammas[p, n-1, k-1], in that
     order, with omega = scale[p] * gamma^2."""
@@ -408,12 +419,14 @@ def _cmd_modes(args, caught, t0):
 
 def _cmd_kernel(args, caught, t0):
     if args.shape is not None:
+        _below_last_edge("--shape", args.shape)
         # deflection profile of one cantilever driven at its clamp
         v = np.linspace(0.0, 1.0, args.points)
         _emit(args, {"v": v, "chi": CantileverShape(args.shape)(v)}, None,
               caught, t0)
         return
     gmax = args.gamma_max
+    _below_last_edge("--gamma-max", gmax)
     poles = band_edges_reaching(gmax)   # an edge at or just past gmax too
     grid = np.linspace(0.0, gmax, args.points)
     keep = np.all(np.abs(grid[:, None] - poles) > 1e-9 * np.maximum(poles, 1.0),
@@ -488,11 +501,11 @@ def _cmd_galerkin(args, caught, t0):
     from . import galerkin
     config = _require_config(args)
     profile = config.profile
-    alpha_max = args.alpha_max
-    if not alpha_max:
-        # span k_max bands of the longest cantilever
-        longest = galerkin.length_spans(profile)[-1][1]
-        alpha_max = band_edge_gammas(config.spectrum.k_max)[-1] / longest
+    longest = galerkin.length_spans(profile)[-1][1]
+    # by default, span k_max bands of the longest cantilever
+    alpha_max = (args.alpha_max
+                 or band_edge_gammas(config.spectrum.k_max)[-1] / longest)
+    _below_last_edge("--alpha-max", alpha_max, longest)
     alpha, omega, weights = galerkin.solve(
         config.geometry, profile, config.boundary, alpha_max, config.galerkin)
     table = {"alpha": alpha, "omega_rad_s": omega,
@@ -558,16 +571,19 @@ def _cmd_nonlinear(args, caught, t0):
 # --- argument parsing --------------------------------------------------------
 
 
-def _positive(kind):
-    """argparse type: a finite number of the given kind above zero."""
+def _positive(kind, ceiling=math.inf):
+    """argparse type: a finite number of the given kind above zero and at
+    most ceiling."""
+    bound = "" if ceiling == math.inf else f" up to {ceiling}"
+
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and value > 0):
+        if not (math.isfinite(value) and 0 < value <= ceiling):
             raise argparse.ArgumentTypeError(
-                f"expected a positive {kind.__name__}, got {text!r}")
+                f"expected a positive {kind.__name__}{bound}, got {text!r}")
         return value
     return parse
 
@@ -593,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bc", default="clamped-clamped",
                    help="boundary condition when no config is given")
     p.add_argument("--n-max", type=_positive(int))
-    p.add_argument("--samples", type=_positive(int),
+    p.add_argument("--samples", type=_positive(int, MAX_POINTS),
                    help="emit an (u, phi_1..phi_n) shape table with this "
                         "many points instead of the eigenvalue table")
     p.set_defaults(run=_cmd_modes)
@@ -601,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="shear kernel table (dimensionless)")
     _add_io_flags(p, config_flags=False)
     p.add_argument("--gamma-max", type=_positive(float), default=12.0)
-    p.add_argument("--points", type=_positive(int), default=481)
+    p.add_argument("--points", type=_positive(int, MAX_POINTS), default=481)
     p.add_argument("--shape", type=float, metavar="GAMMA",
                    help="emit the cantilever deflection profile chi(v) at "
                         "this frequency instead of the kernel table")

@@ -53,7 +53,6 @@ from .numerics import brent
 from .quadrature import panel_nodes
 
 GAMMA_EXCLUSION = 1e-8   # half-width in gamma of the excluded pole window
-_BRENT_RTOL = 4.0 * np.finfo(float).eps   # the smallest brentq accepts
 _BRENT_XTOL = 1e-300     # leaves the relative tolerance in charge
 _PRODUCT_BYTES = 1 << 20   # per stacked (alphas, M, nodes) array, >= 1 alpha
 
@@ -305,16 +304,17 @@ def _roots(segments: list[tuple[float, float]],
     """Roots of det D(alpha) in pole-free segments (lo, hi), ascending.
 
     spectrum(alphas) gives the ascending eigenvalues of D at each alpha of a
-    1-D array, shape (A, M).  The negative counts at the segment ends, one
-    batch, say how many levels each holds.  Then every bracket advances in
-    lockstep rounds, each one batch of spectrum: a bracket holding several
-    crossings is split at its midpoint by inertia bisection, and a bracket
-    holding one runs Brent's method (numerics.brent, rtol 4 eps) on the
-    eigenvalue that crosses zero, eigvalsh(D)[c_lo], from the round it
-    appears in.  The bisection looks two levels ahead: a bracket that waits
-    on its midpoint, like each segment in the first batch, also has the
-    midpoints of its two halves in the batch, and a bracket whose midpoint
-    is known splits at once, so a round bisects twice.  The brackets and
+    1-D array, shape (A, M); they are all the search keeps of an alpha.  The
+    negative counts at the segment ends, one batch, say how many levels each
+    holds.  Then every bracket advances in lockstep rounds, each one batch
+    of spectrum: a bracket holding several crossings is split at its
+    midpoint by inertia bisection, and a bracket holding one runs Brent's
+    method (numerics.brent, default rtol 4 eps) on the eigenvalue that
+    crosses zero, eigvalsh(D)[c_lo], from the round it appears in.  The
+    bisection looks two levels ahead: a bracket that waits on its midpoint,
+    like each segment in the first batch, also has the midpoints of its two
+    halves in the batch, and a bracket whose midpoint is known splits at
+    once, so a round bisects twice.  The brackets and
     Brent iterates are those of one bisection per round, so each root
     follows the iterates of a scalar brentq.  A piece narrower than 1e-14
     relative that still holds several crossings yields its midpoint once
@@ -345,7 +345,7 @@ def _roots(segments: list[tuple[float, float]],
             lo, hi, c_lo, c_hi = work.pop()
             mid = 0.5 * (lo + hi)
             if c_hi - c_lo == 1:
-                steps = brent(lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+                steps = brent(lo, hi, xtol=_BRENT_XTOL)
                 lanes.append([steps, c_lo, next(steps)])
             elif c_hi - c_lo < 2:
                 # no crossing; a count that falls would mean an eigenvalue
@@ -385,8 +385,10 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
     segments.  The inertia of D(alpha) at each segment's ends counts its
     levels, and `_roots` locates them, all segments together.  omega (rad/s)
     follows the beam dispersion.  participation[i] is the unit null-space
-    direction of D at alpha[i], length M = basis_size, from one stacked eigh
-    over the roots' matrices, signed so that its largest entry is positive.
+    direction of D at alpha[i], length M = basis_size, signed so that its
+    largest entry is positive.  The root search reads eigenvalues only, so
+    no matrix outlives its round: the roots are assembled once more, in one
+    batch with the solve's warm cache, for one stacked eigh.
     """
     settings = settings or GalerkinSettings()
     basis = beam_modes(bc, settings.basis_size)
@@ -398,23 +400,12 @@ def solve(geometry: DeviceGeometry, profile: Profile, bc: BoundaryCondition,
 
     families = length_families(profile)   # teeth grouped once per solve
     segments = _segments(profile, alpha_max, families)
-    cache = {"families": families}       # alpha-independent assembly parts
-    mats: dict[float, np.ndarray] = {}   # D(alpha) at every alpha assembled
-
-    def assemble_all(alphas: list[float]) -> np.ndarray:
-        batch = assemble(np.array(alphas), geometry, profile, basis, settings,
-                         cache)
-        mats.update(zip(alphas, batch))
-        return batch
-
-    roots = _roots(segments,
-                   lambda a: np.linalg.eigvalsh(assemble_all(a.tolist())))
+    cache = {"families": families}   # alpha-independent assembly parts
+    parts = (geometry, profile, basis, settings, cache)
+    roots = _roots(segments, lambda a: np.linalg.eigvalsh(assemble(a, *parts)))
     if not roots:
         return np.empty(0), np.empty(0), np.empty((0, settings.basis_size))
-    missing = [r for r in dict.fromkeys(roots) if r not in mats]
-    if missing:
-        assemble_all(missing)
-    evals, evecs = np.linalg.eigh(np.stack([mats[r] for r in roots]))
+    evals, evecs = np.linalg.eigh(assemble(np.array(roots), *parts))
     size, rows = np.abs(evals), np.arange(len(roots))
     idx = np.argmin(size, axis=1)
     p = evecs[rows, :, idx]

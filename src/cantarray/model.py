@@ -71,6 +71,8 @@ _FINITE = (_is_number, "a finite number")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
 _NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
 _MAX_SAMPLES = 4096   # per profile list; README's schema says why
+MAX_POINTS = 10_000   # per range, and per sampled CLI table
+MAX_BANDS = 1000      # spectrum.k_max; CLI wavenumbers reach no further edge
 
 
 def _check(test, what: str, **values) -> None:
@@ -402,10 +404,10 @@ class NonlinearSettings:
 
 # a settings table maps a JSON key to (field, rule) or to a nested table
 _RANGE = {"from": ("start", _FINITE), "to": ("stop", _FINITE),
-          "points": ("points", _count(10_000))}
+          "points": ("points", _count(MAX_POINTS))}
 _SIGMA = (lambda v: isinstance(v, SweepRange) or _is_number(v), "a finite number")
 _SPECTRUM = {"n_max": ("n_max", _count(1000)),
-             "k_max": ("k_max", _count(1000))}
+             "k_max": ("k_max", _count(MAX_BANDS))}
 _GALERKIN = {"basis_size": ("basis_size", _count(64)),
              "quadrature": {"order": ("quadrature_order", _count(100)),
                             "rtol": ("quadrature_rtol", _POSITIVE)}}

@@ -6,6 +6,8 @@ import os
 import struct
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -360,6 +362,96 @@ def test_galerkin_default_alpha_max_spans_k_max_bands(capsys, tmp_path, name):
     alphas = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
     assert stdout_manifest(err)["rows"] == len(alphas) > 0
     assert max(alphas) <= band_edge_gammas(3)[-1] / longest
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_ALPHA_PROFILES))
+def test_galerkin_default_alpha_max_at_the_k_max_ceiling_passes(
+        capsys, tmp_path, monkeypatch, name):
+    # the --alpha-max ceiling is band edge 1000 over the longest
+    # cantilever, which is where the default stops at k_max = 1000
+    from cantarray import galerkin
+    profile, longest = DEFAULT_ALPHA_PROFILES[name]
+    config = {"geometry": {"preset": PRESET}, "spectrum": {"k_max": 1000},
+              "galerkin": {"basis_size": 4}}
+    if profile is not None:
+        config["profile"] = profile
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    spans = []
+
+    def solve(geometry, profile, bc, alpha_max, settings):
+        spans.append(alpha_max)
+        return np.empty(0), np.empty(0), np.empty((0, 4))
+
+    monkeypatch.setattr(galerkin, "solve", solve)
+    code, _, err = run(capsys, "galerkin", "--config", str(p))
+    assert code == 0, err
+    assert spans == [band_edge_gammas(1000)[-1] / longest]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--gamma-max", "1e9", "--points", "3"],
+    ["kernel", "--shape", "1e9"],
+    ["galerkin", "--preset", PRESET, "--alpha-max", "1e15"],
+    # argparse refuses a count past its ceiling before anything is built
+    ["kernel", "--points", "10001"],
+    ["modes", "--samples", "10001"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_flags_past_their_ceilings_exit_2_at_once(capsys, argv):
+    # a wavenumber past band edge 1000 had every edge below it solved, one
+    # Brent call each: about 1e8 for these, still running after 5-10 s
+    flag = next(a for a in argv if a.startswith("--") and a != "--preset")
+    t0 = time.perf_counter()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert code == 2 and flag in err and "Traceback" not in err
+    assert elapsed < 1.0
+
+
+def test_gamma_at_band_edge_1000_passes(capsys):
+    edge = float(band_edge_gammas(1000)[-1])
+    code, _, err = run(capsys, "kernel", "--gamma-max", repr(edge),
+                       "--points", "3")
+    assert code == 0, err
+    # the edge itself is a pole of the cantilever's response
+    code, _, err = run(capsys, "kernel", "--shape", repr(edge * (1 - 1e-9)),
+                       "--points", "3")
+    assert code == 0, err
+
+
+def test_repeated_warnings_are_recorded_once(capsys, tmp_path):
+    # at quadrature order 1 the same unconverged alphas warn again for each
+    # Brent iterate that prints alike and once more when the roots are
+    # assembled for their null vectors; the manifest and stderr list each
+    # message once, in the order first raised (27 of the 38 raised before
+    # the roots were reassembled)
+    from cantarray import galerkin
+    config = json.loads(json.dumps(GOLDEN_CONFIGS["tabulated"]))
+    config["galerkin"]["quadrature"] = {"order": 1}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    code, _, err = run(capsys, "galerkin", "--config", str(p),
+                       "--alpha-max", "3e6")
+    assert code == 0
+    listed = stdout_manifest(err)["warnings"]
+    printed = [line.removeprefix("warning: ") for line in err.splitlines()
+               if line.startswith("warning: ")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loaded = cli._load(cli.build_parser().parse_args(
+            ["galerkin", "--config", str(p)]))
+        galerkin.solve(loaded.geometry, loaded.profile, loaded.boundary, 3e6,
+                       loaded.galerkin)
+    raised = [str(w.message) for w in caught]
+    assert len(raised) > len(set(raised))
+    assert listed == printed == list(dict.fromkeys(raised))
+    if (_float_fingerprint() == GOLDEN_FINGERPRINT
+            and _linalg_fingerprint() == GOLDEN_LINALG_FINGERPRINT):
+        assert len(listed) == 27
 
 
 def test_nonlinear_coeffs_rejects_csv(capsys):

@@ -275,6 +275,31 @@ def test_one_mode_basis_polishes_every_level_without_warning():
     assert np.all(weights == 1.0)
 
 
+def test_warm_basis_64_preset_solve_keeps_no_matrix_per_alpha(monkeypatch):
+    # the root search keeps eigenvalues only, and the roots are assembled
+    # once more, in one batch, for their null vectors; keeping D(alpha) at
+    # every alpha assembled peaked at 69.8 MiB here
+    settings_ = GalerkinSettings(basis_size=64)
+    alpha_max = band_edge_gammas(4)[-1] / CANT   # the CLI's default span
+    gk.solve(GEO, PROF, BC, alpha_max, settings_)   # beam modes, band edges
+    assemble, calls = gk.assemble, []
+
+    def recorded(alpha, *args):
+        calls.append(np.array(alpha))
+        return assemble(alpha, *args)
+
+    monkeypatch.setattr(gk, "assemble", recorded)
+    tracemalloc.start()
+    try:
+        alphas = gk.solve(GEO, PROF, BC, alpha_max, settings_)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(alphas) == 256
+    assert peak < 40 * 2 ** 20
+    assert calls[-1].tobytes() == alphas.tobytes()
+
+
 def test_clustered_levels_are_counted_and_bracketed():
     # a jittered two-length comb crowds its levels together; the inertia at
     # the segment ends says how many there are, and each one found must sit
