@@ -5,15 +5,19 @@ library, and emits a single CSV or JSON table plus a manifest sidecar that
 records the tool version, a hash of the effective config (override flags
 included), wall time and every warning raised along the way.  A table is
 a set of named columns, each a numpy array of one type.  CSV text is
-exactly "%.17g" per float and "%d" per int, rendered a block of rows at a
-time: each column of a block becomes a list of cells, a run of equal cells
-formatted once, and a float or int column with enough cells goes through
-a numpy kernel that writes the same bytes as "%" does, cell for cell (the
-cells it cannot certify, and short columns, keep "%").  Output files are
-written atomically (a new file under the umask, then a rename), so
-identical config and version give byte-identical files.  Each subcommand
-imports only the solver module it runs, so start-up does not load the
-others.
+exactly "%.17g" per float and "%d" per int, written as bytes (to the file,
+or to stdout's binary buffer) a block of rows at a time.  A block of
+_KERNEL_MIN rows or more becomes a uint8 field per column plus each cell's
+byte range: a run of equal cells is formatted once and its row repeated,
+and a float or int column with enough cells goes through a numpy kernel
+that writes the same bytes as "%" does, cell for cell (1e-30 <= |x| < 1e16
+in fixed and exponent notation, 0 < |v| < 10**8; the cells it cannot
+certify, and short columns, keep "%").  The fields side by side are
+compacted by a mask of those byte ranges, and a shorter block is
+formatted a cell at a time and joined.  Output files are written
+atomically (a new file under the umask, then a rename), so identical
+config and version give byte-identical files.  Each subcommand imports
+only the solver module it runs, so start-up does not load the others.
 
 Exit codes: 0 success, 2 configuration problem, 3 solver failure.
 """
@@ -47,41 +51,41 @@ SOLVER_ERRORS = (QuadratureError, PoleProximityError, np.linalg.LinAlgError,
                  FloatingPointError, ArithmeticError)
 
 _BLOCK_ROWS = 4096   # CSV rows rendered per write
-# a column of a block with fewer cells to format than this is formatted one
-# cell at a time: below it the kernel's fixed numpy cost outweighs its gain
+# a block with fewer rows, or a column of a block with fewer cells to
+# format, is formatted one cell at a time: below it the fixed numpy cost of
+# the kernel and the byte fields outweighs their gain
 _KERNEL_MIN = 256
-# bytes.join takes 80 bytes per item while it runs, so a block's cells are
-# joined and written this many rows at a time
-_JOIN_ROWS = 512
 _JSON = json.JSONEncoder(sort_keys=True, indent=2)
 
 # The CSV kernel writes float64 and int64 cells exactly as "%.17g" and "%d"
-# do.  A float with 1e-4 <= |x| < 1e16 prints in fixed notation, and its 17
-# digits are d = round(|x| * 10**(16 - e)) with e = floor(log10 |x|).
-# Dekker's error-free product gives |x| * 10**(16 - e) as hi + lo, and hi,
-# at least 1e16 > 2**53, is an even integer, so d = hi + rint(lo) rounds ties
-# to even as dtoa does.  Digits are made 8 at a time in the bytes of a
-# uint64 word (SWAR), most significant in the lowest byte, and the point,
-# the sign and the separator are placed with word shifts; numpy's shift by
-# 64 or more bits (also a negative count, cast to uint64) gives 0.
-_POW10 = np.array([float(10 ** k) for k in range(23)])    # exact doubles
+# do.  A float with 1e-30 <= |x| < 1e16 has the 17 digits d = round(|x| *
+# 10**(16 - e)), e = floor(log10 |x|).  Dekker's product gives |x| * 10**(16
+# - e) as hi + lo, exactly while 10**(16 - e) is a double (e >= -6) and
+# within 2**-46 for the double-double power below that.  hi, at least 1e16 >
+# 2**53, is an even integer, so d = hi + rint(lo) rounds ties to even as
+# dtoa does; a cell whose lo lies nearer a tie than that bound, and is not
+# an exact tie, is left to "%".  Digits are made 8 at a time in the bytes of
+# a uint64 word (SWAR), most significant in the lowest byte; the words of a
+# cell become its row of the field, where the point, the sign and what ends
+# the cell (the separator, after "e-XX" in exponent notation, |x| < 1e-4)
+# are written as bytes.
+_POW10 = np.array([float(10 ** k) for k in range(48)])    # nearest doubles
 _SPLIT = 134217729.0                  # 2**27 + 1: Veltkamp's split factor
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
-_POW10_PARTS = np.array([_POW10, _POW10_HI, _POW10 - _POW10_HI])
+_POW10_LO = [float(10 ** k - int(p)) for k, p in enumerate(_POW10)]
+_POW10_PARTS = np.array([_POW10, _POW10_HI, _POW10 - _POW10_HI, _POW10_LO])
+# |lo - rint(lo)| up to this rounds as the exact product does
+_HALF = np.where(_POW10_PARTS[3] == 0, 0.5, 0.5 - 2.0 ** -44)
 _POW10_INT = 10 ** np.arange(20, dtype=np.uint64)
+_EXPONENT = np.array([list(b"e-%02d" % m) for m in range(31)], np.uint8)
 _ZERO = 0x3030303030303030            # "0" in each byte of a word
-_ALL = np.uint64(2 ** 64 - 1)
-_WORD = np.array([[0], [8], [16], [24]])   # first byte of each text word
+_WORD = np.array([[0], [8], [16]])    # first byte of each digit word
 
 
 def _write_json(fh, obj) -> None:
-    fh.writelines(_JSON.iterencode(obj))
-    fh.write("\n")
-
-
-def _shift(nbytes):
-    """A count of bytes as a uint64 bit shift."""
-    return (nbytes << 3).astype(np.uint64)
+    # ensure_ascii: every chunk is ASCII
+    fh.writelines(map(str.encode, _JSON.iterencode(obj)))
+    fh.write(b"\n")
 
 
 def _digits(v):
@@ -102,30 +106,56 @@ def _digits(v):
     return v
 
 
-def _text_cells(words, start, size):
-    """The cells in text words (size + 1 rows, a column per cell): size
-    words of column i from its byte start[i] (0 to 8) on, less the NULs at
-    their end."""
-    shift = _shift(start)
-    out = np.empty((words.shape[1], size), "<u8")   # bytes in text order
-    out.T[...] = words[:size] >> shift
-    out.T[...] |= words[1:size + 1] << (64 - shift)
-    return out.view(f"S{8 * size}").ravel().tolist()
+def _text_cells(words):
+    """Text words (a column of words per cell) as a field: a row of bytes
+    per cell, in text order."""
+    field = np.empty(words.shape[::-1], "<u8")
+    field[...] = words.T
+    return field.view(np.uint8)
+
+
+def _texts(values, sep):
+    """The text of each of values ending in sep, one cell at a time."""
+    kind = values.dtype.kind
+    if kind in "fi":
+        text = (b"%.17g" if kind == "f" else b"%d") + sep
+        return [text % x for x in values.tolist()]
+    if kind == "b":
+        return [(b"true" if x else b"false") + sep for x in values.tolist()]
+    end = sep.decode()
+    return [(str(x) + end).encode() for x in values.tolist()]
+
+
+def _rows(texts):
+    """(field, start, stop) of a list of bytes: a row each, from byte 0."""
+    field = np.array(texts, dtype=bytes)
+    stop = np.fromiter(map(len, texts), np.intp, len(texts))
+    return (field.view(np.uint8).reshape(len(texts), field.itemsize),
+            np.zeros(len(texts), np.intp), stop)
+
+
+def _from_byte(width):
+    """A (width + 1) x width view whose row r is True from byte r on."""
+    steps = np.arange(2 * width) >= width
+    return np.ndarray((width + 1, width), bool, steps, width, (-1, 1))
 
 
 def _two_product(ax, k):
-    """(hi, lo) with hi + lo = ax * 10**k exactly (Dekker 1971)."""
-    p, p_hi, p_lo = np.take(_POW10_PARTS, k, axis=1, mode="clip")
+    """(hi, lo) with hi + lo = ax * 10**k: exact (Dekker 1971) where 10**k
+    is a double, else within 2**-46."""
+    p, p_hi, p_lo, p_tail = np.take(_POW10_PARTS, k, axis=1, mode="clip")
     c = ax * _SPLIT
     x_hi = c - (c - ax)
     x_lo = ax - x_hi
     hi = ax * p
-    return hi, ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+    return hi, ((((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi)
+                 + x_lo * p_lo) + ax * p_tail)
 
 
 def _significand(ax):
-    """(d, e) for each ax in [1e-4, 1e16): e = floor(log10 ax) and the 17
-    significant digits d = round(ax * 10**(16 - e)), ties to even."""
+    """(d, e, sure) for each ax in [1e-30, 1e16): e = floor(log10 ax) and
+    the 17 significant digits d = round(ax * 10**(16 - e)), ties to even,
+    where sure."""
     e = np.floor(np.log10(ax)).astype(np.int64)
     hi, lo = _two_product(ax, 16 - e)
     # next to a power of ten log10 may miss e by one; the product tells
@@ -134,20 +164,32 @@ def _significand(ax):
     if step.any():
         e += step
         hi, lo = _two_product(ax, 16 - e)
-    d = hi.astype(np.uint64) + np.rint(lo).astype(np.int64).view(np.uint64)
-    return d, e
+    r = np.rint(lo)
+    sure = np.abs(lo - r) <= np.take(_HALF, 16 - e)
+    if not sure.all():
+        # a tie is exact where 2 * ax * 10**k, i.e. ax * 2**(k + 1) times
+        # the odd 5**k, is an odd integer; hi is even, so d takes the even
+        # one of floor(lo) and floor(lo) + 1
+        tie = ~sure & (np.ldexp(ax, 17 - e) % 2 == 1)
+        r[tie] = 2 * np.ceil(np.floor(lo[tie]) / 2)
+        sure |= tie
+    d = hi.astype(np.uint64) + r.astype(np.int64).view(np.uint64)
+    # rounded up to 10**17: the 17 digits of the next power of ten
+    carry = d == 10 ** 17
+    d -= carry * np.uint64(9 * 10 ** 16)
+    return d, e + carry, sure
 
 
 def _float_text(x, sep):
-    """(cells, at): "%.17g" + sep of x[at], at being the cells the kernel
-    certified; 0, nan, inf, subnormals and exponent notation are not."""
+    """(field, start, stop, at): "%.17g" + sep of x[at] in bytes start:stop
+    of each row of field, at being the cells the kernel certified; 0, nan,
+    inf, |x| < 1e-30 (subnormals among them) and |x| >= 1e16 are not."""
     ax = np.abs(x)
-    at = np.flatnonzero((ax >= 1e-4) & (ax < 1e16))
+    at = np.flatnonzero((ax >= 1e-30) & (ax < 1e16))
     ax = ax[at]
-    d, e = _significand(ax)
-    good = d - 10 ** 16 < 9 * 10 ** 16      # 17 digits; uint64 wraps below
-    if not good.all():
-        at, ax, d, e = at[good], ax[good], d[good], e[good]
+    d, e, sure = _significand(ax)
+    if not sure.all():
+        at, ax, d, e = at[sure], ax[sure], d[sure], e[sure]
     # 18 digits: the integer part, a 0 where the point goes, the fraction;
     # below 1 the integer part is empty and d stays as it is
     d += (9 * np.floor(ax).astype(np.uint64)
@@ -157,69 +199,80 @@ def _float_text(x, sep):
     d -= w[0] * 10 ** 16
     w[1] = d // 10 ** 8
     w[2] = d - w[1] * 10 ** 8
+    # exponent notation lays out its mantissa as fixed notation lays out
+    # 1 <= x < 10: a 0 after the first digit where the point goes
+    expo = e < -4
+    np.multiply(w[0], 10, out=w[0], where=expo)
+    point = 7 + np.where(expo, 0, e)
     _digits(w[:3])                          # bytes 6..23 hold the digits
-    w[3] = 0
     # the cell ends after its last nonzero digit, or at the point if no
-    # fraction digit is left; its bytes before that become text
+    # fraction digit is left
     top = (np.frexp(w[:3].astype(np.float64))[1] + 7) >> 3
-    point = 7 + e
-    end = np.maximum(np.max((top + _WORD[:3]) * (top > 0), axis=0), point)
-    w[:3] += ((_ZERO - (2 << _shift(point - _WORD[:3])))   # "0", "."
-              & _ALL >> _shift(np.maximum(_WORD[1:] - end, 0)))
-    w |= ord(sep) << _shift(end - _WORD)
-    first = 6 + np.minimum(e, 0)            # first digit, or the 0 of "0."
+    end = np.maximum(np.max((top + _WORD) * (top > 0), axis=0), point)
+    w[:3] += _ZERO          # bytes past the cell's end are cut off later
+    text = _text_cells(w)
+    cells = np.arange(d.size)
+    text[cells, point] = ord(".")
+    if expo.any():                          # "e-XX" ahead of the separator
+        row = np.flatnonzero(expo)
+        text[row[:, None], end[row, None] + np.arange(4)] = _EXPONENT[-e[row]]
+        end[row] += 4
+    text[cells, end] = ord(sep)
+    first = np.minimum(point - 1, 6)        # first digit, or the 0 of "0."
     neg = np.signbit(x[at])
-    w[0] -= neg * (3 << _shift(first - 1))  # "0" -> "-"
-    return _text_cells(w, first - neg, 3), at
+    text[cells[neg], first[neg] - 1] = ord("-")
+    return text, first - neg, end + 1, at
 
 
 def _int_text(v, sep):
-    """(cells, at): "%d" + sep of v[at], at being the cells with
-    0 < |v| < 10**8."""
+    """(field, start, stop, at): "%d" + sep of v[at] in bytes start:stop of
+    each row of field, at being the cells with 0 < |v| < 10**8."""
     at = np.flatnonzero((v > -10 ** 8) & (v < 10 ** 8) & (v != 0))
     v = v[at]
     t = _digits(np.abs(v).astype(np.uint64))
     # leading zero digits: the byte of the lowest set bit of t
     lead = (np.frexp((t & (0 - t)).astype(np.float64))[1] - 1) >> 3
     t += _ZERO
-    w = np.empty((3, v.size), np.uint64)
-    w[0] = t << 8 | 0x30                    # the digits from byte 1 on
+    w = np.empty((2, v.size), np.uint64)
+    w[0] = t << 8                           # the digits from byte 1 on
     w[1] = t >> 56 | ord(sep) << 8
-    w[2] = 0
+    text = _text_cells(w)
     neg = v < 0
-    w[0] -= neg * (3 << _shift(lead))       # "0" -> "-"
-    return _text_cells(w, lead + 1 - neg, 2), at
+    text[np.flatnonzero(neg), lead[neg]] = ord("-")
+    return text, lead + 1 - neg, np.full(v.size, 10), at
 
 
 def _format(values, sep):
-    """(cells, missed): the text of each of values ending in sep, and how
-    many the kernel was given but left to per-cell formatting."""
-    kind = values.dtype.kind
-    if kind == "b":
-        both = np.array([b"false" + sep, b"true" + sep])
-        return both[values.view(np.uint8)].tolist(), 0
-    if kind not in "fi":
-        end = sep.decode()
-        return [(str(x) + end).encode("utf-8", "surrogatepass")
-                for x in values.tolist()], 0
-    field = (b"%.17g" if kind == "f" else b"%d") + sep
+    """(field, start, stop, missed): the text of each of values ending in
+    sep, in bytes start:stop of its row of field, and how many cells the
+    kernel was given but left to per-cell formatting.  Bools and strings
+    are formatted once per distinct value."""
+    if values.dtype.kind not in "fi":
+        distinct, index = np.unique(values, return_inverse=True)
+        field, start, stop = _rows(_texts(distinct, sep))
+        return field[index], start[index], stop[index], 0
     if values.size < _KERNEL_MIN:
-        return [field % x for x in values.tolist()], 0
-    text, at = (_float_text if kind == "f" else _int_text)(values, sep)
+        return (*_rows(_texts(values, sep)), 0)
+    field, start, stop, at = (_float_text if values.dtype.kind == "f"
+                              else _int_text)(values, sep)
     if at.size == values.size:
-        return text, 0
+        return field, start, stop, 0
     rest = np.ones(values.size, dtype=bool)
     rest[at] = False
-    cells = np.empty(values.size, dtype=object)
-    cells[at] = text
-    cells[rest] = [field % x for x in values[rest].tolist()]
-    return cells.tolist(), values.size - at.size
+    other, _, stop_other = _rows(_texts(values[rest], sep))
+    cells = np.empty((values.size, max(field.shape[1], other.shape[1])),
+                     np.uint8)
+    cells[at, :field.shape[1]] = field
+    cells[rest, :other.shape[1]] = other
+    starts, stops = np.zeros((2, values.size), np.intp)
+    starts[at], stops[at], stops[rest] = start, stop, stop_other
+    return cells, starts, stops, values.size - at.size
 
 
 def _csv_cells(column, sep):
-    """(cells, missed) of one block of a column, as _format gives them; a
-    run of equal cells is formatted once.  Floats are compared by bits, so
-    0.0 and -0.0 stay apart."""
+    """(field, start, stop, missed) of one block of a column, as _format
+    gives them; a run of equal cells is formatted once and its row repeated.
+    Floats are compared by bits, so 0.0 and -0.0 stay apart."""
     key = column
     if column.dtype.kind == "f":
         column = column.astype(np.float64, copy=False)
@@ -227,58 +280,81 @@ def _csv_cells(column, sep):
     starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
     if starts.size == column.size:
         return _format(column, sep)
-    text, missed = _format(column[starts], sep)
-    runs = np.empty(len(text), dtype=object)
-    runs[:] = text
-    return (np.repeat(runs, np.diff(starts, append=column.size)).tolist(),
-            missed)
+    *cells, missed = _format(column[starts], sep)
+    runs = np.diff(starts, append=column.size)
+    return (*(c.repeat(runs, axis=0) for c in cells), missed)
 
 
 def _write_block(fh, block) -> int:
-    """Write rows given as their columns to fh: each column becomes a list
-    of cells ending in "," (the last column's in a newline), and the
-    interleaved lists are joined _JOIN_ROWS rows at a time.  Returns the
-    kernel's per-cell count (_format)."""
+    """Write rows given as their columns to fh; each cell ends in "," (the
+    last column's in a newline).  Returns the kernel's per-cell count
+    (_format).
+
+    A block of _KERNEL_MIN rows or more becomes a field per column
+    (_csv_cells), cut to the bytes its cells use.  The fields side by side
+    hold the block's rows, and a mask of each cell's byte range compacts
+    them.  A shorter block is formatted a cell at a time and joined: its
+    numpy calls would cost more than its text."""
     seps = [b","] * (len(block) - 1) + [b"\n"]
-    cells = [b""] * (len(block) * block[0].size)
-    missed = 0
-    for j, (column, sep) in enumerate(zip(block, seps)):
-        cells[j::len(block)], count = _csv_cells(column, sep)
+    if block[0].size < _KERNEL_MIN:
+        cells = [_texts(column, sep) for column, sep in zip(block, seps)]
+        fh.write(b"".join([cell for row in zip(*cells) for cell in row]))
+        return 0
+    fields, missed = [], 0
+    for column, sep in zip(block, seps):
+        field, start, stop, count = _csv_cells(column, sep)
+        lo, hi = start.min(), stop.max()
+        # byte offsets in the cut field: a byte each while it is that narrow
+        offset = np.min_scalar_type(hi - lo)
+        fields.append((field[:, lo:hi], (start - lo).astype(offset),
+                       (stop - lo).astype(offset)))
         missed += count
-    step = _JOIN_ROWS * len(block)
-    for i in range(0, len(cells), step):
-        fh.write(b"".join(cells[i:i + step]).decode("utf-8", "surrogatepass"))
+    width = sum(field.shape[1] for field, _, _ in fields)
+    text = np.empty((block[0].size, width), np.uint8)
+    keep = np.empty(text.shape, dtype=bool)
+    at = 0
+    while fields:       # each field is freed once it is in text
+        field, start, stop = fields.pop(0)
+        span = slice(at, at + field.shape[1])
+        text[:, span] = field
+        marks = _from_byte(field.shape[1])
+        np.greater(marks.take(start, axis=0), marks.take(stop, axis=0),
+                   out=keep[:, span])
+        at = span.stop
+    fh.write(text[keep])
     return missed
 
 
 def _write_table(fh, table: dict[str, np.ndarray], fmt: str) -> int:
-    """Write named, equal-length columns to fh as CSV or JSON.
+    """Write named, equal-length columns to the binary file fh as CSV or
+    JSON.
 
     CSV: a header line, then the rows in blocks of _BLOCK_ROWS (_write_block).
     The text is "%.17g" for floats, "%d" for ints, true/false for bools and
-    strings as they are.  Float and int columns with at least _KERNEL_MIN
-    cells to format in a block go through the numpy kernel (_float_text,
-    _int_text), which leaves to per-cell formatting only the cells it cannot
-    certify.  Returns that count (0 for JSON).  JSON: {"columns": names,
-    "rows": rows}.
+    strings as they are, in UTF-8.  Float and int columns with at least
+    _KERNEL_MIN cells to format in a block go through the numpy kernel
+    (_float_text, _int_text), which leaves to per-cell formatting only the
+    cells it cannot certify.  Returns that count (0 for JSON).  JSON:
+    {"columns": names, "rows": rows}.
     """
     cols = list(table.values())
     if fmt == "json":
         rows = list(zip(*(c.tolist() for c in cols)))
         _write_json(fh, {"columns": list(table), "rows": rows})
         return 0
-    fh.write(",".join(table) + "\n")
+    fh.write((",".join(table) + "\n").encode())
     return sum(_write_block(fh, [c[start:start + _BLOCK_ROWS] for c in cols])
                for start in range(0, len(cols[0]), _BLOCK_ROWS))
 
 
 def _write_atomic(path: str, write) -> None:
-    """Call write(fh) on a new file beside path, then rename it to path.
-    The file is created with mode 0666 less the umask, as open() would."""
+    """Call write(fh) on a new binary file beside path, then rename it to
+    path.  The file is created with mode 0666 less the umask, as open()
+    would."""
     tmp = f"{os.path.abspath(path)}.{os.urandom(6).hex()}.part"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -312,7 +388,8 @@ def _emit(args, table, config, caught, t0, payload=None) -> None:
     if args.output:
         _write_atomic(args.output, write)
     else:
-        write(sys.stdout)
+        sys.stdout.flush()
+        write(sys.stdout.buffer)
     manifest = {
         "cantarray_version": __version__,
         "subcommand": args.subcommand,
@@ -571,19 +648,21 @@ def _cmd_nonlinear(args, caught, t0):
 # --- argument parsing --------------------------------------------------------
 
 
-def _positive(kind, ceiling=math.inf):
-    """argparse type: a finite number of the given kind above zero and at
-    most ceiling."""
+def _positive(kind, ceiling=math.inf, zero=False):
+    """argparse type: a finite number of the given kind above zero (or at
+    zero, with zero) and at most ceiling."""
     bound = "" if ceiling == math.inf else f" up to {ceiling}"
+    sign = "non-negative" if zero else "positive"
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and 0 < value <= ceiling):
+        if not (math.isfinite(value) and (value > 0 or zero and value == 0)
+                and value <= ceiling):
             raise argparse.ArgumentTypeError(
-                f"expected a positive {kind.__name__}{bound}, got {text!r}")
+                f"expected a {sign} {kind.__name__}{bound}, got {text!r}")
         return value
     return parse
 
@@ -618,7 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p, config_flags=False)
     p.add_argument("--gamma-max", type=_positive(float), default=12.0)
     p.add_argument("--points", type=_positive(int, MAX_POINTS), default=481)
-    p.add_argument("--shape", type=float, metavar="GAMMA",
+    p.add_argument("--shape", type=_positive(float, zero=True),
+                   metavar="GAMMA",
                    help="emit the cantilever deflection profile chi(v) at "
                         "this frequency instead of the kernel table")
     p.set_defaults(run=_cmd_kernel)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from oracles import render_rows
 
 from cantarray import cli, spectrum
-from cantarray.kernel import band_edge_gammas
+from cantarray.kernel import CantileverShape, band_edge_gammas
 from cantarray.model import preset_device
 from cantarray.quadrature import QuadratureError
 
@@ -552,6 +552,19 @@ def test_kernel_shape_table(capsys):
     assert tip != 0.0
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf", "-1", "-1e9"])
+def test_kernel_shape_must_be_finite_and_nonnegative(capsys, value):
+    # a NaN wavenumber wrote NaN rows, a negative one rows that the e^-gamma
+    # scaling of the shape was not written for; both exited 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kernel", f"--shape={value}", "--points", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"argument --shape: expected a non-negative float, got '{value}'" \
+        in err
+
+
 def test_kernel_shape_at_band_edge_is_exit_3(capsys):
     edge = band_edge_gammas(1)[0]
     code, _, err = run(capsys, "kernel", "--shape", "%.17g" % edge)
@@ -870,9 +883,12 @@ def _runs(draw, count):
 _CELLS = {"float": (_FLOATS, float), "runs": (_runs, float),
           "int": (st.integers(-2 ** 63, 2 ** 63 - 1), np.int64),
           "bool": (st.booleans(), bool),
-          # a numpy str array drops trailing NULs, so no column holds one
-          "str": (st.text(st.characters(exclude_characters="\x00"),
-                          max_size=8), str)}
+          # NULs inside a string and non-ASCII text are written as they
+          # are; a numpy str array drops trailing NULs, so no cell ends in one
+          "str": (st.one_of(st.text(max_size=8),
+                            st.sampled_from(["a\x00b", "\x00\x00c", "é",
+                                             "ünï\x00cødé", "日本語"]))
+                  .map(lambda text: text.rstrip("\x00")), str)}
 
 
 @st.composite
@@ -893,9 +909,9 @@ def _tables(draw):
 
 def _check_renderer(drawn, fmt):
     table, rows = drawn
-    buf = io.StringIO()
+    buf = io.BytesIO()
     cli._write_table(buf, table, fmt)
-    assert buf.getvalue() == render_rows(list(table), rows, fmt)
+    assert buf.getvalue() == render_rows(list(table), rows, fmt).encode()
 
 
 @settings(max_examples=300, deadline=None)
@@ -907,46 +923,67 @@ def test_table_renderer_matches_cell_by_cell_oracle(drawn, fmt, block):
 
 
 @settings(max_examples=300, deadline=None)
-@given(drawn=_tables(), block=st.integers(1, 8), join=st.integers(1, 3))
-def test_table_kernel_matches_cell_by_cell_oracle(drawn, block, join):
-    # the tables above are too short for the kernel unless its minimum is 1
+@given(drawn=_tables(), block=st.integers(1, 8))
+def test_table_kernel_matches_cell_by_cell_oracle(drawn, block):
+    # the tables above are too short for the kernel and its byte fields
+    # unless its minimum is 1
     with mock.patch.object(cli, "_BLOCK_ROWS", block), \
-            mock.patch.object(cli, "_KERNEL_MIN", 1), \
-            mock.patch.object(cli, "_JOIN_ROWS", join):
+            mock.patch.object(cli, "_KERNEL_MIN", 1):
         _check_renderer(drawn, "csv")
 
 
 def test_csv_keeps_negative_zero_after_zero():
     # runs of equal cells are told apart by bits, not by ==
-    buf = io.StringIO()
+    buf = io.BytesIO()
     cli._write_table(buf, {"x": np.array([0.0, 0.0, -0.0, -0.0])}, "csv")
-    assert buf.getvalue() == "x\n0\n0\n-0\n-0\n"
+    assert buf.getvalue() == b"x\n0\n0\n-0\n-0\n"
 
 
 def _kernel_cells(values, sep):
-    """(cells, missed) of values with every one of them given to the kernel."""
+    """(cells, missed) of values with every one of them given to the kernel:
+    each cell is the bytes start:stop of its row of the field."""
     with mock.patch.object(cli, "_KERNEL_MIN", 1):
-        return cli._format(values, sep)
+        field, start, stop, missed = cli._format(values, sep)
+    return ([row[a:b].tobytes() for row, a, b in zip(field, start, stop)],
+            missed)
+
+
+def _exponent_ties():
+    """Every x of 17-digit exponent notation, 1e-30 <= x < 1e-4, that lies
+    exactly halfway between two 17-digit values: x * 10**k, k = 16 - e,
+    is then half an odd integer, so x = m / 2**(k + 1) with m * 5**k odd."""
+    ties = []
+    for k in range(21, 47):
+        m = 1
+        while m * 5 ** k < 2 * 10 ** 17:
+            if m * 5 ** k >= 2 * 10 ** 16:
+                ties.append(math.ldexp(m, -(k + 1)))
+            m += 2
+    return np.array(ties)
 
 
 def test_kernel_matches_percent_formatting():
     rng = np.random.default_rng(29)
-    powers = np.array([float(f"1e{k}") for k in range(-6, 18)])
+    powers = np.array([float(f"1e{k}") for k in range(-31, 18)])
     near = (powers.view(np.int64)[:, None]          # +-1..300 ulps of each
             + np.arange(-300, 301)).view(np.float64).ravel()
     nans = [struct.unpack("<d", struct.pack("<Q", bits))[0]
             for bits in (0x7FF8000000000000, 0xFFF8000000000001,
                          0x7FF0000000000ABC)]
+    ties = _exponent_ties()
     x = np.concatenate([
         rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64),
-        near, -near,
+        near, -near, ties, -ties,
         [9999999999999999.0, 0.0, -0.0, *nans, math.inf, -math.inf, 5e-324,
          -5e-324, sys.float_info.max]])
     cells, missed = _kernel_cells(x, b",")
     assert cells == [b"%.17g," % v for v in x.tolist()]
-    # the kernel leaves exactly 0, nan, inf, subnormals and exponent notation
+    # the kernel leaves exactly 0, nan, inf, subnormals and the uncovered
+    # |x| < 1e-30 and |x| >= 1e16
     ax = np.abs(x)
-    assert missed == np.count_nonzero(~((ax >= 1e-4) & (ax < 1e16)))
+    assert missed == np.count_nonzero(~((ax >= 1e-30) & (ax < 1e16)))
+    # ties at e = -5..-8, where the power of ten is exact and where it is not
+    assert np.unique(np.floor(np.log10(ties))).tolist() == [-8, -7, -6, -5]
     # the 17th digit of a tie rounds to even, as dtoa rounds it
     assert _kernel_cells(np.array([1e15 + 0.25, 1e15 + 0.75]), b"\n")[0] \
         == [b"1000000000000000.2\n", b"1000000000000000.8\n"]
@@ -977,19 +1014,66 @@ def test_kernel_certifies_every_cell_of_the_golden_sweep(capsys, tmp_path):
     assert code == 0
     (table,) = tables
     assert len(table["value"]) <= cli._BLOCK_ROWS       # a single block
-    buf = io.StringIO()
+    buf = io.BytesIO()
     with mock.patch.object(cli, "_KERNEL_MIN", 1):
         missed = cli._write_table(buf, table, "csv")
-    assert buf.getvalue() == out.read_text()
+    assert buf.getvalue() == out.read_bytes()
     # formatted cells (one per run of equal cells) the kernel may leave
     expected = 0
     for column in table.values():
         if column.dtype.kind in "fi":
             key = column.view(np.int64)
             cells = np.abs(column[np.append(True, key[1:] != key[:-1])])
-            low, high = (1e-4, 1e16) if column.dtype.kind == "f" else (1, 1e8)
+            low, high = (1e-30, 1e16) if column.dtype.kind == "f" else (1, 1e8)
             expected += np.count_nonzero(~((cells >= low) & (cells < high)))
     assert missed == expected
+
+
+BISTABLE = {"geometry": {"preset": PRESET},
+            "nonlinear": {"c_y": 1e-6, "c_eta": 1e-6, "f1": 3.7e-6,
+                          "f2": 3.5e-5,
+                          "sigma1": {"from": -1600, "to": -1150, "points": 9},
+                          "sigma2": {"from": -4000, "to": -300, "points": 2}}}
+
+
+def test_kernel_certifies_every_exponent_cell_of_a_response(capsys,
+                                                            tmp_path):
+    # the amplitudes (1e-11..1e-8 m) print in exponent notation, which the
+    # kernel once left to per-cell formatting: 108 cells of this table
+    tables = []
+    write_table = cli._write_table
+
+    def keep(fh, table, fmt):
+        tables.append(table)
+        return write_table(fh, table, fmt)
+    config, out = tmp_path / "bistable.json", tmp_path / "response.csv"
+    config.write_text(json.dumps(BISTABLE))
+    with mock.patch.object(cli, "_write_table", keep):
+        code, _, _ = run(capsys, "nonlinear", "response", "--config",
+                         str(config), "--output", str(out))
+    assert code == 0
+    (table,) = tables
+    assert np.all(np.abs(table["a1"]) < 1e-4) and len(table["a1"]) == 54
+    rows = [list(row) for row in zip(*(c.tolist() for c in table.values()))]
+    assert out.read_bytes() == render_rows(list(table), rows, "csv").encode()
+    buf = io.BytesIO()
+    with mock.patch.object(cli, "_KERNEL_MIN", 1):
+        assert cli._write_table(buf, table, "csv") == 0
+    assert buf.getvalue() == out.read_bytes()
+
+
+def test_kernel_shape_stdout_matches_percent_formatting(capsys):
+    # chi at gamma = 1e-3 is 1e-14..1e-13: exponent cells, through the
+    # kernel and out through the binary stdout
+    with mock.patch.object(cli, "_KERNEL_MIN", 1):
+        code, out, _ = run(capsys, "kernel", "--shape", "1e-3", "--points",
+                           "5")
+    assert code == 0
+    v = np.linspace(0.0, 1.0, 5)
+    chi = CantileverShape(1e-3)(v)
+    assert np.all(np.abs(chi[1:]) < 1e-4)
+    assert out == "v,chi\n" + "".join("%.17g,%.17g\n" % (a, b)
+                                      for a, b in zip(v, chi))
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
@@ -1011,7 +1095,7 @@ def test_outputs_are_created_under_the_umask(capsys, tmp_path, umask, mode):
 
 def test_failed_write_leaves_no_file(tmp_path):
     def fail(fh):
-        fh.write("partial")
+        fh.write(b"partial")
         raise RuntimeError("solver died")
     with pytest.raises(RuntimeError):
         cli._write_atomic(str(tmp_path / "levels.csv"), fail)
