@@ -71,11 +71,11 @@ _JSON = json.JSONEncoder(sort_keys=True, indent=2)
 # are written as bytes.
 _POW10 = np.array([float(10 ** k) for k in range(48)])    # nearest doubles
 _SPLIT = 134217729.0                  # 2**27 + 1: Veltkamp's split factor
-_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
-_POW10_LO = [float(10 ** k - int(p)) for k, p in enumerate(_POW10)]
-_POW10_PARTS = np.array([_POW10, _POW10_HI, _POW10 - _POW10_HI, _POW10_LO])
+# 10**k as the double and its tail, 10**k - double
+_POW10_PARTS = np.array([_POW10, [float(10 ** k - int(p))
+                                  for k, p in enumerate(_POW10)]])
 # |lo - rint(lo)| up to this rounds as the exact product does
-_HALF = np.where(_POW10_PARTS[3] == 0, 0.5, 0.5 - 2.0 ** -44)
+_HALF = np.where(_POW10_PARTS[1] == 0, 0.5, 0.5 - 2.0 ** -44)
 _POW10_INT = 10 ** np.arange(20, dtype=np.uint64)
 _EXPONENT = np.array([list(b"e-%02d" % m) for m in range(31)], np.uint8)
 _ZERO = 0x3030303030303030            # "0" in each byte of a word
@@ -91,15 +91,19 @@ def _write_json(fh, obj) -> None:
 def _digits(v):
     """Overwrite each v < 10**8 (uint64) with its 8 decimal digits, one per
     byte, the most significant in the lowest byte, and return it."""
-    hi = v // 10000
-    v -= hi * 10000
+    t = v // 10000
+    v -= t * 10000
     v <<= 32
-    v |= hi
-    t = v * 10486 >> 20 & 0x7F0000007F          # // 100 in each half
+    v |= t
+    np.multiply(v, 10486, out=t)                # // 100 in each half
+    t >>= 20
+    t &= 0x7F0000007F
     v -= t * 100
     v <<= 16
     v |= t
-    t = v * 103 >> 10 & 0x000F000F000F000F      # // 10 in each quarter
+    np.multiply(v, 103, out=t)                  # // 10 in each quarter
+    t >>= 10
+    t &= 0x000F000F000F000F
     v -= t * 10
     v <<= 8
     v |= t
@@ -143,10 +147,13 @@ def _from_byte(width):
 def _two_product(ax, k):
     """(hi, lo) with hi + lo = ax * 10**k: exact (Dekker 1971) where 10**k
     is a double, else within 2**-46."""
-    p, p_hi, p_lo, p_tail = np.take(_POW10_PARTS, k, axis=1, mode="clip")
+    p, p_tail = np.take(_POW10_PARTS, k, axis=1, mode="clip")
     c = ax * _SPLIT
     x_hi = c - (c - ax)
     x_lo = ax - x_hi
+    c = p * _SPLIT
+    p_hi = c - (c - p)
+    p_lo = p - p_hi
     hi = ax * p
     return hi, ((((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi)
                  + x_lo * p_lo) + ax * p_tail)

@@ -31,15 +31,20 @@ lane, so (lo, hi) is the state, and each lane takes the steps it would take
 alone: a sweep gives bit for bit the levels of the per-value solves.
 _replay takes an optional inner bracket (a, b) per lane and evaluates f
 only at midpoints strictly inside it; a midpoint outside takes its known
-side.  Two-family lanes have none, so f is evaluated at every midpoint.
-Single-family bands go through _band_bisect, where a safeguarded Newton
-pass puts (a, b) a few rounding-noise widths wide around each root and
-F(a) and F(b) are checked to have the two signs; a lane whose Newton pass
-or check fails keeps (-inf, inf), so the levels are plain bisection's bit
-for bit either way.  All single-family layouts of an epsilon sweep share
+side.  Every band, of one family or two, goes through _solve_lanes, which
+takes the lanes _CHUNK at a time: a safeguarded Newton pass
+(_inner_brackets, with the analytic slope of _secular_slope or
+_alternating_slope) puts (a, b) a few rounding-noise widths wide around
+each root, and f(a) and f(b) are checked to have the two signs; a lane
+whose Newton pass or check fails keeps (-inf, inf), so the levels are
+plain bisection's bit for bit either way.  A lane whose inner bracket
+holds only a few floats is settled without halving: f is evaluated at
+each of them, and where its sign changes once among them the level is
+known (see _replay).  All single-family layouts of an epsilon sweep share
 one _band_bisect call.  Solvers return gamma grids (gammas[n-1, k-1], NaN
-where no level is reported) with omega = scale * gamma^2: the sweeps one per
-value, solve_uniform and solve_alternating one with its band upper edges.
+where no level is reported) with omega = scale * gamma^2: the sweeps one
+per value, solve_uniform and solve_alternating one with its band upper
+edges.
 """
 from __future__ import annotations
 
@@ -57,8 +62,16 @@ from .model import (AlternatingProfile, BoundaryCondition, ConfigError,
                     dimensionless)
 
 _BISECT_ITERS = 110
-# Lanes per _replay call in _band_bisect; bounds the temporaries of a sweep.
+# Lanes per _replay call in _solve_lanes; bounds the temporaries of a sweep.
 _CHUNK = 4096
+# Most floats inside an inner bracket that _replay settles without halving.
+# The bench's levels hold 1-15 (one family) and 1-19 (two families), 72 %
+# of them 1; of 28,800 random two-family levels 0.1 % hold more than 32 (up
+# to 91) and are halved.
+_SETTLE_FLOATS = 32
+# Least a / hi of a settled lane, so that halving reaches adjacent floats
+# within _BISECT_ITERS steps (see _replay).
+_SETTLE_DEPTH = 2.0 ** -40
 # Newton steps of _inner_brackets before a lane is evaluated at every halving.
 _NEWTON_ITERS = 30
 # Half-width of an inner bracket, in rounding-noise widths of F.
@@ -189,27 +202,51 @@ def _band_bisect(nulam, lambeta4: np.ndarray, k_max: int) -> np.ndarray:
     the band edges returns.  At an edge only D vanishes, so the regularized
     form is nu*lam*gamma^3*N there, whose sign alternates as (-1)^k at the
     lower edge of band k (the k=1 interval starts at F(0) = -2
-    (lam*beta)^4); the bisection is seeded with that sign.  Lanes (one per
-    level) go through _inner_brackets and then _replay with their inner
-    brackets, in chunks of at most _CHUNK.
+    (lam*beta)^4); the bisection is seeded with that sign.  The lanes (one
+    per level) go through _solve_lanes from the Newton starts of
+    _newton_start.
     """
     bounds = np.concatenate(([0.0], band_edge_gammas(k_max)))
     nd = _scaled_nd_slopes(bounds)
     shape = np.broadcast_shapes(np.shape(nulam), lambeta4.shape)[:-1] + (k_max,)
     flat_nulam = np.broadcast_to(nulam, shape).flat
     flat_lambeta4 = np.broadcast_to(lambeta4, shape).flat
-    out = np.empty(shape)
-    for start in range(0, out.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        k = np.arange(start, min(start + _CHUNK, out.size)) % k_max
+
+    def lanes(part):
+        k = np.arange(part.start, part.stop) % k_max
         lo, hi = bounds[k], bounds[k + 1]
-        neg = k % 2 == 0                  # F < 0 at the lower edge of band k+1
         c, lb4 = flat_nulam[part], flat_lambeta4[part]
         x = _newton_start(lo, hi, c, lb4, [t[k] for t in nd],
                           [t[k + 1] for t in nd])
-        a, b = _inner_brackets(lo, hi, neg, c, lb4, x)
-        out.flat[part] = _replay(
-            lo, hi, neg, lambda g, i: _regular_secular(g, c[i], lb4[i]), a, b)
+        # F < 0 at the lower edge of band k+1 for even k
+        return lo, hi, k % 2 == 0, x, (c, lb4)
+
+    return _solve_lanes(
+        int(np.prod(shape)), lanes,
+        lambda g, c, lb4: _secular_slope(g, c, lb4, _scaled_nd_slopes(g)),
+        _regular_secular).reshape(shape)
+
+
+def _solve_lanes(size, lanes, slope, value):
+    """Levels of lanes 0..size-1, bisected _CHUNK lanes at a time, which
+    bounds the temporaries of a sweep.
+
+    lanes(part) gives (lo, hi, neg, start, params) of the lanes in the
+    slice part: brackets, sign bits of f at lo, Newton starts inside the
+    brackets and a tuple of per-lane parameter arrays.  value(g, *params)
+    is the lanes' f, and slope(g, *params) its F, F' and rounding bound for
+    _inner_brackets; the inner brackets go with the brackets to _replay.
+    """
+    out = np.empty(size)
+    for start in range(0, size, _CHUNK):
+        part = slice(start, min(start + _CHUNK, size))
+        lo, hi, neg, x, params = lanes(part)
+
+        def f(g, i, params=params):
+            return value(g, *(v[i] for v in params))
+
+        a, b = _inner_brackets(lo, hi, neg, x, slope, f, params)
+        out[part] = _replay(lo, hi, neg, f, a, b)
     return out
 
 
@@ -240,8 +277,48 @@ def _replay(lo, hi, neg, f, a=-np.inf, b=np.inf):
     inner bracket, f(a) of the sign at lo and f(b) of the other: a midpoint
     at or below a takes the lo side, one at or above b the hi side, and
     only midpoints strictly inside are evaluated (all of them by default).
+
+    Lanes whose inner bracket holds few floats are settled first, without
+    halving (_settle).  Under the rule above every float x of [lo, hi] has
+    a side, and lo has the lo side and hi the hi side when lo <= a < b <=
+    hi.  If the sides change only once over the floats, at the adjacent
+    pair (p, q), bisection is path-independent: lo only ever moves to a
+    float of the lo side, so lo <= p, and hi to one of the hi side, so hi
+    >= q; a midpoint is strictly inside any bracket that holds a float, so
+    the bracket shrinks until it is (p, q), which no later step moves, and
+    the result is 0.5 * (p + q).  The floats at or below a and at or above
+    b have their sides by the rule, so only those strictly inside (a, b)
+    are evaluated, in one batch, and the lane is settled where their lo
+    sides form a prefix.  A lane with no inner bracket, more than
+    _SETTLE_FLOATS floats inside it or a second change of side is halved.
+
+    The equality needs the halving to reach (p, q) within _BISECT_ITERS
+    steps, so _settle also asks a >= 2^-40 hi (with lo >= 0, so p >= a >
+    0).  Each step leaves at most half the width plus the rounding of the
+    midpoint, at most 2^-53 hi, and hi never grows: after j steps from
+    width at most H = hi the width is below 2^-j H + 2^-52 H, which is
+    below 2^-41 H <= p/2 at j = 42; the bracket holds p, so it lies in
+    (p/2, 3p/2) from then on.  There the rounding is at most 2^-53 (3p/2),
+    so m steps more leave width below 2^-m p/2 + 3 * 2^-53 p, and floats
+    at or above p/2 lie at least ulp(p)/2 > 2^-54 p apart, so the bracket
+    then holds fewer than 2^(53-m) + 6 floats inside: at most 6 at m = 56.
+    Each step drops one at least, so (p, q) is reached by step 42 + 56 + 6
+    = 104 <= 110.  The brackets here start from band edges of at least
+    1.8, far from underflow.
     """
     n = lo.size
+    a, b = np.broadcast_to(a, lo.shape), np.broadcast_to(b, lo.shape)
+    out = np.empty(n)
+    settled, found = _settle(lo, hi, neg, f, a, b)
+    out[settled] = found
+    rest = slice(None)
+    if settled.size:                      # halve the others
+        rest = np.ones(n, dtype=bool)
+        rest[settled] = False
+        rest = np.flatnonzero(rest)
+        lo, hi, neg, a, b = (v[rest] for v in (lo, hi, neg, a, b))
+        f = lambda g, i, f=f: f(g, rest[i])
+        n = rest.size
     bracket = np.concatenate((lo, hi))
     lo, hi, lane = bracket[:n], bracket[n:], np.arange(n)
     for _ in range(_BISECT_ITERS):
@@ -259,36 +336,63 @@ def _replay(lo, hi, neg, f, a=-np.inf, b=np.inf):
         if bracket[end].tobytes() == mid.tobytes():
             break
         bracket[end] = mid
-    return 0.5 * (lo + hi)
+    out[rest] = 0.5 * (lo + hi)
+    return out
 
 
-def _inner_brackets(lo, hi, neg, nulam, lambeta4, start):
+def _settle(lo, hi, neg, f, a, b):
+    """(lanes, results) of the lanes of _replay that its settle step takes:
+    0 <= lo <= a < b <= hi, a >= _SETTLE_DEPTH * hi, at most _SETTLE_FLOATS
+    floats strictly inside (a, b), and f's sides over them a prefix of lo
+    sides.  The floats are counted on the int64 view of (a, b), and f is
+    evaluated at all of them in one flat batch."""
+    lanes = np.flatnonzero((0.0 <= lo) & (lo <= a) & (a < b) & (b <= hi)
+                           & (a >= _SETTLE_DEPTH * hi))
+    below = a[lanes].view(np.int64)            # ordinal of a: positive floats
+    size = b[lanes].view(np.int64) - below - 1
+    fits = size <= _SETTLE_FLOATS
+    lanes, below, size = lanes[fits], below[fits], size[fits]
+    owner = np.repeat(np.arange(lanes.size), size)
+    pos = np.arange(owner.size) - (np.cumsum(size) - size)[owner]
+    low = np.signbit(f((below[owner] + 1 + pos).view(np.float64),
+                       lanes[owner])) == neg[lanes[owner]]
+    n_low = np.bincount(owner[low], minlength=lanes.size)
+    mixed = np.bincount(owner[low != (pos < n_low[owner])],
+                        minlength=lanes.size) > 0
+    p = (below + n_low)[~mixed]                # ordinal of p, q is next
+    return lanes[~mixed], 0.5 * (p.view(np.float64)
+                                 + (p + 1).view(np.float64))
+
+
+def _inner_brackets(lo, hi, neg, start, slope, f, params):
     """Inner bracket (a, b) of each lane's root in [lo, hi], or (-inf, inf)
     where none is certified.
 
     A safeguarded Newton pass from start (a bisection step wherever Newton
-    leaves the bracket) estimates the root r, on the active lanes only.
-    The inner bracket is r -+ _MARGIN noise widths (at least one spacing of
-    r), clipped to [lo, hi]; the noise width is the bound on the rounding
-    error of F over |F'|.  It holds only where _regular_secular itself
-    gives F(a) the sign at lo and F(b) the other.  A lane whose Newton pass
-    does not converge, whose slope is zero or not finite, or whose ends
-    fail that check keeps (-inf, inf).
+    leaves the bracket) estimates the root r, on the active lanes only:
+    slope(x, *params) gives F (not bit for bit), F' and a bound on the
+    rounding error of f in units of roundoff, and params (per-lane arrays)
+    are compacted with the lanes.  The inner bracket is r -+ _MARGIN noise
+    widths (at least one spacing of r), clipped to [lo, hi]; the noise
+    width is the rounding bound over |F'|.  It holds only where the lanes'
+    own f(g, lanes), the one _replay evaluates, gives f(a) the sign at lo
+    and f(b) the other.  A lane whose Newton pass does not converge, whose
+    slope is zero or not finite, or whose ends fail that check keeps (-inf,
+    inf).
     """
     a = np.full(lo.shape, -np.inf)
     b = np.full(lo.shape, np.inf)
     live = np.arange(lo.size)
     x, x_lo, x_hi, x_neg = start, lo, hi, neg
-    c, lb4 = nulam, lambeta4
     found = [(live[:0], x[:0], x[:0])]    # (lanes, r, width) as they converge
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_ITERS):
-            f, df, noise = _secular_slope(x, c, lb4, _scaled_nd_slopes(x))
-            step = f / df
+            fx, df, noise = slope(x, *params)
+            step = fx / df
             # infinite (zero slope) or NaN where no bracket can be certified
             width = np.maximum(_MARGIN * _ROUNDOFF * noise / np.abs(df),
                                np.spacing(x))
-            below = np.signbit(f) == x_neg
+            below = np.signbit(fx) == x_neg
             x_lo = np.where(below, x, x_lo)
             x_hi = np.where(below, x_hi, x)
             root = x - step
@@ -299,15 +403,14 @@ def _inner_brackets(lo, hi, neg, nulam, lambeta4, start):
                 hit = np.flatnonzero(done & np.isfinite(width))
                 found.append((live[hit], root[hit], width[hit]))
                 keep = np.flatnonzero(~done)
-                live, x, x_lo, x_hi, x_neg, c, lb4 = (
-                    v[keep] for v in (live, x, x_lo, x_hi, x_neg, c, lb4))
+                live, x, x_lo, x_hi, x_neg, *params = (
+                    v[keep] for v in (live, x, x_lo, x_hi, x_neg, *params))
                 if not live.size:
                     break
     idx, root, width = (np.concatenate(v) for v in zip(*found))
     ends = np.concatenate((np.maximum(root - width, lo[idx]),
                            np.minimum(root + width, hi[idx])))
-    f = _regular_secular(ends, np.tile(nulam[idx], 2), np.tile(lambeta4[idx], 2))
-    f_a, f_b = np.signbit(f).reshape(2, -1)
+    f_a, f_b = np.signbit(f(ends, np.tile(idx, 2))).reshape(2, -1)
     ok = (f_a == neg[idx]) & (f_b != neg[idx])
     a[idx[ok]], b[idx[ok]] = ends.reshape(2, -1)[:, ok]
     return a, b
@@ -436,6 +539,33 @@ def _regular_alternating(gamma, c1, c2, eps, lambeta4):
             + (gamma ** 4 - lambeta4) * d1 * d2)
 
 
+def _alternating_slope(gamma, c1, c2, eps, lambeta4):
+    """_regular_alternating F (not bit for bit), dF/dgamma, and a bound on
+    its rounding error in units of roundoff, that of eps*gamma included.
+
+    With x = eps*gamma, F = g^3 (c1 N1 D2 + c2 N2 D1) + (g^4 - lb4) D1 D2,
+    N1, D1 at g and N2, D2 at x; dF/dg = dF/dg|x + eps dF/dx, and rounding
+    x moves F by at most |x dF/dx| roundoffs.
+    """
+    x = eps * gamma
+    n1, d1, dn1, dd1, n1_err, d1_err = _scaled_nd_slopes(gamma)
+    n2, d2, dn2, dd2, n2_err, d2_err = _scaled_nd_slopes(x)
+    g2 = gamma * gamma
+    g3 = g2 * gamma
+    g4 = g2 * g2
+    poly = g4 - lambeta4
+    shear = c1 * n1 * d2 + c2 * n2 * d1
+    f = g3 * shear + poly * d1 * d2
+    df_x = g3 * (c1 * n1 * dd2 + c2 * dn2 * d1) + poly * d1 * dd2
+    df = (g2 * (3.0 * shear + gamma * (c1 * dn1 * d2 + c2 * n2 * dd1))
+          + (4.0 * g3 * d1 + poly * dd1) * d2 + eps * df_x)
+    noise = (g3 * (c1 * (n1_err * np.abs(d2) + np.abs(n1) * d2_err)
+                   + c2 * (n2_err * np.abs(d1) + np.abs(n2) * d1_err))
+             + np.abs(poly) * (d1_err * np.abs(d2) + np.abs(d1) * d2_err)
+             + (g4 + lambeta4) * np.abs(d1 * d2) + np.abs(x * df_x))
+    return f, df, noise
+
+
 def _pole_groups(eps, gamma_max, families=(1, 2)):
     """Merged band-edge poles of layouts eps[p] up to gamma_max[p]: family 1
     at the edges gamma_k, family 2 at gamma_k / eps[p].  In each sorted row
@@ -542,31 +672,39 @@ def _alternating_solves(geometry: DeviceGeometry, profile: AlternatingProfile,
     paired = np.flatnonzero(~single)
     if not paired.size:
         return gammas, upper
-    lo, hi, lower, top = (b[:, None] for b in _band_brackets(eps[paired],
-                                                             k_max))
-    upper[paired] = top[:, 0]
-    e = eps[paired, None, None]                                # (P, 1, 1)
+    lo, hi, lower, top = _band_brackets(eps[paired], k_max)    # (P, k)
+    upper[paired] = top
+    e = eps[paired]
     mid = 0.5 * (lo + hi)
     # the secular function rises from -inf in every band, and the
     # denominators keep one sign inside it
-    neg = np.signbit(-_scaled_nd(mid)[1] * _scaled_nd(e * mid)[1])
-    lb4 = (lam1 * betas[:, None]) ** 4
+    neg = np.signbit(-_scaled_nd(mid)[1] * _scaled_nd(e[:, None] * mid)[1])
+    lb4 = (lam1 * betas) ** 4
     shape = (paired.size, n_max, k_max)
-    lo, hi, lower, top, neg, e, lb4 = (
-        np.broadcast_to(v, shape).ravel()
-        for v in (lo, hi, lower, top, neg, e, lb4))             # lanes
 
-    def f(g, i=slice(None)):
-        return _regular_alternating(g, c1, c2, e[i], lb4[i])
+    def lanes(part):
+        p, n, k = np.unravel_index(np.arange(part.start, part.stop), shape)
+        return lo[p, k], hi[p, k], neg[p, k], mid[p, k], (e[p], lb4[n])
 
-    found = _replay(lo, hi, neg, f)
+    found = _solve_lanes(
+        paired.size * n_max * k_max, lanes,
+        lambda g, e, lb4: _alternating_slope(g, c1, c2, e, lb4),
+        lambda g, e, lb4: _regular_alternating(g, c1, c2, e, lb4)
+    ).reshape(shape)
     # an end stepped off a merged pole group must still have the sign that
     # the bracket assumes, or the bracket may hold no level at all
+    p, n, k = np.nonzero(np.broadcast_to(
+        ((lo != lower) | (hi != top))[:, None], shape))
+    lo, hi, lower, top, neg = (v[p, k] for v in (lo, hi, lower, top, neg))
+
+    def f(g):
+        return _regular_alternating(g, c1, c2, e[p], lb4[n])
+
     rejected = (((lo != lower) & (np.signbit(f(lo)) != neg))
                 | ((hi != top) & (np.signbit(f(hi)) == neg)))
-    found[rejected] = np.nan
-    gammas[paired] = found.reshape(shape)
-    counts = rejected.reshape(shape).sum(axis=(1, 2)).tolist()
+    found[p[rejected], n[rejected], k[rejected]] = np.nan
+    gammas[paired] = found
+    counts = np.bincount(p[rejected], minlength=paired.size).tolist()
     for p, count in zip(paired, counts):
         if count:
             warnings.warn(

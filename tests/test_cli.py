@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -996,6 +997,21 @@ def test_kernel_matches_percent_formatting():
     assert cells == [b"%d\n" % i for i in v.tolist()]
     assert missed == np.count_nonzero((v == 0) | (np.abs(v) >= 10 ** 8)
                                       | (v == top.min))
+
+
+def test_csv_cells_peak_of_a_float_block_column():
+    # a 4096-cell fixed-notation float column, as the sweeps' gamma and
+    # omega columns give it: the kernel peaks at 671 KiB of temporaries
+    column = np.random.default_rng(31).uniform(0.5, 120.0, 4096)
+    cli._csv_cells(column[:cli._KERNEL_MIN], b",")  # first-call allocations
+    tracemalloc.start()
+    try:
+        *_, missed = cli._csv_cells(column, b",")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert missed == 0
+    assert peak <= 680 * 2 ** 10
 
 
 def test_kernel_certifies_every_cell_of_the_golden_sweep(capsys, tmp_path):

@@ -626,22 +626,79 @@ def _random_loadings(rng, size, bc, n_max):
     return (nu * lam)[:, None, None], lambeta4[:, :, None]
 
 
-def test_nu_sweep_band_bisection_lane_evaluations(monkeypatch):
-    # halving every bracket of the preset's nu sweep from its edges by value
-    # alone takes 57 lane evaluations per level; the replay needs at most 25.
-    # Lane evaluations are values (_regular_secular) and values with slopes
-    # (_scaled_nd_slopes), counted by gamma.size.
+def _count_evaluations(monkeypatch, names):
+    """A list that collects gamma.size of every call of sp's names."""
     evals = []
-    for name in ("_regular_secular", "_scaled_nd_slopes"):
+    for name in names:
         def counted(gamma, *args, fn=getattr(sp, name)):
             evals.append(np.size(gamma))
             return fn(gamma, *args)
         monkeypatch.setattr(sp, name, counted)
+    return evals
+
+
+def test_nu_sweep_band_bisection_lane_evaluations(monkeypatch):
+    # halving every bracket of the preset's nu sweep from its edges by value
+    # alone takes 57 lane evaluations per level; Newton, the inner-bracket
+    # check and the settle step take 8.9.  Lane evaluations are values
+    # (_regular_secular) and values with slopes (_scaled_nd_slopes),
+    # counted by gamma.size.
+    evals = _count_evaluations(monkeypatch,
+                               ("_regular_secular", "_scaled_nd_slopes"))
     geometry, profile, bc = preset_device("jap1-calibrated")
     swept = list(sp.sweep_uniform(geometry, profile, bc, "nu",
                                   np.linspace(0.0, 90.0, 50), 8, 8))
     assert len(swept) == 50
-    assert sum(evals) <= 25 * 49 * 8 * 8
+    assert sum(evals) <= 9 * 49 * 8 * 8
+
+
+def test_epsilon_sweep_band_bisection_lane_evaluations(monkeypatch):
+    # the same count for two-family levels, 200 epsilons toward 1: halving
+    # by value alone takes 57 per level; values (_regular_alternating) and
+    # values with slopes (_alternating_slope) take 14.9
+    evals = _count_evaluations(monkeypatch,
+                               ("_regular_alternating", "_alternating_slope"))
+    _, profile, _ = preset_device("jap1-calibrated")
+    geometry, bc, alt = _two_family(profile.length, 0.8)
+    swept = list(sp.sweep_alternating(geometry, alt, bc,
+                                      np.linspace(0.3, 0.999999, 200), 8, 8))
+    assert all(np.isfinite(g).all() for _, g, _ in swept)
+    assert sum(evals) <= 15 * 200 * 8 * 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(eps=st.lists(st.floats(0.2, 1.0 - 1e-9, exclude_min=True)
+                    | st.integers(6, 9).map(lambda j: 1.0 - 10.0 ** -j),
+                    min_size=1, max_size=4),
+       c1=st.floats(1e-3, 10.0), c2=st.floats(1e-3, 10.0),
+       lam=st.floats(1e-2, 1.0), bc=st.sampled_from(list(BoundaryCondition)),
+       n_max=st.integers(1, 6), k_max=st.integers(1, 8))
+def test_alternating_solves_equal_all_halvings(eps, c1, c2, lam, bc, n_max,
+                                               k_max):
+    # two-family levels, settled from their inner brackets, are bit for bit
+    # every halving of the regularized form from the band brackets' ends,
+    # seeded with its sign at lo: the secular function rises from -inf in
+    # each band, where the denominators keep the sign they have mid-band
+    eps = np.array(eps)
+    geometry, _, _ = preset_device("jap1-calibrated")
+    alt = AlternatingProfile(length1=lam * geometry.beam_length,
+                             length2=0.5 * lam * geometry.beam_length,
+                             width1=1e-7, width2=1e-7, count1=1, count2=1)
+    with mock.patch.object(sp, "_alternating_coeffs", return_value=(c1, c2)):
+        gammas, _ = sp._alternating_solves(geometry, alt, eps, bc, n_max,
+                                           k_max)
+    lo, hi = (v[:, None] for v in sp._band_brackets(eps, k_max)[:2])
+    mid = 0.5 * (lo + hi)
+    e = eps[:, None, None]
+    f_lo = -sp._scaled_nd(mid)[1] * sp._scaled_nd(e * mid)[1]
+    lambeta4 = ((alt.length1 / geometry.beam_length
+                 * beam_roots(bc, n_max)) ** 4)[:, None]
+    shape = gammas.shape
+    want = _bisect_fixed(
+        lambda g: sp._regular_alternating(g, c1, c2, e, lambeta4),
+        *(np.broadcast_to(v, shape) for v in (lo, hi, f_lo)),
+        sp._BISECT_ITERS)
+    assert gammas.tobytes() == want.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -693,6 +750,76 @@ def test_band_bisect_falls_back_where_inner_bracket_fails(monkeypatch):
     fallback = np.isinf(a).reshape(got.shape)
     assert (fallback == (nulam >= cut)).all()
     assert (np.isinf(a) == np.isinf(b)).all()
+
+
+def _recorded(monkeypatch, name):
+    """A list that collects (args, result) of every call of sp's name."""
+    calls, fn = [], getattr(sp, name)
+
+    def recorded(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sp, name, recorded)
+    return calls
+
+
+def test_settle_refuses_a_lane_with_a_second_sign_change(monkeypatch):
+    # flipping f at one float inside an inner bracket, between two floats
+    # of one side (a counts as the lo side and b as the hi side), gives its
+    # lane a second change of side: the settle step must leave that lane to
+    # halving, which gives plain bisection's bits for the flipped f
+    nulam, lambeta4 = _random_loadings(np.random.default_rng(17), 20, CC, 4)
+    replay = sp._replay
+    replays = _recorded(monkeypatch, "_replay")
+    settles = _recorded(monkeypatch, "_settle")
+    sp._band_bisect(nulam, lambeta4, 4)
+    ((lo, hi, neg, f, a, b), _), = replays
+    ends = np.stack((a, b)).view(np.int64)
+    lane = np.flatnonzero(np.isfinite(a) & (np.diff(ends, axis=0)[0] > 3))[0]
+    inside = np.arange(ends[0, lane] + 1, ends[1, lane]).view(np.float64)
+    low = np.signbit(f(inside, np.full(inside.size, lane))) == neg[lane]
+    sides = np.concatenate(([True], low, [False]))
+    x = inside[np.flatnonzero(sides[:-2] == sides[2:])[0]]
+
+    def flipped(g, i):
+        value = f(g, i)
+        return np.where((g == x) & (np.arange(lo.size)[i] == lane), -value,
+                        value)
+
+    got = replay(lo, hi, neg, flipped, a, b)
+    (_, (before, _)), (_, (after, _)) = settles
+    assert lane in before
+    assert after.tolist() == [i for i in before.tolist() if i != lane]
+    want = _bisect_fixed(lambda g: flipped(g, slice(None)), lo, hi,
+                         np.where(neg, -1.0, 1.0), sp._BISECT_ITERS)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_settle_leaves_band_one_roots_below_the_depth_guard(monkeypatch):
+    # band-1 lanes with roots 2^-45 and 2^-70 of the band edge and inner
+    # brackets 4 floats to each side: below _SETTLE_DEPTH both are halved,
+    # and give plain bisection's bits.  The first reaches its adjacent
+    # pair; 110 halvings from [0, edge] do not reach the second's, so
+    # settling it would change its bits
+    edge = band_edge_gammas(1)[0]
+    root = edge * np.array([2.0 ** -45, 2.0 ** -70])
+    lo, hi = np.zeros(2), np.full(2, edge)
+    a, b = ((root.view(np.int64) + d).view(np.float64) for d in (-4, 4))
+    pair = 0.5 * (np.nextafter(root, 0.0) + root)
+
+    def f(g, i):
+        return g - root[i]
+
+    settles = _recorded(monkeypatch, "_settle")
+    got = sp._replay(lo, hi, np.ones(2, dtype=bool), f, a, b)
+    assert not settles[0][1][0].size
+    want = _bisect_fixed(lambda g: f(g, slice(None)), lo, hi, -root,
+                         sp._BISECT_ITERS)
+    assert got.tobytes() == want.tobytes()
+    assert got[0] == pair[0] and got[1] != pair[1]
+    monkeypatch.setattr(sp, "_SETTLE_DEPTH", 0.0)
+    assert sp._replay(lo, hi, np.ones(2, dtype=bool), f, a, b)[1] == pair[1]
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition))
