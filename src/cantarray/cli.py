@@ -576,7 +576,7 @@ def _cmd_sweep(args, caught, t0):
                         config.spectrum.k_max))
     value, gammas, scale = map(np.array, zip(*points))
     p, n, k, gamma, omega = _level_rows(gammas, scale)
-    table = {"param": np.full(p.size, args.param), "value": value[p],
+    table = {"param": np.broadcast_to(args.param, p.size), "value": value[p],
              "n": n, "k": k, "gamma": gamma, "omega_rad_s": omega}
     _emit(args, table, config, caught, t0)
 

@@ -37,14 +37,20 @@ takes the lanes _CHUNK at a time: a safeguarded Newton pass
 _alternating_slope) puts (a, b) a few rounding-noise widths wide around
 each root, and f(a) and f(b) are checked to have the two signs; a lane
 whose Newton pass or check fails keeps (-inf, inf), so the levels are
-plain bisection's bit for bit either way.  A lane whose inner bracket
-holds only a few floats is settled without halving: f is evaluated at
-each of them, and where its sign changes once among them the level is
-known (see _replay).  All single-family layouts of an epsilon sweep share
-one _band_bisect call.  Solvers return gamma grids (gammas[n-1, k-1], NaN
-where no level is reported) with omega = scale * gamma^2: the sweeps one
-per value, solve_uniform and solve_alternating one with its band upper
-edges.
+plain bisection's bit for bit either way, wherever Newton starts and
+whenever it stops.  Newton starts from the shorter Newton step off a
+bracket end (_newton_start); in a solve of _WARM_LANES lanes or more,
+every _WARM_STRIDE-th row of the swept values (and the last) is solved
+first, and the rows between start from the linear interpolation of
+those rows' levels.  A lane stops once its step is within the noise
+width, or once its last two Newton steps predict an error well inside
+it.  A lane whose inner bracket holds only a few floats is settled
+without halving: f is evaluated at each of them, and where its sign
+changes once among them the level is known (see _replay).  All
+single-family layouts of an epsilon sweep share one _band_bisect call.
+Solvers return gamma grids (gammas[n-1, k-1], NaN where no level is
+reported) with omega = scale * gamma^2: the sweeps one per value,
+solve_uniform and solve_alternating one with its band upper edges.
 """
 from __future__ import annotations
 
@@ -62,6 +68,15 @@ from .model import (AlternatingProfile, BoundaryCondition, ConfigError,
                     dimensionless)
 
 _BISECT_ITERS = 110
+# Least lanes of a solve whose rows _solve_lanes starts from the levels of
+# coarse rows _WARM_STRIDE apart.  The second pass costs a fixed 0.3-0.7 ms;
+# on the preset, solving the coarse rows first broke even at 2,000-3,300
+# lanes (nu sweeps at 8x8 and 3x4 levels, two-family epsilon sweeps at 3x4)
+# and gained 7-30 % from 4,096 lanes up.  Strides 8 and 16 took 2.2-2.4
+# Newton steps per level on 500-value nu and 1,000-value epsilon sweeps,
+# stride 4 2.5-2.7 and stride 32 2.3-2.6.
+_WARM_LANES = 4096
+_WARM_STRIDE = 8
 # Lanes per _replay call in _solve_lanes; bounds the temporaries of a sweep.
 _CHUNK = 4096
 # Most floats inside an inner bracket that _replay settles without halving.
@@ -76,6 +91,15 @@ _SETTLE_DEPTH = 2.0 ** -40
 _NEWTON_ITERS = 30
 # Half-width of an inner bracket, in rounding-noise widths of F.
 _MARGIN = 8.0
+# _inner_brackets takes a Newton root once the error that its last two
+# steps predict, C step^2, is below _QUADRATIC widths, where C = |F''/2F'|
+# is |step| / last^2 but at least _CURVATURE (F is made of unit-frequency
+# waves; a lucky first step makes the ratio far too small).  Without the
+# floor, 1/4 added 37 uncertified lanes to 201,600 random single-family
+# ones and 18 to 192,000 two-family ones (1/16: 10 and 8); with it, 1/4
+# adds none there, nor on bands-duffing seeds 1-4, and 1/2 adds 6.
+_QUADRATIC = 0.25
+_CURVATURE = 0.5
 _ROUNDOFF = 2.0 ** -53     # unit roundoff of float64
 # Two poles closer than this (relative) merge into one band edge, and the
 # root between them is not reported.  The twin poles gamma_k, gamma_k/eps are
@@ -149,11 +173,12 @@ def _scaled_nd_slopes(gamma):
             (np.abs(c) + np.abs(s)) * ch, e + np.abs(c) * ch)
 
 
-def _secular_slope(gamma, nulam, lambeta4, nd):
+def _secular_slope(gamma, nulam, lambeta4, nd=None):
     """_regular_secular F (not bit for bit), dF/dgamma, and a bound on the
     rounding error of _regular_secular in units of roundoff, from
-    nd = _scaled_nd_slopes(gamma)."""
-    n_hat, d_hat, dn_hat, dd_hat, n_err, d_err = nd
+    nd = _scaled_nd_slopes(gamma), computed here if not given."""
+    n_hat, d_hat, dn_hat, dd_hat, n_err, d_err = (
+        _scaled_nd_slopes(gamma) if nd is None else nd)
     g2 = gamma * gamma
     g3 = g2 * gamma
     g4 = g2 * g2
@@ -203,60 +228,105 @@ def _band_bisect(nulam, lambeta4: np.ndarray, k_max: int) -> np.ndarray:
     form is nu*lam*gamma^3*N there, whose sign alternates as (-1)^k at the
     lower edge of band k (the k=1 interval starts at F(0) = -2
     (lam*beta)^4); the bisection is seeded with that sign.  The lanes (one
-    per level) go through _solve_lanes from the Newton starts of
-    _newton_start.
+    per level) go through _solve_lanes, with N^ and D^ at the band edges
+    computed once.
     """
     bounds = np.concatenate(([0.0], band_edge_gammas(k_max)))
-    nd = _scaled_nd_slopes(bounds)
+    nd = np.array(_scaled_nd_slopes(bounds))
     shape = np.broadcast_shapes(np.shape(nulam), lambeta4.shape)[:-1] + (k_max,)
     flat_nulam = np.broadcast_to(nulam, shape).flat
     flat_lambeta4 = np.broadcast_to(lambeta4, shape).flat
 
-    def lanes(part):
-        k = np.arange(part.start, part.stop) % k_max
-        lo, hi = bounds[k], bounds[k + 1]
-        c, lb4 = flat_nulam[part], flat_lambeta4[part]
-        x = _newton_start(lo, hi, c, lb4, [t[k] for t in nd],
-                          [t[k + 1] for t in nd])
+    def lanes(idx):
+        k = idx % k_max
         # F < 0 at the lower edge of band k+1 for even k
-        return lo, hi, k % 2 == 0, x, (c, lb4)
+        return (bounds[k], bounds[k + 1], k % 2 == 0,
+                (flat_nulam[idx], flat_lambeta4[idx]))
+
+    def ends(idx):
+        k = idx % k_max
+        return nd[:, np.concatenate((k, k + 1))]
 
     return _solve_lanes(
-        int(np.prod(shape)), lanes,
-        lambda g, c, lb4: _secular_slope(g, c, lb4, _scaled_nd_slopes(g)),
-        _regular_secular).reshape(shape)
+        shape, lanes, ends,
+        lambda g, c, lb4, nd=None: _secular_slope(g, c, lb4, nd),
+        _regular_secular)
 
 
-def _solve_lanes(size, lanes, slope, value):
-    """Levels of lanes 0..size-1, bisected _CHUNK lanes at a time, which
-    bounds the temporaries of a sweep.
+def _solve_lanes(shape, lanes, ends, slope, value):
+    """Levels of the lanes of shape, whose leading axis holds the rows of a
+    sweep, bisected _CHUNK lanes at a time, which bounds the temporaries.
 
-    lanes(part) gives (lo, hi, neg, start, params) of the lanes in the
-    slice part: brackets, sign bits of f at lo, Newton starts inside the
-    brackets and a tuple of per-lane parameter arrays.  value(g, *params)
-    is the lanes' f, and slope(g, *params) its F, F' and rounding bound for
-    _inner_brackets; the inner brackets go with the brackets to _replay.
+    lanes(idx) gives (lo, hi, neg, params) of the lanes with flat indices
+    idx: brackets, sign bits of f at lo and a tuple of per-lane parameter
+    arrays; ends(idx) gives the _scaled_nd_slopes terms at the lanes'
+    bracket ends (all lo, then all hi) where they are computed once per
+    band, None where not.  value(g, *params) is the lanes' f, and slope(g,
+    *params, nd=None) its F, F' and rounding bound for _inner_brackets,
+    from nd where given; the inner brackets go with the brackets to
+    _replay.
+
+    Newton starts from the shorter edge step of _newton_start.  With
+    _WARM_LANES lanes or more, the coarse rows (every _WARM_STRIDE-th, and
+    the last) are solved first, and a lane of another row starts from the
+    linear interpolation, by row index, of the levels of its two coarse
+    neighbours instead, where that lies strictly inside its bracket (not
+    where a neighbour is NaN or the bracket moved, as a two-family band
+    does where poles cross).  The chunk's starts are built from out, so no
+    start array spans the lanes.  No level depends on its start, only its
+    cost (see _inner_brackets and _replay).
     """
-    out = np.empty(size)
-    for start in range(0, size, _CHUNK):
-        part = slice(start, min(start + _CHUNK, size))
-        lo, hi, neg, x, params = lanes(part)
+    rows = shape[0]
+    width = int(np.prod(shape[1:]))
+    out = np.empty(rows * width)
+    coarse = np.full(rows, rows * width < _WARM_LANES)
+    coarse[::_WARM_STRIDE] = coarse[-1] = True
+    coarse, fine = np.flatnonzero(coarse), np.flatnonzero(~coarse)
+    for group in (coarse, fine):
+        for first in range(0, group.size * width, _CHUNK):
+            idx = np.arange(first, min(first + _CHUNK, group.size * width))
+            idx = group[idx // width] * width + idx % width
+            lo, hi, neg, params = lanes(idx)
+            if group is coarse:
+                x = _newton_start(lo, hi, slope, params, ends(idx))
+            else:
+                x = _interpolated(out, idx, rows)
+                cold = np.flatnonzero(~((x > lo) & (x < hi)))
+                if cold.size:
+                    x[cold] = _newton_start(
+                        lo[cold], hi[cold], slope, [v[cold] for v in params],
+                        ends(idx[cold]))
 
-        def f(g, i, params=params):
-            return value(g, *(v[i] for v in params))
+            def f(g, i, params=params):
+                return value(g, *(v[i] for v in params))
 
-        a, b = _inner_brackets(lo, hi, neg, x, slope, f, params)
-        out[part] = _replay(lo, hi, neg, f, a, b)
-    return out
+            a, b = _inner_brackets(lo, hi, neg, x, slope, f, params)
+            out[idx] = _replay(lo, hi, neg, f, a, b)
+    return out.reshape(shape)
 
 
-def _newton_start(lo, hi, nulam, lambeta4, nd_lo, nd_hi):
-    """Newton start inside each band [lo, hi]: of the Newton steps from its
-    two edges that land inside, the shorter one; the midpoint if none does.
-    nd_lo and nd_hi are _scaled_nd_slopes at the edges."""
+def _interpolated(out, idx, rows):
+    """Linear interpolation, by row index, of the levels out holds for the
+    lanes idx in the coarse rows below and above theirs (see _solve_lanes);
+    out is flat, rows rows of lanes."""
+    width = out.size // rows
+    row, col = np.divmod(idx, width)
+    below = row - row % _WARM_STRIDE
+    above = np.minimum(below + _WARM_STRIDE, rows - 1)
+    g = out[below * width + col]
+    return g + (row - below) / (above - below) * (out[above * width + col] - g)
+
+
+def _newton_start(lo, hi, slope, params, nd):
+    """Newton start inside each bracket [lo, hi]: of the Newton steps from its
+    two ends that land inside, the shorter one; the midpoint if none does.
+    slope(g, *params, nd) is the lanes' slope function of _solve_lanes,
+    called once for both ends, and nd the _scaled_nd_slopes terms at lo
+    and then hi, or None."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        step_lo = np.divide(*_secular_slope(lo, nulam, lambeta4, nd_lo)[:2])
-        step_hi = np.divide(*_secular_slope(hi, nulam, lambeta4, nd_hi)[:2])
+        f, df = slope(np.concatenate((lo, hi)),
+                      *(np.tile(v, 2) for v in params), nd)[:2]
+        step_lo, step_hi = np.divide(f, df).reshape(2, -1)
     x_lo, x_hi = lo - step_lo, hi - step_hi
     in_lo = (x_lo > lo) & (x_lo < hi)
     in_hi = (x_hi > lo) & (x_hi < hi)
@@ -374,16 +444,23 @@ def _inner_brackets(lo, hi, neg, start, slope, f, params):
     rounding error of f in units of roundoff, and params (per-lane arrays)
     are compacted with the lanes.  The inner bracket is r -+ _MARGIN noise
     widths (at least one spacing of r), clipped to [lo, hi]; the noise
-    width is the rounding bound over |F'|.  It holds only where the lanes'
-    own f(g, lanes), the one _replay evaluates, gives f(a) the sign at lo
-    and f(b) the other.  A lane whose Newton pass does not converge, whose
-    slope is zero or not finite, or whose ends fail that check keeps (-inf,
-    inf).
+    width is the rounding bound over |F'|.  A lane stops once its step is
+    at most that width, or early, once the step s_k and the Newton step
+    s_(k-1) taken before it predict an error C s_k^2 below _QUADRATIC
+    widths (C = |s_k| / s_(k-1)^2, at least _CURVATURE; so the steps
+    contract), where r = x - s_k lies strictly inside the safeguard
+    bracket; the early stop saves the step that would only confirm r.
+    The inner bracket holds only where the lanes' own f(g, lanes), the one
+    _replay evaluates, gives f(a) the sign at lo and f(b) the other, so a
+    wrong guess costs halving, never a level.  A lane whose Newton pass
+    does not converge, whose slope is zero or not finite, or whose ends
+    fail that check keeps (-inf, inf).
     """
     a = np.full(lo.shape, -np.inf)
     b = np.full(lo.shape, np.inf)
     live = np.arange(lo.size)
     x, x_lo, x_hi, x_neg = start, lo, hi, neg
+    last = np.zeros(lo.shape)             # the Newton step taken to x, or 0
     found = [(live[:0], x[:0], x[:0])]    # (lanes, r, width) as they converge
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_ITERS):
@@ -396,15 +473,22 @@ def _inner_brackets(lo, hi, neg, start, slope, f, params):
             x_lo = np.where(below, x, x_lo)
             x_hi = np.where(below, x_hi, x)
             root = x - step
-            x = np.where((root > x_lo) & (root < x_hi), root,
-                         0.5 * (x_lo + x_hi))
-            done = np.abs(step) <= width
+            newton = (root > x_lo) & (root < x_hi)
+            x = np.where(newton, root, 0.5 * (x_lo + x_hi))
+            # a Newton step leaves about C step^2, C = |F''/2F'|; the test
+            # fails unless |step| < |last| or |step| <= width
+            size = np.abs(step)
+            curve = np.maximum(size / (last * last), _CURVATURE)
+            done = (size <= width) | (newton & (curve * size * size
+                                                < _QUADRATIC * width))
+            last = np.where(newton, step, 0.0)
             if done.any():
                 hit = np.flatnonzero(done & np.isfinite(width))
                 found.append((live[hit], root[hit], width[hit]))
                 keep = np.flatnonzero(~done)
-                live, x, x_lo, x_hi, x_neg, *params = (
-                    v[keep] for v in (live, x, x_lo, x_hi, x_neg, *params))
+                live, x, x_lo, x_hi, x_neg, last, *params = (
+                    v[keep] for v in (live, x, x_lo, x_hi, x_neg, last,
+                                      *params))
                 if not live.size:
                     break
     idx, root, width = (np.concatenate(v) for v in zip(*found))
@@ -682,15 +766,17 @@ def _alternating_solves(geometry: DeviceGeometry, profile: AlternatingProfile,
     lb4 = (lam1 * betas) ** 4
     shape = (paired.size, n_max, k_max)
 
-    def lanes(part):
-        p, n, k = np.unravel_index(np.arange(part.start, part.stop), shape)
-        return lo[p, k], hi[p, k], neg[p, k], mid[p, k], (e[p], lb4[n])
+    def lanes(idx):
+        p, n, k = np.unravel_index(idx, shape)
+        return lo[p, k], hi[p, k], neg[p, k], (e[p], lb4[n])
 
+    # the terms at the bracket ends are computed with the slopes, for the
+    # lanes that start there only: held for every band, they doubled the
+    # traced peak of 10,000 layouts at 8x8 levels and saved no time
     found = _solve_lanes(
-        paired.size * n_max * k_max, lanes,
-        lambda g, e, lb4: _alternating_slope(g, c1, c2, e, lb4),
-        lambda g, e, lb4: _regular_alternating(g, c1, c2, e, lb4)
-    ).reshape(shape)
+        shape, lanes, lambda idx: None,
+        lambda g, e, lb4, nd=None: _alternating_slope(g, c1, c2, e, lb4),
+        lambda g, e, lb4: _regular_alternating(g, c1, c2, e, lb4))
     # an end stepped off a merged pole group must still have the sign that
     # the bracket assumes, or the bracket may hold no level at all
     p, n, k = np.nonzero(np.broadcast_to(

@@ -286,6 +286,21 @@ def test_twin_poles_give_one_level_per_band(eps):
     np.testing.assert_allclose(gammas, limit, rtol=1e-8, atol=0.0)
 
 
+def test_long_epsilon_sweep_equals_per_value_solves(monkeypatch):
+    # warm starts across two-family layouts whose brackets jump where a
+    # family-2 pole crosses a family-1 pole, then toward 1 through the
+    # merged twin poles (1 - 1e-7 .. 1 - 1e-13) and 1 itself
+    monkeypatch.setattr(sp, "_WARM_LANES", 0)
+    _, profile, _ = preset_device("jap1-calibrated")
+    geometry, bc, alt = _two_family(profile.length, 0.5, count1=7, count2=13)
+    values = np.linspace(0.3, 0.999, 60).tolist() + [
+        1 - 10.0 ** -j for j in range(7, 14)] + [1.0]
+    swept, messages, alone, alone_messages = _sweep_and_solves(
+        geometry, alt, bc, values, 3, 4)
+    _assert_sweep_equals_levels(swept, alone, values, 3, 4)
+    assert messages == alone_messages
+
+
 @pytest.mark.parametrize("width_scale, rejected", [(1e-9, 2), (1e-12, 4)])
 def test_twin_pole_band_end_without_sign_change_is_rejected(width_scale,
                                                             rejected):
@@ -319,10 +334,16 @@ _PARAMS = {"nu": st.floats(0.0, 200.0), "N": st.floats(0.0, 100.0),
 @given(data=st.data(), parameter=st.sampled_from(sorted(_PARAMS)),
        n_max=st.integers(1, 5), k_max=st.integers(1, 6))
 def test_sweep_uniform_equals_per_value_solves(data, parameter, n_max, k_max):
-    geometry, profile, bc = preset_device("jap1-calibrated")
     values = data.draw(st.lists(_PARAMS[parameter], min_size=1, max_size=8))
     if parameter != "lambda":
         values.append(0.0)
+    _assert_uniform_rows(parameter, values, n_max, k_max)
+
+
+def _assert_uniform_rows(parameter, values, n_max, k_max):
+    """Every row of the preset's sweep of parameter over values is the bits
+    of the per-value solve."""
+    geometry, profile, bc = preset_device("jap1-calibrated")
     base = dimensionless(geometry, profile)
     betas = beam_roots(bc, n_max)
     swept = list(sp.sweep_uniform(geometry, profile, bc, parameter, values,
@@ -339,6 +360,35 @@ def test_sweep_uniform_equals_per_value_solves(data, parameter, n_max, k_max):
                 nu=2.0 * value * geometry.cantilever_width / geometry.beam_width)
         alone = sp.solve_uniform_dimensionless(params, betas, k_max)
         assert gammas.tobytes() == alone.tobytes()
+
+
+_RANGES = {"nu": (0.0, 200.0), "N": (0.0, 100.0), "lambda": (0.005, 0.3)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), parameter=st.sampled_from(sorted(_RANGES)),
+       order=st.sampled_from(["even", "shuffled", "repeated"]),
+       size=st.integers(64, 120), n_max=st.integers(1, 4),
+       k_max=st.integers(1, 5))
+def test_long_sweep_uniform_equals_per_value_solves(data, parameter, order,
+                                                    size, n_max, k_max):
+    # rows between the coarse ones start Newton from the levels of their
+    # coarse neighbours (at any lane count here): evenly spaced values,
+    # shuffled ones, runs of equal ones and, for nu and N, bare rows
+    # (nu = 0, solved apart) every few rows must all keep the bits of the
+    # per-value solves
+    ends = sorted(data.draw(st.floats(*_RANGES[parameter]))
+                  for _ in range(2))
+    values = np.linspace(*ends, size)
+    if order == "shuffled":
+        values = np.random.default_rng(data.draw(st.integers(0, 99))
+                                       ).permutation(values)
+    elif order == "repeated":
+        values = np.repeat(values[::3], 3)
+    if parameter != "lambda":
+        values[data.draw(st.integers(0, 7))::data.draw(st.integers(2, 9))] = 0.0
+    with mock.patch.object(sp, "_WARM_LANES", 0):
+        _assert_uniform_rows(parameter, values.tolist(), n_max, k_max)
 
 
 def _sweep_and_solves(geometry, alt, bc, values, n_max, k_max):
@@ -640,22 +690,34 @@ def _count_evaluations(monkeypatch, names):
 def test_nu_sweep_band_bisection_lane_evaluations(monkeypatch):
     # halving every bracket of the preset's nu sweep from its edges by value
     # alone takes 57 lane evaluations per level; Newton, the inner-bracket
-    # check and the settle step take 8.9.  Lane evaluations are values
-    # (_regular_secular) and values with slopes (_scaled_nd_slopes),
-    # counted by gamma.size.
+    # check and the settle step take 7.98 (8.9 before the early stop).  The
+    # 3,136 lanes are fewer than _WARM_LANES, so they start at the edges.
+    # Lane evaluations are values (_regular_secular) and values with slopes
+    # (_scaled_nd_slopes), counted by gamma.size.
+    _assert_nu_sweep_evaluations(monkeypatch, 50, 8.0)
+
+
+def test_long_nu_sweep_band_bisection_lane_evaluations(monkeypatch):
+    # the same count on 500 values, whose rows between the coarse ones start
+    # from their neighbours' levels: 6.38 per level (8.9 before)
+    _assert_nu_sweep_evaluations(monkeypatch, 500, 6.4)
+
+
+def _assert_nu_sweep_evaluations(monkeypatch, points, per_level):
     evals = _count_evaluations(monkeypatch,
                                ("_regular_secular", "_scaled_nd_slopes"))
     geometry, profile, bc = preset_device("jap1-calibrated")
     swept = list(sp.sweep_uniform(geometry, profile, bc, "nu",
-                                  np.linspace(0.0, 90.0, 50), 8, 8))
-    assert len(swept) == 50
-    assert sum(evals) <= 9 * 49 * 8 * 8
+                                  np.linspace(0.0, 90.0, points), 8, 8))
+    assert len(swept) == points
+    assert sum(evals) <= per_level * (points - 1) * 8 * 8
 
 
 def test_epsilon_sweep_band_bisection_lane_evaluations(monkeypatch):
     # the same count for two-family levels, 200 epsilons toward 1: halving
     # by value alone takes 57 per level; values (_regular_alternating) and
-    # values with slopes (_alternating_slope) take 14.9
+    # values with slopes (_alternating_slope) take 11.27 (14.9 from the
+    # bracket midpoints, without the early stop)
     evals = _count_evaluations(monkeypatch,
                                ("_regular_alternating", "_alternating_slope"))
     _, profile, _ = preset_device("jap1-calibrated")
@@ -663,7 +725,7 @@ def test_epsilon_sweep_band_bisection_lane_evaluations(monkeypatch):
     swept = list(sp.sweep_alternating(geometry, alt, bc,
                                       np.linspace(0.3, 0.999999, 200), 8, 8))
     assert all(np.isfinite(g).all() for _, g, _ in swept)
-    assert sum(evals) <= 15 * 200 * 8 * 8
+    assert sum(evals) <= 11.3 * 200 * 8 * 8
 
 
 @settings(max_examples=40, deadline=None)
@@ -714,13 +776,49 @@ def test_band_bisect_equals_all_halvings(nulam, lam, bc, n_max, k_max):
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition))
-def test_band_bisect_equals_bisection_on_seeded_lanes(bc):
-    # 700 loadings x 12 x 12 = 100,800 lanes, more than _CHUNK
+def test_band_bisect_equals_bisection_on_seeded_lanes(monkeypatch, bc):
+    # 700 loadings x 12 x 12 = 100,800 lanes, more than _CHUNK, from warm
+    # starts; the early stop of the Newton pass leaves no lane without an
+    # inner bracket that the full pass certifies
     nulam, lambeta4 = _random_loadings(np.random.default_rng(15), 700, bc, 12)
+    brackets = _recorded(monkeypatch, "_inner_brackets")
     got = sp._band_bisect(nulam, lambeta4, 12)
     want = _bisect_fixed(*_edge_bisection(nulam, lambeta4, 12),
                          sp._BISECT_ITERS)
     assert got.tobytes() == want.tobytes()
+    monkeypatch.setattr(sp, "_QUADRATIC", 0.0)        # no early stop
+    assert sp._band_bisect(nulam, lambeta4, 12).tobytes() == want.tobytes()
+    early, full = (np.concatenate([np.isinf(a) for _, (a, _) in calls])
+                   for calls in (brackets[:len(brackets) // 2],
+                                 brackets[len(brackets) // 2:]))
+    assert early.size == full.size == got.size
+    assert not (early & ~full).any()
+
+
+def test_warm_starts_far_off_or_outside_keep_the_levels(monkeypatch):
+    # interpolated starts of every kind the bracket check must sort out:
+    # NaN, the bracket ends themselves, outside, and inside but next to an
+    # end, far from the root; the levels are still plain bisection's bits
+    nulam, lambeta4 = _random_loadings(np.random.default_rng(18), 80, CC, 6)
+    bounds = np.concatenate(([0.0], band_edge_gammas(6)))
+    interpolated, kinds = sp._interpolated, []
+
+    def off(out, idx, rows):
+        x = interpolated(out, idx, rows)
+        lo, hi = bounds[idx % 6], bounds[idx % 6 + 1]
+        kind = idx % 7
+        kinds.append(kind)
+        return np.choose(kind, [np.full(x.shape, np.nan), lo, hi, lo - 1.0,
+                                hi + x, np.nextafter(lo, hi),
+                                np.nextafter(hi, lo)])
+
+    monkeypatch.setattr(sp, "_interpolated", off)
+    monkeypatch.setattr(sp, "_WARM_LANES", 0)
+    got = sp._band_bisect(nulam, lambeta4, 6)
+    want = _bisect_fixed(*_edge_bisection(nulam, lambeta4, 6),
+                         sp._BISECT_ITERS)
+    assert got.tobytes() == want.tobytes()
+    assert set(np.concatenate(kinds).tolist()) == set(range(7))
 
 
 def test_band_bisect_falls_back_where_inner_bracket_fails(monkeypatch):
