@@ -89,6 +89,13 @@ _SETTLE_FLOATS = 32
 _SETTLE_DEPTH = 2.0 ** -40
 # Newton steps of _inner_brackets before a lane is evaluated at every halving.
 _NEWTON_ITERS = 30
+# Sample points of _shear_model, this fraction of the bracket in from each
+# end, and the safeguarded Newton steps that solve the model (_model_start).
+# Over the bench's cold lanes 1/10 to 1/4 gave the same Newton counts; six
+# steps leave the model root within 1e-4 of the bracket width on all but
+# 26 of 10,000 lanes, four on all but 900.
+_MODEL_SAMPLE = 0.125
+_MODEL_ITERS = 3
 # Half-width of an inner bracket, in rounding-noise widths of F.
 _MARGIN = 8.0
 # _inner_brackets takes a Newton root once the error that its last two
@@ -173,12 +180,10 @@ def _scaled_nd_slopes(gamma):
             (np.abs(c) + np.abs(s)) * ch, e + np.abs(c) * ch)
 
 
-def _secular_slope(gamma, nulam, lambeta4, nd=None):
+def _secular_slope(gamma, nulam, lambeta4):
     """_regular_secular F (not bit for bit), dF/dgamma, and a bound on the
-    rounding error of _regular_secular in units of roundoff, from
-    nd = _scaled_nd_slopes(gamma), computed here if not given."""
-    n_hat, d_hat, dn_hat, dd_hat, n_err, d_err = (
-        _scaled_nd_slopes(gamma) if nd is None else nd)
+    rounding error of _regular_secular in units of roundoff."""
+    n_hat, d_hat, dn_hat, dd_hat, n_err, d_err = _scaled_nd_slopes(gamma)
     g2 = gamma * gamma
     g3 = g2 * gamma
     g4 = g2 * g2
@@ -228,11 +233,11 @@ def _band_bisect(nulam, lambeta4: np.ndarray, k_max: int) -> np.ndarray:
     form is nu*lam*gamma^3*N there, whose sign alternates as (-1)^k at the
     lower edge of band k (the k=1 interval starts at F(0) = -2
     (lam*beta)^4); the bisection is seeded with that sign.  The lanes (one
-    per level) go through _solve_lanes, with N^ and D^ at the band edges
-    computed once.
+    per level) go through _solve_lanes; their shear term nu*lam*T is nu*lam
+    times one model of T per band.
     """
     bounds = np.concatenate(([0.0], band_edge_gammas(k_max)))
-    nd = np.array(_scaled_nd_slopes(bounds))
+    unit = _shear_model(bounds[:-1], bounds[1:], _kernel_slope)
     shape = np.broadcast_shapes(np.shape(nulam), lambeta4.shape)[:-1] + (k_max,)
     flat_nulam = np.broadcast_to(nulam, shape).flat
     flat_lambeta4 = np.broadcast_to(lambeta4, shape).flat
@@ -243,30 +248,24 @@ def _band_bisect(nulam, lambeta4: np.ndarray, k_max: int) -> np.ndarray:
         return (bounds[k], bounds[k + 1], k % 2 == 0,
                 (flat_nulam[idx], flat_lambeta4[idx]))
 
-    def ends(idx):
-        k = idx % k_max
-        return nd[:, np.concatenate((k, k + 1))]
-
     return _solve_lanes(
-        shape, lanes, ends,
-        lambda g, c, lb4, nd=None: _secular_slope(g, c, lb4, nd),
-        _regular_secular)
+        shape, lanes,
+        lambda idx, lo, hi, params: unit[:, idx % k_max] * params[0],
+        lambda g, c, lb4: _secular_slope(g, c, lb4), _regular_secular)
 
 
-def _solve_lanes(shape, lanes, ends, slope, value):
+def _solve_lanes(shape, lanes, model, slope, value):
     """Levels of the lanes of shape, whose leading axis holds the rows of a
     sweep, bisected _CHUNK lanes at a time, which bounds the temporaries.
 
     lanes(idx) gives (lo, hi, neg, params) of the lanes with flat indices
     idx: brackets, sign bits of f at lo and a tuple of per-lane parameter
-    arrays; ends(idx) gives the _scaled_nd_slopes terms at the lanes'
-    bracket ends (all lo, then all hi) where they are computed once per
-    band, None where not.  value(g, *params) is the lanes' f, and slope(g,
-    *params, nd=None) its F, F' and rounding bound for _inner_brackets,
-    from nd where given; the inner brackets go with the brackets to
-    _replay.
+    arrays, lambeta4 last; model(idx, lo, hi, params) gives the
+    coefficients of their _shear_model.  value(g, *params) is the lanes'
+    f, and slope(g, *params) its F, F' and rounding bound for
+    _inner_brackets; the inner brackets go with the brackets to _replay.
 
-    Newton starts from the shorter edge step of _newton_start.  With
+    Newton starts from the root of the lane's model (_model_start).  With
     _WARM_LANES lanes or more, the coarse rows (every _WARM_STRIDE-th, and
     the last) are solved first, and a lane of another row starts from the
     linear interpolation, by row index, of the levels of its two coarse
@@ -287,15 +286,18 @@ def _solve_lanes(shape, lanes, ends, slope, value):
             idx = np.arange(first, min(first + _CHUNK, group.size * width))
             idx = group[idx // width] * width + idx % width
             lo, hi, neg, params = lanes(idx)
-            if group is coarse:
-                x = _newton_start(lo, hi, slope, params, ends(idx))
-            else:
+            cold = slice(None)
+            if group is fine:
                 x = _interpolated(out, idx, rows)
                 cold = np.flatnonzero(~((x > lo) & (x < hi)))
-                if cold.size:
-                    x[cold] = _newton_start(
-                        lo[cold], hi[cold], slope, [v[cold] for v in params],
-                        ends(idx[cold]))
+            if group is coarse or cold.size:
+                part = [v[cold] for v in (idx, lo, hi, *params)]
+                start = _model_start(*part[1:3], model(*part[:3], part[3:]),
+                                     part[-1])
+                if group is coarse:
+                    x = start
+                else:
+                    x[cold] = start
 
             def f(g, i, params=params):
                 return value(g, *(v[i] for v in params))
@@ -317,22 +319,101 @@ def _interpolated(out, idx, rows):
     return g + (row - below) / (above - below) * (out[above * width + col] - g)
 
 
-def _newton_start(lo, hi, slope, params, nd):
-    """Newton start inside each bracket [lo, hi]: of the Newton steps from its
-    two ends that land inside, the shorter one; the midpoint if none does.
-    slope(g, *params, nd) is the lanes' slope function of _solve_lanes,
-    called once for both ends, and nd the _scaled_nd_slopes terms at lo
-    and then hi, or None."""
+def _kernel_slope(gamma):
+    """The shear kernel T = N/D at gamma and its slope, off the poles."""
+    n_hat, d_hat, dn_hat, dd_hat = _scaled_nd_slopes(gamma)[:4]
+    return n_hat / d_hat, (dn_hat * d_hat - n_hat * dd_hat) / (d_hat * d_hat)
+
+
+def _model_poles(lo, hi):
+    """Lower pole of each bracket's shear model: lo, or -hi in band 1
+    (lo = 0), where the shear term is odd in gamma."""
+    return np.where(lo > 0.0, lo, -hi)
+
+
+def _shear_model(lo, hi, shear):
+    """Coefficients (a, m, b, c), each shaped like lo, of the model
+
+        W(g) ~ a + m (g - p) + b / (g - p) + c / (g - hi)
+
+    of the shear term W of each bracket [lo, hi], the secular function over
+    gamma^3 less gamma - lambeta4 / gamma^3 (nu*lam*T for one family).  W
+    has a pole at each bracket end, of either family (or a merged pair,
+    just outside it), over a slowly varying rest: the model keeps both
+    poles, p from _model_poles, and a linear rest.  The four coefficients
+    fit W and W' = shear(x) at the sample points x = lo + s (hi - lo) and
+    hi - s (hi - lo), s = _MODEL_SAMPLE; shear takes x shaped (2, lanes).
+    Degenerate fits give non-finite coefficients, which _model_start
+    rejects.
+    """
+    p = _model_poles(lo, hi)
+    x = lo + np.array([[_MODEL_SAMPLE], [1.0 - _MODEL_SAMPLE]]) * (hi - lo)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f, df = slope(np.concatenate((lo, hi)),
-                      *(np.tile(v, 2) for v in params), nd)[:2]
-        step_lo, step_hi = np.divide(f, df).reshape(2, -1)
-    x_lo, x_hi = lo - step_lo, hi - step_hi
-    in_lo = (x_lo > lo) & (x_lo < hi)
-    in_hi = (x_hi > lo) & (x_hi < hi)
-    x = np.where(in_hi, x_hi, 0.5 * (lo + hi))
-    return np.where(in_lo & ~(in_hi & (np.abs(step_hi) < np.abs(step_lo))),
-                    x_lo, x)
+        w, dw = shear(x)
+        u, v = 1.0 / (x - p), 1.0 / (x - hi)
+        # the slopes at both points and the secant between them fix b and
+        # c; then m and a follow at the first point
+        secant = (w[1] - w[0]) / (x[1] - x[0])
+        e0, e1 = secant - dw[0], secant - dw[1]
+        det = u[1] * v[0] - u[0] * v[1]
+        b = -(v[1] * e0 + v[0] * e1) / det / (u[0] - u[1])
+        c = (u[0] * e1 + u[1] * e0) / det / (v[0] - v[1])
+        m = dw[0] + b * u[0] ** 2 + c * v[0] ** 2
+        a = w[0] - m * (x[0] - p) - b * u[0] - c * v[0]
+    return np.array([a, m, b, c])
+
+
+def _model_start(lo, hi, model, lambeta4):
+    """Newton start in each bracket [lo, hi]: the root of its model secular
+    function g^3 W(g) + g^4 - lambeta4, with W from the coefficients model
+    of _shear_model, or the midpoint where that root is not strictly
+    inside (lo, hi).
+
+    The model is solved times (g - p)(hi - g), which clears its poles.  Its
+    signs at the sample points tell which of the three parts of [lo, hi]
+    they cut holds the root (the secular function rises through each
+    band); a false-position step across that part, then _MODEL_ITERS
+    safeguarded Newton steps, find it.  In band 1 both take their steps in
+    g^4: there the model is close to A g^4 - lambeta4 near 0, where Newton
+    in g only shrinks its distance by 3/4 a step.
+    """
+    a, m, b, c = model
+    p = _model_poles(lo, hi)
+    power = np.where(lo > 0.0, 1.0, 4.0)
+
+    def psi(g, slope=True):
+        """The pole-cleared model, and its slope."""
+        t, s = g - p, hi - g
+        g2 = g * g
+        g3 = g2 * g
+        rest = a + m * t
+        core = g3 * (g + rest) - lambeta4
+        poles = g3 * (b * s - c * t)
+        value = core * t * s + poles
+        if not slope:
+            return value
+        return value, (g2 * (4.0 * g + 3.0 * rest + m * g) * t * s
+                       + core * (s - t) + 3.0 * poles / g - g3 * (b + c))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = lo + np.array([[0.0], [_MODEL_SAMPLE], [1.0 - _MODEL_SAMPLE],
+                           [1.0]]) * (hi - lo)
+        v = psi(x, slope=False)
+        part = (v[1] <= 0.0).astype(int) + (v[2] <= 0.0)
+        (g_lo, g_hi), (v_lo, v_hi) = (
+            np.take_along_axis(w, np.stack((part, part + 1)), axis=0)
+            for w in (x, v))
+        u_lo, u_hi = g_lo ** power, g_hi ** power
+        g = (u_lo - v_lo * (u_hi - u_lo) / (v_hi - v_lo)) ** (1.0 / power)
+        for _ in range(_MODEL_ITERS):
+            g = np.where((g > g_lo) & (g < g_hi), g, 0.5 * (g_lo + g_hi))
+            value, slope = psi(g)
+            up = value > 0.0
+            g_lo = np.where(up, g_lo, g)
+            g_hi = np.where(up, g, g_hi)
+            # a Newton step in g^power
+            g = g * (1.0 - power * value / (slope * g)) ** (1.0 / power)
+    return np.where((g > lo) & (g < hi), g, 0.5 * (lo + hi))
 
 
 def _replay(lo, hi, neg, f, a=-np.inf, b=np.inf):
@@ -650,6 +731,13 @@ def _alternating_slope(gamma, c1, c2, eps, lambeta4):
     return f, df, noise
 
 
+def _alternating_shear(gamma, c1, c2, eps):
+    """The two-family shear term c1 T(g) + c2 T(eps g) and its slope."""
+    t1, dt1 = _kernel_slope(gamma)
+    t2, dt2 = _kernel_slope(eps * gamma)
+    return c1 * t1 + c2 * t2, c1 * dt1 + c2 * eps * dt2
+
+
 def _pole_groups(eps, gamma_max, families=(1, 2)):
     """Merged band-edge poles of layouts eps[p] up to gamma_max[p]: family 1
     at the edges gamma_k, family 2 at gamma_k / eps[p].  In each sorted row
@@ -770,12 +858,13 @@ def _alternating_solves(geometry: DeviceGeometry, profile: AlternatingProfile,
         p, n, k = np.unravel_index(idx, shape)
         return lo[p, k], hi[p, k], neg[p, k], (e[p], lb4[n])
 
-    # the terms at the bracket ends are computed with the slopes, for the
-    # lanes that start there only: held for every band, they doubled the
-    # traced peak of 10,000 layouts at 8x8 levels and saved no time
+    def model(idx, lo, hi, params):
+        return _shear_model(
+            lo, hi, lambda g: _alternating_shear(g, c1, c2, params[0]))
+
     found = _solve_lanes(
-        shape, lanes, lambda idx: None,
-        lambda g, e, lb4, nd=None: _alternating_slope(g, c1, c2, e, lb4),
+        shape, lanes, model,
+        lambda g, e, lb4: _alternating_slope(g, c1, c2, e, lb4),
         lambda g, e, lb4: _regular_alternating(g, c1, c2, e, lb4))
     # an end stepped off a merged pole group must still have the sign that
     # the bracket assumes, or the bracket may hold no level at all

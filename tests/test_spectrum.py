@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from cantarray import nonlinear as nl
 from cantarray import spectrum as sp
 from cantarray.beam import beam_roots
 from cantarray.kernel import band_edge_gammas
@@ -690,17 +691,19 @@ def _count_evaluations(monkeypatch, names):
 def test_nu_sweep_band_bisection_lane_evaluations(monkeypatch):
     # halving every bracket of the preset's nu sweep from its edges by value
     # alone takes 57 lane evaluations per level; Newton, the inner-bracket
-    # check and the settle step take 7.98 (8.9 before the early stop).  The
-    # 3,136 lanes are fewer than _WARM_LANES, so they start at the edges.
-    # Lane evaluations are values (_regular_secular) and values with slopes
-    # (_scaled_nd_slopes), counted by gamma.size.
-    _assert_nu_sweep_evaluations(monkeypatch, 50, 8.0)
+    # check and the settle step take 6.32 (7.98 from the shorter edge step,
+    # 8.9 before the early stop).  The 3,136 lanes are fewer than
+    # _WARM_LANES, so they start from their model roots.  Lane evaluations
+    # are values (_regular_secular) and values with slopes
+    # (_scaled_nd_slopes, the models' samples included), counted by
+    # gamma.size.
+    _assert_nu_sweep_evaluations(monkeypatch, 50, 6.4)
 
 
 def test_long_nu_sweep_band_bisection_lane_evaluations(monkeypatch):
     # the same count on 500 values, whose rows between the coarse ones start
-    # from their neighbours' levels: 6.38 per level (8.9 before)
-    _assert_nu_sweep_evaluations(monkeypatch, 500, 6.4)
+    # from their neighbours' levels: 6.17 per level (6.38 from edge steps)
+    _assert_nu_sweep_evaluations(monkeypatch, 500, 6.2)
 
 
 def _assert_nu_sweep_evaluations(monkeypatch, points, per_level):
@@ -715,17 +718,19 @@ def _assert_nu_sweep_evaluations(monkeypatch, points, per_level):
 
 def test_epsilon_sweep_band_bisection_lane_evaluations(monkeypatch):
     # the same count for two-family levels, 200 epsilons toward 1: halving
-    # by value alone takes 57 per level; values (_regular_alternating) and
-    # values with slopes (_alternating_slope) take 11.27 (14.9 from the
+    # by value alone takes 57 per level; values (_regular_alternating),
+    # values with slopes (_alternating_slope) and the models' samples
+    # (_alternating_shear) take 11.09 (11.27 from edge steps, 14.9 from the
     # bracket midpoints, without the early stop)
-    evals = _count_evaluations(monkeypatch,
-                               ("_regular_alternating", "_alternating_slope"))
+    evals = _count_evaluations(monkeypatch, ("_regular_alternating",
+                                             "_alternating_slope",
+                                             "_alternating_shear"))
     _, profile, _ = preset_device("jap1-calibrated")
     geometry, bc, alt = _two_family(profile.length, 0.8)
     swept = list(sp.sweep_alternating(geometry, alt, bc,
                                       np.linspace(0.3, 0.999999, 200), 8, 8))
     assert all(np.isfinite(g).all() for _, g, _ in swept)
-    assert sum(evals) <= 11.3 * 200 * 8 * 8
+    assert sum(evals) <= 11.1 * 200 * 8 * 8
 
 
 @settings(max_examples=40, deadline=None)
@@ -749,18 +754,138 @@ def test_alternating_solves_equal_all_halvings(eps, c1, c2, lam, bc, n_max,
     with mock.patch.object(sp, "_alternating_coeffs", return_value=(c1, c2)):
         gammas, _ = sp._alternating_solves(geometry, alt, eps, bc, n_max,
                                            k_max)
+    lambeta4 = ((alt.length1 / geometry.beam_length
+                 * beam_roots(bc, n_max)) ** 4)[:, None]
+    want = _two_family_halvings(eps, c1, c2, lambeta4, k_max)
+    assert gammas.tobytes() == want.tobytes()
+
+
+def _two_family_halvings(eps, c1, c2, lambeta4, k_max):
+    """Levels (P, n, k) of every halving of the two-family regularized form
+    of layouts eps, shear prefactors c1, c2 and lambeta4 (n, 1), from the
+    band brackets' ends, seeded with its sign at lo."""
     lo, hi = (v[:, None] for v in sp._band_brackets(eps, k_max)[:2])
     mid = 0.5 * (lo + hi)
     e = eps[:, None, None]
     f_lo = -sp._scaled_nd(mid)[1] * sp._scaled_nd(e * mid)[1]
-    lambeta4 = ((alt.length1 / geometry.beam_length
-                 * beam_roots(bc, n_max)) ** 4)[:, None]
-    shape = gammas.shape
-    want = _bisect_fixed(
+    shape = (eps.size, lambeta4.shape[0], k_max)
+    return _bisect_fixed(
         lambda g: sp._regular_alternating(g, c1, c2, e, lambeta4),
         *(np.broadcast_to(v, shape) for v in (lo, hi, f_lo)),
         sp._BISECT_ITERS)
-    assert gammas.tobytes() == want.tobytes()
+
+
+def _limit_solves():
+    """(name, solve) of the degenerate limits of both families: lam*beta_n
+    on band edges 1-4 and 1e-9 off them, nu*lam (or c1 = c2) down to
+    1e-12, a single pair per side, and epsilon = 1 - 10^-j, j = 1..12.
+    solve() returns the levels and those of every halving."""
+    edges = band_edge_gammas(4)
+    lambeta = np.concatenate([edges * (1.0 + off) for off in (0.0, 1e-9,
+                                                              -1e-9)])
+    lambeta4 = (lambeta ** 4)[:, None]
+    nulam = 10.0 ** -np.arange(0.0, 13.0, 3.0)
+    one = np.array([[1.0]])
+    solves = [("uniform, lam*beta_n at edges, nu*lam 1..1e-12",
+               lambda: (sp._band_bisect(nulam[:, None, None], lambeta4, 6),
+                        _bisect_fixed(*_edge_bisection(
+                            nulam[:, None, None], lambeta4, 6),
+                            sp._BISECT_ITERS)))]
+    solves += [(f"uniform, nu*lam {c:g}, lam*beta_n {lb:g}",
+                lambda c=c, lb=lb: (
+                    sp._band_bisect(c, lb ** 4 * one, 4),
+                    _bisect_fixed(*_edge_bisection(c, lb ** 4 * one, 4),
+                                  sp._BISECT_ITERS)))
+               for c in (1e-12, 1e-9) for lb in (1e-3, 0.5, 3.0)]
+    eps = np.array([1.0 - 10.0 ** -j for j in range(1, 13)])
+    for c1, c2 in ((1.0, 1.0), (1e-3, 2.0), (1e-12, 1e-12)):
+        solves.append((f"two-family, c1 {c1:g}, c2 {c2:g}, edges",
+                       lambda c1=c1, c2=c2: _two_family_limits(
+                           eps, c1, c2, lambeta, 5)))
+    _, profile, _ = preset_device("jap1-calibrated")
+    for counts in ((10, 10), (1, 1)):
+        geometry, bc, alt = _two_family(profile.length, 0.5, *counts)
+        c1, c2 = sp._alternating_coeffs(geometry, alt)
+        lb = alt.length1 / geometry.beam_length * beam_roots(bc, 6)
+        solves.append((f"two-family preset, counts {counts}",
+                       lambda c1=c1, c2=c2, lb=lb: _two_family_limits(
+                           eps, c1, c2, lb, 6)))
+    return solves
+
+
+def _two_family_limits(eps, c1, c2, lambeta, k_max):
+    """_alternating_solves' two-family lanes for layouts eps and lam*beta_n
+    = lambeta, without the geometry: the levels, and every halving's with
+    the rejected ones NaN."""
+    geometry, _, _ = preset_device("jap1-calibrated")
+    alt = AlternatingProfile(length1=geometry.beam_length,
+                             length2=0.5 * geometry.beam_length,
+                             width1=1e-7, width2=1e-7, count1=1, count2=1)
+    with mock.patch.object(sp, "_alternating_coeffs",
+                           return_value=(c1, c2)), \
+            mock.patch.object(sp, "beam_roots", return_value=lambeta), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")       # rejected levels are NaN
+        got, _ = sp._alternating_solves(geometry, alt, eps, CC,
+                                        lambeta.size, k_max)
+    lambeta4 = (lambeta ** 4)[:, None]
+    want = _two_family_halvings(eps, c1, c2, lambeta4, k_max)
+    # within 1e-12 of equal lengths the layout has one pole set
+    want[np.abs(eps - 1.0) < 1e-12] = _bisect_fixed(
+        *_edge_bisection(c1 + c2, lambeta4, k_max), sp._BISECT_ITERS)
+    return got, np.where(np.isnan(got), np.nan, want)
+
+
+@pytest.mark.parametrize("name, solve", _limit_solves(),
+                         ids=[name for name, _ in _limit_solves()])
+def test_model_starts_keep_levels_and_certificates_at_the_limits(
+        monkeypatch, name, solve):
+    # the model starts meet the degenerate limits: roots on a pole and 1e-9
+    # off it, roots near 0 in band 1, twin poles 10^-12 apart.  The levels
+    # are every halving's bits; and no lane lacks an inner bracket that a
+    # full Newton pass from the bracket midpoint certifies
+    brackets = _recorded(monkeypatch, "_inner_brackets")
+    got, want = solve()
+    assert got.tobytes() == want.tobytes()
+    monkeypatch.setattr(sp, "_model_start",
+                        lambda lo, hi, model, lambeta4: 0.5 * (lo + hi))
+    monkeypatch.setattr(sp, "_QUADRATIC", 0.0)
+    calls = len(brackets)
+    assert solve()[0].tobytes() == got.tobytes()
+    model, midpoint = (np.concatenate([np.isinf(a) for _, (a, _) in part])
+                       for part in (brackets[:calls], brackets[calls:]))
+    assert model.size == midpoint.size
+    assert not (model & ~midpoint).any()
+
+
+def test_model_starts_take_at_most_four_newton_iterations(monkeypatch):
+    # from the shorter Newton step off a bracket end, these solves took 9
+    # or 10 iterations a call: roots near 0 in band 1 and roots just above
+    # a pole or a twin pair were approached in steps that shrank by a fixed
+    # factor.  From the model roots they take 3 or 4
+    iterations, inner = [], sp._inner_brackets
+
+    def counted(lo, hi, neg, start, slope, f, params):
+        calls = []
+
+        def counted_slope(*args):
+            calls.append(1)
+            return slope(*args)
+
+        found = inner(lo, hi, neg, start, counted_slope, f, params)
+        iterations.append(len(calls))
+        return found
+
+    monkeypatch.setattr(sp, "_inner_brackets", counted)
+    geometry, profile, bc = preset_device("jap1-calibrated")
+    for size in (4, 8):
+        sp.solve_uniform(geometry, profile, bc, size, size)
+    for j in range(1, 10):
+        two, bc2, alt = _two_family(profile.length, 1.0 - 10.0 ** -j)
+        sp.solve_alternating(two, alt, bc2, 3, 4)
+    nl.select_modes(geometry, profile, bc)
+    assert len(iterations) == 12
+    assert max(iterations) <= 4
 
 
 @settings(max_examples=150, deadline=None)
@@ -830,8 +955,8 @@ def test_band_bisect_falls_back_where_inner_bracket_fails(monkeypatch):
     cut = np.median(nulam)
     slope, inner, brackets = sp._secular_slope, sp._inner_brackets, []
 
-    def shifted_slope(gamma, c, lb4, nd):
-        f, df, noise = slope(gamma, c, lb4, nd)
+    def shifted_slope(gamma, c, lb4):
+        f, df, noise = slope(gamma, c, lb4)
         return f + (c >= cut) * 1e-6 * df, df, noise
 
     def recorded(*args):
