@@ -477,6 +477,25 @@ def _level_rows(gammas: np.ndarray, scale: np.ndarray):
     return p, n + 1, k + 1, gamma, scale[p] * gamma * gamma
 
 
+def _pairs(config) -> int:
+    """Pairs of cantilevers per side: count_per_side, or count1 + count2
+    for an alternating profile."""
+    if isinstance(config.profile, AlternatingProfile):
+        return config.profile.count1 + config.profile.count2
+    return config.geometry.count_per_side
+
+
+def _valid_levels(n, pairs):
+    """n < pairs, the levels the averaged model holds for; one warning
+    counts the others."""
+    valid = n < pairs
+    invalid = int(np.sum(~valid))
+    if invalid:
+        warnings.warn(f"{invalid} level(s) have beam index n >= N and fall "
+                      "outside the averaged model's validity")
+    return valid
+
+
 # --- subcommands -------------------------------------------------------------
 
 
@@ -534,15 +553,7 @@ def _cmd_spectrum(args, caught, t0):
                                  config.boundary, config.spectrum.n_max,
                                  config.spectrum.k_max)
     _, n, k, gamma, omega = _level_rows(gammas[None], np.array([scale]))
-    # the averaged model holds for n below the pairs per side
-    pairs = (config.profile.count1 + config.profile.count2
-             if isinstance(config.profile, AlternatingProfile)
-             else config.geometry.count_per_side)
-    valid = n < pairs
-    invalid = int(np.sum(~valid))
-    if invalid:
-        warnings.warn(f"{invalid} level(s) have beam index n >= N and fall "
-                      "outside the averaged model's validity")
+    valid = _valid_levels(n, _pairs(config))
     base = omega[(n == 1) & (k == 1)]
     table = {"n": n, "k": k, "gamma": gamma, "omega_rad_s": omega,
              "freq_hz": omega / (2.0 * math.pi),
@@ -576,6 +587,8 @@ def _cmd_sweep(args, caught, t0):
                         config.spectrum.k_max))
     value, gammas, scale = map(np.array, zip(*points))
     p, n, k, gamma, omega = _level_rows(gammas, scale)
+    # N is the swept value itself in an N sweep
+    _valid_levels(n, value[p] if args.param == "N" else _pairs(config))
     table = {"param": np.broadcast_to(args.param, p.size), "value": value[p],
              "n": n, "k": k, "gamma": gamma, "omega_rad_s": omega}
     _emit(args, table, config, caught, t0)

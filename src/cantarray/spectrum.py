@@ -38,8 +38,11 @@ _alternating_slope) puts (a, b) a few rounding-noise widths wide around
 each root, and f(a) and f(b) are checked to have the two signs; a lane
 whose Newton pass or check fails keeps (-inf, inf), so the levels are
 plain bisection's bit for bit either way, wherever Newton starts and
-whenever it stops.  Newton starts from the shorter Newton step off a
-bracket end (_newton_start); in a solve of _WARM_LANES lanes or more,
+whenever it stops.  Newton starts from the root of a model of the lane's
+own secular function (_model_start): its shear term keeps the poles at
+both bracket ends over a linear rest, fitted at two points
+(_shear_model), so that roots on a pole, next to a twin pair or near 0
+in band 1 start close; in a solve of _WARM_LANES lanes or more,
 every _WARM_STRIDE-th row of the swept values (and the last) is solved
 first, and the rows between start from the linear interpolation of
 those rows' levels.  A lane stops once its step is within the noise

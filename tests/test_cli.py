@@ -1313,6 +1313,37 @@ def test_spectrum_marks_levels_past_the_pair_count_invalid(
                       "the averaged model's validity"]
 
 
+@pytest.mark.parametrize("geometry, profile, args, invalid", [
+    # N = 0.5, 1.75, 3: n >= N for 4, 3 and 2 of the beam indices 1..4
+    ({"preset": PRESET}, None, ["--param", "N", "--from", "0.5", "--to", "3",
+                               "--points", "3"], (4 + 3 + 2) * 3),
+    ({**MATERIAL_GEOMETRY, "count_per_side": 2},
+     {"kind": "uniform", "length": 5e-7},
+     ["--param", "nu", "--from", "1", "--to", "2", "--points", "2"], 3 * 3 * 2),
+    ({"preset": PRESET},
+     {"kind": "alternating", "length1": 5e-7, "length2": 4e-7, "count1": 1,
+      "count2": 2},
+     ["--param", "epsilon", "--from", "0.5", "--to", "0.9", "--points", "2"],
+     2 * 3 * 2)], ids=["N", "nu", "epsilon"])
+def test_sweep_warns_of_levels_past_the_pair_count(capsys, tmp_path, geometry,
+                                                   profile, args, invalid):
+    # as spectrum does, with N the swept value in an N sweep and the pairs
+    # per side otherwise; the warning goes to the manifest, the rows keep
+    # every level
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"geometry": geometry, "spectrum": {"n_max": 4,
+                                                                "k_max": 3},
+                             **({"profile": profile} if profile else {})}))
+    code, out, err = run(capsys, "sweep", "--config", str(p), *args,
+                         "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == int(args[-1]) * 4 * 3
+    warned = [w for w in stdout_manifest(err)["warnings"] if "n >= N" in w]
+    assert warned == [f"{invalid} level(s) have beam index n >= N and fall "
+                      "outside the averaged model's validity"]
+
+
 RESPONSE = {"c_y": 1e-6, "c_eta": 1e-6, "f1": 1e-9, "f2": 1e-9,
             "sigma1": {"from": -1e3, "to": 1e3, "points": 3}, "sigma2": 0.0}
 
