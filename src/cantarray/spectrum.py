@@ -383,20 +383,22 @@ def _model_start(lo, hi, model, lambeta4):
     a, m, b, c = model
     p = _model_poles(lo, hi)
     power = np.where(lo > 0.0, 1.0, 4.0)
+    m4, bc = m + 4.0, b + c
 
     def psi(g, slope=True):
         """The pole-cleared model, and its slope."""
         t, s = g - p, hi - g
+        ts = t * s
         g2 = g * g
         g3 = g2 * g
         rest = a + m * t
         core = g3 * (g + rest) - lambeta4
         poles = g3 * (b * s - c * t)
-        value = core * t * s + poles
+        value = core * ts + poles
         if not slope:
             return value
-        return value, (g2 * (4.0 * g + 3.0 * rest + m * g) * t * s
-                       + core * (s - t) + 3.0 * poles / g - g3 * (b + c))
+        return value, (g2 * (m4 * g + 3.0 * rest) * ts + core * (s - t)
+                       + 3.0 * poles / g - g3 * bc)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = lo + np.array([[0.0], [_MODEL_SAMPLE], [1.0 - _MODEL_SAMPLE],
