@@ -93,10 +93,11 @@ _SETTLE_DEPTH = 2.0 ** -40
 # Newton steps of _inner_brackets before a lane is evaluated at every halving.
 _NEWTON_ITERS = 30
 # Sample points of _shear_model, this fraction of the bracket in from each
-# end, and the safeguarded Newton steps that solve the model (_model_start).
-# Over the bench's cold lanes 1/10 to 1/4 gave the same Newton counts; six
-# steps leave the model root within 1e-4 of the bracket width on all but
-# 26 of 10,000 lanes, four on all but 900.
+# end, and the Newton steps that solve the model after its false-position
+# step (_model_start).  On the 8,462 lanes of bench seed 1 that start from
+# models, samples 1/10 to 1/4 in took the same Newton counts; three steps
+# leave the model root within 1e-5 of the bracket width on all but 26
+# lanes (two steps: 630) and take the Newton counts of exact model roots.
 _MODEL_SAMPLE = 0.125
 _MODEL_ITERS = 3
 # Half-width of an inner bracket, in rounding-noise widths of F.
@@ -289,18 +290,14 @@ def _solve_lanes(shape, lanes, model, slope, value):
             idx = np.arange(first, min(first + _CHUNK, group.size * width))
             idx = group[idx // width] * width + idx % width
             lo, hi, neg, params = lanes(idx)
-            cold = slice(None)
-            if group is fine:
-                x = _interpolated(out, idx, rows)
-                cold = np.flatnonzero(~((x > lo) & (x < hi)))
-            if group is coarse or cold.size:
-                part = [v[cold] for v in (idx, lo, hi, *params)]
-                start = _model_start(*part[1:3], model(*part[:3], part[3:]),
-                                     part[-1])
-                if group is coarse:
-                    x = start
-                else:
-                    x[cold] = start
+            x = (_interpolated(out, idx, rows) if group is fine
+                 else np.full(idx.size, np.nan))
+            cold = np.flatnonzero(~((x > lo) & (x < hi)))
+            if cold.size:
+                i, low, high, *part = (v[cold]
+                                       for v in (idx, lo, hi, *params))
+                x[cold] = _model_start(low, high, model(i, low, high, part),
+                                       part[-1])
 
             def f(g, i, params=params):
                 return value(g, *(v[i] for v in params))
