@@ -402,9 +402,9 @@ def _model_start(lo, hi, model, lambeta4):
                            [1.0]]) * (hi - lo)
         v = psi(x, slope=False)
         part = (v[1] <= 0.0).astype(int) + (v[2] <= 0.0)
-        (g_lo, g_hi), (v_lo, v_hi) = (
-            np.take_along_axis(w, np.stack((part, part + 1)), axis=0)
-            for w in (x, v))
+        lane = np.arange(lo.size)
+        g_lo, g_hi = x[part, lane], x[part + 1, lane]
+        v_lo, v_hi = v[part, lane], v[part + 1, lane]
         u_lo, u_hi = g_lo ** power, g_hi ** power
         g = (u_lo - v_lo * (u_hi - u_lo) / (v_hi - v_lo)) ** (1.0 / power)
         for _ in range(_MODEL_ITERS):
