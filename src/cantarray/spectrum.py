@@ -380,7 +380,7 @@ def _model_start(lo, hi, model, lambeta4):
     a, m, b, c = model
     p = _model_poles(lo, hi)
     power = np.where(lo > 0.0, 1.0, 4.0)
-    m4, bc = m + 4.0, b + c
+    bc = b + c
 
     def psi(g, slope=True):
         """The pole-cleared model, and its slope."""
@@ -394,8 +394,8 @@ def _model_start(lo, hi, model, lambeta4):
         value = core * ts + poles
         if not slope:
             return value
-        return value, (g2 * (m4 * g + 3.0 * rest) * ts + core * (s - t)
-                       + 3.0 * poles / g - g3 * bc)
+        return value, (g2 * ((4.0 + m) * g + 3.0 * rest) * ts
+                       + core * (s - t) + 3.0 * poles / g - g3 * bc)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = lo + np.array([[0.0], [_MODEL_SAMPLE], [1.0 - _MODEL_SAMPLE],

@@ -1319,7 +1319,8 @@ def test_spectrum_marks_levels_past_the_pair_count_invalid(
                                "--points", "3"], (4 + 3 + 2) * 3),
     ({**MATERIAL_GEOMETRY, "count_per_side": 2},
      {"kind": "uniform", "length": 5e-7},
-     ["--param", "nu", "--from", "1", "--to", "2", "--points", "2"], 3 * 3 * 2),
+     ["--param", "nu", "--from", "1", "--to", "2", "--points", "2"],
+     3 * 3 * 2),
     ({"preset": PRESET},
      {"kind": "alternating", "length1": 5e-7, "length2": 4e-7, "count1": 1,
       "count2": 2},
